@@ -21,14 +21,7 @@ from .errors import (
     UnknownParameterError,
     ValidationError,
 )
-from .fuzzy import (
-    FuzzyNumber,
-    Interval,
-    MembershipCurve,
-    alpha_cut,
-    crisp,
-    membership_at,
-)
+from .fuzzy import FuzzyNumber, Interval, MembershipCurve
 from .markov import (
     ChainMode,
     GeneratorMatrix,
@@ -110,19 +103,16 @@ __all__ = [
     "UP_STATES",
     "UnknownParameterError",
     "ValidationError",
-    "alpha_cut",
     "bounds_at_levels",
     "build_generator",
     "build_table",
     "brute_force_bounds",
     "calibrate_coverage",
     "characteristic_bounds",
-    "crisp",
     "evaluate_metric",
     "failure_density_laplace",
     "invert_query",
     "laplace_state_probs",
-    "membership_at",
     "membership_curve",
     "mttf",
     "reliability_at",

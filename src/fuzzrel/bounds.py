@@ -14,8 +14,6 @@ monotonicity.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -138,14 +136,35 @@ class FuzzySystemParams:
         if self.standby_failure_rate.support.lo < 0.0:
             raise ValidationError("standby_failure_rate support must be >= 0")
         if self.enforce_standby_slower:
-            for alpha in np.linspace(0.0, 1.0, 101):
-                th = self.standby_failure_rate.alpha_cut(alpha)
-                la = self.failure_rate.alpha_cut(alpha)
-                if th.hi > la.hi + 1e-12:
-                    raise ValidationError(
-                        f"standby failure rate cut exceeds failure rate cut at "
-                        f"alpha={float(alpha):.2f}: {th.hi} > {la.hi}"
-                    )
+            self._check_standby_slower()
+
+    def _check_standby_slower(self) -> None:
+        """Every theta cut must end no later than the matching lambda cut.
+
+        Between consecutive breakpoint levels of the two numbers both upper
+        ends are affine in alpha, so their excess peaks at a level or just
+        above one; an intermediate membership plateau makes a cut jump
+        there, and that right-hand limit is extrapolated from the midpoint.
+        """
+
+        def excess(alpha: float) -> float:
+            th = self.standby_failure_rate.alpha_cut(alpha).hi
+            return th - self.failure_rate.alpha_cut(alpha).hi
+
+        levels = sorted(
+            {0.0, 1.0}
+            | set(self.failure_rate.memberships)
+            | set(self.standby_failure_rate.memberships)
+        )
+        for lo, hi in zip(levels, levels[1:]):
+            at_hi = excess(hi)
+            above_lo = 2.0 * excess(0.5 * (lo + hi)) - at_hi
+            worst = max(excess(lo), above_lo, at_hi)
+            if worst > 1e-12:
+                raise ValidationError(
+                    f"standby failure rate cut exceeds failure rate cut by "
+                    f"{worst:.3g} for alpha in [{lo:g}, {hi:g}]"
+                )
 
     _BY_NAME = {
         PARAM_LAMBDA: "failure_rate",
@@ -429,21 +448,6 @@ def _validate_alpha_ladder(alphas: Sequence[float]) -> tuple[float, ...]:
     return ladder
 
 
-def _max_workers(n_tasks: int) -> int:
-    raw = os.environ.get("FUZZREL_THREADS", "0").strip()
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"FUZZREL_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if cap < 0:
-        raise ValidationError(f"FUZZREL_THREADS must be >= 0, got {cap}")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
 def bounds_at_levels(
     fp: FuzzySystemParams,
     metric: Metric,
@@ -451,23 +455,10 @@ def bounds_at_levels(
     *,
     seed: int = 0,
 ) -> tuple[BoundsResult, ...]:
-    """characteristic_bounds across an alpha ladder.
-
-    Levels are independent programs, so they run concurrently up to the
-    FUZZREL_THREADS cap (0 or unset means one worker per CPU). Each level
-    uses the same seed, which keeps results identical under any
-    scheduling.
-    """
+    """characteristic_bounds across an alpha ladder, each level with the
+    same seed."""
     ladder = _validate_alpha_ladder(alphas)
-    workers = _max_workers(len(ladder))
-    if workers == 1:
-        return tuple(characteristic_bounds(fp, metric, a, seed=seed) for a in ladder)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(characteristic_bounds, fp, metric, a, seed=seed)
-            for a in ladder
-        ]
-        return tuple(f.result() for f in futures)
+    return tuple(characteristic_bounds(fp, metric, a, seed=seed) for a in ladder)
 
 
 def enforce_nesting(

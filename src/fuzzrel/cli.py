@@ -8,7 +8,6 @@ validation failure, 4 solver failure, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -58,7 +57,10 @@ class ModelConfig:
     metric: Metric
     alphas: tuple[float, ...]
     solver_seed: int
-    sim: SimConfig
+    # SimConfig keywords; the crisp modal system they run on is built only
+    # by `simulate`, so models whose modal rates break theta <= lambda
+    # still serve every other subcommand
+    sim_settings: dict
     reference_bounds: tuple[tuple[float, float, float], ...] | None
 
 
@@ -163,8 +165,7 @@ def load_model_config(
     sim_raw = raw.get("simulation", {})
     if not isinstance(sim_raw, dict):
         raise ConfigError("field 'simulation' must be an object")
-    sim = SimConfig(
-        params=fp.modal_params(),
+    sim_settings = dict(
         replications=_as_int(sim_raw.get("replications"), "simulation.replications", 100_000),
         horizon=_as_number(sim_raw.get("horizon", 100_000.0), "simulation.horizon"),
         seed=_as_int(sim_raw.get("seed"), "simulation.seed", 0),
@@ -193,7 +194,7 @@ def load_model_config(
         metric=metric,
         alphas=alphas,
         solver_seed=_as_int(solver.get("seed"), "solver.seed", 0),
-        sim=sim,
+        sim_settings=sim_settings,
         reference_bounds=ref_rows,
     )
 
@@ -311,11 +312,12 @@ def cmd_invert(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
-    sim = cfg.sim
+    settings = dict(cfg.sim_settings)
     if args.reps is not None:
-        sim = dataclasses.replace(sim, replications=args.reps)
+        settings["replications"] = args.reps
     if args.seed is not None:
-        sim = dataclasses.replace(sim, seed=args.seed)
+        settings["seed"] = args.seed
+    sim = SimConfig(params=cfg.fuzzy_params.modal_params(), **settings)
     if cfg.metric.kind == "mtbf":
         est = simulate_mttf(sim)
         row = ("mttf", est)

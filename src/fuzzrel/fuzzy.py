@@ -220,16 +220,6 @@ class FuzzyNumber:
         return Interval(lo, hi)
 
 
-def alpha_cut(fz: FuzzyNumber, alpha: float) -> Interval:
-    """Alpha-cut of a fuzzy number as a closed interval."""
-    return fz.alpha_cut(alpha)
-
-
-def crisp(value: float) -> FuzzyNumber:
-    """Fuzzy number concentrated on a single crisp value."""
-    return FuzzyNumber.crisp(value)
-
-
 @dataclass(frozen=True)
 class MembershipCurve:
     """Interval bounds of a derived quantity indexed by alpha level.
@@ -338,8 +328,3 @@ class MembershipCurve:
         x0, x1 = highs[k], highs[k + 1]
         a0, a1 = alphas[k], alphas[k + 1]
         return float(a0 + (x0 - z) * (a1 - a0) / (x0 - x1))
-
-
-def membership_at(curve: MembershipCurve, z: float) -> float:
-    """Membership grade of z under a sampled membership curve."""
-    return curve.membership_at(z)

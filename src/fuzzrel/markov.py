@@ -156,8 +156,9 @@ class GeneratorMatrix:
         np.fill_diagonal(off, 0.0)
         if off.min() < 0.0:
             raise ValidationError("off-diagonal generator entries must be >= 0")
-        row_sums = rates.sum(axis=1)
-        if np.abs(row_sums).max() > 1e-9:
+        # rounding in a row sum grows with the rates it adds up
+        tol = 1e-9 * max(1.0, np.abs(rates).max())
+        if np.abs(rates.sum(axis=1)).max() > tol:
             raise ValidationError("generator rows must sum to zero")
         if self.mode is ChainMode.RELIABILITY:
             for s in DOWN_STATES:
@@ -179,10 +180,12 @@ class GeneratorMatrix:
         object.__setattr__(self, "initial", initial)
 
 
-def build_generator(
-    params: SystemParams, mode: ChainMode = ChainMode.RELIABILITY
-) -> GeneratorMatrix:
-    """Assemble the generator for one chain variant."""
+def _rate_matrix(params: SystemParams, mode: ChainMode) -> np.ndarray:
+    """Generator of one chain variant as a plain array, rows closed to zero.
+
+    params is a SystemParams and so already validated; the kernels solve
+    this array directly and do not re-check it.
+    """
     if mode is ChainMode.AVAILABILITY and params.repair_rate == 0.0:
         raise ValidationError(
             "availability analysis requires repair_rate > 0, the chain is "
@@ -191,11 +194,23 @@ def build_generator(
     rates = np.zeros((N_STATES, N_STATES))
     for s, t, r in _transitions(params, mode):
         rates[s, t] += r
-    np.fill_diagonal(rates, 0.0)
     np.fill_diagonal(rates, -rates.sum(axis=1))
-    initial = np.zeros(N_STATES)
-    initial[State.UP3] = 1.0
-    return GeneratorMatrix(mode=mode, rates=rates, initial=initial)
+    return rates
+
+
+def _initial() -> np.ndarray:
+    p0 = np.zeros(N_STATES)
+    p0[State.UP3] = 1.0
+    return p0
+
+
+def build_generator(
+    params: SystemParams, mode: ChainMode = ChainMode.RELIABILITY
+) -> GeneratorMatrix:
+    """Assemble and validate the generator for one chain variant."""
+    return GeneratorMatrix(
+        mode=mode, rates=_rate_matrix(params, mode), initial=_initial()
+    )
 
 
 @dataclass(frozen=True)
@@ -248,10 +263,10 @@ def laplace_state_probs(params: SystemParams, s: float) -> LaplaceStateVector:
     s = float(s)
     if not np.isfinite(s) or s <= 0.0:
         raise ValidationError(f"transform variable s must be > 0, got {s}")
-    gen = build_generator(params, ChainMode.RELIABILITY)
-    lhs = s * np.eye(N_STATES) - gen.rates.T
+    rates = _rate_matrix(params, ChainMode.RELIABILITY)
+    lhs = s * np.eye(N_STATES) - rates.T
     try:
-        ptilde = np.linalg.solve(lhs, gen.initial)
+        ptilde = np.linalg.solve(lhs, _initial())
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Laplace system singular at s={s}") from exc
     residual = abs(s * ptilde.sum() - 1.0)
@@ -268,9 +283,9 @@ def mttf(params: SystemParams) -> float:
     Solves Q_T m = -1 on the transient (up-state) block of the
     reliability generator; m[UP3] is the expected absorption time.
     """
-    gen = build_generator(params, ChainMode.RELIABILITY)
+    rates = _rate_matrix(params, ChainMode.RELIABILITY)
     idx = np.array(UP_STATES, dtype=int)
-    block = gen.rates[np.ix_(idx, idx)]
+    block = rates[np.ix_(idx, idx)]
     try:
         m = np.linalg.solve(block, -np.ones(len(idx)))
     except np.linalg.LinAlgError as exc:
@@ -278,52 +293,18 @@ def mttf(params: SystemParams) -> float:
     return float(m[0])
 
 
-_UNIFORMIZATION_TOL = 1e-12
-_UNIFORMIZATION_MAX_RATE_TIME = 200.0
-_UNIFORMIZATION_MAX_TERMS = 5000
-
-
-def _transient_distribution(gen: GeneratorMatrix, t: float) -> np.ndarray:
-    """Distribution at time t via uniformization, expm when t is stiff.
-
-    Uniformization accumulates Poisson-weighted powers of the jump kernel
-    until the truncated tail drops below 1e-12, which keeps every entry
-    nonnegative. For large rate*t the Poisson series is long, so the
-    dense matrix exponential takes over.
-    """
-    p0 = gen.initial
-    if t == 0.0:
-        return p0.copy()
-    rate = float(-gen.rates.diagonal().min())
-    if rate == 0.0:
-        return p0.copy()
-    if rate * t > _UNIFORMIZATION_MAX_RATE_TIME:
-        return scipy.linalg.expm(gen.rates.T * t) @ p0
-
-    kernel = np.eye(N_STATES) + gen.rates / rate
-    v = p0.copy()
-    weight = float(np.exp(-rate * t))
-    acc = weight * v
-    cum = weight
-    for k in range(1, _UNIFORMIZATION_MAX_TERMS + 1):
-        v = v @ kernel
-        weight *= rate * t / k
-        acc += weight * v
-        cum += weight
-        if 1.0 - cum < _UNIFORMIZATION_TOL:
-            return acc
-    raise SolverError(f"uniformization did not converge at t={t}")
-
-
 def state_probabilities(
     params: SystemParams, t: float, mode: ChainMode = ChainMode.RELIABILITY
 ) -> StateProbabilities:
-    """Transient distribution of the chosen chain variant at time t."""
+    """Transient distribution of the chosen chain variant at time t.
+
+    Solves dP/dt = Q^T P from all mass on UP3 as P(t) = expm(Q^T t) P(0).
+    """
     t = float(t)
     if not np.isfinite(t) or t < 0.0:
         raise ValidationError(f"time must be >= 0, got {t}")
-    gen = build_generator(params, mode)
-    p = _transient_distribution(gen, t)
+    rates = _rate_matrix(params, mode)
+    p = scipy.linalg.expm(rates.T * t) @ _initial()
     p = np.clip(p, 0.0, None)
     return StateProbabilities(t=t, p=p)
 
@@ -366,9 +347,9 @@ def stationary_distribution(params: SystemParams) -> np.ndarray:
     space unreachable from UP3; the balance equations are solved on the
     reachable subset and unreachable states get probability zero.
     """
-    gen = build_generator(params, ChainMode.AVAILABILITY)
-    reachable = _reachable_states(gen.rates, int(State.UP3))
-    sub = gen.rates[np.ix_(reachable, reachable)]
+    rates = _rate_matrix(params, ChainMode.AVAILABILITY)
+    reachable = _reachable_states(rates, int(State.UP3))
+    sub = rates[np.ix_(reachable, reachable)]
     lhs = sub.T.copy()
     lhs[-1, :] = 1.0
     rhs = np.zeros(len(reachable))

@@ -1,7 +1,5 @@
 """Interval bounds over alpha-cut boxes: NLP pipeline vs grid scans."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -105,6 +103,38 @@ class TestFuzzyParamsValidation:
             )
         # theta cuts below lambda's upper bounds: accepted
         demo_params(enforce_standby_slower=True)
+
+    def test_standby_coupling_checked_between_sample_levels(self):
+        # theta's upper end passes lambda's only for alpha in (0, 0.01),
+        # peaking at alpha = 0.005: 0.5998 > 0.5995
+        with pytest.raises(ValidationError):
+            demo_params(
+                failure_rate=FuzzyNumber.trapezoidal(0.1, 0.3, 0.5, 0.6),
+                standby_failure_rate=FuzzyNumber.from_breakpoints(
+                    [(0.1, 0.0), (0.2, 1.0), (0.3, 1.0), (0.5, 0.01),
+                     (0.5998, 0.005), (0.6, 0.0)]
+                ),
+                enforce_standby_slower=True,
+            )
+
+    def test_standby_coupling_checked_just_above_a_plateau(self):
+        # lambda's cut jumps from 0.6 down to 0.5 just above alpha = 0.4;
+        # theta's upper end is 0.51 there and drops below lambda's by 0.5
+        lam = FuzzyNumber.from_breakpoints(
+            [(0.1, 0.0), (0.2, 1.0), (0.3, 1.0), (0.5, 0.4), (0.6, 0.4), (0.7, 0.0)]
+        )
+        theta = FuzzyNumber.from_breakpoints(
+            [(0.1, 0.0), (0.2, 1.0), (0.3, 1.0), (0.46, 0.5), (0.51, 0.4), (0.58, 0.0)]
+        )
+        assert theta.alpha_cut(0.41).hi > lam.alpha_cut(0.41).hi
+        with pytest.raises(ValidationError):
+            demo_params(
+                failure_rate=lam, standby_failure_rate=theta, enforce_standby_slower=True
+            )
+        # the same theta against its own upper ends is accepted
+        demo_params(
+            failure_rate=theta, standby_failure_rate=theta, enforce_standby_slower=True
+        )
 
     def test_modal_reduction(self):
         p = demo_params().modal_params()
@@ -274,33 +304,6 @@ class TestMembershipCurveOp:
             membership_curve(fp, MTBF, (0.1, 1.0))  # missing 0
         with pytest.raises(ValidationError):
             membership_curve(fp, MTBF, (0.0, 0.5, 0.5, 1.0))
-
-    def test_thread_cap_does_not_change_results(self):
-        fp = demo_params()
-        sequential = os.environ.get("FUZZREL_THREADS")
-        try:
-            os.environ["FUZZREL_THREADS"] = "1"
-            one = membership_curve(fp, MTBF, (0.0, 0.5, 1.0))
-            os.environ["FUZZREL_THREADS"] = "3"
-            three = membership_curve(fp, MTBF, (0.0, 0.5, 1.0))
-        finally:
-            if sequential is None:
-                os.environ.pop("FUZZREL_THREADS", None)
-            else:
-                os.environ["FUZZREL_THREADS"] = sequential
-        assert one.intervals == three.intervals
-
-    def test_invalid_thread_cap_rejected(self):
-        saved = os.environ.get("FUZZREL_THREADS")
-        try:
-            os.environ["FUZZREL_THREADS"] = "many"
-            with pytest.raises(ValidationError):
-                membership_curve(demo_params(), MTBF, (0.0, 1.0))
-        finally:
-            if saved is None:
-                os.environ.pop("FUZZREL_THREADS", None)
-            else:
-                os.environ["FUZZREL_THREADS"] = saved
 
     def test_availability_curve_nested_and_bounded(self):
         curve = membership_curve(demo_params(), STEADY_AVAILABILITY, (0.0, 0.5, 1.0))

@@ -26,6 +26,16 @@ DEMO_CONFIG = {
 }
 
 
+# A valid coupled model whose modal midpoints (0.35, 0.4) break
+# theta <= lambda: only the crisp modal system is infeasible.
+COUPLED_CONFIG = {
+    **DEMO_CONFIG,
+    "lambda": [0.1, 0.2, 0.5, 0.6],
+    "theta": [0.3, 0.35, 0.45, 0.5],
+    "solver": {"enforce_standby_slower": True},
+}
+
+
 @pytest.fixture
 def config_path(tmp_path):
     def write(payload, name="config.json"):
@@ -282,6 +292,52 @@ class TestCalibrate:
              "--lower", "100.0", "--upper", "200.0"]
         )
         assert code == EXIT_SOLVER
+
+
+class TestCoupledModel:
+    def test_curve_reaches_the_coupling_edge(self, config_path, tmp_path):
+        from fuzzrel import SystemParams, mttf
+
+        cfg = config_path(COUPLED_CONFIG)
+        out = tmp_path / "curve.csv"
+        args = ["curve", cfg, "--out", str(out), "--levels", "2", "--full-precision"]
+        assert main(args) == EXIT_OK
+        _, rows = read_csv(out)
+        # the alpha = 0 maximum sits on theta = lambda, at the polytope
+        # vertex lambda = theta = 0.3, mu = 6
+        vertex = mttf(SystemParams(0.3, 0.3, 6.0, 0.9, 2.0))
+        assert rows[0][2] == pytest.approx(vertex, rel=1e-9)
+
+    def test_alphacut_and_invert(self, config_path, tmp_path, capsys):
+        cfg = config_path(COUPLED_CONFIG)
+        out = tmp_path / "table.csv"
+        assert main(["alphacut", cfg, "--out", str(out), "--levels", "2"]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert rows[0][8] == pytest.approx(11.2861, abs=5e-5)
+        code = main(
+            ["invert", cfg, "--lower", "5.1852", "--upper", "11.2862", "--levels", "2"]
+        )
+        assert code == EXIT_OK
+        assert "alpha = 0.00" in capsys.readouterr().out
+
+    def test_calibrate_round_trip(self, config_path, capsys):
+        from fuzzrel import MTBF, characteristic_bounds
+        from fuzzrel.cli import load_model_config
+
+        cfg = config_path(COUPLED_CONFIG)
+        fp = load_model_config(cfg).fuzzy_params
+        anchor = characteristic_bounds(fp, MTBF, 1.0).bounds
+        code = main(
+            ["calibrate", cfg, "--anchor-alpha", "1.0",
+             "--lower", repr(anchor.lo), "--upper", repr(anchor.hi)]
+        )
+        assert code == EXIT_OK
+        assert "coverage = 0.900000" in capsys.readouterr().out
+
+    def test_simulate_rejects_the_modal_system(self, config_path, capsys):
+        cfg = config_path(COUPLED_CONFIG)
+        assert main(["simulate", cfg, "--reps", "100"]) == EXIT_VALIDATION
+        assert "exceeds failure_rate" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -9,9 +9,6 @@ from fuzzrel import (
     Interval,
     MembershipCurve,
     ValidationError,
-    alpha_cut,
-    crisp,
-    membership_at,
 )
 
 
@@ -49,7 +46,7 @@ class TestConstructors:
         assert fz.alpha_cut(0.5) == Interval(1.5, 3.0)
 
     def test_crisp_cuts_are_the_point(self):
-        fz = crisp(2.5)
+        fz = FuzzyNumber.crisp(2.5)
         assert fz.is_crisp
         for a in (0.0, 0.3, 1.0):
             assert fz.alpha_cut(a) == Interval(2.5, 2.5)
@@ -108,7 +105,7 @@ class TestMembership:
         assert fz.membership(4.1) == 0.0
 
     def test_crisp_membership(self):
-        fz = crisp(2.0)
+        fz = FuzzyNumber.crisp(2.0)
         assert fz.membership(2.0) == 1.0
         assert fz.membership(2.0000001) == 0.0
 
@@ -187,8 +184,8 @@ class TestMembershipCurve:
         for a, iv in curve.rows:
             if a == 0.0:
                 continue
-            assert membership_at(curve, iv.lo) == pytest.approx(a, abs=1e-9)
-            assert membership_at(curve, iv.hi) == pytest.approx(a, abs=1e-9)
+            assert curve.membership_at(iv.lo) == pytest.approx(a, abs=1e-9)
+            assert curve.membership_at(iv.hi) == pytest.approx(a, abs=1e-9)
 
     def test_interpolates_between_rows(self):
         fz = FuzzyNumber.triangular(0.0, 1.0, 2.0)
@@ -204,7 +201,7 @@ class TestMembershipCurve:
         assert iv.hi == pytest.approx(3.75, abs=1e-12)
 
     def test_crisp_curve_is_a_spike(self):
-        curve = self.build(crisp(2.0))
+        curve = self.build(FuzzyNumber.crisp(2.0))
         assert curve.membership_at(2.0) == 1.0
         assert curve.membership_at(2.001) == 0.0
 

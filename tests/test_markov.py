@@ -60,6 +60,26 @@ def reference_generator(p, mode):
     return q
 
 
+def closed_form_mttf(lam, th, mu, c):
+    """MTTF from UP3 by first-step analysis, with a = 2 lam + th:
+
+        m3 = 1/a + c m2
+        (mu + 2 lam) m2 = 1 + mu m3 + 2 c lam m1
+        (mu + lam) m1 = 1 + mu m2
+
+    Eliminating m1 and m2 gives m3 = (D + a c N) / (a (D - c mu (mu + lam)))
+    with D = (mu + 2 lam)(mu + lam) - 2 c lam mu and N = mu + lam + 2 c lam.
+    """
+    a = 2 * lam + th
+    d = (mu + 2 * lam) * (mu + lam) - 2 * c * lam * mu
+    n = mu + lam + 2 * c * lam
+    return (d + a * c * n) / (a * (d - c * mu * (mu + lam)))
+
+
+# repair seven orders of magnitude faster than failure
+STIFF = SystemParams(0.37, 0.1, 1e7, 0.9, 1.0)
+
+
 class TestParamsValidation:
     def test_rejects_nonpositive_failure_rate(self):
         with pytest.raises(ValidationError):
@@ -129,6 +149,11 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             build_generator(params(mu=0.0), ChainMode.AVAILABILITY)
 
+    @pytest.mark.parametrize("mode", list(ChainMode))
+    def test_stiff_rates_pass_row_sum_check(self, mode):
+        gen = build_generator(STIFF, mode)
+        np.testing.assert_allclose(gen.rates, reference_generator(STIFF, mode), atol=0)
+
     def test_matrices_are_read_only(self):
         gen = build_generator(params())
         with pytest.raises(ValueError):
@@ -161,6 +186,16 @@ class TestMttf:
             assert values_mu[0] < values_mu[1] < values_mu[2]
             values_c = [mttf(params(lam, theta, 2.0, c, 2.0)) for c in (0.3, 0.6, 0.9)]
             assert values_c[0] < values_c[1] < values_c[2]
+
+    def test_closed_form_on_gentle_rates(self):
+        assert mttf(params()) == pytest.approx(
+            closed_form_mttf(0.6, 0.2, 4.0, 0.9), rel=1e-12
+        )
+
+    def test_stiff_chain_matches_closed_form(self):
+        assert mttf(STIFF) == pytest.approx(
+            closed_form_mttf(0.37, 0.1, 1e7, 0.9), rel=1e-9
+        )
 
     def test_agrees_with_expected_absorption_time_by_quadrature(self):
         p = params()
@@ -262,14 +297,15 @@ class TestTransient:
                 assert probs.p.min() >= 0.0
                 assert abs(probs.p.sum() - 1.0) < 1e-10
 
-    def test_series_path_matches_dense_exponential(self):
-        # rate * t below the stiffness switch, so the series path runs
+    def test_nonincreasing_near_rate_time_200(self):
+        # rate * t from 180 to 220, rate being the chain's fastest exit,
+        # mu + 2 lambda out of UP2
         p = params()
-        gen = build_generator(p, ChainMode.RELIABILITY)
-        t = 8.0
-        expected = scipy.linalg.expm(gen.rates.T * t) @ gen.initial
-        probs = state_probabilities(p, t)
-        np.testing.assert_allclose(probs.p, expected, atol=1e-11)
+        rate = p.repair_rate + 2 * p.failure_rate
+        ts = np.linspace(0.9, 1.1, 41) * 200.0 / rate
+        rel = [reliability_at(p, t) for t in ts]
+        assert all(a >= b for a, b in zip(rel, rel[1:]))
+        assert rel[-1] < rel[0]
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
@@ -328,3 +364,20 @@ class TestSteadyAvailability:
     def test_rejects_zero_repair_rate(self):
         with pytest.raises(ValidationError):
             steady_availability(params(mu=0.0))
+
+    def test_stiff_chain_is_a_probability(self):
+        assert 0.0 <= steady_availability(STIFF) <= 1.0
+
+
+def test_kernels_build_no_validated_generator(monkeypatch):
+    import fuzzrel.markov
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel built a GeneratorMatrix")
+
+    monkeypatch.setattr(fuzzrel.markov, "GeneratorMatrix", refuse)
+    p = params()
+    mttf(p)
+    steady_availability(p)
+    reliability_at(p, 3.0)
+    laplace_state_probs(p, 0.5)
