@@ -5,10 +5,15 @@ vectors. The lower and upper bounds of a characteristic over that box
 are a pair of small constrained programs; solving them across a ladder
 of alpha levels traces out the membership curve of the characteristic.
 
-The characteristics are monotone in each rate for this model, so box
-corners are the natural candidates; a multi-start local search guards
-the result against any non-monotone regime instead of assuming
-monotonicity.
+Each pair is solved by the vertex method of Dong & Shah (Fuzzy Sets
+Syst. 24, 1987) wherever a certificate shows it exact, and by a
+multi-start local search elsewhere. The certificate samples the analytic
+partial derivatives of the characteristic on a 3-per-axis lattice of the
+box. An axis whose samples all share one sign is monotone and is pinned
+at the end that sign selects for each bound; only the axes left open are
+searched. With none open, each bound is one vertex value. Under the
+standby constraint theta <= lambda the feasible set is a polytope, and
+its vertices on theta = lambda join the box corners.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     KernelEvaluationError,
@@ -48,6 +52,9 @@ _LOCAL_SEARCH_OPTIONS = {
 }
 _INFEASIBLE_PENALTY = 1e30
 _DEGENERATE_WIDTH = 1e-15
+# a partial counts as zero when it moves the metric across the box by less
+# than this fraction of the metric
+_ZERO_CHANGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,11 @@ class BoundsMethod(Enum):
 
 @dataclass(frozen=True)
 class BoundsResult:
-    """Bounds of one characteristic over one alpha-cut box."""
+    """Bounds of one characteristic over one alpha-cut box.
+
+    open_axes names the axes the monotonicity certificate left to the
+    local search; it is empty when every axis was pinned at a vertex.
+    """
 
     alpha: float
     box: dict[str, Interval]
@@ -219,6 +230,7 @@ class BoundsResult:
     argmin: dict[str, float]
     argmax: dict[str, float]
     method: BoundsMethod
+    open_axes: tuple[str, ...] = ()
 
 
 def _metric_axes(metric: Metric) -> tuple[str, ...]:
@@ -228,22 +240,49 @@ def _metric_axes(metric: Metric) -> tuple[str, ...]:
     return names
 
 
+def _rate_vectors(fp: FuzzySystemParams, points: np.ndarray) -> np.ndarray:
+    """Raw rate vectors (lambda, theta, mu, c, beta) of stacked box points.
+
+    points has one column per metric axis, in _metric_axes order. beta
+    does not enter first-passage metrics; any valid value fills it.
+    """
+    rates = np.empty((len(points), 5))
+    rates[:, :3] = points[:, :3]
+    rates[:, 3] = fp.coverage
+    rates[:, 4] = (
+        points[:, 3]
+        if points.shape[1] > 3
+        else fp.reboot_rate.modal_interval.midpoint
+    )
+    return rates
+
+
+def _raw_metric(rates: np.ndarray, metric: Metric) -> float:
+    if metric.kind == "mtbf":
+        return markov._mttf_of(rates)
+    if metric.kind == "availability":
+        return markov._availability_of(rates)
+    return markov._reliability_of(rates, metric.t)
+
+
 def _make_kernel(
-    fp: FuzzySystemParams, metric: Metric
+    fp: FuzzySystemParams, metric: Metric, *, validate: bool
 ) -> Callable[[dict[str, float]], float]:
-    # beta does not enter first-passage metrics; any valid value works
-    beta_fill = fp.reboot_rate.modal_interval.midpoint
+    """The metric at one box point, failures tagged with the point.
+
+    validate builds a SystemParams, which checks every rule. Without it
+    the metric runs on the raw rates, which is exact for points inside a
+    box whose vertices passed: each SystemParams rule is a per-axis bound
+    or theta <= lambda, so valid vertices imply a valid box.
+    """
+    names = _metric_axes(metric)
 
     def kernel(point: dict[str, float]) -> float:
+        rates = _rate_vectors(fp, np.array([[point[n] for n in names]]))[0]
         try:
-            params = SystemParams(
-                failure_rate=point[PARAM_LAMBDA],
-                standby_failure_rate=point[PARAM_THETA],
-                repair_rate=point[PARAM_MU],
-                coverage=fp.coverage,
-                reboot_rate=point.get(PARAM_BETA, beta_fill),
-            )
-            return evaluate_metric(params, metric)
+            if validate:
+                return evaluate_metric(SystemParams(*rates), metric)
+            return _raw_metric(rates, metric)
         except (ValidationError, SolverError) as exc:
             raise KernelEvaluationError(
                 f"{metric.describe()} failed at {point}: {exc}", point=point
@@ -258,25 +297,156 @@ def _feasible(fp: FuzzySystemParams, point: dict[str, float]) -> bool:
     return point[PARAM_THETA] <= point[PARAM_LAMBDA]
 
 
-def _corner_points(box: dict[str, Interval]) -> list[dict[str, float]]:
-    axes = [
-        (iv.lo, iv.hi) if iv.width > _DEGENERATE_WIDTH else (iv.lo,)
+def _axis_values(box: dict[str, Interval], per_axis: int) -> list[np.ndarray]:
+    return [
+        np.linspace(iv.lo, iv.hi, per_axis)
+        if iv.width > _DEGENERATE_WIDTH
+        else np.array([iv.lo])
         for iv in box.values()
     ]
+
+
+def _feasible_points(
+    box: dict[str, Interval], per_axis: int, coupled: bool
+) -> np.ndarray:
+    """Lattice points of the box, per_axis values on each free axis, as rows.
+
+    When the standby constraint cuts the box, the points with theta above
+    lambda give way to the polytope's vertices on theta = lambda, combined
+    with the lattice of the other axes.
+    """
+    axes = _axis_values(box, per_axis)
+    points = np.array(list(itertools.product(*axes)))
+    if not coupled:
+        return points
+    points = points[points[:, 1] <= points[:, 0]]
+    lam, theta = box[PARAM_LAMBDA], box[PARAM_THETA]
+    lo, hi = max(lam.lo, theta.lo), min(lam.hi, theta.hi)
+    diagonal = [
+        (t, t, *rest)
+        for t in ({lo, hi} if lo <= hi else ())
+        for rest in itertools.product(*axes[2:])
+    ]
+    return np.unique(np.vstack([points, np.reshape(diagonal, (-1, len(box)))]), axis=0)
+
+
+def _sign(values: np.ndarray, partials: np.ndarray, width: float) -> int | None:
+    """The one sign of a partial over its samples, 0 if all are zero, or
+    None if it flips. A sample is zero when its change across the box is
+    below 1e-12 of the metric."""
+    if not (np.all(np.isfinite(partials)) and np.all(np.isfinite(values))):
+        return None
+    nonzero = np.abs(partials) * width > _ZERO_CHANGE * np.abs(values)
+    signs = np.unique(np.sign(partials[nonzero]))
+    if len(signs) > 1:
+        return None
+    return int(signs[0]) if len(signs) else 0
+
+
+def _axis_signs(
+    fp: FuzzySystemParams, metric: Metric, box: dict[str, Interval], coupled: bool
+) -> dict[str, int | None]:
+    """Monotonicity certificate: the sign of each axis's partial derivative.
+
+    Samples the analytic sensitivities on the box's 3-per-axis lattice
+    (vertices, edge midpoints, face centres, centre). An axis maps to +1
+    or -1 when every nonzero sample has that sign, to 0 when every sample
+    is zero, and to None, open, otherwise. When the standby constraint
+    cuts the box, lambda and theta are certified only together with the
+    edge direction d/dlambda + d/dtheta, and are open together otherwise.
+    """
     names = list(box)
-    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
+    points = _feasible_points(box, 3, coupled)
+    rates = _rate_vectors(fp, points)
+    try:
+        with np.errstate(all="ignore"):
+            if metric.kind == "mtbf":
+                values, partials = markov._mttf_sensitivities(rates)
+            elif metric.kind == "availability":
+                values, partials = markov._availability_sensitivities(rates)
+            else:
+                values, partials = markov._reliability_sensitivities(rates, metric.t)
+    except np.linalg.LinAlgError:
+        return dict.fromkeys(names)
+    widths = [iv.width for iv in box.values()]
+    signs = {
+        name: _sign(values, partials[:, i], widths[i]) for i, name in enumerate(names)
+    }
+    if coupled:
+        edge = _sign(values, partials[:, 0] + partials[:, 1], max(widths[:2]))
+        if None in (signs[PARAM_LAMBDA], signs[PARAM_THETA], edge):
+            signs[PARAM_LAMBDA] = signs[PARAM_THETA] = None
+    return signs
 
 
-def _point_from_vector(
-    names: Sequence[str],
-    free_idx: Sequence[int],
-    fixed: dict[str, float],
-    x: np.ndarray,
-) -> dict[str, float]:
-    point = dict(fixed)
-    for k, i in enumerate(free_idx):
-        point[names[i]] = float(x[k])
-    return point
+def _extreme(
+    fp: FuzzySystemParams,
+    metric: Metric,
+    box: dict[str, Interval],
+    vertices: list[tuple[float, dict[str, float]]],
+    ends: dict[str, float],
+    open_axes: tuple[str, ...],
+    sign: float,
+    rng: np.random.Generator,
+) -> tuple[float, dict[str, float]]:
+    """Largest value of sign * metric over the feasible set.
+
+    Certified axes sit at their ends; under a cutting standby constraint a
+    certified lambda-theta pair takes the best polytope vertex. Nelder-Mead
+    restarts then search the open axes, from the vertices through that
+    point and from seeded interior points.
+    """
+    matching = [
+        (v, p) for v, p in vertices if all(p[n] == x for n, x in ends.items())
+    ]
+    best_val, best_point = max(matching, key=lambda vp: sign * vp[0])
+    if not open_axes:
+        return best_val, best_point
+
+    import scipy.optimize
+
+    fixed = {n: x for n, x in best_point.items() if n not in open_axes}
+    lo_b = np.array([box[n].lo for n in open_axes])
+    hi_b = np.array([box[n].hi for n in open_axes])
+    widths = hi_b - lo_b
+    # exact vertices start slightly inside so the initial simplex is not
+    # flattened against the bounds
+    starts = [
+        np.clip(
+            [p[n] for n in open_axes],
+            lo_b + _CORNER_PULL_IN * widths,
+            hi_b - _CORNER_PULL_IN * widths,
+        )
+        for _, p in vertices
+        if all(p[n] == x for n, x in fixed.items())
+    ]
+    starts += [rng.uniform(lo_b, hi_b) for _ in range(_INTERIOR_STARTS)]
+    kernel = _make_kernel(fp, metric, validate=False)
+
+    def at(x: np.ndarray) -> dict[str, float]:
+        return {**fixed, **{n: float(v) for n, v in zip(open_axes, x)}}
+
+    def objective(x: np.ndarray) -> float:
+        point = at(x)
+        if not _feasible(fp, point):
+            return _INFEASIBLE_PENALTY
+        return -sign * kernel(point)
+
+    for x0 in starts:
+        res = scipy.optimize.minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            bounds=scipy.optimize.Bounds(lo_b, hi_b),
+            options=_LOCAL_SEARCH_OPTIONS,
+        )
+        if res.fun >= _INFEASIBLE_PENALTY:
+            continue
+        value = -sign * res.fun
+        point = at(np.clip(res.x, lo_b, hi_b))
+        if sign * value > sign * best_val and _feasible(fp, point):
+            best_val, best_point = value, point
+    return best_val, best_point
 
 
 def characteristic_bounds(
@@ -284,89 +454,51 @@ def characteristic_bounds(
 ) -> BoundsResult:
     """Lower and upper bounds of a characteristic over one alpha-cut box.
 
-    Scans every box corner, then polishes both directions with
-    Nelder-Mead restarts from the corners and from seeded interior
-    points. The same seed always reproduces the same result.
+    Evaluates every vertex of the feasible set with the validated
+    kernel, which checks the whole box, then certifies each axis by the
+    sign of its partial derivative over the box (_axis_signs). A
+    certified axis is pinned, for each bound, at the end its sign
+    selects, and a constant one at its lower end; only the open axes
+    are searched, by Nelder-Mead restarts. With no axis open the bounds
+    are vertex values, the vertex method of Dong & Shah (1987), and no
+    local search runs. The same seed always reproduces the same result.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     names = _metric_axes(metric)
     box = fp.cuts(alpha, names)
-    kernel = _make_kernel(fp, metric)
-
-    corners = [p for p in _corner_points(box) if _feasible(fp, p)]
-    if not corners:
+    coupled = (
+        fp.enforce_standby_slower and box[PARAM_THETA].hi > box[PARAM_LAMBDA].lo
+    )
+    points = _feasible_points(box, 2, coupled)
+    if not len(points):
         raise SolverError(
             f"no feasible point in the alpha={alpha} box under the standby "
             f"rate constraint"
         )
-    evaluated = [(kernel(p), p) for p in corners]
-    best_min = min(evaluated, key=lambda vp: vp[0])
-    best_max = max(evaluated, key=lambda vp: vp[0])
+    kernel = _make_kernel(fp, metric, validate=True)
+    vertices = []
+    for row in points:
+        point = {n: float(x) for n, x in zip(names, row)}
+        vertices.append((kernel(point), point))
 
-    free_idx = [
-        i for i, name in enumerate(names) if box[name].width > _DEGENERATE_WIDTH
-    ]
-    if not free_idx:
-        value, point = evaluated[0]
-        return BoundsResult(
-            alpha=alpha,
-            box=box,
-            bounds=Interval(value, value),
-            argmin=dict(point),
-            argmax=dict(point),
-            method=BoundsMethod.CORNER_SCAN,
-        )
-
-    fixed = {
-        names[i]: box[names[i]].lo for i in range(len(names)) if i not in free_idx
+    signs = _axis_signs(fp, metric, box, coupled)
+    open_axes = tuple(n for n in names if signs[n] is None)
+    pair = (PARAM_LAMBDA, PARAM_THETA) if coupled else ()
+    certified = {
+        n: s for n, s in signs.items() if s is not None and n not in pair
     }
-    lo_b = np.array([box[names[i]].lo for i in free_idx])
-    hi_b = np.array([box[names[i]].hi for i in free_idx])
-    widths = hi_b - lo_b
-
-    corner_starts = []
-    for _, point in evaluated:
-        x = np.array([point[names[i]] for i in free_idx])
-        # pull exact corners slightly inside so the initial simplex is
-        # not flattened against the bounds
-        x = np.clip(x, lo_b + _CORNER_PULL_IN * widths, hi_b - _CORNER_PULL_IN * widths)
-        corner_starts.append(x)
-
     rng = np.random.default_rng(seed)
-
-    def polish(sign: float, best: tuple[float, dict[str, float]]):
-        def objective(x: np.ndarray) -> float:
-            point = _point_from_vector(names, free_idx, fixed, x)
-            if not _feasible(fp, point):
-                return _INFEASIBLE_PENALTY
-            return sign * kernel(point)
-
-        starts = corner_starts + [
-            rng.uniform(lo_b, hi_b) for _ in range(_INTERIOR_STARTS)
-        ]
-        best_val, best_point = best
-        for x0 in starts:
-            res = scipy.optimize.minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                bounds=scipy.optimize.Bounds(lo_b, hi_b),
-                options=_LOCAL_SEARCH_OPTIONS,
-            )
-            if res.fun >= _INFEASIBLE_PENALTY:
-                continue
-            value = sign * res.fun
-            point = _point_from_vector(
-                names, free_idx, fixed, np.clip(res.x, lo_b, hi_b)
-            )
-            if sign * value < sign * best_val and _feasible(fp, point):
-                best_val, best_point = value, point
-        return best_val, best_point
-
-    min_val, min_point = polish(1.0, best_min)
-    max_val, max_point = polish(-1.0, best_max)
+    extremes = []
+    for sign in (-1.0, 1.0):
+        ends = {
+            n: box[n].hi if s * sign > 0 else box[n].lo for n, s in certified.items()
+        }
+        extremes.append(
+            _extreme(fp, metric, box, vertices, ends, open_axes, sign, rng)
+        )
+    (min_val, min_point), (max_val, max_point) = extremes
 
     return BoundsResult(
         alpha=alpha,
@@ -374,7 +506,10 @@ def characteristic_bounds(
         bounds=Interval(min_val, max_val),
         argmin=min_point,
         argmax=max_point,
-        method=BoundsMethod.MULTI_START_LOCAL,
+        method=(
+            BoundsMethod.MULTI_START_LOCAL if open_axes else BoundsMethod.CORNER_SCAN
+        ),
+        open_axes=open_axes,
     )
 
 
@@ -395,14 +530,9 @@ def brute_force_bounds(
 
     names = _metric_axes(metric)
     box = fp.cuts(alpha, names)
-    kernel = _make_kernel(fp, metric)
+    kernel = _make_kernel(fp, metric, validate=True)
 
-    axes = [
-        np.linspace(iv.lo, iv.hi, grid_per_axis)
-        if iv.width > _DEGENERATE_WIDTH
-        else np.array([iv.lo])
-        for iv in box.values()
-    ]
+    axes = _axis_values(box, grid_per_axis)
     min_val = np.inf
     max_val = -np.inf
     min_point: dict[str, float] = {}

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .bounds import (
     FuzzySystemParams,
@@ -256,6 +255,8 @@ def calibrate_coverage(
             f"{anchor_bounds.lo:.6g} (gaps {gap0:.3e} at c=0, {gap1:.3e} at c=1)"
         )
     else:
+        import scipy.optimize
+
         coverage = float(
             scipy.optimize.brentq(lower_gap, 0.0, 1.0, xtol=1e-12, maxiter=200)
         )

@@ -47,6 +47,8 @@ UP_STATES = (State.UP3, State.UP2, State.UP1)
 DOWN_STATES = (State.EXHAUSTED, State.UNSAFE1, State.UNSAFE2)
 
 N_STATES = len(State)
+# the up states lead the state order, so they index as one slice
+_UP = slice(0, len(UP_STATES))
 
 
 class ChainMode(Enum):
@@ -105,31 +107,60 @@ class SystemParams:
             raise ValidationError(f"reboot_rate must be > 0, got {self.reboot_rate}")
 
 
-def _transitions(params: SystemParams, mode: ChainMode):
-    """Edge list (source, target, rate) of the chain, zero rates dropped."""
-    lam = params.failure_rate
-    theta = params.standby_failure_rate
-    mu = params.repair_rate
-    c = params.coverage
-    beta = params.reboot_rate
+# Every transition rate is a weighted sum of eight features of a rate
+# vector (lambda, theta, mu, c, beta), so a generator is one product of
+# the features with a constant basis.
+_LAM, _THETA, _MU, _BETA, _C_LAM, _C_THETA, _U_LAM, _U_THETA = range(8)
 
-    full_load = 2.0 * lam + theta
-    edges = [
-        (State.UP3, State.UP2, c * full_load),
-        (State.UP3, State.UNSAFE1, (1.0 - c) * full_load),
-        (State.UP2, State.UP3, mu),
-        (State.UP2, State.UP1, 2.0 * c * lam),
-        (State.UP2, State.UNSAFE2, 2.0 * (1.0 - c) * lam),
-        (State.UP1, State.UP2, mu),
-        (State.UP1, State.EXHAUSTED, lam),
-    ]
-    if mode is ChainMode.AVAILABILITY:
-        edges += [
-            (State.UNSAFE1, State.UP3, beta),
-            (State.UNSAFE2, State.UP2, beta),
-            (State.EXHAUSTED, State.UP1, mu),
-        ]
-    return [(s, t, r) for s, t, r in edges if r > 0.0]
+# (source, target, feature weights); U is the uncovered share 1 - c
+_TRANSITIONS = [
+    (State.UP3, State.UP2, {_C_LAM: 2.0, _C_THETA: 1.0}),
+    (State.UP3, State.UNSAFE1, {_U_LAM: 2.0, _U_THETA: 1.0}),
+    (State.UP2, State.UP3, {_MU: 1.0}),
+    (State.UP2, State.UP1, {_C_LAM: 2.0}),
+    (State.UP2, State.UNSAFE2, {_U_LAM: 2.0}),
+    (State.UP1, State.UP2, {_MU: 1.0}),
+    (State.UP1, State.EXHAUSTED, {_LAM: 1.0}),
+]
+# availability mode adds the recovery paths
+_RECOVERY = [
+    (State.UNSAFE1, State.UP3, {_BETA: 1.0}),
+    (State.UNSAFE2, State.UP2, {_BETA: 1.0}),
+    (State.EXHAUSTED, State.UP1, {_MU: 1.0}),
+]
+
+
+def _basis(transitions) -> np.ndarray:
+    basis = np.zeros((8, N_STATES, N_STATES))
+    for s, t, weights in transitions:
+        for k, w in weights.items():
+            basis[k, s, t] += w
+            basis[k, s, s] -= w
+    return basis.reshape(8, N_STATES * N_STATES)
+
+
+_BASES = {
+    ChainMode.RELIABILITY: _basis(_TRANSITIONS),
+    ChainMode.AVAILABILITY: _basis(_TRANSITIONS + _RECOVERY),
+}
+
+
+def _generators(rates: np.ndarray, mode: ChainMode) -> np.ndarray:
+    """Generators of one chain variant for raw rate vectors.
+
+    rates has shape (..., 5), columns lambda, theta, mu, c, beta, and the
+    result has shape (..., 6, 6) with rows closed to zero. Nothing is
+    checked: the rates come from a validated SystemParams or from inside
+    a box whose vertices were validated. For a fixed c the result is
+    linear in lambda, theta, mu and beta.
+    """
+    rates = np.asarray(rates, dtype=float)
+    c = rates[..., 3:4]
+    pair = rates[..., :2]
+    features = np.concatenate(
+        [rates[..., [0, 1, 2, 4]], c * pair, (1.0 - c) * pair], axis=-1
+    )
+    return (features @ _BASES[mode]).reshape(rates.shape[:-1] + (N_STATES, N_STATES))
 
 
 @dataclass(frozen=True)
@@ -180,6 +211,19 @@ class GeneratorMatrix:
         object.__setattr__(self, "initial", initial)
 
 
+def _rates(params: SystemParams) -> np.ndarray:
+    """Raw rate vector of a validated SystemParams, in _generators' order."""
+    return np.array(
+        [
+            params.failure_rate,
+            params.standby_failure_rate,
+            params.repair_rate,
+            params.coverage,
+            params.reboot_rate,
+        ]
+    )
+
+
 def _rate_matrix(params: SystemParams, mode: ChainMode) -> np.ndarray:
     """Generator of one chain variant as a plain array, rows closed to zero.
 
@@ -191,11 +235,7 @@ def _rate_matrix(params: SystemParams, mode: ChainMode) -> np.ndarray:
             "availability analysis requires repair_rate > 0, the chain is "
             "not irreducible otherwise"
         )
-    rates = np.zeros((N_STATES, N_STATES))
-    for s, t, r in _transitions(params, mode):
-        rates[s, t] += r
-    np.fill_diagonal(rates, -rates.sum(axis=1))
-    return rates
+    return _generators(_rates(params), mode)
 
 
 def _initial() -> np.ndarray:
@@ -283,11 +323,13 @@ def mttf(params: SystemParams) -> float:
     Solves Q_T m = -1 on the transient (up-state) block of the
     reliability generator; m[UP3] is the expected absorption time.
     """
-    rates = _rate_matrix(params, ChainMode.RELIABILITY)
-    idx = np.array(UP_STATES, dtype=int)
-    block = rates[np.ix_(idx, idx)]
+    return _mttf_of(_rates(params))
+
+
+def _mttf_of(rates: np.ndarray) -> float:
+    block = _generators(rates, ChainMode.RELIABILITY)[_UP, _UP]
     try:
-        m = np.linalg.solve(block, -np.ones(len(idx)))
+        m = np.linalg.solve(block, -np.ones(len(UP_STATES)))
     except np.linalg.LinAlgError as exc:
         raise SolverError("transient block singular, no finite MTTF") from exc
     return float(m[0])
@@ -303,7 +345,10 @@ def state_probabilities(
     t = float(t)
     if not np.isfinite(t) or t < 0.0:
         raise ValidationError(f"time must be >= 0, got {t}")
-    rates = _rate_matrix(params, mode)
+    return _transient(_rate_matrix(params, mode), t)
+
+
+def _transient(rates: np.ndarray, t: float) -> StateProbabilities:
     p = scipy.linalg.expm(rates.T * t) @ _initial()
     p = np.clip(p, 0.0, None)
     return StateProbabilities(t=t, p=p)
@@ -311,8 +356,15 @@ def state_probabilities(
 
 def reliability_at(params: SystemParams, t: float) -> float:
     """Probability the system has not failed by time t."""
-    probs = state_probabilities(params, t, ChainMode.RELIABILITY)
-    r = float(probs.p[list(UP_STATES)].sum())
+    return _up_mass(state_probabilities(params, t, ChainMode.RELIABILITY))
+
+
+def _reliability_of(rates: np.ndarray, t: float) -> float:
+    return _up_mass(_transient(_generators(rates, ChainMode.RELIABILITY), t))
+
+
+def _up_mass(probs: StateProbabilities) -> float:
+    r = float(probs.p[_UP].sum())
     return min(max(r, 0.0), 1.0)
 
 
@@ -347,7 +399,10 @@ def stationary_distribution(params: SystemParams) -> np.ndarray:
     space unreachable from UP3; the balance equations are solved on the
     reachable subset and unreachable states get probability zero.
     """
-    rates = _rate_matrix(params, ChainMode.AVAILABILITY)
+    return _stationary(_rate_matrix(params, ChainMode.AVAILABILITY))
+
+
+def _stationary(rates: np.ndarray) -> np.ndarray:
     reachable = _reachable_states(rates, int(State.UP3))
     sub = rates[np.ix_(reachable, reachable)]
     lhs = sub.T.copy()
@@ -368,4 +423,84 @@ def stationary_distribution(params: SystemParams) -> np.ndarray:
 def steady_availability(params: SystemParams) -> float:
     """Long-run fraction of time the system is operational."""
     pi = stationary_distribution(params)
-    return float(pi[list(UP_STATES)].sum())
+    return float(pi[_UP].sum())
+
+
+def _availability_of(rates: np.ndarray) -> float:
+    return float(_stationary(_generators(rates, ChainMode.AVAILABILITY))[_UP].sum())
+
+
+# -- sensitivities ------------------------------------------------------------
+#
+# Partial derivatives of each metric with respect to lambda, theta, mu and,
+# for availability, beta, at stacked rate vectors (Blake, Reibman & Trivedi,
+# SIGMETRICS 1988). Each returns (values, partials) with shapes (N,) and
+# (N, k), k = 3 in reliability mode and 4 in availability mode, in that
+# rate order.
+
+
+def _rate_directions(rates: np.ndarray, mode: ChainMode) -> np.ndarray:
+    """dQ/dp at each rate vector, shape (N, k, 6, 6).
+
+    For a fixed c the generator is linear in the four rates, so each
+    derivative is the generator assembled with that rate at 1 and the
+    others at 0. beta enters only the availability chain.
+    """
+    k = 4 if mode is ChainMode.AVAILABILITY else 3
+    units = np.zeros((len(rates), k, 5))
+    # lambda, theta, mu and beta sit in columns 0, 1, 2 and 4; c in 3
+    units[:, range(k), [0, 1, 2, 4][:k]] = 1.0
+    units[:, :, 3] = rates[:, None, 3]
+    return _generators(units, mode)
+
+
+def _mttf_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dm/dp = -Q_T^-1 (dQ_T/dp) m on the up-state block."""
+    block = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP]
+    d_block = _rate_directions(rates, ChainMode.RELIABILITY)[:, :, _UP, _UP]
+    m = np.linalg.solve(block, -np.ones(block.shape[:2] + (1,)))[..., 0]
+    dm = np.linalg.solve(block, -np.einsum("npij,nj->nip", d_block, m))
+    return m[:, 0], dm[:, 0, :]
+
+
+def _availability_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dpi Q = -pi dQ with sum(dpi) = 0, summed over the up states.
+
+    Every valid availability chain has a single recurrent class, so one
+    balance equation can give way to the normalization on the whole state
+    space, reachable from UP3 or not.
+    """
+    q = _generators(rates, ChainMode.AVAILABILITY)
+    dq = _rate_directions(rates, ChainMode.AVAILABILITY)
+    lhs = np.swapaxes(q, -1, -2).copy()
+    lhs[:, -1, :] = 1.0
+    rhs = np.zeros((len(rates), N_STATES, 1))
+    rhs[:, -1] = 1.0
+    pi = np.linalg.solve(lhs, rhs)[..., 0]
+    d_rhs = -np.einsum("npji,nj->nip", dq, pi)
+    d_rhs[:, -1, :] = 0.0
+    d_pi = np.linalg.solve(lhs, d_rhs)
+    return pi[:, _UP].sum(axis=1), d_pi[:, _UP, :].sum(axis=1)
+
+
+def _reliability_sensitivities(
+    rates: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frechet derivative of expm on the up-state block.
+
+    Down states absorb, so R(t) = 1^T expm(B^T t) e_UP3 with B the up
+    block, and expm([[A, E], [0, A]]) holds the derivative of expm at A
+    in direction E as its top-right block.
+    """
+    n_up = len(UP_STATES)
+    a = np.swapaxes(_generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP], -1, -2)
+    d_a = np.swapaxes(
+        _rate_directions(rates, ChainMode.RELIABILITY)[:, :, _UP, _UP], -1, -2
+    )
+    n, k = d_a.shape[:2]
+    big = np.zeros((n, k, 2 * n_up, 2 * n_up))
+    big[:, :, :n_up, :n_up] = a[:, None] * t
+    big[:, :, n_up:, n_up:] = a[:, None] * t
+    big[:, :, :n_up, n_up:] = d_a * t
+    e = scipy.linalg.expm(big.reshape(-1, 2 * n_up, 2 * n_up)).reshape(big.shape)
+    return e[:, 0, :n_up, 0].sum(axis=1), e[:, :, :n_up, n_up].sum(axis=2)

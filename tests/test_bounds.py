@@ -1,7 +1,14 @@
 """Interval bounds over alpha-cut boxes: NLP pipeline vs grid scans."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzrel import (
     BoundsMethod,
@@ -20,6 +27,7 @@ from fuzzrel import (
     mttf,
     reliability_at_time,
 )
+from fuzzrel import bounds
 
 # Frozen regression targets for the standard demo parameter set
 # (trapezoidal rates below with coverage 0.9), validated against an
@@ -310,3 +318,106 @@ class TestMembershipCurveOp:
         assert 0.0 < curve.intervals[0].lo
         assert curve.intervals[0].hi < 1.0
         assert curve.intervals[0].encloses(curve.intervals[2])
+
+
+def coupled_params():
+    # theta <= lambda cuts every box: at alpha = 0 the MTBF maximum is the
+    # polytope vertex lambda = theta = 0.3, not a box corner
+    return demo_params(
+        failure_rate=FuzzyNumber.trapezoidal(0.1, 0.3, 0.5, 0.6),
+        standby_failure_rate=FuzzyNumber.trapezoidal(0.3, 0.35, 0.45, 0.5),
+        enforce_standby_slower=True,
+    )
+
+
+def every_axis_open(fp, metric, box, coupled):
+    return dict.fromkeys(box)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("metric", [MTBF, reliability_at_time(10.0)])
+    def test_reference_levels_certified(self, metric):
+        for res in bounds.bounds_at_levels(demo_params(), metric, ALPHAS_11):
+            assert res.open_axes == ()
+            assert res.method is BoundsMethod.CORNER_SCAN
+
+    def test_interior_availability_maximum_left_to_search(self):
+        # dA/dmu changes sign inside the box: the corners alone give
+        # 0.8471728594507, the maximum sits at mu ~ 3.3227
+        fp = demo_params(coverage=0.5)
+        res = characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
+        assert res.open_axes == ("mu",)
+        assert res.method is BoundsMethod.MULTI_START_LOCAL
+        assert res.bounds.hi == pytest.approx(0.847221810531241, abs=1e-9)
+        assert res.argmax["mu"] == pytest.approx(3.3227, abs=1e-3)
+
+    def test_coupled_maximum_on_theta_equals_lambda(self):
+        res = characteristic_bounds(coupled_params(), MTBF, 0.0)
+        assert res.open_axes == ()
+        assert res.bounds.hi == pytest.approx(11.2861, abs=1e-4)
+        assert res.argmax["lambda"] == pytest.approx(0.3, abs=1e-12)
+        assert res.argmax["theta"] == pytest.approx(0.3, abs=1e-12)
+
+    def test_import_leaves_optimizer_unloaded(self):
+        # the fallback search and calibration import scipy.optimize when run
+        import fuzzrel
+
+        src = str(Path(fuzzrel.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = "import sys, fuzzrel; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"
+
+
+def _box(lo, spread):
+    return FuzzyNumber.trapezoidal(lo, lo, lo * spread, lo * spread)
+
+
+@st.composite
+def boxed_models(draw):
+    exponent = st.floats(-2.0, 2.0)
+    spread = st.floats(1.0001, 30.0)
+    lam_lo = 10 ** draw(exponent)
+    lam_hi = lam_lo * draw(spread)
+    coupled = draw(st.booleans())
+    # coupled: theta reaches into lambda's range; otherwise theta <= lambda
+    # holds on the whole box
+    top = lam_hi if coupled else lam_lo
+    s_lo = draw(st.floats(0.0, 0.99))
+    s_hi = draw(st.floats(s_lo + 0.01, 1.0))
+    fp = FuzzySystemParams(
+        failure_rate=FuzzyNumber.trapezoidal(lam_lo, lam_lo, lam_hi, lam_hi),
+        standby_failure_rate=FuzzyNumber.trapezoidal(
+            s_lo * top, s_lo * top, s_hi * top, s_hi * top
+        ),
+        repair_rate=_box(10 ** draw(exponent), draw(spread)),
+        reboot_rate=_box(10 ** draw(exponent), draw(spread)),
+        coverage=draw(st.floats(0.0, 1.0)),
+        enforce_standby_slower=coupled,
+    )
+    mission = draw(st.floats(0.05, 5.0)) / lam_hi
+    metric = draw(
+        st.sampled_from([MTBF, STEADY_AVAILABILITY, reliability_at_time(mission)])
+    )
+    return fp, metric
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(boxed_models())
+def test_certified_bounds_never_worse_than_full_search(model):
+    fp, metric = model
+    res = characteristic_bounds(fp, metric, 0.0)
+    with mock.patch.object(bounds, "_axis_signs", every_axis_open):
+        full = characteristic_bounds(fp, metric, 0.0)
+    grid = brute_force_bounds(fp, metric, 0.0, 5)
+    tol = 1e-9 * max(abs(full.bounds.lo), abs(full.bounds.hi))
+    assert res.bounds.lo <= full.bounds.lo + tol
+    assert res.bounds.hi >= full.bounds.hi - tol
+    assert res.bounds.lo <= grid.bounds.lo + tol
+    assert res.bounds.hi >= grid.bounds.hi - tol

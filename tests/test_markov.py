@@ -381,3 +381,41 @@ def test_kernels_build_no_validated_generator(monkeypatch):
     steady_availability(p)
     reliability_at(p, 3.0)
     laplace_state_probs(p, 0.5)
+
+
+class TestSensitivities:
+    """Analytic partials of each metric against central differences."""
+
+    @staticmethod
+    def metrics(t=2.0):
+        from fuzzrel import markov
+
+        return {
+            "mttf": (mttf, markov._mttf_sensitivities),
+            "availability": (steady_availability, markov._availability_sensitivities),
+            "reliability": (
+                lambda p: reliability_at(p, t),
+                lambda rates: markov._reliability_sensitivities(rates, t),
+            ),
+        }
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("kind", ["mttf", "availability", "reliability"])
+    def test_partials_match_central_differences(self, kind, c):
+        kernel, sensitivities = self.metrics()[kind]
+        points = [(0.6, 0.2, 4.0, c, 2.0), (0.37, 0.1, 0.8, c, 5.0)]
+        values, partials = sensitivities(np.array(points))
+        fields = ("failure_rate", "standby_failure_rate", "repair_rate", "reboot_rate")
+        for row, point in enumerate(points):
+            base = params(*point)
+            assert values[row] == pytest.approx(kernel(base), rel=1e-12)
+            for axis, field in enumerate(fields):
+                h = 1e-6 * getattr(base, field)
+                x = getattr(base, field)
+                up = kernel(SystemParams(**{**vars(base), field: x + h}))
+                down = kernel(SystemParams(**{**vars(base), field: x - h}))
+                central = (up - down) / (2 * h)
+                # beta enters only the availability chain, which alone
+                # reports its partial
+                expected = partials[row, axis] if axis < partials.shape[1] else 0.0
+                assert central == pytest.approx(expected, rel=1e-5, abs=1e-8)
