@@ -1,9 +1,11 @@
 """Cross-check the analytic chain answers against discrete-event sampling.
 
 The first-passage sampler replays the reliability-mode chain until it
-falls into a failure state; the long-trajectory sampler measures the
-fraction of time the repairable chain spends up. Both should straddle the
-linear-algebra answers within a few standard errors.
+falls into a failure state. The availability sampler replays the
+repairable chain in independent cycles from the full configuration back
+to it, until the cycles cover the horizon, and divides their total up
+time by their total length. Both should straddle the linear-algebra
+answers within a few standard errors.
 """
 
 from fuzzrel import (

@@ -50,6 +50,10 @@ _COLUMN_LETTER = {
 
 _DEFAULT_ALPHAS = tuple(i / 10 for i in range(11))
 
+# knobs of the former batch-means availability simulator, still accepted
+# in model files for one release
+_RETIRED_SIM_KEYS = ("warmup_fraction", "batches")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -169,11 +173,14 @@ def load_model_config(
         replications=_as_int(sim_raw.get("replications"), "simulation.replications", 100_000),
         horizon=_as_number(sim_raw.get("horizon", 100_000.0), "simulation.horizon"),
         seed=_as_int(sim_raw.get("seed"), "simulation.seed", 0),
-        warmup_fraction=_as_number(
-            sim_raw.get("warmup_fraction", 0.01), "simulation.warmup_fraction"
-        ),
-        batches=_as_int(sim_raw.get("batches"), "simulation.batches", 20),
     )
+    retired = [f"simulation.{k}" for k in _RETIRED_SIM_KEYS if k in sim_raw]
+    if retired:
+        print(
+            f"warning: {', '.join(retired)}: no longer used by the availability "
+            f"simulator, ignored",
+            file=sys.stderr,
+        )
 
     reference = raw.get("reference_bounds")
     ref_rows = None
@@ -405,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the metric")
     add_common(p, with_levels=False)
-    p.add_argument("--reps", type=int, default=None, help="override replications")
+    p.add_argument("--reps", type=int, default=None,
+                   help="override simulation.replications (mtbf only)")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)

@@ -1,9 +1,13 @@
 """Monte Carlo cross-checks of the analytic characteristics.
 
-Two simulators: batched first-passage sampling of the reliability chain
-for MTTF, and a single long trajectory of the availability chain with
-batch-means error bars for the long-run up fraction. Both are
-deterministic in the configured seed regardless of chunking.
+Both simulators run one vectorized sweep, `_passage`, which moves many
+paths from UP3 at once until each enters a stop state. MTTF samples
+first passages of the reliability chain into the down states.
+Availability samples iid UP3 -> UP3 cycles of the availability chain
+(UP3 is a regeneration point) and returns the ratio estimator of the
+long-run up fraction, total up time over total cycle length, with its
+delta-method standard error. Both are deterministic in the configured
+seed regardless of chunking.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .markov import (
+    DOWN_STATES,
     ChainMode,
     State,
     SystemParams,
@@ -23,6 +28,7 @@ from .markov import (
 )
 
 _CHUNK = 65536
+_FIRST_CYCLE_CHUNK = 1024
 _EXHAUSTION_SWEEPS = 1_000_000
 
 
@@ -30,17 +36,15 @@ _EXHAUSTION_SWEEPS = 1_000_000
 class SimConfig:
     """Simulation settings.
 
-    replications drives the first-passage sampler; horizon, the warm-up
-    fraction and the batch count drive the long-trajectory availability
-    sampler.
+    replications is the number of first passages the MTTF sampler draws.
+    horizon is the simulated time the availability sampler covers: it
+    keeps the first regeneration cycles whose total length reaches it.
     """
 
     params: SystemParams
     replications: int = 100_000
     horizon: float = 100_000.0
     seed: int = 0
-    warmup_fraction: float = 0.01
-    batches: int = 20
 
     def __post_init__(self):
         if int(self.replications) != self.replications or self.replications < 1:
@@ -54,16 +58,6 @@ class SimConfig:
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "warmup_fraction", float(self.warmup_fraction))
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValidationError(
-                f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}"
-            )
-        if int(self.batches) != self.batches or self.batches < 2:
-            raise ValidationError(
-                f"batches must be an integer >= 2, got {self.batches}"
-            )
-        object.__setattr__(self, "batches", int(self.batches))
 
 
 @dataclass(frozen=True)
@@ -100,32 +94,52 @@ def _jump_tables(params: SystemParams, mode: ChainMode):
     return exit_rates, cum_probs, targets
 
 
-def _first_passage_chunk(params: SystemParams, n: int, rng: np.random.Generator):
-    """First-passage times to any down state for n replications.
+def _passage(params: SystemParams, mode: ChainMode, stop, n: int,
+             rng: np.random.Generator):
+    """Move n paths from UP3 until each enters a state in `stop`.
 
-    Vectorized sweep: every replication still in an up state draws its
-    holding time and jump in turn. A replication can jump several times
-    per sweep; each jump uses fresh draws, so the embedded chain and the
-    holding times keep their exact laws.
+    Returns each path's length, its time in the up states and its final
+    state. A path that starts in a stop state (UP3) leaves it first.
+    Each sweep visits the states in State order; every path in the
+    visited state draws its holding time and its jump, so a path can
+    jump several times per sweep. Each jump uses fresh draws, so the
+    embedded chain and the holding times keep their exact laws. Paths
+    that reached `stop` are dropped at the end of the sweep.
     """
-    exit_rates, cum_probs, targets = _jump_tables(params, ChainMode.RELIABILITY)
+    exit_rates, cum_probs, targets = _jump_tables(params, mode)
+    # UP3 is visited first in a sweep, so a path entering it mid-sweep
+    # waits for the next sweep, where it is already dropped
+    moving = [
+        s for s in State
+        if exit_rates[s] > 0.0 and (s == State.UP3 or s not in stop)
+    ]
+    stopped = np.zeros(len(State), dtype=bool)
+    stopped[[int(s) for s in stop]] = True
     states = np.full(n, int(State.UP3), dtype=np.int64)
-    times = np.zeros(n)
-    up_codes = np.array([int(s) for s in UP_STATES])
+    lengths = np.zeros(n)
+    # down time is the one to accumulate: no down state moves in the
+    # reliability chain, so first passages pay nothing for it
+    down_times = np.zeros(n)
     active = np.arange(n)
     for _ in range(_EXHAUSTION_SWEEPS):
-        active = active[np.isin(states[active], up_codes)]
-        if active.size == 0:
-            return times, states
-        for s in UP_STATES:
+        for s in moving:
             idx = active[states[active] == int(s)]
             if idx.size == 0:
                 continue
-            times[idx] += rng.exponential(scale=1.0 / exit_rates[s], size=idx.size)
+            hold = rng.exponential(scale=1.0 / exit_rates[s], size=idx.size)
+            lengths[idx] += hold
+            if s not in UP_STATES:
+                down_times[idx] += hold
             picks = np.searchsorted(cum_probs[s], rng.random(idx.size), side="right")
             picks = np.minimum(picks, len(targets[s]) - 1)
             states[idx] = targets[s][picks]
-    raise ValidationError("first-passage simulation failed to absorb")
+        active = active[~stopped[states[active]]]
+        if active.size == 0:
+            return lengths, lengths - down_times, states
+    raise ValidationError(
+        f"simulated paths did not reach {', '.join(s.name for s in stop)} "
+        f"within {_EXHAUSTION_SWEEPS} sweeps"
+    )
 
 
 def _first_passage_samples(cfg: SimConfig):
@@ -138,8 +152,9 @@ def _first_passage_samples(cfg: SimConfig):
     remaining = n
     for child in seeds:
         size = min(_CHUNK, remaining)
-        times, states = _first_passage_chunk(
-            cfg.params, size, np.random.default_rng(child)
+        times, _, states = _passage(
+            cfg.params, ChainMode.RELIABILITY, DOWN_STATES, size,
+            np.random.default_rng(child),
         )
         all_times.append(times)
         all_states.append(states)
@@ -161,67 +176,47 @@ def simulate_mttf(cfg: SimConfig) -> SimEstimate:
     return SimEstimate(mean=mean, std_error=std_error, replications=n)
 
 
-def _add_up_interval(batch_up, t0, t1, warmup, batch_len):
-    a = max(t0, warmup)
-    b = t1
-    if b <= a:
-        return
-    n_batches = len(batch_up)
-    i0 = min(int((a - warmup) / batch_len), n_batches - 1)
-    i1 = min(int((b - warmup) / batch_len), n_batches - 1)
-    if i0 == i1:
-        batch_up[i0] += b - a
-        return
-    edge0 = warmup + (i0 + 1) * batch_len
-    batch_up[i0] += edge0 - a
-    for i in range(i0 + 1, i1):
-        batch_up[i] += batch_len
-    batch_up[i1] += b - (warmup + i1 * batch_len)
+def _regeneration_cycles(cfg: SimConfig):
+    """Lengths and up times of the first UP3 -> UP3 cycles whose total
+    length reaches the horizon.
+
+    Cycles are drawn in chunks from successive children of the seed;
+    chunks start small and double up to _CHUNK, so a model with very
+    long cycles draws few of them.
+    """
+    seeds = np.random.SeedSequence(cfg.seed)
+    chunks = []
+    elapsed = 0.0
+    size = _FIRST_CYCLE_CHUNK
+    while elapsed < cfg.horizon:
+        rng = np.random.default_rng(seeds.spawn(1)[0])
+        length, up, _ = _passage(
+            cfg.params, ChainMode.AVAILABILITY, (State.UP3,), size, rng
+        )
+        ends = elapsed + np.cumsum(length)
+        # up to and including the cycle that reaches the horizon
+        keep = int(np.searchsorted(ends, cfg.horizon)) + 1
+        chunks.append((length[:keep], up[:keep]))
+        elapsed = ends[-1]
+        size = min(2 * size, _CHUNK)
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 def simulate_availability(cfg: SimConfig) -> SimEstimate:
-    """Long-run up fraction from one long trajectory.
+    """Long-run up fraction from iid regeneration cycles.
 
-    The stretch before warmup_fraction * horizon is discarded, the rest
-    is split into equal batches, and the batch means give the standard
-    error. replications in the estimate is the batch count.
+    The cycles run from UP3 back to UP3 and together cover at least the
+    horizon. The estimate is total up time over total length, A = sum U
+    / sum C, with standard error sqrt(sum (U - A C)^2 / (n (n - 1))) / mean C
+    (zero for a single cycle). replications in the estimate is the cycle
+    count n.
     """
-    exit_rates, cum_probs, targets = _jump_tables(
-        cfg.params, ChainMode.AVAILABILITY
-    )
-    rng = np.random.default_rng(cfg.seed)
-    horizon = cfg.horizon
-    warmup = cfg.warmup_fraction * horizon
-    batch_len = (horizon - warmup) / cfg.batches
-    batch_up = np.zeros(cfg.batches)
-    up_set = {int(s) for s in UP_STATES}
-
-    exps = rng.standard_exponential(_CHUNK)
-    unis = rng.random(_CHUNK)
-    cursor = 0
-
-    t = 0.0
-    state = State.UP3
-    while t < horizon:
-        if cursor >= _CHUNK:
-            exps = rng.standard_exponential(_CHUNK)
-            unis = rng.random(_CHUNK)
-            cursor = 0
-        dt = exps[cursor] / exit_rates[state]
-        t_next = t + dt
-        if int(state) in up_set:
-            _add_up_interval(batch_up, t, min(t_next, horizon), warmup, batch_len)
-        if t_next >= horizon:
-            break
-        pick = int(
-            np.searchsorted(cum_probs[state], unis[cursor], side="right")
-        )
-        pick = min(pick, len(targets[state]) - 1)
-        state = State(int(targets[state][pick]))
-        cursor += 1
-        t = t_next
-
-    fractions = batch_up / batch_len
-    mean = float(np.mean(fractions))
-    std_error = float(np.std(fractions, ddof=1) / math.sqrt(cfg.batches))
-    return SimEstimate(mean=mean, std_error=std_error, replications=cfg.batches)
+    lengths, up_times = _regeneration_cycles(cfg)
+    n = lengths.size
+    total = math.fsum(lengths)
+    mean = math.fsum(up_times) / total
+    if n == 1:
+        return SimEstimate(mean=mean, std_error=0.0, replications=1)
+    sq = math.fsum((up_times - mean * lengths) ** 2)
+    std_error = math.sqrt(sq / (n * (n - 1))) / (total / n)
+    return SimEstimate(mean=mean, std_error=std_error, replications=n)

@@ -236,6 +236,27 @@ class TestSimulate:
         mean, se = float(line[1]), float(line[2])
         assert abs(mean - 0.932305) <= 3.0 * se + 1e-4
 
+    def test_retired_batch_keys_warn_and_are_ignored(self, config_path, capsys):
+        sim = {"horizon": 20000.0, "seed": 3}
+        model = {"lambda": 0.6, "theta": 0.2, "mu": 4.0, "beta": 2.0, "c": 0.9,
+                 "metric": "availability"}
+        plain = config_path({**model, "simulation": sim}, name="plain.json")
+        retired = config_path(
+            {**model, "simulation": {**sim, "warmup_fraction": 0.5, "batches": 1}},
+            name="retired.json",
+        )
+        assert main(["simulate", plain]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["simulate", retired]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == want
+        warnings = captured.err.strip().splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: ")
+        assert "simulation.warmup_fraction" in warnings[0]
+        assert "simulation.batches" in warnings[0]
+        assert "ignored" in warnings[0]
+
     def test_reps_and_seed_overrides_deterministic(self, config_path, tmp_path):
         cfg = config_path({**DEMO_CONFIG, "metric": "mtbf"})
         a = tmp_path / "a.csv"

@@ -1,10 +1,13 @@
 """Monte Carlo simulators against analytic values and each other."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fuzzrel import (
     SimConfig,
+    SimEstimate,
     State,
     SystemParams,
     ValidationError,
@@ -13,7 +16,8 @@ from fuzzrel import (
     simulate_mttf,
     steady_availability,
 )
-from fuzzrel.simulate import _first_passage_samples
+from fuzzrel import simulate
+from fuzzrel.simulate import _first_passage_samples, _regeneration_cycles
 
 
 def params(lam=0.6, theta=0.2, mu=4.0, c=0.9, beta=2.0):
@@ -32,14 +36,6 @@ class TestConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError):
             SimConfig(params=params(), seed=-1)
-
-    def test_rejects_bad_warmup(self):
-        with pytest.raises(ValidationError):
-            SimConfig(params=params(), warmup_fraction=1.0)
-
-    def test_rejects_single_batch(self):
-        with pytest.raises(ValidationError):
-            SimConfig(params=params(), batches=1)
 
 
 class TestFirstPassage:
@@ -79,6 +75,15 @@ class TestFirstPassage:
         est = simulate_mttf(cfg)
         assert est.mean == pytest.approx(times.mean(), rel=1e-12)
 
+    def test_stream_is_pinned(self):
+        # the sampled first passages themselves, not just their law: a
+        # change of draw order would move every MTTF estimate per seed
+        cfg = SimConfig(params=params(), replications=70_000, seed=9)
+        times, _ = _first_passage_samples(cfg)
+        assert math.fsum(times) == 439477.79298381234
+        assert times[0] == 13.278281658568059
+        assert times[-1] == 8.800455300459252
+
     def test_full_coverage_absorbs_only_by_exhaustion(self):
         cfg = SimConfig(params=params(c=1.0), replications=5_000, seed=3)
         _, finals = _first_passage_samples(cfg)
@@ -99,12 +104,16 @@ class TestAvailability:
         cfg = SimConfig(params=p, horizon=200_000.0, seed=29)
         est = simulate_availability(cfg)
         assert abs(est.mean - steady_availability(p)) <= est.margin()
-        assert est.replications == cfg.batches
+        lengths, _ = _regeneration_cycles(cfg)
+        assert est.replications == lengths.size
+        assert lengths.sum() >= cfg.horizon
+        assert lengths[:-1].sum() < cfg.horizon
 
     def test_rare_failures_give_full_availability(self):
         p = params(lam=1e-9, theta=0.0, mu=1.0, c=1.0, beta=1.0)
         est = simulate_availability(SimConfig(params=p, horizon=10_000.0, seed=1))
-        assert est.mean == pytest.approx(1.0, abs=1e-6)
+        # the first cycle outlasts the horizon and never goes down
+        assert est == SimEstimate(mean=1.0, std_error=0.0, replications=1)
 
     def test_deterministic_across_runs(self):
         cfg = SimConfig(params=params(), horizon=20_000.0, seed=17)
@@ -115,6 +124,11 @@ class TestAvailability:
         cfg = SimConfig(params=p, horizon=200_000.0, seed=31)
         est = simulate_availability(cfg)
         assert abs(est.mean - 2.0 / 3.4) <= est.margin()
+
+    def test_sweep_cap_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_EXHAUSTION_SWEEPS", 1)
+        with pytest.raises(ValidationError, match="did not reach UP3"):
+            simulate_availability(SimConfig(params=params(), horizon=100.0))
 
     def test_rejects_zero_repair(self):
         with pytest.raises(ValidationError):
@@ -128,3 +142,31 @@ class TestAvailability:
         )
         assert est.std_error > 0.0
         assert est.margin(2.0) == pytest.approx(2.0 * est.std_error)
+
+    def test_full_coverage_never_unsafe(self):
+        # UNSAFE1 and UNSAFE2 have exits but are never entered; c = 0,
+        # where only UP3 and UNSAFE1 are entered, is the two-state test
+        p = params(c=1.0)
+        est = simulate_availability(SimConfig(params=p, horizon=20_000.0, seed=4))
+        assert abs(est.mean - steady_availability(p)) <= est.margin()
+
+
+class TestAvailabilityErrorBar:
+    """The ratio estimator's standard error is calibrated: over fixed
+    seeds, z = (estimate - analytic) / SE has mean near 0 and SD near 1."""
+
+    SEEDS = range(200)
+
+    @pytest.mark.parametrize(
+        "p",
+        [SystemParams(0.65, 0.25, 4.5, 0.9, 2.25), SystemParams(0.65, 0.25, 4.5, 0.5, 0.5)],
+        ids=["modal", "low-coverage-slow-reboot"],
+    )
+    def test_z_scores_are_standard(self, p):
+        want = steady_availability(p)
+        z = []
+        for seed in self.SEEDS:
+            est = simulate_availability(SimConfig(params=p, horizon=2_000.0, seed=seed))
+            z.append((est.mean - want) / est.std_error)
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+        assert abs(np.mean(z)) <= 0.25
