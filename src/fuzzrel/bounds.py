@@ -6,14 +6,16 @@ are a pair of small constrained programs; solving them across a ladder
 of alpha levels traces out the membership curve of the characteristic.
 
 Each pair is solved by the vertex method of Dong & Shah (Fuzzy Sets
-Syst. 24, 1987) wherever a certificate shows it exact, and by a
-multi-start local search elsewhere. The certificate samples the analytic
-partial derivatives of the characteristic on a 3-per-axis lattice of the
-box. An axis whose samples all share one sign is monotone and is pinned
-at the end that sign selects for each bound; only the axes left open are
-searched. With none open, each bound is one vertex value. Under the
-standby constraint theta <= lambda the feasible set is a polytope, and
-its vertices on theta = lambda join the box corners.
+Syst. 24, 1987) wherever a certificate shows it exact, and by interval
+subdivision elsewhere. The certificate samples the analytic partial
+derivatives of the characteristic on a 3-per-axis lattice of the box. An
+axis whose samples all share one sign is monotone and is pinned at the
+end that sign selects for each bound. With no axis left open, each bound
+is one vertex value; otherwise the open axes are halved and each half is
+certified in turn (Moore, Kearfott & Cloud, Introduction to Interval
+Analysis, 2009, ch. 9). The search is deterministic. Under the standby
+constraint theta <= lambda the feasible set is a polytope, and its
+vertices on theta = lambda join the box corners.
 """
 
 from __future__ import annotations
@@ -42,15 +44,6 @@ PARAM_MU = "mu"
 PARAM_BETA = "beta"
 PARAMETER_NAMES = (PARAM_LAMBDA, PARAM_THETA, PARAM_MU, PARAM_BETA)
 
-_INTERIOR_STARTS = 8
-_CORNER_PULL_IN = 1e-3
-_LOCAL_SEARCH_OPTIONS = {
-    "xatol": 1e-10,
-    "fatol": 1e-10,
-    "maxiter": 1000,
-    "maxfev": 2000,
-}
-_INFEASIBLE_PENALTY = 1e30
 _DEGENERATE_WIDTH = 1e-15
 # a partial counts as zero when it moves the metric across the box by less
 # than this fraction of the metric
@@ -115,8 +108,8 @@ class FuzzySystemParams:
 
     enforce_standby_slower couples the standby and active failure rates:
     construction then requires every theta cut to stay below the matching
-    lambda cut's upper bound, and the optimizers reject points where the
-    standby would fail faster than an active unit. Left off, the box axes
+    lambda cut's upper bound, and the bounds search keeps to points where
+    the standby fails no faster than an active unit. Left off, the box axes
     are treated independently and an infeasible point inside the box
     surfaces as a kernel evaluation error.
     """
@@ -212,7 +205,7 @@ class FuzzySystemParams:
 
 class BoundsMethod(Enum):
     CORNER_SCAN = "corner-scan"
-    MULTI_START_LOCAL = "multi-start-local"
+    SUBDIVISION = "subdivision"
     GRID_REFINE = "grid-refine"
 
 
@@ -220,8 +213,9 @@ class BoundsMethod(Enum):
 class BoundsResult:
     """Bounds of one characteristic over one alpha-cut box.
 
-    open_axes names the axes the monotonicity certificate left to the
-    local search; it is empty when every axis was pinned at a vertex.
+    open_axes names the axes the monotonicity certificate left open on the
+    whole box, which subdivision then halved; it is empty when every axis
+    was pinned at a vertex.
     """
 
     alpha: float
@@ -297,6 +291,11 @@ def _feasible(fp: FuzzySystemParams, point: dict[str, float]) -> bool:
     return point[PARAM_THETA] <= point[PARAM_LAMBDA]
 
 
+def _cut_by_standby(fp: FuzzySystemParams, box: dict[str, Interval]) -> bool:
+    """Whether theta <= lambda removes part of the box."""
+    return fp.enforce_standby_slower and box[PARAM_THETA].hi > box[PARAM_LAMBDA].lo
+
+
 def _axis_values(box: dict[str, Interval], per_axis: int) -> list[np.ndarray]:
     return [
         np.linspace(iv.lo, iv.hi, per_axis)
@@ -330,12 +329,26 @@ def _feasible_points(
     return np.unique(np.vstack([points, np.reshape(diagonal, (-1, len(box)))]), axis=0)
 
 
+def _vertex_values(
+    kernel: Callable[[dict[str, float]], float],
+    names: Sequence[str],
+    points: np.ndarray,
+) -> list[tuple[float, dict[str, float]]]:
+    vertices = []
+    for row in points:
+        point = {n: float(x) for n, x in zip(names, row)}
+        vertices.append((kernel(point), point))
+    return vertices
+
+
+def _describe_box(box: dict[str, Interval]) -> str:
+    return ", ".join(f"{n} in [{iv.lo:.17g}, {iv.hi:.17g}]" for n, iv in box.items())
+
+
 def _sign(values: np.ndarray, partials: np.ndarray, width: float) -> int | None:
     """The one sign of a partial over its samples, 0 if all are zero, or
     None if it flips. A sample is zero when its change across the box is
     below 1e-12 of the metric."""
-    if not (np.all(np.isfinite(partials)) and np.all(np.isfinite(values))):
-        return None
     nonzero = np.abs(partials) * width > _ZERO_CHANGE * np.abs(values)
     signs = np.unique(np.sign(partials[nonzero]))
     if len(signs) > 1:
@@ -354,6 +367,8 @@ def _axis_signs(
     is zero, and to None, open, otherwise. When the standby constraint
     cuts the box, lambda and theta are certified only together with the
     edge direction d/dlambda + d/dtheta, and are open together otherwise.
+    A certificate that cannot be computed raises SolverError naming the
+    box.
     """
     names = list(box)
     points = _feasible_points(box, 3, coupled)
@@ -366,8 +381,16 @@ def _axis_signs(
                 values, partials = markov._availability_sensitivities(rates)
             else:
                 values, partials = markov._reliability_sensitivities(rates, metric.t)
-    except np.linalg.LinAlgError:
-        return dict.fromkeys(names)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"{metric.describe()} sensitivities failed on the box "
+            f"{_describe_box(box)}: {exc}"
+        ) from exc
+    if not (np.all(np.isfinite(partials)) and np.all(np.isfinite(values))):
+        raise SolverError(
+            f"{metric.describe()} sensitivities are not finite on the box "
+            f"{_describe_box(box)}"
+        )
     widths = [iv.width for iv in box.values()]
     signs = {
         name: _sign(values, partials[:, i], widths[i]) for i, name in enumerate(names)
@@ -383,74 +406,67 @@ def _extreme(
     fp: FuzzySystemParams,
     metric: Metric,
     box: dict[str, Interval],
+    coupled: bool,
     vertices: list[tuple[float, dict[str, float]]],
-    ends: dict[str, float],
-    open_axes: tuple[str, ...],
+    signs: dict[str, int | None],
     sign: float,
-    rng: np.random.Generator,
+    kernel: Callable[[dict[str, float]], float],
 ) -> tuple[float, dict[str, float]]:
-    """Largest value of sign * metric over the feasible set.
+    """Largest value of sign * metric over the feasible part of the box.
 
-    Certified axes sit at their ends; under a cutting standby constraint a
-    certified lambda-theta pair takes the best polytope vertex. Nelder-Mead
-    restarts then search the open axes, from the vertices through that
-    point and from seeded interior points.
+    Certified axes sit at the ends their signs select; under a cutting
+    standby constraint a certified lambda-theta pair takes the best
+    matching polytope vertex. The open axes are then halved, with every
+    other axis collapsed to that best point, and each half holding a
+    feasible point is certified and searched the same way. Recursion
+    stops where the certificate closes, which its relative zero test
+    ensures near a smooth optimum, or where an open axis no longer
+    splits in floating point.
     """
+    pair = (PARAM_LAMBDA, PARAM_THETA) if coupled else ()
+    ends = {
+        n: box[n].hi if s * sign > 0 else box[n].lo
+        for n, s in signs.items()
+        if s is not None and n not in pair
+    }
     matching = [
         (v, p) for v, p in vertices if all(p[n] == x for n, x in ends.items())
     ]
-    best_val, best_point = max(matching, key=lambda vp: sign * vp[0])
-    if not open_axes:
-        return best_val, best_point
+    best = max(matching, key=lambda vp: sign * vp[0])
+    mids = {n: 0.5 * (box[n].lo + box[n].hi) for n, s in signs.items() if s is None}
+    if not mids or not all(box[n].lo < m < box[n].hi for n, m in mids.items()):
+        return best
 
-    import scipy.optimize
-
-    fixed = {n: x for n, x in best_point.items() if n not in open_axes}
-    lo_b = np.array([box[n].lo for n in open_axes])
-    hi_b = np.array([box[n].hi for n in open_axes])
-    widths = hi_b - lo_b
-    # exact vertices start slightly inside so the initial simplex is not
-    # flattened against the bounds
-    starts = [
-        np.clip(
-            [p[n] for n in open_axes],
-            lo_b + _CORNER_PULL_IN * widths,
-            hi_b - _CORNER_PULL_IN * widths,
-        )
-        for _, p in vertices
-        if all(p[n] == x for n, x in fixed.items())
+    names = list(box)
+    halves = [
+        (Interval(box[n].lo, mids[n]), Interval(mids[n], box[n].hi))
+        if n in mids
+        else (Interval(best[1][n], best[1][n]),)
+        for n in names
     ]
-    starts += [rng.uniform(lo_b, hi_b) for _ in range(_INTERIOR_STARTS)]
-    kernel = _make_kernel(fp, metric, validate=False)
-
-    def at(x: np.ndarray) -> dict[str, float]:
-        return {**fixed, **{n: float(v) for n, v in zip(open_axes, x)}}
-
-    def objective(x: np.ndarray) -> float:
-        point = at(x)
-        if not _feasible(fp, point):
-            return _INFEASIBLE_PENALTY
-        return -sign * kernel(point)
-
-    for x0 in starts:
-        res = scipy.optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=scipy.optimize.Bounds(lo_b, hi_b),
-            options=_LOCAL_SEARCH_OPTIONS,
-        )
-        if res.fun >= _INFEASIBLE_PENALTY:
+    for cut in itertools.product(*halves):
+        half = dict(zip(names, cut))
+        half_coupled = _cut_by_standby(fp, half)
+        points = _feasible_points(half, 2, half_coupled)
+        if not len(points):
             continue
-        value = -sign * res.fun
-        point = at(np.clip(res.x, lo_b, hi_b))
-        if sign * value > sign * best_val and _feasible(fp, point):
-            best_val, best_point = value, point
-    return best_val, best_point
+        found = _extreme(
+            fp,
+            metric,
+            half,
+            half_coupled,
+            _vertex_values(kernel, names, points),
+            _axis_signs(fp, metric, half, half_coupled),
+            sign,
+            kernel,
+        )
+        if sign * found[0] > sign * best[0]:
+            best = found
+    return best
 
 
 def characteristic_bounds(
-    fp: FuzzySystemParams, metric: Metric, alpha: float, *, seed: int = 0
+    fp: FuzzySystemParams, metric: Metric, alpha: float
 ) -> BoundsResult:
     """Lower and upper bounds of a characteristic over one alpha-cut box.
 
@@ -458,47 +474,31 @@ def characteristic_bounds(
     kernel, which checks the whole box, then certifies each axis by the
     sign of its partial derivative over the box (_axis_signs). A
     certified axis is pinned, for each bound, at the end its sign
-    selects, and a constant one at its lower end; only the open axes
-    are searched, by Nelder-Mead restarts. With no axis open the bounds
-    are vertex values, the vertex method of Dong & Shah (1987), and no
-    local search runs. The same seed always reproduces the same result.
+    selects, and a constant one at its lower end. With no axis open the
+    bounds are vertex values, the vertex method of Dong & Shah (1987);
+    otherwise the open axes are halved until the certificate closes on
+    every piece (_extreme). The result is deterministic.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     names = _metric_axes(metric)
     box = fp.cuts(alpha, names)
-    coupled = (
-        fp.enforce_standby_slower and box[PARAM_THETA].hi > box[PARAM_LAMBDA].lo
-    )
+    coupled = _cut_by_standby(fp, box)
     points = _feasible_points(box, 2, coupled)
     if not len(points):
         raise SolverError(
             f"no feasible point in the alpha={alpha} box under the standby "
             f"rate constraint"
         )
-    kernel = _make_kernel(fp, metric, validate=True)
-    vertices = []
-    for row in points:
-        point = {n: float(x) for n, x in zip(names, row)}
-        vertices.append((kernel(point), point))
-
+    vertices = _vertex_values(_make_kernel(fp, metric, validate=True), names, points)
     signs = _axis_signs(fp, metric, box, coupled)
     open_axes = tuple(n for n in names if signs[n] is None)
-    pair = (PARAM_LAMBDA, PARAM_THETA) if coupled else ()
-    certified = {
-        n: s for n, s in signs.items() if s is not None and n not in pair
-    }
-    rng = np.random.default_rng(seed)
-    extremes = []
-    for sign in (-1.0, 1.0):
-        ends = {
-            n: box[n].hi if s * sign > 0 else box[n].lo for n, s in certified.items()
-        }
-        extremes.append(
-            _extreme(fp, metric, box, vertices, ends, open_axes, sign, rng)
-        )
-    (min_val, min_point), (max_val, max_point) = extremes
+    kernel = _make_kernel(fp, metric, validate=False)
+    (min_val, min_point), (max_val, max_point) = (
+        _extreme(fp, metric, box, coupled, vertices, signs, sign, kernel)
+        for sign in (-1.0, 1.0)
+    )
 
     return BoundsResult(
         alpha=alpha,
@@ -506,9 +506,7 @@ def characteristic_bounds(
         bounds=Interval(min_val, max_val),
         argmin=min_point,
         argmax=max_point,
-        method=(
-            BoundsMethod.MULTI_START_LOCAL if open_axes else BoundsMethod.CORNER_SCAN
-        ),
+        method=BoundsMethod.SUBDIVISION if open_axes else BoundsMethod.CORNER_SCAN,
         open_axes=open_axes,
     )
 
@@ -518,8 +516,8 @@ def brute_force_bounds(
 ) -> BoundsResult:
     """Exhaustive grid scan of the alpha-cut box, for cross-validation.
 
-    Independent of the corner and local-search machinery on purpose; the
-    grid extremes bracket the true bounds from inside.
+    Independent of the certificate and subdivision machinery on purpose;
+    the grid extremes bracket the true bounds from inside.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -579,16 +577,11 @@ def _validate_alpha_ladder(alphas: Sequence[float]) -> tuple[float, ...]:
 
 
 def bounds_at_levels(
-    fp: FuzzySystemParams,
-    metric: Metric,
-    alphas: Sequence[float],
-    *,
-    seed: int = 0,
+    fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
 ) -> tuple[BoundsResult, ...]:
-    """characteristic_bounds across an alpha ladder, each level with the
-    same seed."""
+    """characteristic_bounds across an alpha ladder."""
     ladder = _validate_alpha_ladder(alphas)
-    return tuple(characteristic_bounds(fp, metric, a, seed=seed) for a in ladder)
+    return tuple(characteristic_bounds(fp, metric, a) for a in ladder)
 
 
 def enforce_nesting(
@@ -623,14 +616,10 @@ def enforce_nesting(
 
 
 def membership_curve(
-    fp: FuzzySystemParams,
-    metric: Metric,
-    alphas: Sequence[float],
-    *,
-    seed: int = 0,
+    fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
 ) -> MembershipCurve:
     """Membership curve of a characteristic across an alpha ladder."""
     ladder = _validate_alpha_ladder(alphas)
-    results = bounds_at_levels(fp, metric, ladder, seed=seed)
+    results = bounds_at_levels(fp, metric, ladder)
     intervals = enforce_nesting(ladder, [r.bounds for r in results])
     return MembershipCurve(ladder, intervals)

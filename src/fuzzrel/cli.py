@@ -50,9 +50,14 @@ _COLUMN_LETTER = {
 
 _DEFAULT_ALPHAS = tuple(i / 10 for i in range(11))
 
-# knobs of the former batch-means availability simulator, still accepted
-# in model files for one release
-_RETIRED_SIM_KEYS = ("warmup_fraction", "batches")
+# (section, key) pairs of retired knobs, still accepted in model files for
+# one release: the former batch-means availability simulator's and the
+# seed of the former randomized bounds search
+_RETIRED_KEYS = (
+    ("simulation", "warmup_fraction"),
+    ("simulation", "batches"),
+    ("solver", "seed"),
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,6 @@ class ModelConfig:
     fuzzy_params: FuzzySystemParams
     metric: Metric
     alphas: tuple[float, ...]
-    solver_seed: int
     # SimConfig keywords; the crisp modal system they run on is built only
     # by `simulate`, so models whose modal rates break theta <= lambda
     # still serve every other subcommand
@@ -174,12 +178,11 @@ def load_model_config(
         horizon=_as_number(sim_raw.get("horizon", 100_000.0), "simulation.horizon"),
         seed=_as_int(sim_raw.get("seed"), "simulation.seed", 0),
     )
-    retired = [f"simulation.{k}" for k in _RETIRED_SIM_KEYS if k in sim_raw]
+    sections = {"simulation": sim_raw, "solver": solver}
+    retired = [f"{s}.{k}" for s, k in _RETIRED_KEYS if k in sections[s]]
     if retired:
         print(
-            f"warning: {', '.join(retired)}: no longer used by the availability "
-            f"simulator, ignored",
-            file=sys.stderr,
+            f"warning: {', '.join(retired)}: no longer used, ignored", file=sys.stderr
         )
 
     reference = raw.get("reference_bounds")
@@ -200,7 +203,6 @@ def load_model_config(
         fuzzy_params=fp,
         metric=metric,
         alphas=alphas,
-        solver_seed=_as_int(solver.get("seed"), "solver.seed", 0),
         sim_settings=sim_settings,
         reference_bounds=ref_rows,
     )
@@ -268,9 +270,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_alphacut(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
-    table = build_table(
-        cfg.fuzzy_params, cfg.metric, _levels(args, cfg), seed=cfg.solver_seed
-    )
+    table = build_table(cfg.fuzzy_params, cfg.metric, _levels(args, cfg))
     _write_lines(args.out, _table_csv(table, args.full_precision))
     if args.out is not None:
         print(f"wrote {args.out}")
@@ -279,9 +279,7 @@ def cmd_alphacut(args) -> int:
 
 def cmd_curve(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
-    curve = membership_curve(
-        cfg.fuzzy_params, cfg.metric, _levels(args, cfg), seed=cfg.solver_seed
-    )
+    curve = membership_curve(cfg.fuzzy_params, cfg.metric, _levels(args, cfg))
     full = args.full_precision
     rows = ["alpha,lower,upper"]
     for alpha, iv in curve.rows:
@@ -306,9 +304,7 @@ def cmd_curve(args) -> int:
 
 def cmd_invert(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
-    curve = membership_curve(
-        cfg.fuzzy_params, cfg.metric, _levels(args, cfg), seed=cfg.solver_seed
-    )
+    curve = membership_curve(cfg.fuzzy_params, cfg.metric, _levels(args, cfg))
     query = DecisionQuery(metric=cfg.metric, target=Interval(args.lower, args.upper))
     alpha = invert_query(curve, query)
     cut = curve.interval_at(alpha)
@@ -347,20 +343,14 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
     anchor = Interval(args.lower, args.upper)
-    result = calibrate_coverage(
-        cfg.fuzzy_params,
-        cfg.metric,
-        args.anchor_alpha,
-        anchor,
-        seed=cfg.solver_seed,
-    )
+    result = calibrate_coverage(cfg.fuzzy_params, cfg.metric, args.anchor_alpha, anchor)
     print(f"coverage = {result.coverage:.6f}")
     print(f"anchor residuals: lower {result.lower_residual:+.3e}, "
           f"upper {result.upper_residual:+.3e}")
     if cfg.reference_bounds:
         calibrated = cfg.fuzzy_params.with_coverage(result.coverage)
         alphas = tuple(row[0] for row in cfg.reference_bounds)
-        curve = membership_curve(calibrated, cfg.metric, alphas, seed=cfg.solver_seed)
+        curve = membership_curve(calibrated, cfg.metric, alphas)
         print("reference residuals:")
         print("alpha,T_L_residual,T_U_residual")
         for (a, lo, hi), iv in zip(cfg.reference_bounds, curve.intervals):

@@ -99,13 +99,11 @@ def build_table(
     fp: FuzzySystemParams,
     metric: Metric,
     alphas: Sequence[float],
-    *,
-    seed: int = 0,
 ) -> AlphaCutTable:
     """Alpha-cut table for a metric across an alpha ladder."""
     ladder = _validate_alpha_ladder(alphas)
     names = _metric_axes(metric)
-    results = bounds_at_levels(fp, metric, ladder, seed=seed)
+    results = bounds_at_levels(fp, metric, ladder)
     bound_ivs = enforce_nesting(ladder, [r.bounds for r in results])
 
     cut_columns = {}
@@ -226,8 +224,6 @@ def calibrate_coverage(
     metric: Metric,
     anchor_alpha: float,
     anchor_bounds: Interval,
-    *,
-    seed: int = 0,
 ) -> CalibrationResult:
     """Find the crisp coverage that reproduces anchor bounds.
 
@@ -238,9 +234,7 @@ def calibrate_coverage(
     """
 
     def lower_gap(c: float) -> float:
-        result = characteristic_bounds(
-            fp.with_coverage(c), metric, anchor_alpha, seed=seed
-        )
+        result = characteristic_bounds(fp.with_coverage(c), metric, anchor_alpha)
         return result.bounds.lo - anchor_bounds.lo
 
     gap0 = lower_gap(0.0)
@@ -261,9 +255,7 @@ def calibrate_coverage(
             scipy.optimize.brentq(lower_gap, 0.0, 1.0, xtol=1e-12, maxiter=200)
         )
 
-    final = characteristic_bounds(
-        fp.with_coverage(coverage), metric, anchor_alpha, seed=seed
-    )
+    final = characteristic_bounds(fp.with_coverage(coverage), metric, anchor_alpha)
     lower_residual = final.bounds.lo - anchor_bounds.lo
     upper_residual = final.bounds.hi - anchor_bounds.hi
     if abs(lower_residual) > _CALIBRATION_TOL:

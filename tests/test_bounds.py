@@ -18,6 +18,7 @@ from fuzzrel import (
     MTBF,
     Metric,
     STEADY_AVAILABILITY,
+    SolverError,
     SystemParams,
     ValidationError,
     brute_force_bounds,
@@ -44,6 +45,15 @@ REFERENCE_MTBF_BOUNDS = {
     0.8: (4.8139, 6.8955),
     0.9: (4.9390, 6.7159),
     1.0: (5.0669, 6.5424),
+}
+
+# Steady-availability bounds of the same model at the levels where
+# dA/dmu flips sign inside the box, as the randomized Nelder-Mead search
+# found them; each maximum is the vertex at the top of the mu cut.
+REFERENCE_AVAILABILITY_BOUNDS = {
+    0.0: (0.8732116428219046, 0.9641572825040943),
+    0.1: (0.8791039203502694, 0.9626069006377603),
+    0.2: (0.8846276410488638, 0.9610053275938695),
 }
 
 ALPHAS_11 = tuple(i / 10 for i in range(11))
@@ -211,10 +221,11 @@ class TestCharacteristicBounds:
         assert res.bounds.is_point
         assert res.bounds.lo == pytest.approx(mttf(fp.modal_params()), abs=1e-12)
 
-    def test_deterministic_in_seed(self):
-        fp = demo_params()
-        a = characteristic_bounds(fp, MTBF, 0.4, seed=11)
-        b = characteristic_bounds(fp, MTBF, 0.4, seed=11)
+    def test_repeat_is_bit_identical(self):
+        fp = demo_params(coverage=0.5)
+        a = characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
+        b = characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
+        assert a.open_axes == ("mu",)
         assert a.bounds == b.bounds
         assert a.argmin == b.argmin
         assert a.argmax == b.argmax
@@ -330,8 +341,49 @@ def coupled_params():
     )
 
 
-def every_axis_open(fp, metric, box, coupled):
-    return dict.fromkeys(box)
+def open_lambda_and_mu_on(top_box):
+    """_axis_signs with lambda and mu forced open on top_box only."""
+    certify = bounds._axis_signs
+
+    def signs(fp, metric, box, coupled):
+        found = certify(fp, metric, box, coupled)
+        if box == top_box:
+            found.update(dict.fromkeys(("lambda", "mu")))
+        return found
+
+    return signs
+
+
+# The c = 0.5 availability box, whose maximum lies inside the mu cut.
+OPEN_AVAILABILITY_BOX = """
+fp = fuzzrel.FuzzySystemParams(
+    fuzzrel.FuzzyNumber.trapezoidal(0.5, 0.6, 0.7, 0.8),
+    fuzzrel.FuzzyNumber.trapezoidal(0.1, 0.2, 0.3, 0.4),
+    fuzzrel.FuzzyNumber.trapezoidal(3.0, 4.0, 5.0, 6.0),
+    fuzzrel.FuzzyNumber.trapezoidal(1.5, 2.0, 2.5, 3.0),
+    coverage=0.5,
+)
+res = fuzzrel.characteristic_bounds(fp, fuzzrel.STEADY_AVAILABILITY, 0.0)
+assert res.open_axes == ("mu",)
+"""
+
+
+def optimizer_loaded_after(work):
+    """Whether scipy.optimize is loaded after a fresh interpreter imports
+    fuzzrel and runs the code work."""
+    import fuzzrel
+
+    src = str(Path(fuzzrel.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = f"import sys, fuzzrel\n{work}\nprint('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return out.stdout.strip() == "True"
 
 
 class TestCertificate:
@@ -347,9 +399,54 @@ class TestCertificate:
         fp = demo_params(coverage=0.5)
         res = characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
         assert res.open_axes == ("mu",)
-        assert res.method is BoundsMethod.MULTI_START_LOCAL
+        assert res.method is BoundsMethod.SUBDIVISION
         assert res.bounds.hi == pytest.approx(0.847221810531241, abs=1e-9)
         assert res.argmax["mu"] == pytest.approx(3.3227, abs=1e-3)
+
+    @pytest.mark.parametrize("alpha", sorted(REFERENCE_AVAILABILITY_BOUNDS))
+    def test_reference_availability_bounds_pinned(self, alpha):
+        res = characteristic_bounds(demo_params(), STEADY_AVAILABILITY, alpha)
+        lo, hi = REFERENCE_AVAILABILITY_BOUNDS[alpha]
+        assert res.open_axes == ("mu",)
+        assert res.bounds.lo == pytest.approx(lo, rel=1e-12)
+        assert res.bounds.hi == pytest.approx(hi, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "metric", [MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)]
+    )
+    @pytest.mark.parametrize(
+        "fp", [demo_params(), demo_params(coverage=0.5), coupled_params()],
+        ids=["reference", "c=0.5", "coupled"],
+    )
+    def test_two_open_axes_subdivided(self, fp, metric):
+        res = characteristic_bounds(fp, metric, 0.0)
+        top_box = fp.cuts(0.0, tuple(res.box))
+        with mock.patch.object(bounds, "_axis_signs", open_lambda_and_mu_on(top_box)):
+            forced = characteristic_bounds(fp, metric, 0.0)
+        assert {"lambda", "mu"} <= set(forced.open_axes)
+        assert forced.method is BoundsMethod.SUBDIVISION
+        assert forced.bounds.lo == pytest.approx(res.bounds.lo, rel=1e-12)
+        assert forced.bounds.hi == pytest.approx(res.bounds.hi, rel=1e-12)
+        grid = brute_force_bounds(fp, metric, 0.0, 5)
+        tol = 1e-9 * max(abs(grid.bounds.lo), abs(grid.bounds.hi))
+        assert forced.bounds.lo <= grid.bounds.lo + tol
+        assert forced.bounds.hi >= grid.bounds.hi - tol
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            dict(side_effect=np.linalg.LinAlgError("singular matrix")),
+            dict(return_value=(np.full(81, np.nan), np.zeros((81, 4)))),
+        ],
+        ids=["singular", "not-finite"],
+    )
+    def test_failed_certificate_is_a_solver_error(self, failure):
+        # raised by the first certificate, naming its box, before any halving
+        broken = mock.Mock(**failure)
+        with mock.patch.object(bounds.markov, "_availability_sensitivities", broken):
+            with pytest.raises(SolverError, match=r"mu in \[3, 6\]"):
+                characteristic_bounds(demo_params(), STEADY_AVAILABILITY, 0.0)
+        assert broken.call_count == 1
 
     def test_coupled_maximum_on_theta_equals_lambda(self):
         res = characteristic_bounds(coupled_params(), MTBF, 0.0)
@@ -359,20 +456,10 @@ class TestCertificate:
         assert res.argmax["theta"] == pytest.approx(0.3, abs=1e-12)
 
     def test_import_leaves_optimizer_unloaded(self):
-        # the fallback search and calibration import scipy.optimize when run
-        import fuzzrel
-
-        src = str(Path(fuzzrel.__file__).parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        code = "import sys, fuzzrel; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert out.stdout.strip() == "False"
+        assert not optimizer_loaded_after("")
+        # nor does the bounds search; only calibrate_coverage imports
+        # scipy.optimize, for brentq
+        assert not optimizer_loaded_after(OPEN_AVAILABILITY_BOX)
 
 
 def _box(lo, spread):
@@ -411,13 +498,10 @@ def boxed_models(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(boxed_models())
 def test_certified_bounds_never_worse_than_full_search(model):
+    # the full search is an exhaustive 7-per-axis grid of the box
     fp, metric = model
     res = characteristic_bounds(fp, metric, 0.0)
-    with mock.patch.object(bounds, "_axis_signs", every_axis_open):
-        full = characteristic_bounds(fp, metric, 0.0)
-    grid = brute_force_bounds(fp, metric, 0.0, 5)
-    tol = 1e-9 * max(abs(full.bounds.lo), abs(full.bounds.hi))
-    assert res.bounds.lo <= full.bounds.lo + tol
-    assert res.bounds.hi >= full.bounds.hi - tol
+    grid = brute_force_bounds(fp, metric, 0.0, 7)
+    tol = 1e-9 * max(abs(grid.bounds.lo), abs(grid.bounds.hi))
     assert res.bounds.lo <= grid.bounds.lo + tol
     assert res.bounds.hi >= grid.bounds.hi - tol

@@ -181,6 +181,23 @@ class TestCurve:
             assert z == pytest.approx(4.5, abs=5e-5)
             assert grade == 1.0
 
+    def test_retired_solver_seed_warns_and_is_ignored(
+        self, config_path, tmp_path, capsys
+    ):
+        model = {**DEMO_CONFIG, "metric": "availability"}
+        plain = config_path(model, name="plain.json")
+        seeded = config_path({**model, "solver": {"seed": 7}}, name="seeded.json")
+        assert main(["curve", plain, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main(["curve", seeded, "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        warnings = capsys.readouterr().err.strip().splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: solver.seed")
+        assert "ignored" in warnings[0]
+        for name in ("{}.csv", "{}_membership.csv"):
+            a = (tmp_path / name.format("a")).read_bytes()
+            assert a == (tmp_path / name.format("b")).read_bytes()
+
 
 class TestInvert:
     def test_management_target(self, config_path, capsys):
