@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -251,44 +251,32 @@ def _rate_vectors(fp: FuzzySystemParams, points: np.ndarray) -> np.ndarray:
     return rates
 
 
-def _raw_metric(rates: np.ndarray, metric: Metric) -> float:
-    if metric.kind == "mtbf":
-        return markov._mttf_of(rates)
-    if metric.kind == "availability":
-        return markov._availability_of(rates)
-    return markov._reliability_of(rates, metric.t)
+def _point(names: Sequence[str], row: np.ndarray) -> dict[str, float]:
+    return {n: float(x) for n, x in zip(names, row)}
 
 
-def _make_kernel(
-    fp: FuzzySystemParams, metric: Metric, *, validate: bool
-) -> Callable[[dict[str, float]], float]:
-    """The metric at one box point, failures tagged with the point.
-
-    validate builds a SystemParams, which checks every rule. Without it
-    the metric runs on the raw rates, which is exact for points inside a
-    box whose vertices passed: each SystemParams rule is a per-axis bound
-    or theta <= lambda, so valid vertices imply a valid box.
-    """
-    names = _metric_axes(metric)
-
-    def kernel(point: dict[str, float]) -> float:
-        rates = _rate_vectors(fp, np.array([[point[n] for n in names]]))[0]
-        try:
-            if validate:
-                return evaluate_metric(SystemParams(*rates), metric)
-            return _raw_metric(rates, metric)
-        except (ValidationError, SolverError) as exc:
-            raise KernelEvaluationError(
-                f"{metric.describe()} failed at {point}: {exc}", point=point
-            ) from exc
-
-    return kernel
+def _point_error(
+    metric: Metric, names: Sequence[str], row: np.ndarray, exc: Exception
+) -> KernelEvaluationError:
+    point = _point(names, row)
+    return KernelEvaluationError(
+        f"{metric.describe()} failed at {point}: {exc}", point=point
+    )
 
 
-def _feasible(fp: FuzzySystemParams, point: dict[str, float]) -> bool:
-    if not fp.enforce_standby_slower:
-        return True
-    return point[PARAM_THETA] <= point[PARAM_LAMBDA]
+def _box_values(
+    fp: FuzzySystemParams, metric: Metric, names: Sequence[str], points: np.ndarray
+) -> np.ndarray:
+    """The metric at stacked points of a valid box, in one kernel call."""
+    rates = _rate_vectors(fp, points)
+    try:
+        if metric.kind == "mtbf":
+            return markov._mttf_values(rates)
+        if metric.kind == "availability":
+            return markov._availability_values(rates)
+        return markov._reliability_values(rates, metric.t)
+    except (ValidationError, SolverError) as exc:
+        raise _point_error(metric, names, points[exc.row], exc) from exc
 
 
 def _cut_by_standby(fp: FuzzySystemParams, box: dict[str, Interval]) -> bool:
@@ -327,18 +315,6 @@ def _feasible_points(
         for rest in itertools.product(*axes[2:])
     ]
     return np.unique(np.vstack([points, np.reshape(diagonal, (-1, len(box)))]), axis=0)
-
-
-def _vertex_values(
-    kernel: Callable[[dict[str, float]], float],
-    names: Sequence[str],
-    points: np.ndarray,
-) -> list[tuple[float, dict[str, float]]]:
-    vertices = []
-    for row in points:
-        point = {n: float(x) for n, x in zip(names, row)}
-        vertices.append((kernel(point), point))
-    return vertices
 
 
 def _describe_box(box: dict[str, Interval]) -> str:
@@ -407,42 +383,44 @@ def _extreme(
     metric: Metric,
     box: dict[str, Interval],
     coupled: bool,
-    vertices: list[tuple[float, dict[str, float]]],
+    points: np.ndarray,
+    values: np.ndarray,
     signs: dict[str, int | None],
     sign: float,
-    kernel: Callable[[dict[str, float]], float],
-) -> tuple[float, dict[str, float]]:
-    """Largest value of sign * metric over the feasible part of the box.
+) -> tuple[float, np.ndarray]:
+    """Largest value of sign * metric over the feasible part of the box,
+    and the point that takes it.
 
-    Certified axes sit at the ends their signs select; under a cutting
-    standby constraint a certified lambda-theta pair takes the best
-    matching polytope vertex. The open axes are then halved, with every
-    other axis collapsed to that best point, and each half holding a
-    feasible point is certified and searched the same way. Recursion
+    points holds the feasible vertices of the box as rows and values the
+    metric at each. Certified axes sit at the ends their signs select;
+    under a cutting standby constraint a certified lambda-theta pair takes
+    the best matching polytope vertex. The open axes are then halved, with
+    every other axis collapsed to that best point, and each half holding
+    a feasible point is certified and searched the same way. Recursion
     stops where the certificate closes, which its relative zero test
     ensures near a smooth optimum, or where an open axis no longer
     splits in floating point.
     """
+    names = list(box)
     pair = (PARAM_LAMBDA, PARAM_THETA) if coupled else ()
     ends = {
-        n: box[n].hi if s * sign > 0 else box[n].lo
-        for n, s in signs.items()
-        if s is not None and n not in pair
+        i: box[n].hi if signs[n] * sign > 0 else box[n].lo
+        for i, n in enumerate(names)
+        if signs[n] is not None and n not in pair
     }
-    matching = [
-        (v, p) for v, p in vertices if all(p[n] == x for n, x in ends.items())
-    ]
-    best = max(matching, key=lambda vp: sign * vp[0])
+    pinned = np.all(points[:, list(ends)] == list(ends.values()), axis=1)
+    matching = np.flatnonzero(pinned)
+    at = matching[np.argmax(sign * values[matching])]
+    best = (float(values[at]), points[at])
     mids = {n: 0.5 * (box[n].lo + box[n].hi) for n, s in signs.items() if s is None}
     if not mids or not all(box[n].lo < m < box[n].hi for n, m in mids.items()):
         return best
 
-    names = list(box)
     halves = [
         (Interval(box[n].lo, mids[n]), Interval(mids[n], box[n].hi))
         if n in mids
-        else (Interval(best[1][n], best[1][n]),)
-        for n in names
+        else (Interval(best[1][i], best[1][i]),)
+        for i, n in enumerate(names)
     ]
     for cut in itertools.product(*halves):
         half = dict(zip(names, cut))
@@ -455,29 +433,29 @@ def _extreme(
             metric,
             half,
             half_coupled,
-            _vertex_values(kernel, names, points),
+            points,
+            _box_values(fp, metric, names, points),
             _axis_signs(fp, metric, half, half_coupled),
             sign,
-            kernel,
         )
         if sign * found[0] > sign * best[0]:
             best = found
     return best
 
 
-def characteristic_bounds(
-    fp: FuzzySystemParams, metric: Metric, alpha: float
-) -> BoundsResult:
-    """Lower and upper bounds of a characteristic over one alpha-cut box.
+def _scan(
+    fp: FuzzySystemParams, metric: Metric, alpha: float, per_axis: int
+) -> tuple[dict[str, Interval], bool, np.ndarray, np.ndarray]:
+    """The alpha-cut box, whether theta <= lambda cuts it, its feasible
+    lattice points with per_axis values on each free axis, and the metric
+    at each point.
 
-    Evaluates every vertex of the feasible set with the validated
-    kernel, which checks the whole box, then certifies each axis by the
-    sign of its partial derivative over the box (_axis_signs). A
-    certified axis is pinned, for each bound, at the end its sign
-    selects, and a constant one at its lower end. With no axis open the
-    bounds are vertex values, the vertex method of Dong & Shah (1987);
-    otherwise the open axes are halved until the certificate closes on
-    every piece (_extreme). The result is deterministic.
+    Each point must make a SystemParams, and availability also needs
+    repair (markov._rates). Every rule is a per-axis bound or theta <=
+    lambda, so valid vertices make the whole box valid, and the points of
+    its sub-boxes are evaluated unchecked. The values come from one
+    batched kernel call; a point that fails raises KernelEvaluationError
+    naming it.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -485,27 +463,50 @@ def characteristic_bounds(
     names = _metric_axes(metric)
     box = fp.cuts(alpha, names)
     coupled = _cut_by_standby(fp, box)
-    points = _feasible_points(box, 2, coupled)
+    points = _feasible_points(box, per_axis, coupled)
     if not len(points):
         raise SolverError(
             f"no feasible point in the alpha={alpha} box under the standby "
             f"rate constraint"
         )
-    vertices = _vertex_values(_make_kernel(fp, metric, validate=True), names, points)
+    mode = markov.ChainMode.RELIABILITY
+    if metric.uses_reboot_rate:
+        mode = markov.ChainMode.AVAILABILITY
+    for row, rates in zip(points, _rate_vectors(fp, points)):
+        try:
+            markov._rates(SystemParams(*rates), mode)
+        except ValidationError as exc:
+            raise _point_error(metric, names, row, exc) from exc
+    return box, coupled, points, _box_values(fp, metric, names, points)
+
+
+def characteristic_bounds(
+    fp: FuzzySystemParams, metric: Metric, alpha: float
+) -> BoundsResult:
+    """Lower and upper bounds of a characteristic over one alpha-cut box.
+
+    Validates and evaluates every vertex of the feasible set (_scan), then
+    certifies each axis by the sign of its partial derivative over the
+    box (_axis_signs). A certified axis is pinned, for each bound, at the
+    end its sign selects, and a constant one at its lower end. With no
+    axis open the bounds are vertex values, the vertex method of Dong &
+    Shah (1987); otherwise the open axes are halved until the certificate
+    closes on every piece (_extreme), each piece's vertices evaluated in
+    one batched call. The result is deterministic.
+    """
+    box, coupled, points, values = _scan(fp, metric, alpha, 2)
     signs = _axis_signs(fp, metric, box, coupled)
-    open_axes = tuple(n for n in names if signs[n] is None)
-    kernel = _make_kernel(fp, metric, validate=False)
+    open_axes = tuple(n for n in box if signs[n] is None)
     (min_val, min_point), (max_val, max_point) = (
-        _extreme(fp, metric, box, coupled, vertices, signs, sign, kernel)
+        _extreme(fp, metric, box, coupled, points, values, signs, sign)
         for sign in (-1.0, 1.0)
     )
-
     return BoundsResult(
-        alpha=alpha,
+        alpha=float(alpha),
         box=box,
         bounds=Interval(min_val, max_val),
-        argmin=min_point,
-        argmax=max_point,
+        argmin=_point(box, min_point),
+        argmax=_point(box, max_point),
         method=BoundsMethod.SUBDIVISION if open_axes else BoundsMethod.CORNER_SCAN,
         open_axes=open_axes,
     )
@@ -519,42 +520,17 @@ def brute_force_bounds(
     Independent of the certificate and subdivision machinery on purpose;
     the grid extremes bracket the true bounds from inside.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     grid_per_axis = int(grid_per_axis)
     if grid_per_axis < 2:
         raise ValidationError(f"grid_per_axis must be >= 2, got {grid_per_axis}")
-
-    names = _metric_axes(metric)
-    box = fp.cuts(alpha, names)
-    kernel = _make_kernel(fp, metric, validate=True)
-
-    axes = _axis_values(box, grid_per_axis)
-    min_val = np.inf
-    max_val = -np.inf
-    min_point: dict[str, float] = {}
-    max_point: dict[str, float] = {}
-    for combo in itertools.product(*axes):
-        point = {name: float(v) for name, v in zip(names, combo)}
-        if not _feasible(fp, point):
-            continue
-        value = kernel(point)
-        if value < min_val:
-            min_val, min_point = value, point
-        if value > max_val:
-            max_val, max_point = value, point
-    if not np.isfinite(min_val):
-        raise SolverError(
-            f"no feasible grid point in the alpha={alpha} box under the "
-            f"standby rate constraint"
-        )
+    box, _, points, values = _scan(fp, metric, alpha, grid_per_axis)
+    lo, hi = np.argmin(values), np.argmax(values)
     return BoundsResult(
-        alpha=alpha,
+        alpha=float(alpha),
         box=box,
-        bounds=Interval(min_val, max_val),
-        argmin=min_point,
-        argmax=max_point,
+        bounds=Interval(values[lo], values[hi]),
+        argmin=_point(box, points[lo]),
+        argmax=_point(box, points[hi]),
         method=BoundsMethod.GRID_REFINE,
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -86,6 +87,14 @@ def _as_int(value, field: str, default: int) -> int:
     return value
 
 
+def _number_rows(value, field: str, width: int) -> list[tuple[float, ...]]:
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and len(row) == width for row in value
+    ):
+        raise ConfigError(f"field '{field}' must be a list of {width}-number lists")
+    return [tuple(_as_number(x, field) for x in row) for row in value]
+
+
 def _fuzzy_field(value, field: str) -> FuzzyNumber:
     try:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -101,10 +110,7 @@ def _fuzzy_field(value, field: str) -> FuzzyNumber:
                 f"numbers, got {len(nodes)}"
             )
         if isinstance(value, dict) and "breakpoints" in value:
-            pts = [
-                (_as_number(p[0], field), _as_number(p[1], field))
-                for p in value["breakpoints"]
-            ]
+            pts = _number_rows(value["breakpoints"], f"{field}.breakpoints", 2)
             return FuzzyNumber.from_breakpoints(pts)
     except ValidationError as exc:
         raise ValidationError(f"field '{field}': {exc}") from exc
@@ -152,13 +158,18 @@ def load_model_config(
     solver = raw.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("field 'solver' must be an object")
+    coupled = solver.get("enforce_standby_slower", False)
+    if not isinstance(coupled, bool):
+        raise ConfigError(
+            f"field 'solver.enforce_standby_slower' must be a boolean, got {coupled!r}"
+        )
     fp = FuzzySystemParams(
         failure_rate=_fuzzy_field(raw["lambda"], "lambda"),
         standby_failure_rate=_fuzzy_field(raw["theta"], "theta"),
         repair_rate=_fuzzy_field(raw["mu"], "mu"),
         reboot_rate=_fuzzy_field(raw["beta"], "beta"),
         coverage=_as_number(raw["c"], "c"),
-        enforce_standby_slower=bool(solver.get("enforce_standby_slower", False)),
+        enforce_standby_slower=coupled,
     )
     metric = _parse_metric(raw, override_metric, override_t)
 
@@ -188,16 +199,7 @@ def load_model_config(
     reference = raw.get("reference_bounds")
     ref_rows = None
     if reference is not None:
-        if not isinstance(reference, list):
-            raise ConfigError("field 'reference_bounds' must be a list of rows")
-        ref_rows = tuple(
-            (
-                _as_number(row[0], "reference_bounds"),
-                _as_number(row[1], "reference_bounds"),
-                _as_number(row[2], "reference_bounds"),
-            )
-            for row in reference
-        )
+        ref_rows = tuple(_number_rows(reference, "reference_bounds", 3))
 
     return ModelConfig(
         fuzzy_params=fp,
@@ -222,7 +224,7 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _levels(args, cfg: ModelConfig) -> tuple[float, ...]:
-    if getattr(args, "levels", None) is None:
+    if args.levels is None:
         return cfg.alphas
     n = args.levels
     if n < 2:
@@ -272,8 +274,7 @@ def cmd_alphacut(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
     table = build_table(cfg.fuzzy_params, cfg.metric, _levels(args, cfg))
     _write_lines(args.out, _table_csv(table, args.full_precision))
-    if args.out is not None:
-        print(f"wrote {args.out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -291,14 +292,11 @@ def cmd_curve(args) -> int:
     member = ["z,membership"]
     for z in zs:
         member.append(f"{_fmt(float(z), full)},{_fmt(curve.membership_at(float(z)), full)}")
-    member_path = None
-    if args.out is not None:
-        stem, dot, ext = args.out.rpartition(".")
-        member_path = f"{stem}_membership.{ext}" if dot else f"{args.out}_membership"
+    stem, ext = os.path.splitext(args.out)
+    member_path = f"{stem}_membership{ext}"
     _write_lines(member_path, member)
-    if args.out is not None:
-        print(f"wrote {args.out}")
-        print(f"wrote {member_path}")
+    print(f"wrote {args.out}")
+    print(f"wrote {member_path}")
     return EXIT_OK
 
 
@@ -322,14 +320,11 @@ def cmd_simulate(args) -> int:
         settings["seed"] = args.seed
     sim = SimConfig(params=cfg.fuzzy_params.modal_params(), **settings)
     if cfg.metric.kind == "mtbf":
-        est = simulate_mttf(sim)
-        row = ("mttf", est)
+        name, est = "mttf", simulate_mttf(sim)
     elif cfg.metric.kind == "availability":
-        est = simulate_availability(sim)
-        row = ("availability", est)
+        name, est = "availability", simulate_availability(sim)
     else:
         raise ConfigError("simulate supports the metrics 'mtbf' and 'availability'")
-    name, est = row
     lines = [
         "quantity,mean,std_error,replications",
         f"{name},{est.mean:.6f},{est.std_error:.6f},{est.replications}",
@@ -367,54 +362,55 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--metric": dict(choices=list(Metric.KINDS), default=None,
+                         help="override the config metric"),
+        "--t": dict(type=float, default=None,
+                    help="mission time for the reliability metric"),
+        "--full-precision": dict(
+            action="store_true", help="emit 17 significant digits instead of 4 decimals"
+        ),
+        "--levels": dict(type=int, default=None,
+                         help="number of evenly spaced alpha levels"),
+    }
 
-    def add_common(p, with_levels=True):
+    def add(name, func, help, *names):
+        p = sub.add_parser(name, help=help)
         p.add_argument("config", help="JSON model config")
-        p.add_argument("--metric", choices=list(Metric.KINDS), default=None,
-                       help="override the config metric")
-        p.add_argument("--t", type=float, default=None,
-                       help="mission time for the reliability metric")
-        p.add_argument("--full-precision", action="store_true",
-                       help="emit 17 significant digits instead of 4 decimals")
-        if with_levels:
-            p.add_argument("--levels", type=int, default=None,
-                           help="number of evenly spaced alpha levels")
+        for option in names:
+            p.add_argument(option, **options[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("metrics", help="crisp characteristics at the modal rates")
-    add_common(p, with_levels=False)
-    p.set_defaults(func=cmd_metrics)
+    add("metrics", cmd_metrics, "crisp characteristics at the modal rates",
+        "--full-precision")
 
-    p = sub.add_parser("alphacut", help="alpha-cut table as CSV")
-    add_common(p)
+    p = add("alphacut", cmd_alphacut, "alpha-cut table as CSV",
+            "--metric", "--t", "--full-precision", "--levels")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_alphacut)
 
-    p = sub.add_parser("curve", help="membership curve and sampled membership CSV")
-    add_common(p)
+    p = add("curve", cmd_curve, "membership curve and sampled membership CSV",
+            "--metric", "--t", "--full-precision", "--levels")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("invert", help="alpha level that fits a target interval")
-    add_common(p)
+    p = add("invert", cmd_invert, "alpha level that fits a target interval",
+            "--metric", "--t", "--levels")
     p.add_argument("--lower", type=float, required=True, help="target lower bound")
     p.add_argument("--upper", type=float, required=True, help="target upper bound")
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate of the metric")
-    add_common(p, with_levels=False)
+    p = add("simulate", cmd_simulate, "Monte Carlo estimate of the metric",
+            "--metric", "--t")
     p.add_argument("--reps", type=int, default=None,
                    help="override simulation.replications (mtbf only)")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("calibrate", help="fit coverage to anchor bounds")
-    add_common(p)
+    p = add("calibrate", cmd_calibrate, "fit coverage to anchor bounds",
+            "--metric", "--t")
     p.add_argument("--anchor-alpha", type=float, required=True,
                    help="alpha level of the anchor bounds")
     p.add_argument("--lower", type=float, required=True, help="anchor lower bound")
     p.add_argument("--upper", type=float, required=True, help="anchor upper bound")
-    p.set_defaults(func=cmd_calibrate)
 
     return parser
 

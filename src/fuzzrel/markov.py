@@ -21,6 +21,12 @@ every down state absorbing, which is the right object for first-passage
 quantities (MTTF, reliability). Availability mode adds the recovery
 paths (reboot from the unsafe states, repair out of exhaustion) and has
 no absorbing state, which is the right object for long-run analysis.
+
+Each metric has one kernel over stacked raw rate rows (N, 5): a solve on
+the up block for MTTF, Grassmann-Taksar-Heyman state reduction for the
+stationary law, and a matrix exponential for transients. The public
+functions pass the one row of a validated SystemParams; the bounds
+search passes all points of a box in one call.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SolverError, ValidationError
 
@@ -47,8 +52,9 @@ UP_STATES = (State.UP3, State.UP2, State.UP1)
 DOWN_STATES = (State.EXHAUSTED, State.UNSAFE1, State.UNSAFE2)
 
 N_STATES = len(State)
-# the up states lead the state order, so they index as one slice
+# the up states lead the state order, so up and down index as slices
 _UP = slice(0, len(UP_STATES))
+_DOWN = slice(len(UP_STATES), N_STATES)
 
 
 class ChainMode(Enum):
@@ -211,31 +217,34 @@ class GeneratorMatrix:
         object.__setattr__(self, "initial", initial)
 
 
-def _rates(params: SystemParams) -> np.ndarray:
-    """Raw rate vector of a validated SystemParams, in _generators' order."""
-    return np.array(
-        [
-            params.failure_rate,
-            params.standby_failure_rate,
-            params.repair_rate,
-            params.coverage,
-            params.reboot_rate,
-        ]
-    )
-
-
-def _rate_matrix(params: SystemParams, mode: ChainMode) -> np.ndarray:
-    """Generator of one chain variant as a plain array, rows closed to zero.
-
-    params is a SystemParams and so already validated; the kernels solve
-    this array directly and do not re-check it.
-    """
+def _rates(
+    params: SystemParams, mode: ChainMode = ChainMode.RELIABILITY
+) -> np.ndarray:
+    """Raw rate row (1, 5) of a validated SystemParams, whose fields run
+    in _generators' column order. Availability also needs repair."""
     if mode is ChainMode.AVAILABILITY and params.repair_rate == 0.0:
         raise ValidationError(
             "availability analysis requires repair_rate > 0, the chain is "
             "not irreducible otherwise"
         )
-    return _generators(_rates(params), mode)
+    return np.array([list(vars(params).values())])
+
+
+def _check_distributions(p: np.ndarray) -> None:
+    """Every row of p (..., 6) lies in [0, 1] and sums to 1, to rounding;
+    the first row that does not raises ValidationError."""
+    p = p.reshape(-1, N_STATES)
+    total = p.sum(axis=1)
+    outside = ((p < -1e-12) | (p > 1.0 + 1e-12)).any(axis=1)
+    bad = np.flatnonzero(outside | (abs(total - 1.0) > 1e-10))
+    if len(bad):
+        error = ValidationError(
+            "probabilities must lie in [0, 1]"
+            if outside[bad[0]]
+            else f"probabilities sum to {total[bad[0]]}, expected 1"
+        )
+        error.row = bad[0]
+        raise error
 
 
 def _initial() -> np.ndarray:
@@ -249,7 +258,7 @@ def build_generator(
 ) -> GeneratorMatrix:
     """Assemble and validate the generator for one chain variant."""
     return GeneratorMatrix(
-        mode=mode, rates=_rate_matrix(params, mode), initial=_initial()
+        mode=mode, rates=_generators(_rates(params, mode), mode)[0], initial=_initial()
     )
 
 
@@ -264,10 +273,7 @@ class StateProbabilities:
         p = np.array(self.p, dtype=float)
         if p.shape != (N_STATES,):
             raise ValidationError(f"p must have 6 entries, got {p.shape}")
-        if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
-            raise ValidationError("probabilities must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValidationError(f"probabilities sum to {p.sum()}, expected 1")
+        _check_distributions(p)
         p.setflags(write=False)
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "p", p)
@@ -303,7 +309,7 @@ def laplace_state_probs(params: SystemParams, s: float) -> LaplaceStateVector:
     s = float(s)
     if not np.isfinite(s) or s <= 0.0:
         raise ValidationError(f"transform variable s must be > 0, got {s}")
-    rates = _rate_matrix(params, ChainMode.RELIABILITY)
+    rates = _generators(_rates(params), ChainMode.RELIABILITY)[0]
     lhs = s * np.eye(N_STATES) - rates.T
     try:
         ptilde = np.linalg.solve(lhs, _initial())
@@ -315,57 +321,6 @@ def laplace_state_probs(params: SystemParams, s: float) -> LaplaceStateVector:
             f"probability conservation violated at s={s}: residual {residual:.3e}"
         )
     return LaplaceStateVector(s=s, ptilde=ptilde)
-
-
-def mttf(params: SystemParams) -> float:
-    """Mean time to first system failure starting from UP3.
-
-    Solves Q_T m = -1 on the transient (up-state) block of the
-    reliability generator; m[UP3] is the expected absorption time.
-    """
-    return _mttf_of(_rates(params))
-
-
-def _mttf_of(rates: np.ndarray) -> float:
-    block = _generators(rates, ChainMode.RELIABILITY)[_UP, _UP]
-    try:
-        m = np.linalg.solve(block, -np.ones(len(UP_STATES)))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("transient block singular, no finite MTTF") from exc
-    return float(m[0])
-
-
-def state_probabilities(
-    params: SystemParams, t: float, mode: ChainMode = ChainMode.RELIABILITY
-) -> StateProbabilities:
-    """Transient distribution of the chosen chain variant at time t.
-
-    Solves dP/dt = Q^T P from all mass on UP3 as P(t) = expm(Q^T t) P(0).
-    """
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    return _transient(_rate_matrix(params, mode), t)
-
-
-def _transient(rates: np.ndarray, t: float) -> StateProbabilities:
-    p = scipy.linalg.expm(rates.T * t) @ _initial()
-    p = np.clip(p, 0.0, None)
-    return StateProbabilities(t=t, p=p)
-
-
-def reliability_at(params: SystemParams, t: float) -> float:
-    """Probability the system has not failed by time t."""
-    return _up_mass(state_probabilities(params, t, ChainMode.RELIABILITY))
-
-
-def _reliability_of(rates: np.ndarray, t: float) -> float:
-    return _up_mass(_transient(_generators(rates, ChainMode.RELIABILITY), t))
-
-
-def _up_mass(probs: StateProbabilities) -> float:
-    r = float(probs.p[_UP].sum())
-    return min(max(r, 0.0), 1.0)
 
 
 def failure_density_laplace(params: SystemParams, s: float) -> float:
@@ -380,54 +335,123 @@ def failure_density_laplace(params: SystemParams, s: float) -> float:
     return float(s * down)
 
 
-def _reachable_states(rates: np.ndarray, start: int) -> list[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        here = frontier.pop()
-        for j in range(N_STATES):
-            if j != here and rates[here, j] > 0.0 and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return sorted(seen)
+# -- kernels ------------------------------------------------------------------
+#
+# Rate rows must come from validated SystemParams or from inside a box
+# whose vertices were. A row that fails raises an error whose `row`
+# attribute names it.
+
+
+def _mttf_values(rates: np.ndarray) -> np.ndarray:
+    """MTTF from UP3 at each rate row: Q_T m = -1 on the up block."""
+    block = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP]
+    try:
+        m = np.linalg.solve(block, -np.ones(block.shape[:2] + (1,)))
+    except np.linalg.LinAlgError as exc:
+        error = SolverError("transient block singular, no finite MTTF")
+        error.row = np.argmin(np.abs(np.linalg.det(block)))
+        raise error from exc
+    return m[:, 0, 0]
+
+
+def mttf(params: SystemParams) -> float:
+    """Mean time to first system failure starting from UP3.
+
+    Solves Q_T m = -1 on the transient (up-state) block of the
+    reliability generator; m[UP3] is the expected absorption time.
+    """
+    return float(_mttf_values(_rates(params))[0])
+
+
+def _transient(q: np.ndarray, t: float) -> np.ndarray:
+    """P(t) = expm(Q^T t) P(0) from all mass on UP3 at each generator,
+    clipped at zero and checked by the StateProbabilities rules."""
+    # imported here: scipy.linalg is the slowest import of the package,
+    # and only the transient kernels use it
+    import scipy.linalg
+
+    p = scipy.linalg.expm(np.swapaxes(q, -1, -2) * t)[..., State.UP3]
+    p = np.maximum(p, 0.0)
+    _check_distributions(p)
+    return p
+
+
+def _reliability_values(rates: np.ndarray, t: float) -> np.ndarray:
+    """R(t), the up-state mass of the reliability chain, at each rate row."""
+    p = _transient(_generators(rates, ChainMode.RELIABILITY), t)
+    return np.minimum(p[:, _UP].sum(axis=1), 1.0)
+
+
+def _time(t: float) -> float:
+    t = float(t)
+    if not np.isfinite(t) or t < 0.0:
+        raise ValidationError(f"time must be >= 0, got {t}")
+    return t
+
+
+def state_probabilities(
+    params: SystemParams, t: float, mode: ChainMode = ChainMode.RELIABILITY
+) -> StateProbabilities:
+    """Transient distribution of the chosen chain variant at time t.
+
+    Solves dP/dt = Q^T P from all mass on UP3 as P(t) = expm(Q^T t) P(0).
+    """
+    t = _time(t)
+    q = _generators(_rates(params, mode), mode)
+    return StateProbabilities(t=t, p=_transient(q, t)[0])
+
+
+def reliability_at(params: SystemParams, t: float) -> float:
+    """Probability the system has not failed by time t."""
+    return float(_reliability_values(_rates(params), _time(t))[0])
+
+
+def _stationary(q: np.ndarray) -> np.ndarray:
+    """Stationary vectors of stacked availability generators, scaled so
+    that UP3 has mass 1.
+
+    Grassmann-Taksar-Heyman state reduction (Oper. Res. 33, 1985): the
+    states are censored out from the last down to UP2, each pivot being
+    the rate from the state removed to those left. Every valid chain
+    keeps that rate positive (beta leads out of the unsafe states, mu out
+    of the others), and no step subtracts, so back-substitution gives
+    every state's mass to full relative precision, however small, and an
+    exact zero to a state that UP3 cannot reach (c = 0 or c = 1).
+    """
+    # a[j, i] = q[i, j] with the batch trailing, so that the rates into
+    # each state form one contiguous block; diagonal entries are never read
+    a = q.transpose(2, 1, 0).copy()
+    for k in range(N_STATES - 1, 0, -1):
+        a[k, :k] /= a[:k, k].sum(axis=0)
+        a[:k, :k] += a[:k, k, None] * a[k, :k]
+    x = np.ones((N_STATES, len(q)))
+    for k in range(1, N_STATES):
+        x[k] = (x[:k] * a[k, :k]).sum(axis=0)
+    return x.T
+
+
+def _availability_values(rates: np.ndarray) -> np.ndarray:
+    """Steady availability at each rate row, as up / (up + down) mass so
+    that it never rounds above 1."""
+    x = _stationary(_generators(rates, ChainMode.AVAILABILITY))
+    up = x[:, _UP].sum(axis=1)
+    return up / (up + x[:, _DOWN].sum(axis=1))
 
 
 def stationary_distribution(params: SystemParams) -> np.ndarray:
     """Stationary distribution of the availability chain.
 
     Degenerate coverage values (c = 0 or c = 1) leave part of the state
-    space unreachable from UP3; the balance equations are solved on the
-    reachable subset and unreachable states get probability zero.
+    space unreachable from UP3; those states get exactly zero.
     """
-    return _stationary(_rate_matrix(params, ChainMode.AVAILABILITY))
-
-
-def _stationary(rates: np.ndarray) -> np.ndarray:
-    reachable = _reachable_states(rates, int(State.UP3))
-    sub = rates[np.ix_(reachable, reachable)]
-    lhs = sub.T.copy()
-    lhs[-1, :] = 1.0
-    rhs = np.zeros(len(reachable))
-    rhs[-1] = 1.0
-    try:
-        pi_sub = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("availability chain has no unique stationary law") from exc
-    pi_sub = np.clip(pi_sub, 0.0, None)
-    pi_sub /= pi_sub.sum()
-    pi = np.zeros(N_STATES)
-    pi[reachable] = pi_sub
-    return pi
+    mode = ChainMode.AVAILABILITY
+    x = _stationary(_generators(_rates(params, mode), mode))[0]
+    return x / x.sum()
 
 
 def steady_availability(params: SystemParams) -> float:
     """Long-run fraction of time the system is operational."""
-    pi = stationary_distribution(params)
-    return float(pi[_UP].sum())
-
-
-def _availability_of(rates: np.ndarray) -> float:
-    return float(_stationary(_generators(rates, ChainMode.AVAILABILITY))[_UP].sum())
+    return float(_availability_values(_rates(params, ChainMode.AVAILABILITY))[0])
 
 
 # -- sensitivities ------------------------------------------------------------
@@ -464,7 +488,8 @@ def _mttf_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _availability_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dpi Q = -pi dQ with sum(dpi) = 0, summed over the up states.
+    """pi from _stationary, then dpi Q = -pi dQ with sum(dpi) = 0, summed
+    over the up states.
 
     Every valid availability chain has a single recurrent class, so one
     balance equation can give way to the normalization on the whole state
@@ -472,11 +497,10 @@ def _availability_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     q = _generators(rates, ChainMode.AVAILABILITY)
     dq = _rate_directions(rates, ChainMode.AVAILABILITY)
+    x = _stationary(q)
+    pi = x / x.sum(axis=1, keepdims=True)
     lhs = np.swapaxes(q, -1, -2).copy()
     lhs[:, -1, :] = 1.0
-    rhs = np.zeros((len(rates), N_STATES, 1))
-    rhs[:, -1] = 1.0
-    pi = np.linalg.solve(lhs, rhs)[..., 0]
     d_rhs = -np.einsum("npji,nj->nip", dq, pi)
     d_rhs[:, -1, :] = 0.0
     d_pi = np.linalg.solve(lhs, d_rhs)
@@ -492,6 +516,8 @@ def _reliability_sensitivities(
     block, and expm([[A, E], [0, A]]) holds the derivative of expm at A
     in direction E as its top-right block.
     """
+    import scipy.linalg
+
     n_up = len(UP_STATES)
     a = np.swapaxes(_generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP], -1, -2)
     d_a = np.swapaxes(

@@ -252,6 +252,26 @@ class TestCharacteristicBounds:
             characteristic_bounds(fp, MTBF, 0.0)
         assert "theta" in err.value.point
 
+    def test_availability_rejects_a_box_without_repair(self):
+        fp = demo_params(repair_rate=FuzzyNumber.trapezoidal(0.0, 1.0, 2.0, 3.0))
+        assert characteristic_bounds(fp, MTBF, 0.0).bounds.lo > 0.0
+        with pytest.raises(KernelEvaluationError, match="repair_rate > 0") as err:
+            characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
+        assert err.value.point["mu"] == 0.0
+
+    def test_batched_kernel_failure_names_its_point(self):
+        # expm leaves the probability simplex only at the mu = 1e9 corner
+        fp = FuzzySystemParams(
+            failure_rate=FuzzyNumber.crisp(1e-6),
+            standby_failure_rate=FuzzyNumber.crisp(1e-7),
+            repair_rate=FuzzyNumber.trapezoidal(1.0, 1.0, 1e9, 1e9),
+            reboot_rate=FuzzyNumber.crisp(1.0),
+            coverage=0.99,
+        )
+        with pytest.raises(KernelEvaluationError, match="probabilities sum") as err:
+            characteristic_bounds(fp, reliability_at_time(1e6), 0.0)
+        assert err.value.point == {"lambda": 1e-6, "theta": 1e-7, "mu": 1e9}
+
     def test_standby_coupling_skips_infeasible_corners(self):
         fp = demo_params(
             failure_rate=FuzzyNumber.trapezoidal(0.5, 0.6, 0.7, 0.8),
@@ -368,14 +388,16 @@ assert res.open_axes == ("mu",)
 """
 
 
-def optimizer_loaded_after(work):
-    """Whether scipy.optimize is loaded after a fresh interpreter imports
-    fuzzrel and runs the code work."""
+def loaded_after(module, work="", package="fuzzrel"):
+    """Whether module is loaded after a fresh interpreter imports fuzzrel
+    and package and runs the code work."""
     import fuzzrel
 
     src = str(Path(fuzzrel.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    code = f"import sys, fuzzrel\n{work}\nprint('scipy.optimize' in sys.modules)"
+    code = (
+        f"import sys, fuzzrel, {package}\n{work}\nprint({module!r} in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -456,10 +478,17 @@ class TestCertificate:
         assert res.argmax["theta"] == pytest.approx(0.3, abs=1e-12)
 
     def test_import_leaves_optimizer_unloaded(self):
-        assert not optimizer_loaded_after("")
+        assert not loaded_after("scipy.optimize")
         # nor does the bounds search; only calibrate_coverage imports
         # scipy.optimize, for brentq
-        assert not optimizer_loaded_after(OPEN_AVAILABILITY_BOX)
+        assert not loaded_after("scipy.optimize", OPEN_AVAILABILITY_BOX)
+
+    def test_import_leaves_linalg_unloaded(self):
+        assert not loaded_after("scipy.linalg", package="fuzzrel.cli")
+        # only the transient kernels import it, not the availability search
+        assert not loaded_after("scipy.linalg", OPEN_AVAILABILITY_BOX)
+        params = "fuzzrel.SystemParams(0.6, 0.2, 4.0, 0.9, 2.0)"
+        assert loaded_after("scipy.linalg", f"fuzzrel.reliability_at({params}, 1.0)")
 
 
 def _box(lo, spread):

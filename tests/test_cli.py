@@ -169,6 +169,15 @@ class TestCurve:
         assert grades[-1] == pytest.approx(0.0, abs=1e-9)
         assert max(grades) == pytest.approx(1.0, abs=1e-9)
 
+    def test_membership_file_beside_an_extensionless_out(self, config_path, tmp_path):
+        # the dot in the directory name is not an extension
+        run = tmp_path / "run.2"
+        run.mkdir()
+        cfg = config_path(DEMO_CONFIG)
+        argv = ["curve", cfg, "--out", str(run / "curve"), "--levels", "2"]
+        assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in run.iterdir()) == ["curve", "curve_membership"]
+
     def test_crisp_curve_is_an_indicator_spike(self, config_path, tmp_path):
         cfg = config_path(
             {"lambda": 1.0, "theta": 0.0, "mu": 2.0, "beta": 2.0, "c": 1.0}
@@ -409,6 +418,52 @@ class TestExitCodes:
         cfg = config_path({**DEMO_CONFIG, "lambda": [0.8, 0.6, 0.7, 0.5]})
         assert main(["metrics", cfg]) == EXIT_VALIDATION
         assert "'lambda'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "breakpoints",
+        [[[0.5, 0.0], [0.6]], [0.5, 0.6], [[0.5, 0.0], [0.6, 1.0, 0.7]], "0.5"],
+        ids=["short-pair", "bare-numbers", "long-pair", "string"],
+    )
+    def test_malformed_breakpoints_is_parse_error(
+        self, config_path, capsys, breakpoints
+    ):
+        cfg = config_path({**DEMO_CONFIG, "lambda": {"breakpoints": breakpoints}})
+        assert main(["metrics", cfg]) == EXIT_PARSE
+        assert "'lambda.breakpoints'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows", [[[0.0, 3.9]], [[0.0, 3.9, 8.6, 1.0]], [0.0], {"0.0": [3.9, 8.6]}]
+    )
+    def test_malformed_reference_bounds_is_parse_error(self, config_path, capsys, rows):
+        cfg = config_path({**DEMO_CONFIG, "reference_bounds": rows})
+        assert main(["metrics", cfg]) == EXIT_PARSE
+        assert "'reference_bounds'" in capsys.readouterr().err
+
+    def test_standby_coupling_flag_must_be_boolean(self, config_path, capsys):
+        # bool("false") is true, so a string would switch the coupling on
+        solver = {"enforce_standby_slower": "false"}
+        cfg = config_path({**DEMO_CONFIG, "solver": solver})
+        assert main(["metrics", cfg]) == EXIT_PARSE
+        assert "'solver.enforce_standby_slower'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate", "--anchor-alpha", "1", "--lower", "5", "--upper", "6",
+             "--levels", "3"],
+            ["calibrate", "--anchor-alpha", "1", "--lower", "5", "--upper", "6",
+             "--full-precision"],
+            ["invert", "--lower", "5", "--upper", "6", "--full-precision"],
+            ["simulate", "--full-precision"],
+            ["metrics", "--metric", "availability"],
+        ],
+        ids=["calibrate-levels", "calibrate-precision", "invert-precision",
+             "simulate-precision", "metrics-metric"],
+    )
+    def test_options_without_effect_are_rejected(self, config_path, capsys, argv):
+        cfg = config_path(DEMO_CONFIG)
+        assert main([argv[0], cfg, *argv[1:]]) == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_subcommand_is_parse_error(self):
         assert main(["frobnicate"]) == EXIT_PARSE

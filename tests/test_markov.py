@@ -79,6 +79,16 @@ def closed_form_mttf(lam, th, mu, c):
 # repair seven orders of magnitude faster than failure
 STIFF = SystemParams(0.37, 0.1, 1e7, 0.9, 1.0)
 
+# Steady availability of stiff chains, (lambda, theta, mu, c, beta) and
+# A, computed once with mpmath at 50 digits: the generator built from the
+# same binary rates, its diagonal summed exactly, and the balance
+# equations with the normalization solved by mpmath.lu_solve.
+STIFF_AVAILABILITY = [
+    ((6.8e8, 6.8e8, 12.388, 6.5e-5, 3.5e-3), 9.1463403228735224522e-9),
+    ((1.8e8, 1.5e8, 41.4, 0.98, 6.3e-6), 2.2311779902349667395e-7),
+    ((5e7, 1e7, 3.0, 0.2, 1e-5), 5.5970153952718119681e-8),
+]
+
 
 class TestParamsValidation:
     def test_rejects_nonpositive_failure_rate(self):
@@ -330,6 +340,13 @@ class TestSteadyAvailability:
     def test_rare_failures_give_full_availability(self):
         p = params(lam=1e-9, theta=0.0, mu=1.0, c=1.0, beta=1.0)
         assert steady_availability(p) == pytest.approx(1.0, abs=1e-6)
+        assert steady_availability(p) <= 1.0
+
+    @pytest.mark.parametrize("rates, expected", STIFF_AVAILABILITY)
+    def test_stiff_chains_match_50_digit_reference(self, rates, expected):
+        assert steady_availability(SystemParams(*rates)) == pytest.approx(
+            expected, rel=1e-14, abs=0.0
+        )
 
     def test_zero_coverage_two_state_closed_form(self):
         p = params(lam=0.6, theta=0.2, mu=4.0, c=0.0, beta=2.0)
@@ -381,6 +398,43 @@ def test_kernels_build_no_validated_generator(monkeypatch):
     steady_availability(p)
     reliability_at(p, 3.0)
     laplace_state_probs(p, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["mttf", "availability", "reliability"])
+def test_batched_kernels_match_single_rows(kind):
+    from fuzzrel import markov
+
+    rng = np.random.default_rng(11)
+    lam = 10.0 ** rng.uniform(-2, 2, 16)
+    rates = np.column_stack(
+        [
+            lam,
+            rng.uniform(0, 1, 16) * lam,
+            10.0 ** rng.uniform(-2, 2, 16),
+            rng.uniform(0, 1, 16),
+            10.0 ** rng.uniform(-2, 2, 16),
+        ]
+    )
+    batched, single = {
+        "mttf": (markov._mttf_values, mttf),
+        "availability": (markov._availability_values, steady_availability),
+        "reliability": (
+            lambda r: markov._reliability_values(r, 0.7),
+            lambda p: reliability_at(p, 0.7),
+        ),
+    }[kind]
+    expected = [single(SystemParams(*row)) for row in rates]
+    np.testing.assert_allclose(batched(rates), expected, rtol=1e-13)
+
+
+def test_failing_row_is_named():
+    from fuzzrel import markov
+
+    # the second row's expm leaves the probability simplex
+    rates = np.array([[1e-6, 1e-7, 1.0, 0.99, 1.0], [1e-6, 1e-7, 1e9, 0.99, 1.0]])
+    with pytest.raises(ValidationError, match="probabilities sum to") as err:
+        markov._reliability_values(rates, 1e6)
+    assert err.value.row == 1
 
 
 class TestSensitivities:
