@@ -8,6 +8,7 @@ validation failure, 4 solver failure, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -261,11 +262,11 @@ def cmd_metrics(args) -> int:
     else:
         lines.append("availability  n/a (requires repair rate > 0)")
     lines.append("reliability:")
-    for factor in (0.0, 0.5, 1.0, 2.0, 5.0):
-        t = factor * value
-        lines.append(
-            f"  t={_fmt(t, full)}  R={_fmt(markov.reliability_at(params, t), full)}"
-        )
+    times = np.array([0.0, 0.5, 1.0, 2.0, 5.0]) * value
+    # one eigendecomposition serves all five times
+    rel = markov._reliability_values(markov._rates(params), times)[0]
+    for t, r in zip(times, rel):
+        lines.append(f"  t={_fmt(t, full)}  R={_fmt(r, full)}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -353,7 +354,10 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared: parse_args
+    returns a fresh Namespace on each call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="fuzzrel",
         description=(

@@ -24,15 +24,19 @@ no absorbing state, which is the right object for long-run analysis.
 
 Each metric has one kernel over stacked raw rate rows (N, 5): a solve on
 the up block for MTTF, Grassmann-Taksar-Heyman state reduction for the
-stationary law, and a matrix exponential for transients. The public
-functions pass the one row of a validated SystemParams; the bounds
-search passes all points of a box in one call.
+stationary law, and for R(t) one eigendecomposition of the symmetrized
+up block per row, which serves every mission time and the partials.
+Transients of the availability chain, and the rare reliability rows
+without repair, use a matrix exponential. The public functions pass the
+one row of a validated SystemParams; the bounds search passes all
+points of a box in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -367,7 +371,7 @@ def _transient(q: np.ndarray, t: float) -> np.ndarray:
     """P(t) = expm(Q^T t) P(0) from all mass on UP3 at each generator,
     clipped at zero and checked by the StateProbabilities rules."""
     # imported here: scipy.linalg is the slowest import of the package,
-    # and only the transient kernels use it
+    # and only the expm paths use it
     import scipy.linalg
 
     p = scipy.linalg.expm(np.swapaxes(q, -1, -2) * t)[..., State.UP3]
@@ -376,10 +380,127 @@ def _transient(q: np.ndarray, t: float) -> np.ndarray:
     return p
 
 
-def _reliability_values(rates: np.ndarray, t: float) -> np.ndarray:
-    """R(t), the up-state mass of the reliability chain, at each rate row."""
-    p = _transient(_generators(rates, ChainMode.RELIABILITY), t)
-    return np.minimum(p[:, _UP].sum(axis=1), 1.0)
+# Down states absorb in the reliability chain, so its up masses evolve by
+# the 3x3 up block B alone: P_up(t) = e_UP3^T expm(B t). B is a birth-death
+# generator, UP3 <-> UP2 <-> UP1, so the diagonal D with d_0 = 1 and
+# d_{i+1} = d_i sqrt(B[i, i+1] / B[i+1, i]) makes S = D B D^-1 symmetric,
+# with off-diagonals sqrt(B[i, i+1] B[i+1, i]) (Keilson 1979). Then
+# S = V diag(w) V^T from numpy.linalg.eigh, with real w < 0, and
+# expm(B t) = D^-1 V diag(exp(w t)) V^T D.
+
+
+class _UpEigen(NamedTuple):
+    """The symmetrized up block at stacked rate rows.
+
+    b and s are B and S (N, 3, 3), w and vecs the eigenvalues (N, 3) and
+    eigenvectors (N, 3, 3) of S, and d the symmetrizer (N, 3). u = V^T
+    D^-1 e_UP3 and v = V^T D 1, so that R(t) = sum_k u_k exp(w_k t) v_k.
+    c = 0 makes d_1 = d_2 = 0 and S diagonal, and needs nothing else. ok
+    marks the rows whose d is finite; mu = 0, or B[0, 1] / B[1, 0]
+    overflowing, leaves B without a symmetrizer, and those rows go to
+    _up_block_expm.
+    """
+
+    b: np.ndarray
+    s: np.ndarray
+    w: np.ndarray
+    vecs: np.ndarray
+    d: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    ok: np.ndarray
+
+
+def _up_eigen(rates: np.ndarray) -> _UpEigen:
+    b = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP]
+    upper, lower = np.diagonal(b, 1, 1, 2), np.diagonal(b, -1, 1, 2)
+    d = np.ones((len(b), len(UP_STATES)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[:, 1:] = np.sqrt(upper / lower)
+    d[:, 2] *= d[:, 1]
+    ok = np.isfinite(d).all(axis=1)
+    d[~ok] = 0.0
+    # split so that the product cannot overflow; one value fills both
+    # sides, so S is exactly symmetric; mu = 0 leaves S diagonal
+    off = np.sqrt(upper) * np.sqrt(lower)
+    s = b.copy()
+    s[:, 0, 1] = s[:, 1, 0] = off[:, 0]
+    s[:, 1, 2] = s[:, 2, 1] = off[:, 1]
+    w, vecs = np.linalg.eigh(s)
+    u, v = vecs[:, 0, :], (vecs * d[:, :, None]).sum(axis=1)
+    return _UpEigen(b, s, w, vecs, d, u, v, ok)
+
+
+def _exp1(x: np.ndarray) -> np.ndarray:
+    """(exp(x) - 1) / x, 1 at x = 0."""
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, np.expm1(safe) / safe)
+
+
+def _up_block_expm(rates: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """R(t) and its partials by lambda, theta and mu from expm of the up
+    block, for rows without a symmetrizer.
+
+    expm([[A, E], [0, A]]) holds the Frechet derivative of expm at A in
+    direction E as its top-right block, with A = B^T t and E = dB^T/dp t.
+    """
+    import scipy.linalg
+
+    n_up = len(UP_STATES)
+    a = np.swapaxes(_generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP], -1, -2)
+    d_a = np.swapaxes(
+        _rate_directions(rates, ChainMode.RELIABILITY)[:, :, _UP, _UP], -1, -2
+    )
+    n, k = d_a.shape[:2]
+    big = np.zeros((n, k, 2 * n_up, 2 * n_up))
+    big[:, :, :n_up, :n_up] = a[:, None] * t
+    big[:, :, n_up:, n_up:] = a[:, None] * t
+    big[:, :, :n_up, n_up:] = d_a * t
+    e = scipy.linalg.expm(big.reshape(-1, 2 * n_up, 2 * n_up)).reshape(big.shape)
+    return e[:, 0, :n_up, 0].sum(axis=1), e[:, :, :n_up, n_up].sum(axis=2)
+
+
+def _reliability_values(rates: np.ndarray, times) -> np.ndarray:
+    """R at each rate row (N, 5) and each of the times, shape (N,) plus
+    the shape of times.
+
+    R(t) = sum_k u_k exp(w_k t) v_k from one eigendecomposition per row,
+    clipped to [0, 1], and exactly 1 at t = 0.
+    """
+    shape = np.shape(times)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    eig = _up_eigen(rates)
+    decay = np.exp(eig.w[:, None, :] * times[:, None])
+    r = (decay * (eig.u * eig.v)[:, None, :]).sum(axis=-1)
+    if not eig.ok.all():
+        for j, t in enumerate(times):
+            r[~eig.ok, j] = _up_block_expm(rates[~eig.ok], t)[0]
+    r = np.minimum(np.maximum(r, 0.0), 1.0)
+    r[:, times == 0.0] = 1.0
+    return r.reshape((len(r),) + shape)
+
+
+def _reliability_distribution(rates: np.ndarray, t: float) -> np.ndarray:
+    """P(t) of the reliability chain at each rate row, (N, 6).
+
+    The up masses come from the eigenbasis. Each down state's mass is the
+    flow into it, sum_j Q[j, down] times the integral of P_up,j over
+    [0, t], whose eigen-integrals are t (exp(w t) - 1) / (w t); so the six
+    masses add up to 1 by construction. Rows without a symmetrizer use
+    expm of the whole generator.
+    """
+    q = _generators(rates, ChainMode.RELIABILITY)
+    eig = _up_eigen(rates)
+    x = eig.w * t
+    up = np.einsum("nk,njk,nj->nj", eig.u * np.exp(x), eig.vecs, eig.d)
+    spent = np.einsum("nk,njk,nj->nj", eig.u * t * _exp1(x), eig.vecs, eig.d)
+    p = np.concatenate(
+        [np.maximum(up, 0.0), np.einsum("nj,njm->nm", spent, q[:, _UP, _DOWN])],
+        axis=1,
+    )
+    if not eig.ok.all():
+        p[~eig.ok] = _transient(q[~eig.ok], t)
+    return p
 
 
 def _time(t: float) -> float:
@@ -394,11 +515,14 @@ def state_probabilities(
 ) -> StateProbabilities:
     """Transient distribution of the chosen chain variant at time t.
 
-    Solves dP/dt = Q^T P from all mass on UP3 as P(t) = expm(Q^T t) P(0).
+    Reliability mode takes it from the symmetrized up block, availability
+    mode from P(t) = expm(Q^T t) P(0).
     """
     t = _time(t)
-    q = _generators(_rates(params, mode), mode)
-    return StateProbabilities(t=t, p=_transient(q, t)[0])
+    rates = _rates(params, mode)
+    if mode is ChainMode.RELIABILITY:
+        return StateProbabilities(t=t, p=_reliability_distribution(rates, t)[0])
+    return StateProbabilities(t=t, p=_transient(_generators(rates, mode), t)[0])
 
 
 def reliability_at(params: SystemParams, t: float) -> float:
@@ -510,23 +634,27 @@ def _availability_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _reliability_sensitivities(
     rates: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frechet derivative of expm on the up-state block.
+    """Daleckii-Krein formula on the eigenbasis of R's kernel.
 
-    Down states absorb, so R(t) = 1^T expm(B^T t) e_UP3 with B the up
-    block, and expm([[A, E], [0, A]]) holds the derivative of expm at A
-    in direction E as its top-right block.
+    With D fixed, dexpm(B t)/dp = D^-1 V (G o V^T M V) V^T D t, where
+    M = D (dB/dp) D^-1 and G[k, l] is the divided difference of exp at
+    w_k t and w_l t (Higham, Functions of Matrices, 2008, sec. 3.2). An
+    entry of M is (dB/dp)[i, j] d_i / d_j = (dB/dp)[i, j] / B[i, j]
+    S[i, j], which stays finite when c = 0 zeroes B[0, 1], B[1, 2] and
+    S off the diagonal. Rows without a symmetrizer use _up_block_expm.
     """
-    import scipy.linalg
-
-    n_up = len(UP_STATES)
-    a = np.swapaxes(_generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP], -1, -2)
-    d_a = np.swapaxes(
-        _rate_directions(rates, ChainMode.RELIABILITY)[:, :, _UP, _UP], -1, -2
-    )
-    n, k = d_a.shape[:2]
-    big = np.zeros((n, k, 2 * n_up, 2 * n_up))
-    big[:, :, :n_up, :n_up] = a[:, None] * t
-    big[:, :, n_up:, n_up:] = a[:, None] * t
-    big[:, :, :n_up, n_up:] = d_a * t
-    e = scipy.linalg.expm(big.reshape(-1, 2 * n_up, 2 * n_up)).reshape(big.shape)
-    return e[:, 0, :n_up, 0].sum(axis=1), e[:, :, :n_up, n_up].sum(axis=2)
+    eig = _up_eigen(rates)
+    e = _rate_directions(rates, ChainMode.RELIABILITY)[:, :, _UP, _UP]
+    b = eig.b[:, None]
+    m = np.divide(e, b, out=np.zeros_like(e), where=b != 0.0) * eig.s[:, None]
+    x = eig.w * t
+    # e^b (e^(a - b) - 1) / (a - b) with b the larger, never above 1
+    pairs = x[:, :, None], x[:, None, :]
+    hi, lo = np.maximum(*pairs), np.minimum(*pairs)
+    gamma = np.exp(hi) * _exp1(lo - hi)
+    values = np.einsum("nk,nk,nk->n", eig.u, np.exp(x), eig.v)
+    g = np.einsum("nik,npij,njl->npkl", eig.vecs, m, eig.vecs)
+    partials = t * np.einsum("nk,nkl,npkl,nl->np", eig.u, gamma, g, eig.v)
+    if not eig.ok.all():
+        values[~eig.ok], partials[~eig.ok] = _up_block_expm(rates[~eig.ok], t)
+    return values, partials

@@ -30,6 +30,8 @@ from fuzzrel import (
 )
 from fuzzrel import bounds
 
+from test_markov import STIFF_RELIABILITY
+
 # Frozen regression targets for the standard demo parameter set
 # (trapezoidal rates below with coverage 0.9), validated against an
 # independent grid scan during development.
@@ -57,6 +59,17 @@ REFERENCE_AVAILABILITY_BOUNDS = {
 }
 
 ALPHAS_11 = tuple(i / 10 for i in range(11))
+
+
+# mu spans nine decades; the first of test_markov's STIFF_RELIABILITY
+# cases is its mu = 1e9 corner
+STIFF_REPAIR_BOX = FuzzySystemParams(
+    failure_rate=FuzzyNumber.crisp(1e-6),
+    standby_failure_rate=FuzzyNumber.crisp(1e-7),
+    repair_rate=FuzzyNumber.trapezoidal(1.0, 1.0, 1e9, 1e9),
+    reboot_rate=FuzzyNumber.crisp(1.0),
+    coverage=0.99,
+)
 
 
 def demo_params(coverage=0.9, **overrides):
@@ -260,17 +273,26 @@ class TestCharacteristicBounds:
         assert err.value.point["mu"] == 0.0
 
     def test_batched_kernel_failure_names_its_point(self):
-        # expm leaves the probability simplex only at the mu = 1e9 corner
-        fp = FuzzySystemParams(
-            failure_rate=FuzzyNumber.crisp(1e-6),
-            standby_failure_rate=FuzzyNumber.crisp(1e-7),
-            repair_rate=FuzzyNumber.trapezoidal(1.0, 1.0, 1e9, 1e9),
-            reboot_rate=FuzzyNumber.crisp(1.0),
-            coverage=0.99,
-        )
-        with pytest.raises(KernelEvaluationError, match="probabilities sum") as err:
-            characteristic_bounds(fp, reliability_at_time(1e6), 0.0)
+        # a kernel that fails at the mu = 1e9 corner alone, naming its row
+        def fail_at_fast_repair(rates, t):
+            error = ValidationError("probabilities sum to 1.0053, expected 1")
+            error.row = int(np.flatnonzero(rates[:, 2] == 1e9)[0])
+            raise error
+
+        with mock.patch.object(
+            bounds.markov, "_reliability_values", side_effect=fail_at_fast_repair
+        ):
+            with pytest.raises(KernelEvaluationError, match="probabilities sum") as err:
+                characteristic_bounds(STIFF_REPAIR_BOX, reliability_at_time(1e6), 0.0)
         assert err.value.point == {"lambda": 1e-6, "theta": 1e-7, "mu": 1e9}
+
+    def test_stiff_corner_matches_50_digit_reference(self):
+        # a 6x6 expm left the probability simplex at the mu = 1e9 corner
+        rates, t, expected = STIFF_RELIABILITY[0]
+        res = characteristic_bounds(STIFF_REPAIR_BOX, reliability_at_time(t), 0.0)
+        # repair keeps more time in UP3, whose uncovered exits include theta
+        assert res.argmin == {"lambda": 1e-6, "theta": 1e-7, "mu": 1e9}
+        assert res.bounds.lo == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_standby_coupling_skips_infeasible_corners(self):
         fp = demo_params(
@@ -485,10 +507,30 @@ class TestCertificate:
 
     def test_import_leaves_linalg_unloaded(self):
         assert not loaded_after("scipy.linalg", package="fuzzrel.cli")
-        # only the transient kernels import it, not the availability search
         assert not loaded_after("scipy.linalg", OPEN_AVAILABILITY_BOX)
+        # R(t) values, sensitivities and a curve run on eigh alone; only the
+        # availability transient and rows without repair use expm
         params = "fuzzrel.SystemParams(0.6, 0.2, 4.0, 0.9, 2.0)"
-        assert loaded_after("scipy.linalg", f"fuzzrel.reliability_at({params}, 1.0)")
+        reliability = f"""
+from fuzzrel import markov
+fuzzrel.reliability_at({params}, 1.0)
+markov._reliability_sensitivities(markov._rates({params}), 1.0)
+fuzzrel.membership_curve(
+    fuzzrel.FuzzySystemParams(
+        fuzzrel.FuzzyNumber.trapezoidal(0.5, 0.6, 0.7, 0.8),
+        fuzzrel.FuzzyNumber.trapezoidal(0.1, 0.2, 0.3, 0.4),
+        fuzzrel.FuzzyNumber.trapezoidal(3.0, 4.0, 5.0, 6.0),
+        fuzzrel.FuzzyNumber.trapezoidal(1.5, 2.0, 2.5, 3.0),
+        coverage=0.9,
+    ),
+    fuzzrel.reliability_at_time(10.0),
+    (0.0, 0.5, 1.0),
+)
+"""
+        assert not loaded_after("scipy.linalg", reliability)
+        mode = "fuzzrel.ChainMode.AVAILABILITY"
+        availability = f"fuzzrel.state_probabilities({params}, 1.0, {mode})"
+        assert loaded_after("scipy.linalg", availability)
 
 
 def _box(lo, spread):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fuzzrel.cli import (
     EXIT_PARSE,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
 
@@ -472,3 +474,41 @@ class TestExitCodes:
         cfg = config_path(DEMO_CONFIG)
         out = tmp_path / "t.csv"
         assert main(["alphacut", cfg, "--out", str(out), "--levels", "1"]) == EXIT_PARSE
+
+
+class TestParserCache:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_sequence_match_calls_one_at_a_time(
+        self, config_path, tmp_path, capsys
+    ):
+        cfg = config_path(DEMO_CONFIG)
+        out = tmp_path / "curve.csv"
+        calls = [
+            ["metrics", cfg, "--levels", "3"],
+            ["metrics", cfg, "--full-precision"],
+            ["metrics", cfg],
+            ["curve", cfg, "--out", str(out), "--levels", "3"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            files = [path.read_text() for path in sorted(tmp_path.glob("curve*"))]
+            for path in tmp_path.glob("curve*"):
+                path.unlink()
+            return code, captured.out, captured.err, files
+
+        in_sequence = [run(argv) for argv in calls]
+        one_at_a_time = []
+        for argv in calls:
+            build_parser.cache_clear()
+            one_at_a_time.append(run(argv))
+        assert in_sequence == one_at_a_time
+        assert [result[0] for result in in_sequence] == [EXIT_PARSE] + [EXIT_OK] * 3
+        # the flag of the second call does not carry over to the third
+        numbers = re.findall(r"[=\s](\d+\.\d+)", in_sequence[2][1])
+        assert numbers and all(len(x.split(".")[1]) == 4 for x in numbers)
+        assert any(len(x) > 10 for x in re.findall(r"\d+\.\d+", in_sequence[1][1]))
+        assert len(in_sequence[3][3]) == 2

@@ -1,9 +1,12 @@
 """Crisp chain: generator structure, MTTF, Laplace identities, transients."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from fuzzrel import (
     ChainMode,
@@ -88,6 +91,18 @@ STIFF_AVAILABILITY = [
     ((1.8e8, 1.5e8, 41.4, 0.98, 6.3e-6), 2.2311779902349667395e-7),
     ((5e7, 1e7, 3.0, 0.2, 1e-5), 5.5970153952718119681e-8),
 ]
+
+# Mission reliability of stiff chains, (lambda, theta, mu, c, beta), t and
+# R(t), computed once with mpmath at 50 digits (80 agree) as the row sums
+# of mpmath.expm of the exact up block times t. A 6x6 expm of the whole
+# generator is off by 5.3e-3 on the first and 1.0e-10 on the second.
+STIFF_RELIABILITY = [
+    ((1e-6, 1e-7, 1e9, 0.99, 1.0), 1e6, 0.97921896456945957289),
+    ((0.37, 0.1, 1e7, 0.9, 1.0), 1.0, 0.91943125679021327574),
+]
+
+# the times of the `metrics` report, as multiples of the MTTF
+REPORT_TIMES = (0.0, 0.5, 1.0, 2.0, 5.0)
 
 
 class TestParamsValidation:
@@ -430,11 +445,122 @@ def test_batched_kernels_match_single_rows(kind):
 def test_failing_row_is_named():
     from fuzzrel import markov
 
-    # the second row's expm leaves the probability simplex
-    rates = np.array([[1e-6, 1e-7, 1.0, 0.99, 1.0], [1e-6, 1e-7, 1e9, 0.99, 1.0]])
-    with pytest.raises(ValidationError, match="probabilities sum to") as err:
-        markov._reliability_values(rates, 1e6)
+    # the second row's up block is the nearer to singular
+    rates = np.array([[0.6, 0.2, 4.0, 0.9, 2.0], [1e-6, 1e-7, 1e-6, 0.5, 1.0]])
+    singular = np.linalg.LinAlgError("singular matrix")
+    with mock.patch.object(markov.np.linalg, "solve", side_effect=singular):
+        with pytest.raises(SolverError, match="no finite MTTF") as err:
+            markov._mttf_values(rates)
     assert err.value.row == 1
+
+
+def up_block_reliability(p, t):
+    """1^T expm(B t) from UP3, B the up block of the reference generator."""
+    up = list(UP_STATES)
+    block = reference_generator(p, ChainMode.RELIABILITY)[np.ix_(up, up)]
+    return scipy.linalg.expm(block * t)[0].sum()
+
+
+def pure_death_reliability(lam, th, c, t):
+    """R(t) without repair. UP3, UP2 and UP1 are left at the distinct
+    rates r = (2 lam + th, 2 lam, lam), and covered failures step down the
+    line, so the mass in stage i is the product of the step rates into it
+    times sum_j exp(-r_j t) / prod_{m != j} (r_m - r_j), over j, m <= i."""
+    rates = (2 * lam + th, 2 * lam, lam)
+    steps = (c * rates[0], 2 * c * lam)
+    total, reach = 0.0, 1.0
+    for i in range(3):
+        total += reach * sum(
+            np.exp(-rates[j] * t)
+            / np.prod([rates[m] - rates[j] for m in range(i + 1) if m != j])
+            for j in range(i + 1)
+        )
+        if i < 2:
+            reach *= steps[i]
+    return total
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def models(draw, lo=1e-6, hi=1e9):
+    """SystemParams with lambda, mu and beta log-uniform over [lo, hi],
+    theta a share of lambda and c anywhere in [0, 1]."""
+    lam = draw(log_uniform(lo, hi))
+    return SystemParams(
+        lam,
+        draw(st.floats(0.0, 1.0)) * lam,
+        draw(log_uniform(lo, hi)),
+        draw(st.floats(0.0, 1.0)),
+        draw(log_uniform(lo, hi)),
+    )
+
+
+class TestReliabilityKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(models())
+    def test_report_times_give_a_survival_function(self, p):
+        from fuzzrel import markov
+
+        times = np.array(REPORT_TIMES) * mttf(p)
+        r = markov._reliability_values(markov._rates(p), times)[0]
+        assert r[0] == 1.0
+        assert np.all((0.0 <= r) & (r <= 1.0))
+        assert np.all(np.diff(r) <= 0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(models(1e-2, 1e2), st.sampled_from(REPORT_TIMES[1:]))
+    def test_moderate_rates_match_up_block_expm(self, p, factor):
+        t = factor * mttf(p)
+        assert reliability_at(p, t) == pytest.approx(
+            up_block_reliability(p, t), rel=1e-13, abs=1e-13
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(models(), st.sampled_from(REPORT_TIMES[1:]))
+    def test_zero_coverage_single_exponential(self, p, factor):
+        p = SystemParams(**{**vars(p), "coverage": 0.0})
+        t = factor * mttf(p)
+        a = 2 * p.failure_rate + p.standby_failure_rate
+        assert reliability_at(p, t) == pytest.approx(np.exp(-a * t), rel=1e-13)
+
+    @pytest.mark.parametrize("c", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 8.0])
+    def test_zero_repair_pure_death_closed_form(self, c, t):
+        p = params(lam=0.6, theta=0.2, mu=0.0, c=c)
+        expected = pure_death_reliability(0.6, 0.2, c, t)
+        assert reliability_at(p, t) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("rates, t, expected", STIFF_RELIABILITY)
+    def test_stiff_chains_match_50_digit_reference(self, rates, t, expected):
+        assert reliability_at(SystemParams(*rates), t) == pytest.approx(
+            expected, rel=1e-14, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "mode, mu",
+        [(ChainMode.RELIABILITY, 4.0), (ChainMode.RELIABILITY, 0.0),
+         (ChainMode.AVAILABILITY, 4.0)],
+    )
+    def test_distribution_matches_generator_expm(self, mode, mu):
+        p = params(mu=mu)
+        for t in (0.0, 0.3, 3.0, 30.0):
+            q = reference_generator(p, mode)
+            expected = scipy.linalg.expm(q.T * t)[:, State.UP3]
+            probs = state_probabilities(p, t, mode).p
+            np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=1e-14)
+            assert abs(probs.sum() - 1.0) < 1e-14
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(models(), st.sampled_from(REPORT_TIMES))
+    def test_distribution_of_wide_rates_is_proper(self, p, factor):
+        t = factor * mttf(p)
+        probs = state_probabilities(p, t).p
+        assert probs[list(UP_STATES)].sum() == pytest.approx(
+            reliability_at(p, t), abs=1e-13
+        )
 
 
 class TestSensitivities:
@@ -473,3 +599,37 @@ class TestSensitivities:
                 # reports its partial
                 expected = partials[row, axis] if axis < partials.shape[1] else 0.0
                 assert central == pytest.approx(expected, rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.6, 0.2, 0.0, 0.9, 2.0),
+            (0.6, 0.0, 0.0, 0.5, 2.0),
+            (0.6, 0.2, 4.0, 0.0, 2.0),
+            (1e-6, 1e-7, 1e9, 0.0, 1.0),
+            (1e-6, 1e-7, 1e9, 0.99, 1.0),
+        ],
+        ids=["mu=0", "mu=0,theta=0", "c=0", "c=0,stiff", "stiff"],
+    )
+    def test_reliability_partials_at_the_edges(self, point):
+        from fuzzrel import markov
+
+        t = 1.0 / point[0]
+        values, partials = markov._reliability_sensitivities(np.array([point]), t)
+        base = params(*point)
+        assert values[0] == pytest.approx(reliability_at(base, t), rel=1e-12)
+        fields = ("failure_rate", "standby_failure_rate", "repair_rate")
+        for axis, field in enumerate(fields):
+            x = getattr(base, field)
+            # a rate of zero cannot step down: second-order one-sided, with
+            # a step long enough that rounding stays below its O(h^2) error
+            h = 1e-6 * x or 1e-4 * base.failure_rate
+            if x == 0.0:
+                steps, weights = (0, 1, 2), (-3, 4, -1)
+            else:
+                steps, weights = (-1, 1), (-1, 1)
+            expected = sum(
+                w * reliability_at(SystemParams(**{**vars(base), field: x + k * h}), t)
+                for k, w in zip(steps, weights)
+            ) / (2 * h)
+            assert partials[0, axis] == pytest.approx(expected, rel=1e-4, abs=1e-8)
