@@ -52,15 +52,6 @@ _COLUMN_LETTER = {
 
 _DEFAULT_ALPHAS = tuple(i / 10 for i in range(11))
 
-# (section, key) pairs of retired knobs, still accepted in model files for
-# one release: the former batch-means availability simulator's and the
-# seed of the former randomized bounds search
-_RETIRED_KEYS = (
-    ("simulation", "warmup_fraction"),
-    ("simulation", "batches"),
-    ("solver", "seed"),
-)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -72,6 +63,16 @@ class ModelConfig:
     # still serve every other subcommand
     sim_settings: dict
     reference_bounds: tuple[tuple[float, float, float], ...] | None
+
+
+def _section(raw: dict, name: str, keys: tuple[str, ...]) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"field '{name}' must be an object")
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown field '{name}.{key}'")
+    return section
 
 
 def _as_number(value, field: str) -> float:
@@ -156,9 +157,7 @@ def load_model_config(
         if key not in raw:
             raise ConfigError(f"{path}: missing required field '{key}'")
 
-    solver = raw.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("field 'solver' must be an object")
+    solver = _section(raw, "solver", ("enforce_standby_slower",))
     coupled = solver.get("enforce_standby_slower", False)
     if not isinstance(coupled, bool):
         raise ConfigError(
@@ -182,20 +181,12 @@ def load_model_config(
             raise ConfigError("field 'alphas' must be a list of numbers")
         alphas = tuple(_as_number(a, "alphas") for a in alphas_raw)
 
-    sim_raw = raw.get("simulation", {})
-    if not isinstance(sim_raw, dict):
-        raise ConfigError("field 'simulation' must be an object")
+    sim_raw = _section(raw, "simulation", ("replications", "horizon", "seed"))
     sim_settings = dict(
         replications=_as_int(sim_raw.get("replications"), "simulation.replications", 100_000),
         horizon=_as_number(sim_raw.get("horizon", 100_000.0), "simulation.horizon"),
         seed=_as_int(sim_raw.get("seed"), "simulation.seed", 0),
     )
-    sections = {"simulation": sim_raw, "solver": solver}
-    retired = [f"{s}.{k}" for s, k in _RETIRED_KEYS if k in sections[s]]
-    if retired:
-        print(
-            f"warning: {', '.join(retired)}: no longer used, ignored", file=sys.stderr
-        )
 
     reference = raw.get("reference_bounds")
     ref_rows = None

@@ -121,6 +121,8 @@ class SystemParams:
 # vector (lambda, theta, mu, c, beta), so a generator is one product of
 # the features with a constant basis.
 _LAM, _THETA, _MU, _BETA, _C_LAM, _C_THETA, _U_LAM, _U_THETA = range(8)
+# rate-vector columns of the first four features, which are rates as given
+_RATE_FEATURES = np.array([0, 1, 2, 4])
 
 # (source, target, feature weights); U is the uncovered share 1 - c
 _TRANSITIONS = [
@@ -168,7 +170,7 @@ def _generators(rates: np.ndarray, mode: ChainMode) -> np.ndarray:
     c = rates[..., 3:4]
     pair = rates[..., :2]
     features = np.concatenate(
-        [rates[..., [0, 1, 2, 4]], c * pair, (1.0 - c) * pair], axis=-1
+        [rates.take(_RATE_FEATURES, axis=-1), c * pair, (1.0 - c) * pair], axis=-1
     )
     return (features @ _BASES[mode]).reshape(rates.shape[:-1] + (N_STATES, N_STATES))
 

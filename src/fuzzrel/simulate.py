@@ -8,6 +8,10 @@ Availability samples iid UP3 -> UP3 cycles of the availability chain
 long-run up fraction, total up time over total cycle length, with its
 delta-method standard error. Both are deterministic in the configured
 seed regardless of chunking.
+
+Samples are drawn in chunks, and both estimators keep only running
+sums over them, so memory does not grow with `replications` or
+`horizon`.
 """
 
 from __future__ import annotations
@@ -94,8 +98,7 @@ def _jump_tables(params: SystemParams, mode: ChainMode):
     return exit_rates, cum_probs, targets
 
 
-def _passage(params: SystemParams, mode: ChainMode, stop, n: int,
-             rng: np.random.Generator):
+def _passage(tables, stop, n: int, rng: np.random.Generator):
     """Move n paths from UP3 until each enters a state in `stop`.
 
     Returns each path's length, its time in the up states and its final
@@ -104,9 +107,10 @@ def _passage(params: SystemParams, mode: ChainMode, stop, n: int,
     visited state draws its holding time and its jump, so a path can
     jump several times per sweep. Each jump uses fresh draws, so the
     embedded chain and the holding times keep their exact laws. Paths
-    that reached `stop` are dropped at the end of the sweep.
+    that reached `stop` are dropped at the end of the sweep. tables are
+    the chain's `_jump_tables`.
     """
-    exit_rates, cum_probs, targets = _jump_tables(params, mode)
+    exit_rates, cum_probs, targets = tables
     # UP3 is visited first in a sweep, so a path entering it mid-sweep
     # waits for the next sweep, where it is already dropped
     moving = [
@@ -142,64 +146,84 @@ def _passage(params: SystemParams, mode: ChainMode, stop, n: int,
     )
 
 
+def _ratio_estimate(chunks) -> SimEstimate:
+    """Ratio estimator A = sum U / sum C over chunks of paired samples
+    (U, C), with standard error sqrt(sum (U - A C)^2 / (n (n - 1))) /
+    mean C (zero for a single pair).
+
+    Only running sums are kept. The second moment is centred on the
+    first chunk's ratio A0 (Chan, Golub & LeVeque, Am. Stat. 1983): with
+    e = U - A0 C and d = A - A0,
+    sum (U - A C)^2 = sum e^2 - 2 d sum e C + d^2 sum C^2.
+    The raw form sum U^2 - 2 A sum U C + A^2 sum C^2 would cancel badly
+    when U is close to A C, as it is for availability near 1.
+    """
+    n = 0
+    sum_u = sum_c = sum_ee = sum_ec = sum_cc = 0.0
+    for u, c in chunks:
+        if n == 0:
+            a0 = float(u.sum() / c.sum())
+        e = u - a0 * c
+        n += u.size
+        sum_u += float(u.sum())
+        sum_c += float(c.sum())
+        sum_ee += float(np.sum(e * e))
+        sum_ec += float(np.sum(e * c))
+        sum_cc += float(np.sum(c * c))
+    mean = sum_u / sum_c
+    if n == 1:
+        return SimEstimate(mean=mean, std_error=0.0, replications=1)
+    d = mean - a0
+    sq = max(sum_ee - 2.0 * d * sum_ec + d * d * sum_cc, 0.0)
+    std_error = math.sqrt(sq / (n * (n - 1))) / (sum_c / n)
+    return SimEstimate(mean=mean, std_error=std_error, replications=n)
+
+
 def _first_passage_samples(cfg: SimConfig):
-    """All first-passage samples with their absorbing states."""
+    """First-passage times and absorbing states, one chunk at a time.
+
+    Chunk k holds up to _CHUNK samples drawn from the k-th child of the
+    seed.
+    """
+    tables = _jump_tables(cfg.params, ChainMode.RELIABILITY)
     n = cfg.replications
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    all_times = []
-    all_states = []
-    remaining = n
-    for child in seeds:
-        size = min(_CHUNK, remaining)
+    seeds = np.random.SeedSequence(cfg.seed).spawn((n + _CHUNK - 1) // _CHUNK)
+    for k, child in enumerate(seeds):
+        size = min(_CHUNK, n - k * _CHUNK)
         times, _, states = _passage(
-            cfg.params, ChainMode.RELIABILITY, DOWN_STATES, size,
-            np.random.default_rng(child),
+            tables, DOWN_STATES, size, np.random.default_rng(child)
         )
-        all_times.append(times)
-        all_states.append(states)
-        remaining -= size
-    return np.concatenate(all_times), np.concatenate(all_states)
+        yield times, states
 
 
 def simulate_mttf(cfg: SimConfig) -> SimEstimate:
     """Sample mean of the time to first system failure."""
-    times, _ = _first_passage_samples(cfg)
-    n = cfg.replications
-    # fsum keeps the aggregate independent of chunk boundaries
-    total = math.fsum(times)
-    mean = total / n
-    if n == 1:
-        return SimEstimate(mean=mean, std_error=0.0, replications=1)
-    sq = math.fsum((times - mean) ** 2)
-    std_error = math.sqrt(sq / (n - 1) / n)
-    return SimEstimate(mean=mean, std_error=std_error, replications=n)
+    return _ratio_estimate(
+        (times, np.ones(times.size)) for times, _ in _first_passage_samples(cfg)
+    )
 
 
 def _regeneration_cycles(cfg: SimConfig):
     """Lengths and up times of the first UP3 -> UP3 cycles whose total
-    length reaches the horizon.
+    length reaches the horizon, one chunk at a time.
 
     Cycles are drawn in chunks from successive children of the seed;
     chunks start small and double up to _CHUNK, so a model with very
     long cycles draws few of them.
     """
+    tables = _jump_tables(cfg.params, ChainMode.AVAILABILITY)
     seeds = np.random.SeedSequence(cfg.seed)
-    chunks = []
     elapsed = 0.0
     size = _FIRST_CYCLE_CHUNK
     while elapsed < cfg.horizon:
         rng = np.random.default_rng(seeds.spawn(1)[0])
-        length, up, _ = _passage(
-            cfg.params, ChainMode.AVAILABILITY, (State.UP3,), size, rng
-        )
+        length, up, _ = _passage(tables, (State.UP3,), size, rng)
         ends = elapsed + np.cumsum(length)
         # up to and including the cycle that reaches the horizon
         keep = int(np.searchsorted(ends, cfg.horizon)) + 1
-        chunks.append((length[:keep], up[:keep]))
+        yield length[:keep], up[:keep]
         elapsed = ends[-1]
         size = min(2 * size, _CHUNK)
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 def simulate_availability(cfg: SimConfig) -> SimEstimate:
@@ -211,12 +235,6 @@ def simulate_availability(cfg: SimConfig) -> SimEstimate:
     (zero for a single cycle). replications in the estimate is the cycle
     count n.
     """
-    lengths, up_times = _regeneration_cycles(cfg)
-    n = lengths.size
-    total = math.fsum(lengths)
-    mean = math.fsum(up_times) / total
-    if n == 1:
-        return SimEstimate(mean=mean, std_error=0.0, replications=1)
-    sq = math.fsum((up_times - mean * lengths) ** 2)
-    std_error = math.sqrt(sq / (n * (n - 1))) / (total / n)
-    return SimEstimate(mean=mean, std_error=std_error, replications=n)
+    return _ratio_estimate(
+        (up, length) for length, up in _regeneration_cycles(cfg)
+    )

@@ -192,23 +192,6 @@ class TestCurve:
             assert z == pytest.approx(4.5, abs=5e-5)
             assert grade == 1.0
 
-    def test_retired_solver_seed_warns_and_is_ignored(
-        self, config_path, tmp_path, capsys
-    ):
-        model = {**DEMO_CONFIG, "metric": "availability"}
-        plain = config_path(model, name="plain.json")
-        seeded = config_path({**model, "solver": {"seed": 7}}, name="seeded.json")
-        assert main(["curve", plain, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
-        assert capsys.readouterr().err == ""
-        assert main(["curve", seeded, "--out", str(tmp_path / "b.csv")]) == EXIT_OK
-        warnings = capsys.readouterr().err.strip().splitlines()
-        assert len(warnings) == 1
-        assert warnings[0].startswith("warning: solver.seed")
-        assert "ignored" in warnings[0]
-        for name in ("{}.csv", "{}_membership.csv"):
-            a = (tmp_path / name.format("a")).read_bytes()
-            assert a == (tmp_path / name.format("b")).read_bytes()
-
 
 class TestInvert:
     def test_management_target(self, config_path, capsys):
@@ -263,27 +246,6 @@ class TestSimulate:
         assert line[0] == "availability"
         mean, se = float(line[1]), float(line[2])
         assert abs(mean - 0.932305) <= 3.0 * se + 1e-4
-
-    def test_retired_batch_keys_warn_and_are_ignored(self, config_path, capsys):
-        sim = {"horizon": 20000.0, "seed": 3}
-        model = {"lambda": 0.6, "theta": 0.2, "mu": 4.0, "beta": 2.0, "c": 0.9,
-                 "metric": "availability"}
-        plain = config_path({**model, "simulation": sim}, name="plain.json")
-        retired = config_path(
-            {**model, "simulation": {**sim, "warmup_fraction": 0.5, "batches": 1}},
-            name="retired.json",
-        )
-        assert main(["simulate", plain]) == EXIT_OK
-        want = capsys.readouterr().out
-        assert main(["simulate", retired]) == EXIT_OK
-        captured = capsys.readouterr()
-        assert captured.out == want
-        warnings = captured.err.strip().splitlines()
-        assert len(warnings) == 1
-        assert warnings[0].startswith("warning: ")
-        assert "simulation.warmup_fraction" in warnings[0]
-        assert "simulation.batches" in warnings[0]
-        assert "ignored" in warnings[0]
 
     def test_reps_and_seed_overrides_deterministic(self, config_path, tmp_path):
         cfg = config_path({**DEMO_CONFIG, "metric": "mtbf"})
@@ -447,6 +409,19 @@ class TestExitCodes:
         cfg = config_path({**DEMO_CONFIG, "solver": solver})
         assert main(["metrics", cfg]) == EXIT_PARSE
         assert "'solver.enforce_standby_slower'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("simulation", "warmup_fraction"), ("simulation", "batches"),
+         ("solver", "seed")],
+        ids=["simulation.warmup_fraction", "simulation.batches", "solver.seed"],
+    )
+    def test_retired_key_is_parse_error_naming_it(
+        self, config_path, capsys, section, key
+    ):
+        cfg = config_path({**DEMO_CONFIG, section: {key: 1}})
+        assert main(["metrics", cfg]) == EXIT_PARSE
+        assert f"'{section}.{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -72,11 +72,14 @@ def closed_form_mttf(lam, th, mu, c):
 
     Eliminating m1 and m2 gives m3 = (D + a c N) / (a (D - c mu (mu + lam)))
     with D = (mu + 2 lam)(mu + lam) - 2 c lam mu and N = mu + lam + 2 c lam.
+    Expanded, D = mu^2 + (3 - 2c) lam mu + 2 lam^2 and
+    D - c mu (mu + lam) = (1 - c) mu (mu + 3 lam) + 2 lam^2: sums of
+    nonnegative terms, so the value is accurate at any rates.
     """
     a = 2 * lam + th
-    d = (mu + 2 * lam) * (mu + lam) - 2 * c * lam * mu
+    d = mu * mu + (3 - 2 * c) * lam * mu + 2 * lam * lam
     n = mu + lam + 2 * c * lam
-    return (d + a * c * n) / (a * (d - c * mu * (mu + lam)))
+    return (d + a * c * n) / (a * ((1 - c) * mu * (mu + 3 * lam) + 2 * lam * lam))
 
 
 # repair seven orders of magnitude faster than failure
@@ -103,6 +106,24 @@ STIFF_RELIABILITY = [
 
 # the times of the `metrics` report, as multiples of the MTTF
 REPORT_TIMES = (0.0, 0.5, 1.0, 2.0, 5.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def models(draw, lo=1e-6, hi=1e9):
+    """SystemParams with lambda, mu and beta log-uniform over [lo, hi],
+    theta a share of lambda and c anywhere in [0, 1]."""
+    lam = draw(log_uniform(lo, hi))
+    return SystemParams(
+        lam,
+        draw(st.floats(0.0, 1.0)) * lam,
+        draw(log_uniform(lo, hi)),
+        draw(st.floats(0.0, 1.0)),
+        draw(log_uniform(lo, hi)),
+    )
 
 
 class TestParamsValidation:
@@ -220,6 +241,26 @@ class TestMttf:
     def test_stiff_chain_matches_closed_form(self):
         assert mttf(STIFF) == pytest.approx(
             closed_form_mttf(0.37, 0.1, 1e7, 0.9), rel=1e-9
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(models())
+    def test_wide_rates_match_closed_form(self, p):
+        assert mttf(p) == pytest.approx(
+            closed_form_mttf(p.failure_rate, p.standby_failure_rate,
+                             p.repair_rate, p.coverage),
+            rel=1e-9, abs=0.0,
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at c = 1 the up block's rows sum to 0 but the last, so its "
+        "LU solve is off by (mu / lam)^2 eps",
+    )
+    def test_full_coverage_fast_repair_matches_closed_form(self):
+        p = params(lam=1e-6, theta=0.0, mu=1e9, c=1.0)
+        assert mttf(p) == pytest.approx(
+            closed_form_mttf(1e-6, 0.0, 1e9, 1.0), rel=1e-9
         )
 
     def test_agrees_with_expected_absorption_time_by_quadrature(self):
@@ -393,6 +434,38 @@ class TestSteadyAvailability:
         ]
         assert a_b[0] < a_b[1] < a_b[2]
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(models(), st.sampled_from(["reboot_rate", "failure_rate"]),
+           log_uniform(1.0, 1e3))
+    def test_monotone_in_reboot_and_failure_rates(self, p, rate, factor):
+        # faster reboots cannot lower A, more failures cannot raise it
+        grown = SystemParams(**{**vars(p), rate: getattr(p, rate) * factor})
+        change = steady_availability(grown) - steady_availability(p)
+        if rate == "failure_rate":
+            assert change <= 1e-12
+        else:
+            assert change >= -1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(models(), log_uniform(1.0, 1e3))
+    def test_full_coverage_monotone_in_repair_rate(self, p, factor):
+        p = SystemParams(**{**vars(p), "coverage": 1.0})
+        grown = SystemParams(**{**vars(p), "repair_rate": p.repair_rate * factor})
+        assert steady_availability(grown) - steady_availability(p) >= -1e-12
+
+    def test_partial_coverage_not_monotone_in_repair_rate(self):
+        # UP1 fails only into EXHAUSTED, which repair leaves quickly, while
+        # uncovered failures from UP3 and UP2 wait for a reboot. Faster
+        # repair trades time in UP1 for time in UP3, and as mu grows A
+        # falls to beta / (beta + (1 - c)(2 lam + theta)) = 0.5 here.
+        a = [
+            steady_availability(params(lam=1.0, theta=0.0, mu=mu, c=0.5, beta=1.0))
+            for mu in (1.0, 3.0, 10.0, 1e3)
+        ]
+        assert a[0] < a[1] > a[2] > a[3]
+        assert a[0] == pytest.approx(0.5, rel=1e-12)
+        assert a[3] == pytest.approx(0.5, rel=1e-5)
+
     def test_rejects_zero_repair_rate(self):
         with pytest.raises(ValidationError):
             steady_availability(params(mu=0.0))
@@ -478,24 +551,6 @@ def pure_death_reliability(lam, th, c, t):
         if i < 2:
             reach *= steps[i]
     return total
-
-
-def log_uniform(lo, hi):
-    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: 10.0**x)
-
-
-@st.composite
-def models(draw, lo=1e-6, hi=1e9):
-    """SystemParams with lambda, mu and beta log-uniform over [lo, hi],
-    theta a share of lambda and c anywhere in [0, 1]."""
-    lam = draw(log_uniform(lo, hi))
-    return SystemParams(
-        lam,
-        draw(st.floats(0.0, 1.0)) * lam,
-        draw(log_uniform(lo, hi)),
-        draw(st.floats(0.0, 1.0)),
-        draw(log_uniform(lo, hi)),
-    )
 
 
 class TestReliabilityKernel:
