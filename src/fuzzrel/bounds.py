@@ -44,7 +44,6 @@ PARAM_MU = "mu"
 PARAM_BETA = "beta"
 PARAMETER_NAMES = (PARAM_LAMBDA, PARAM_THETA, PARAM_MU, PARAM_BETA)
 
-_DEGENERATE_WIDTH = 1e-15
 # a partial counts as zero when it moves the metric across the box by less
 # than this fraction of the metric
 _ZERO_CHANGE = 1e-12
@@ -255,28 +254,16 @@ def _point(names: Sequence[str], row: np.ndarray) -> dict[str, float]:
     return {n: float(x) for n, x in zip(names, row)}
 
 
-def _point_error(
-    metric: Metric, names: Sequence[str], row: np.ndarray, exc: Exception
-) -> KernelEvaluationError:
-    point = _point(names, row)
-    return KernelEvaluationError(
-        f"{metric.describe()} failed at {point}: {exc}", point=point
-    )
-
-
 def _box_values(
-    fp: FuzzySystemParams, metric: Metric, names: Sequence[str], points: np.ndarray
+    fp: FuzzySystemParams, metric: Metric, points: np.ndarray
 ) -> np.ndarray:
     """The metric at stacked points of a valid box, in one kernel call."""
     rates = _rate_vectors(fp, points)
-    try:
-        if metric.kind == "mtbf":
-            return markov._mttf_values(rates)
-        if metric.kind == "availability":
-            return markov._availability_values(rates)
-        return markov._reliability_values(rates, metric.t)
-    except (ValidationError, SolverError) as exc:
-        raise _point_error(metric, names, points[exc.row], exc) from exc
+    if metric.kind == "mtbf":
+        return markov._mttf_values(rates)
+    if metric.kind == "availability":
+        return markov._availability_values(rates)
+    return markov._reliability_values(rates, metric.t)
 
 
 def _cut_by_standby(fp: FuzzySystemParams, box: dict[str, Interval]) -> bool:
@@ -286,9 +273,7 @@ def _cut_by_standby(fp: FuzzySystemParams, box: dict[str, Interval]) -> bool:
 
 def _axis_values(box: dict[str, Interval], per_axis: int) -> list[np.ndarray]:
     return [
-        np.linspace(iv.lo, iv.hi, per_axis)
-        if iv.width > _DEGENERATE_WIDTH
-        else np.array([iv.lo])
+        np.linspace(iv.lo, iv.hi, per_axis) if iv.lo < iv.hi else np.array([iv.lo])
         for iv in box.values()
     ]
 
@@ -434,7 +419,7 @@ def _extreme(
             half,
             half_coupled,
             points,
-            _box_values(fp, metric, names, points),
+            _box_values(fp, metric, points),
             _axis_signs(fp, metric, half, half_coupled),
             sign,
         )
@@ -476,8 +461,11 @@ def _scan(
         try:
             markov._rates(SystemParams(*rates), mode)
         except ValidationError as exc:
-            raise _point_error(metric, names, row, exc) from exc
-    return box, coupled, points, _box_values(fp, metric, names, points)
+            point = _point(names, row)
+            raise KernelEvaluationError(
+                f"{metric.describe()} failed at {point}: {exc}", point=point
+            ) from exc
+    return box, coupled, points, _box_values(fp, metric, points)
 
 
 def characteristic_bounds(

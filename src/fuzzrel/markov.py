@@ -22,13 +22,17 @@ quantities (MTTF, reliability). Availability mode adds the recovery
 paths (reboot from the unsafe states, repair out of exhaustion) and has
 no absorbing state, which is the right object for long-run analysis.
 
-Each metric has one kernel over stacked raw rate rows (N, 5): a solve on
-the up block for MTTF, Grassmann-Taksar-Heyman state reduction for the
-stationary law, and for R(t) one eigendecomposition of the symmetrized
-up block per row, which serves every mission time and the partials.
-Transients of the availability chain, and the rare reliability rows
-without repair, use a matrix exponential. The public functions pass the
-one row of a validated SystemParams; the bounds search passes all
+Each metric has one kernel over stacked raw rate rows (N, 5). Every down
+state returns to the up state it left, so the transitions pair up along a
+tree rooted at UP3 and the availability chain is reversible: its
+stationary law follows from detailed balance, and the MTTF from first-step
+analysis of the up block, both as closed forms made only of sums,
+products and quotients of nonnegative terms. Their partials come from the
+same formulas by complex step. R(t) takes one eigendecomposition of the
+symmetrized up block per row, which serves every mission time and the
+partials. Transients of the availability chain, and the rare reliability
+rows without repair, use a matrix exponential. The public functions pass
+the one row of a validated SystemParams; the bounds search passes all
 points of a box in one call.
 """
 
@@ -121,7 +125,8 @@ class SystemParams:
 # vector (lambda, theta, mu, c, beta), so a generator is one product of
 # the features with a constant basis.
 _LAM, _THETA, _MU, _BETA, _C_LAM, _C_THETA, _U_LAM, _U_THETA = range(8)
-# rate-vector columns of the first four features, which are rates as given
+# rate-vector columns of the first four features, which are rates as given:
+# lambda, theta, mu and beta
 _RATE_FEATURES = np.array([0, 1, 2, 4])
 
 # (source, target, feature weights); U is the uncovered share 1 - c
@@ -244,13 +249,11 @@ def _check_distributions(p: np.ndarray) -> None:
     outside = ((p < -1e-12) | (p > 1.0 + 1e-12)).any(axis=1)
     bad = np.flatnonzero(outside | (abs(total - 1.0) > 1e-10))
     if len(bad):
-        error = ValidationError(
+        raise ValidationError(
             "probabilities must lie in [0, 1]"
             if outside[bad[0]]
             else f"probabilities sum to {total[bad[0]]}, expected 1"
         )
-        error.row = bad[0]
-        raise error
 
 
 def _initial() -> np.ndarray:
@@ -344,28 +347,40 @@ def failure_density_laplace(params: SystemParams, s: float) -> float:
 # -- kernels ------------------------------------------------------------------
 #
 # Rate rows must come from validated SystemParams or from inside a box
-# whose vertices were. A row that fails raises an error whose `row`
-# attribute names it.
+# whose vertices were. The closed forms also take complex rows, for
+# _complex_step.
 
 
 def _mttf_values(rates: np.ndarray) -> np.ndarray:
-    """MTTF from UP3 at each rate row: Q_T m = -1 on the up block."""
-    block = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP]
-    try:
-        m = np.linalg.solve(block, -np.ones(block.shape[:2] + (1,)))
-    except np.linalg.LinAlgError as exc:
-        error = SolverError("transient block singular, no finite MTTF")
-        error.row = np.argmin(np.abs(np.linalg.det(block)))
-        raise error from exc
-    return m[:, 0, 0]
+    """MTTF from UP3 at each rate row, by first-step analysis.
+
+    With a = 2 lambda + theta, the mean times to failure m3, m2 and m1
+    from UP3, UP2 and UP1 satisfy
+
+        m3 = 1/a + c m2
+        (mu + 2 lambda) m2 = 1 + mu m3 + 2 c lambda m1
+        (mu + lambda) m1 = 1 + mu m2
+
+    and eliminating m2 and m1 gives
+    m3 = (D + a c N) / (a ((1 - c) mu (mu + 3 lambda) + 2 lambda^2)), with
+    D = mu^2 + (3 - 2c) lambda mu + 2 lambda^2 and N = mu + lambda +
+    2 c lambda. Every term is nonnegative, so the value keeps full relative
+    precision at any rates. An LU solve of the up block does not: at
+    c = 1 all its rows but the last sum to zero, and it loses about
+    (mu / lambda)^2 eps.
+    """
+    lam, theta, mu, c = rates.T[:4]
+    a = 2.0 * lam + theta
+    d = mu * mu + (3.0 - 2.0 * c) * lam * mu + 2.0 * lam * lam
+    n = mu + lam + 2.0 * c * lam
+    return (d + a * c * n) / (
+        a * ((1.0 - c) * mu * (mu + 3.0 * lam) + 2.0 * lam * lam)
+    )
 
 
 def mttf(params: SystemParams) -> float:
-    """Mean time to first system failure starting from UP3.
-
-    Solves Q_T m = -1 on the transient (up-state) block of the
-    reliability generator; m[UP3] is the expected absorption time.
-    """
+    """Mean time to first system failure starting from UP3, the expected
+    absorption time of the reliability chain (_mttf_values)."""
     return float(_mttf_values(_rates(params))[0])
 
 
@@ -386,7 +401,8 @@ def _transient(q: np.ndarray, t: float) -> np.ndarray:
 # the 3x3 up block B alone: P_up(t) = e_UP3^T expm(B t). B is a birth-death
 # generator, UP3 <-> UP2 <-> UP1, so the diagonal D with d_0 = 1 and
 # d_{i+1} = d_i sqrt(B[i, i+1] / B[i+1, i]) makes S = D B D^-1 symmetric,
-# with off-diagonals sqrt(B[i, i+1] B[i+1, i]) (Keilson 1979). Then
+# with off-diagonals sqrt(B[i, i+1] B[i+1, i]) (Keilson 1979). The d_i^2
+# are the up states' detailed-balance masses, from _stationary. Then
 # S = V diag(w) V^T from numpy.linalg.eigh, with real w < 0, and
 # expm(B t) = D^-1 V diag(exp(w t)) V^T D.
 
@@ -398,9 +414,8 @@ class _UpEigen(NamedTuple):
     eigenvectors (N, 3, 3) of S, and d the symmetrizer (N, 3). u = V^T
     D^-1 e_UP3 and v = V^T D 1, so that R(t) = sum_k u_k exp(w_k t) v_k.
     c = 0 makes d_1 = d_2 = 0 and S diagonal, and needs nothing else. ok
-    marks the rows whose d is finite; mu = 0, or B[0, 1] / B[1, 0]
-    overflowing, leaves B without a symmetrizer, and those rows go to
-    _up_block_expm.
+    marks the rows whose d is finite; mu = 0, or an up mass overflowing,
+    leaves B without a symmetrizer, and those rows go to _up_block_expm.
     """
 
     b: np.ndarray
@@ -415,15 +430,13 @@ class _UpEigen(NamedTuple):
 
 def _up_eigen(rates: np.ndarray) -> _UpEigen:
     b = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP]
-    upper, lower = np.diagonal(b, 1, 1, 2), np.diagonal(b, -1, 1, 2)
-    d = np.ones((len(b), len(UP_STATES)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[:, 1:] = np.sqrt(upper / lower)
-    d[:, 2] *= d[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.sqrt(_stationary(rates)[:, _UP])
     ok = np.isfinite(d).all(axis=1)
     d[~ok] = 0.0
     # split so that the product cannot overflow; one value fills both
     # sides, so S is exactly symmetric; mu = 0 leaves S diagonal
+    upper, lower = np.diagonal(b, 1, 1, 2), np.diagonal(b, -1, 1, 2)
     off = np.sqrt(upper) * np.sqrt(lower)
     s = b.copy()
     s[:, 0, 1] = s[:, 1, 0] = off[:, 0]
@@ -450,9 +463,7 @@ def _up_block_expm(rates: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]
 
     n_up = len(UP_STATES)
     a = np.swapaxes(_generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP], -1, -2)
-    d_a = np.swapaxes(
-        _rate_directions(rates, ChainMode.RELIABILITY)[:, :, _UP, _UP], -1, -2
-    )
+    d_a = np.swapaxes(_rate_directions(rates), -1, -2)
     n, k = d_a.shape[:2]
     big = np.zeros((n, k, 2 * n_up, 2 * n_up))
     big[:, :, :n_up, :n_up] = a[:, None] * t
@@ -532,34 +543,45 @@ def reliability_at(params: SystemParams, t: float) -> float:
     return float(_reliability_values(_rates(params), _time(t))[0])
 
 
-def _stationary(q: np.ndarray) -> np.ndarray:
-    """Stationary vectors of stacked availability generators, scaled so
-    that UP3 has mass 1.
+def _stationary(rates: np.ndarray) -> np.ndarray:
+    """Stationary masses of the availability chain at each rate row,
+    (N, 6) in State order, scaled so that UP3 has mass 1.
 
-    Grassmann-Taksar-Heyman state reduction (Oper. Res. 33, 1985): the
-    states are censored out from the last down to UP2, each pivot being
-    the rate from the state removed to those left. Every valid chain
-    keeps that rate positive (beta leads out of the unsafe states, mu out
-    of the others), and no step subtracts, so back-substitution gives
-    every state's mass to full relative precision, however small, and an
-    exact zero to a state that UP3 cannot reach (c = 0 or c = 1).
+    Each transition has one partner that undoes it: UP2 and UNSAFE1 return
+    to UP3, UP1 and UNSAFE2 to UP2, EXHAUSTED to UP1. These five pairs form
+    a tree rooted at UP3, and a chain whose transition graph is a tree is
+    reversible (Kelly, Reversibility and Stochastic Networks, 1979, sec.
+    1.5). So every pair balances on its own, pi_i q_ij = pi_j q_ji, and
+    each mass is its parent's times the rate out over the rate back, with
+    a = 2 lambda + theta:
+
+        UP2 = c a / mu              UNSAFE1 = (1 - c) a / beta
+        UP1 = UP2 2 c lambda / mu   UNSAFE2 = UP2 2 (1 - c) lambda / beta
+        EXHAUSTED = UP1 lambda / mu
+
+    Only products and quotients of nonnegative terms enter, so every mass
+    keeps full relative precision however small, and a state that UP3
+    cannot reach gets an exact zero: UP2, UP1 and EXHAUSTED at c = 0, the
+    unsafe states at c = 1. The masses that divide by mu are not finite
+    when mu = 0; availability requires mu > 0, and _up_eigen takes such
+    rows to have no symmetrizer.
     """
-    # a[j, i] = q[i, j] with the batch trailing, so that the rates into
-    # each state form one contiguous block; diagonal entries are never read
-    a = q.transpose(2, 1, 0).copy()
-    for k in range(N_STATES - 1, 0, -1):
-        a[k, :k] /= a[:k, k].sum(axis=0)
-        a[:k, :k] += a[:k, k, None] * a[k, :k]
-    x = np.ones((N_STATES, len(q)))
-    for k in range(1, N_STATES):
-        x[k] = (x[:k] * a[k, :k]).sum(axis=0)
-    return x.T
+    lam, theta, mu, c, beta = rates.T
+    a = 2.0 * lam + theta
+    x = np.empty((len(rates), N_STATES), dtype=rates.dtype)
+    x[:, State.UP3] = 1.0
+    x[:, State.UP2] = c * a / mu
+    x[:, State.UP1] = x[:, State.UP2] * 2.0 * c * lam / mu
+    x[:, State.EXHAUSTED] = x[:, State.UP1] * lam / mu
+    x[:, State.UNSAFE1] = (1.0 - c) * a / beta
+    x[:, State.UNSAFE2] = x[:, State.UP2] * 2.0 * (1.0 - c) * lam / beta
+    return x
 
 
 def _availability_values(rates: np.ndarray) -> np.ndarray:
     """Steady availability at each rate row, as up / (up + down) mass so
     that it never rounds above 1."""
-    x = _stationary(_generators(rates, ChainMode.AVAILABILITY))
+    x = _stationary(rates)
     up = x[:, _UP].sum(axis=1)
     return up / (up + x[:, _DOWN].sum(axis=1))
 
@@ -570,8 +592,7 @@ def stationary_distribution(params: SystemParams) -> np.ndarray:
     Degenerate coverage values (c = 0 or c = 1) leave part of the state
     space unreachable from UP3; those states get exactly zero.
     """
-    mode = ChainMode.AVAILABILITY
-    x = _stationary(_generators(_rates(params, mode), mode))[0]
+    x = _stationary(_rates(params, ChainMode.AVAILABILITY))[0]
     return x / x.sum()
 
 
@@ -585,52 +606,54 @@ def steady_availability(params: SystemParams) -> float:
 # Partial derivatives of each metric with respect to lambda, theta, mu and,
 # for availability, beta, at stacked rate vectors (Blake, Reibman & Trivedi,
 # SIGMETRICS 1988). Each returns (values, partials) with shapes (N,) and
-# (N, k), k = 3 in reliability mode and 4 in availability mode, in that
-# rate order.
+# (N, k), k = 3 for MTTF and R(t) and 4 for availability, in that rate
+# order.
+
+# A step so small that the O(h^2) terms vanish next to any value, while h
+# times a partial stays far above underflow for rates in 1e-6..1e9.
+_STEP = 1e-100
 
 
-def _rate_directions(rates: np.ndarray, mode: ChainMode) -> np.ndarray:
-    """dQ/dp at each rate vector, shape (N, k, 6, 6).
+def _complex_step(
+    values_of, rates: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """values_of at each rate row and its partials by the first k rates.
 
-    For a fixed c the generator is linear in the four rates, so each
-    derivative is the generator assembled with that rate at 1 and the
-    others at 0. beta enters only the availability chain.
+    Complex step (Squire & Trapp, SIAM Rev. 40, 1998): f(x + i h e_p) =
+    f(x) + i h df/dx_p + O(h^2), so imag / h is the partial with no
+    difference taken. values_of runs once, on every row stepped in each
+    rate. Its closed forms use only sums, products and quotients of
+    nonnegative terms, so values and partials keep full relative precision.
     """
-    k = 4 if mode is ChainMode.AVAILABILITY else 3
-    units = np.zeros((len(rates), k, 5))
-    # lambda, theta, mu and beta sit in columns 0, 1, 2 and 4; c in 3
-    units[:, range(k), [0, 1, 2, 4][:k]] = 1.0
+    stepped = np.repeat(rates[:, None, :].astype(complex), k, axis=1)
+    stepped[:, range(k), _RATE_FEATURES[:k]] += 1j * _STEP
+    f = values_of(stepped.reshape(-1, rates.shape[1])).reshape(len(rates), k)
+    return f[:, 0].real, f.imag / _STEP
+
+
+def _rate_directions(rates: np.ndarray) -> np.ndarray:
+    """dB/dp of the reliability chain's up block B at each rate vector,
+    shape (N, 3, 3, 3), for p = lambda, theta and mu.
+
+    For a fixed c the generator is linear in the rates, so each derivative
+    is the generator assembled with that rate at 1 and the others at 0.
+    """
+    # lambda, theta and mu sit in columns 0, 1 and 2; c in 3
+    units = np.zeros((len(rates), 3, 5))
+    units[:, range(3), range(3)] = 1.0
     units[:, :, 3] = rates[:, None, 3]
-    return _generators(units, mode)
+    return _generators(units, ChainMode.RELIABILITY)[:, :, _UP, _UP]
 
 
 def _mttf_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dm/dp = -Q_T^-1 (dQ_T/dp) m on the up-state block."""
-    block = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP]
-    d_block = _rate_directions(rates, ChainMode.RELIABILITY)[:, :, _UP, _UP]
-    m = np.linalg.solve(block, -np.ones(block.shape[:2] + (1,)))[..., 0]
-    dm = np.linalg.solve(block, -np.einsum("npij,nj->nip", d_block, m))
-    return m[:, 0], dm[:, 0, :]
+    """MTTF and its partials, by complex step of _mttf_values."""
+    return _complex_step(_mttf_values, rates, 3)
 
 
 def _availability_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pi from _stationary, then dpi Q = -pi dQ with sum(dpi) = 0, summed
-    over the up states.
-
-    Every valid availability chain has a single recurrent class, so one
-    balance equation can give way to the normalization on the whole state
-    space, reachable from UP3 or not.
-    """
-    q = _generators(rates, ChainMode.AVAILABILITY)
-    dq = _rate_directions(rates, ChainMode.AVAILABILITY)
-    x = _stationary(q)
-    pi = x / x.sum(axis=1, keepdims=True)
-    lhs = np.swapaxes(q, -1, -2).copy()
-    lhs[:, -1, :] = 1.0
-    d_rhs = -np.einsum("npji,nj->nip", dq, pi)
-    d_rhs[:, -1, :] = 0.0
-    d_pi = np.linalg.solve(lhs, d_rhs)
-    return pi[:, _UP].sum(axis=1), d_pi[:, _UP, :].sum(axis=1)
+    """Steady availability and its partials, by complex step of
+    _availability_values."""
+    return _complex_step(_availability_values, rates, 4)
 
 
 def _reliability_sensitivities(
@@ -646,7 +669,7 @@ def _reliability_sensitivities(
     S off the diagonal. Rows without a symmetrizer use _up_block_expm.
     """
     eig = _up_eigen(rates)
-    e = _rate_directions(rates, ChainMode.RELIABILITY)[:, :, _UP, _UP]
+    e = _rate_directions(rates)
     b = eig.b[:, None]
     m = np.divide(e, b, out=np.zeros_like(e), where=b != 0.0) * eig.s[:, None]
     x = eig.w * t

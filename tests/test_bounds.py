@@ -72,6 +72,20 @@ STIFF_REPAIR_BOX = FuzzySystemParams(
 )
 
 
+# lambda's cut is 9e-16 wide
+NARROW_LAMBDA_BOX = FuzzySystemParams(
+    failure_rate=FuzzyNumber.trapezoidal(1e-9, 1e-9, 1.0000009e-9, 1.0000009e-9),
+    standby_failure_rate=FuzzyNumber.crisp(0.0),
+    repair_rate=FuzzyNumber.crisp(1e-3),
+    reboot_rate=FuzzyNumber.crisp(1.0),
+    coverage=0.5,
+)
+
+# MTTF at the two ends of NARROW_LAMBDA_BOX's lambda cut, computed once with
+# mpmath at 50 digits by mpmath.lu_solve of the 3x3 first-step system
+NARROW_LAMBDA_MTBF = (999999100.00081006369, 999999999.99999993772)
+
+
 def demo_params(coverage=0.9, **overrides):
     kwargs = dict(
         failure_rate=FuzzyNumber.trapezoidal(0.5, 0.6, 0.7, 0.8),
@@ -272,20 +286,6 @@ class TestCharacteristicBounds:
             characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
         assert err.value.point["mu"] == 0.0
 
-    def test_batched_kernel_failure_names_its_point(self):
-        # a kernel that fails at the mu = 1e9 corner alone, naming its row
-        def fail_at_fast_repair(rates, t):
-            error = ValidationError("probabilities sum to 1.0053, expected 1")
-            error.row = int(np.flatnonzero(rates[:, 2] == 1e9)[0])
-            raise error
-
-        with mock.patch.object(
-            bounds.markov, "_reliability_values", side_effect=fail_at_fast_repair
-        ):
-            with pytest.raises(KernelEvaluationError, match="probabilities sum") as err:
-                characteristic_bounds(STIFF_REPAIR_BOX, reliability_at_time(1e6), 0.0)
-        assert err.value.point == {"lambda": 1e-6, "theta": 1e-7, "mu": 1e9}
-
     def test_stiff_corner_matches_50_digit_reference(self):
         # a 6x6 expm left the probability simplex at the mu = 1e9 corner
         rates, t, expected = STIFF_RELIABILITY[0]
@@ -293,6 +293,17 @@ class TestCharacteristicBounds:
         # repair keeps more time in UP3, whose uncovered exits include theta
         assert res.argmin == {"lambda": 1e-6, "theta": 1e-7, "mu": 1e9}
         assert res.bounds.lo == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_narrow_axis_is_pinned_at_either_end(self):
+        # more failures shorten the MTBF, so its minimum sits at the top of
+        # the narrow lambda cut
+        res = characteristic_bounds(NARROW_LAMBDA_BOX, MTBF, 0.0)
+        assert res.argmin["lambda"] == 1.0000009e-9
+        assert res.argmax["lambda"] == 1e-9
+        ends = [SystemParams(lam, 0.0, 1e-3, 0.5, 1.0) for lam in (1.0000009e-9, 1e-9)]
+        assert (res.bounds.lo, res.bounds.hi) == tuple(mttf(p) for p in ends)
+        assert res.bounds.lo == pytest.approx(NARROW_LAMBDA_MTBF[0], rel=1e-14)
+        assert res.bounds.hi == pytest.approx(NARROW_LAMBDA_MTBF[1], rel=1e-14)
 
     def test_standby_coupling_skips_infeasible_corners(self):
         fp = demo_params(

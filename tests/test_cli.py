@@ -16,7 +16,8 @@ from fuzzrel.cli import (
     main,
 )
 
-from test_bounds import REFERENCE_MTBF_BOUNDS
+from test_bounds import NARROW_LAMBDA_MTBF, REFERENCE_MTBF_BOUNDS
+from test_markov import FAST_REPAIR, FULL_COVERAGE_MTTF
 
 DEMO_CONFIG = {
     "lambda": [0.5, 0.6, 0.7, 0.8],
@@ -80,6 +81,21 @@ class TestMetrics:
         out = capsys.readouterr().out
         assert "2.0000" in out
         assert "n/a" in out
+
+    def test_full_coverage_fast_repair_mttf(self, config_path, capsys):
+        cfg = config_path(
+            {"lambda": FAST_REPAIR.failure_rate,
+             "theta": FAST_REPAIR.standby_failure_rate,
+             "mu": FAST_REPAIR.repair_rate, "beta": 1.0, "c": 1.0}
+        )
+        assert main(["metrics", cfg, "--full-precision"]) == EXIT_OK
+        # the R(t) rows at this model are off; see test_markov's
+        # FAST_REPAIR_RELIABILITY
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("MTTF")
+        assert float(line.split()[1]) == pytest.approx(
+            FULL_COVERAGE_MTTF[1][1], rel=1e-14, abs=0.0
+        )
 
 
 class TestAlphaCut:
@@ -191,6 +207,33 @@ class TestCurve:
         for z, grade in mrows:
             assert z == pytest.approx(4.5, abs=5e-5)
             assert grade == 1.0
+
+    def test_full_coverage_fast_repair_curve(self, config_path, tmp_path):
+        cfg = config_path(
+            {**DEMO_CONFIG, "lambda": [0.05, 0.055, 0.06, 0.065],
+             "theta": [0.03, 0.035, 0.04, 0.045], "mu": [6e6, 8e6, 1e7, 1.2e7],
+             "beta": 1.0, "c": 1.0}
+        )
+        out = tmp_path / "curve.csv"
+        args = ["curve", cfg, "--out", str(out), "--full-precision"]
+        assert main(args) == EXIT_OK
+        _, rows = read_csv(out)
+        # 50-digit first-step solves at the corners (lambda, theta, mu)
+        # = (0.065, 0.045, 6e6) and (0.05, 0.03, 1.2e7)
+        assert rows[0][1] == pytest.approx(24344886857142883.885, rel=1e-14)
+        assert rows[0][2] == pytest.approx(221538464861538467.07, rel=1e-14)
+
+    def test_narrow_axis_curve(self, config_path, tmp_path):
+        cfg = config_path(
+            {**DEMO_CONFIG, "lambda": [1e-9, 1e-9, 1.0000009e-9, 1.0000009e-9],
+             "theta": 0.0, "mu": 1e-3, "beta": 1.0, "c": 0.5}
+        )
+        out = tmp_path / "curve.csv"
+        args = ["curve", cfg, "--out", str(out), "--full-precision"]
+        assert main(args) == EXIT_OK
+        _, rows = read_csv(out)
+        for row in rows:
+            assert row[1:] == pytest.approx(NARROW_LAMBDA_MTBF, rel=1e-14)
 
 
 class TestInvert:

@@ -1,7 +1,5 @@
 """Crisp chain: generator structure, MTTF, Laplace identities, transients."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.integrate
@@ -11,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from fuzzrel import (
     ChainMode,
     DOWN_STATES,
-    SolverError,
     State,
     SystemParams,
     UP_STATES,
@@ -102,6 +99,35 @@ STIFF_AVAILABILITY = [
 STIFF_RELIABILITY = [
     ((1e-6, 1e-7, 1e9, 0.99, 1.0), 1e6, 0.97921896456945957289),
     ((0.37, 0.1, 1e7, 0.9, 1.0), 1.0, 0.91943125679021327574),
+]
+
+# A full-coverage model with repair eight orders of magnitude faster than
+# failure, on which an LU solve of the up block gave an MTTF of -3.17e17.
+FAST_REPAIR = SystemParams(
+    0.05651766880713847, 0.042444091026800114, 11544848.165413812, 1.0, 1.0
+)
+
+# MTTF at full coverage with fast repair, (lambda, theta, mu, c, beta) and
+# m3, computed once with mpmath at 50 digits by mpmath.lu_solve of the 3x3
+# first-step system of the up block.
+FULL_COVERAGE_MTTF = [
+    ((1e-6, 0.0, 1e9, 1.0, 1.0), 2.5000000000000078394e35),
+    (tuple(vars(FAST_REPAIR).values()), 1.3418533265819764671e17),
+]
+
+# Partials of FAST_REPAIR's MTTF by lambda, theta and mu, by mpmath.diff
+# of the same 50-digit solve.
+FAST_REPAIR_MTTF_PARTIALS = (
+    -6474523018016025209.8, -863042346012422346.31, 23245923983.335609889
+)
+
+# R of FAST_REPAIR at multiples of its MTTF literal above, computed once as
+# the row sums of a 60-digit mpmath.expm of the exact up block times t.
+FAST_REPAIR_RELIABILITY = [
+    (0.5, 0.606530659712633424),
+    (1.0, 0.367879441171442322),
+    (2.0, 0.135335283236612692),
+    (5.0, 0.0067379469990854671),
 ]
 
 # the times of the `metrics` report, as multiples of the MTTF
@@ -252,15 +278,16 @@ class TestMttf:
             rel=1e-9, abs=0.0,
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="at c = 1 the up block's rows sum to 0 but the last, so its "
-        "LU solve is off by (mu / lam)^2 eps",
-    )
     def test_full_coverage_fast_repair_matches_closed_form(self):
         p = params(lam=1e-6, theta=0.0, mu=1e9, c=1.0)
         assert mttf(p) == pytest.approx(
             closed_form_mttf(1e-6, 0.0, 1e9, 1.0), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("rates, expected", FULL_COVERAGE_MTTF)
+    def test_full_coverage_matches_50_digit_reference(self, rates, expected):
+        assert mttf(SystemParams(*rates)) == pytest.approx(
+            expected, rel=1e-14, abs=0.0
         )
 
     def test_agrees_with_expected_absorption_time_by_quadrature(self):
@@ -515,18 +542,6 @@ def test_batched_kernels_match_single_rows(kind):
     np.testing.assert_allclose(batched(rates), expected, rtol=1e-13)
 
 
-def test_failing_row_is_named():
-    from fuzzrel import markov
-
-    # the second row's up block is the nearer to singular
-    rates = np.array([[0.6, 0.2, 4.0, 0.9, 2.0], [1e-6, 1e-7, 1e-6, 0.5, 1.0]])
-    singular = np.linalg.LinAlgError("singular matrix")
-    with mock.patch.object(markov.np.linalg, "solve", side_effect=singular):
-        with pytest.raises(SolverError, match="no finite MTTF") as err:
-            markov._mttf_values(rates)
-    assert err.value.row == 1
-
-
 def up_block_reliability(p, t):
     """1^T expm(B t) from UP3, B the up block of the reference generator."""
     up = list(UP_STATES)
@@ -594,6 +609,17 @@ class TestReliabilityKernel:
             expected, rel=1e-14, abs=0.0
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="eigh resolves eigenvalues only to about eps ||S||, far above "
+        "the slowest decay rate at c = 1 with fast repair",
+    )
+    def test_full_coverage_fast_repair_matches_60_digit_reference(self):
+        factors, expected = zip(*FAST_REPAIR_RELIABILITY)
+        times = np.array(factors) * FULL_COVERAGE_MTTF[1][1]
+        r = [reliability_at(FAST_REPAIR, t) for t in times]
+        np.testing.assert_allclose(r, expected, rtol=1e-12)
+
     @pytest.mark.parametrize(
         "mode, mu",
         [(ChainMode.RELIABILITY, 4.0), (ChainMode.RELIABILITY, 0.0),
@@ -654,6 +680,14 @@ class TestSensitivities:
                 # reports its partial
                 expected = partials[row, axis] if axis < partials.shape[1] else 0.0
                 assert central == pytest.approx(expected, rel=1e-5, abs=1e-8)
+
+    def test_full_coverage_fast_repair_mttf_partials(self):
+        from fuzzrel import markov
+
+        rates = markov._rates(FAST_REPAIR)
+        values, partials = markov._mttf_sensitivities(rates)
+        assert values[0] == pytest.approx(FULL_COVERAGE_MTTF[1][1], rel=1e-14)
+        np.testing.assert_allclose(partials[0], FAST_REPAIR_MTTF_PARTIALS, rtol=1e-14)
 
     @pytest.mark.parametrize(
         "point",
