@@ -1,11 +1,14 @@
-"""Cross-check the analytic chain answers against discrete-event sampling.
+"""Cross-check the analytic chain answers against Monte Carlo sampling.
 
-The first-passage sampler replays the reliability-mode chain until it
-falls into a failure state. The availability sampler replays the
-repairable chain in independent cycles from the full configuration back
-to it, until the cycles cover the horizon, and divides their total up
-time by their total length. Both should straddle the linear-algebra
-answers within a few standard errors.
+The first-passage sampler draws paths of the reliability-mode chain
+from the full configuration until they fall into a failure state. The
+availability sampler draws independent cycles of the repairable chain
+from the full configuration back to it, until the cycles cover the
+horizon, and divides their total up time by their total length. Each
+path is drawn as its visit counts to the states, with one gamma draw
+for its time in each state, which has the same law as replaying it jump
+by jump. Both should straddle the analytic answers within a few
+standard errors.
 """
 
 from fuzzrel import (

@@ -1,13 +1,24 @@
 """Monte Carlo cross-checks of the analytic characteristics.
 
-Both simulators run one vectorized sweep, `_passage`, which moves many
-paths from UP3 at once until each enters a stop state. MTTF samples
-first passages of the reliability chain into the down states.
-Availability samples iid UP3 -> UP3 cycles of the availability chain
-(UP3 is a regeneration point) and returns the ratio estimator of the
-long-run up fraction, total up time over total cycle length, with its
-delta-method standard error. Both are deterministic in the configured
-seed regardless of chunking.
+MTTF samples first passages of the reliability chain from UP3 into the
+down states. Availability samples iid UP3 -> UP3 cycles of the
+availability chain (UP3 is a regeneration point) and returns the ratio
+estimator of the long-run up fraction, total up time over total cycle
+length, with its delta-method standard error. Both are deterministic in
+the configured seed regardless of chunking.
+
+Neither replays a path jump by jump. Every down state returns to the up
+state it left, so the chain is a tree rooted at UP3, and a path's visit
+count to each state follows from the jump probabilities: a geometric
+count of visits to UP2, binomial splits of the excursions from it and,
+in the availability chain, a negative binomial count of visits to
+EXHAUSTED. The time spent in a state over N visits is a sum of N iid
+Exp(q) holding times, which is Gamma(N) / q, so a path takes one gamma
+draw per state. The samples have exactly the law of the replayed chain,
+and the cost of a sample does not grow with the number of jumps it
+stands for. A model whose counts would overflow int64, with a stop
+probability per visit below 2**-56, raises ValidationError naming that
+probability.
 
 Samples are drawn in chunks, and both estimators keep only running
 sums over them, so memory does not grow with `replications` or
@@ -23,7 +34,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .markov import (
-    DOWN_STATES,
     ChainMode,
     State,
     SystemParams,
@@ -33,7 +43,6 @@ from .markov import (
 
 _CHUNK = 65536
 _FIRST_CYCLE_CHUNK = 1024
-_EXHAUSTION_SWEEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -80,70 +89,111 @@ class SimEstimate:
         return n_sigma * self.std_error
 
 
-def _jump_tables(params: SystemParams, mode: ChainMode):
-    """Per-state exit rate, cumulative jump probabilities, jump targets."""
-    rates = build_generator(params, mode).rates
-    exit_rates = {}
-    cum_probs = {}
-    targets = {}
-    for s in State:
-        row = rates[s].copy()
-        row[s] = 0.0
-        total = row.sum()
-        exit_rates[s] = total
-        if total > 0.0:
-            tgt = np.flatnonzero(row)
-            cum_probs[s] = np.cumsum(row[tgt]) / total
-            targets[s] = tgt
-    return exit_rates, cum_probs, targets
+def _jump_chain(params: SystemParams, mode: ChainMode):
+    """Exit rates q and jump probabilities P[s, t] = rate(s -> t) / q_s.
 
-
-def _passage(tables, stop, n: int, rng: np.random.Generator):
-    """Move n paths from UP3 until each enters a state in `stop`.
-
-    Returns each path's length, its time in the up states and its final
-    state. A path that starts in a stop state (UP3) leaves it first.
-    Each sweep visits the states in State order; every path in the
-    visited state draws its holding time and its jump, so a path can
-    jump several times per sweep. Each jump uses fresh draws, so the
-    embedded chain and the holding times keep their exact laws. Paths
-    that reached `stop` are dropped at the end of the sweep. tables are
-    the chain's `_jump_tables`.
+    Every entry is a ratio of nonnegative rates. The samplers build each
+    stop and exit probability from them as sums of products, never as
+    1 - p, so none cancels at stiff rates. States without exits have a
+    zero row.
     """
-    exit_rates, cum_probs, targets = tables
-    # UP3 is visited first in a sweep, so a path entering it mid-sweep
-    # waits for the next sweep, where it is already dropped
-    moving = [
-        s for s in State
-        if exit_rates[s] > 0.0 and (s == State.UP3 or s not in stop)
-    ]
-    stopped = np.zeros(len(State), dtype=bool)
-    stopped[[int(s) for s in stop]] = True
-    states = np.full(n, int(State.UP3), dtype=np.int64)
-    lengths = np.zeros(n)
-    # down time is the one to accumulate: no down state moves in the
-    # reliability chain, so first passages pay nothing for it
-    down_times = np.zeros(n)
-    active = np.arange(n)
-    for _ in range(_EXHAUSTION_SWEEPS):
-        for s in moving:
-            idx = active[states[active] == int(s)]
-            if idx.size == 0:
-                continue
-            hold = rng.exponential(scale=1.0 / exit_rates[s], size=idx.size)
-            lengths[idx] += hold
-            if s not in UP_STATES:
-                down_times[idx] += hold
-            picks = np.searchsorted(cum_probs[s], rng.random(idx.size), side="right")
-            picks = np.minimum(picks, len(targets[s]) - 1)
-            states[idx] = targets[s][picks]
-        active = active[~stopped[states[active]]]
-        if active.size == 0:
-            return lengths, lengths - down_times, states
-    raise ValidationError(
-        f"simulated paths did not reach {', '.join(s.name for s in stop)} "
-        f"within {_EXHAUSTION_SWEEPS} sweeps"
+    rates = build_generator(params, mode).rates
+    off = rates - np.diag(np.diag(rates))
+    q = off.sum(axis=1)
+    return q, off / np.where(q > 0.0, q, 1.0)[:, None]
+
+
+def _check_counts(p: float, what: str) -> float:
+    """p, if visit counts of mean up to 1/p fit int64.
+
+    A geometric count is at most about 45 times its mean, so p must not
+    fall below 2**-56. Past about 2**-63 numpy's geometric returns
+    2**63 - 1 without a word, and its Poisson refuses the rate.
+    """
+    if p < 2.0**-56:
+        raise ValidationError(
+            f"{what} is {p:.3g}, below 2**-56: the simulated visit counts "
+            f"would overflow int64"
+        )
+    return p
+
+
+def _time_in(visits, exit_rates, rng: np.random.Generator):
+    """Total time in the states of the given exit rates, one row of
+    visit counts per state: N iid Exp(q) holding times sum to
+    Gamma(N) / q."""
+    return (1.0 / exit_rates) @ rng.standard_gamma(visits)
+
+
+def _first_passages(chain, n: int, rng: np.random.Generator):
+    """n first passages of the reliability chain from UP3 into the down
+    states: their times and final states.
+
+    A path holds in UP3 and leaves for UP2 with probability c, for
+    UNSAFE1 otherwise. From UP2 it jumps to UP3, UP1 or UNSAFE2 with
+    probabilities a, b and e; from UP1 to UP2 or EXHAUSTED with d and f;
+    from UP3 to UNSAFE1 with u. Each visit to UP2 either continues, by a
+    loop through UP1 (b d) or a return through UP3 (a c), or stops,
+    through UP1 into EXHAUSTED (b f), into UNSAFE2 (e) or through UP3
+    into UNSAFE1 (a u). So the UP2 visits are Geometric(stop), the
+    continuations split binomially into loops and returns, and the last
+    exit is categorical and independent of both.
+    """
+    q, p = chain
+    up3, up2, up1 = UP_STATES
+    a, b, e = p[up2, up3], p[up2, up1], p[up2, State.UNSAFE2]
+    c, d = p[up3, up2], p[up1, up2]
+    exits = np.array([b * p[up1, State.EXHAUSTED], e, a * p[up3, State.UNSAFE1]])
+    # rounding can take the sum of the three just past 1
+    stop = _check_counts(
+        min(exits.sum(), 1.0), "the probability that a visit to UP2 ends the passage"
     )
+    reach = np.flatnonzero(rng.random(n) < c)
+    n2 = rng.geometric(stop, reach.size)
+    # without repair nothing continues, and every split is of 0
+    loops = rng.binomial(n2 - 1, b * d / (b * d + a * c or 1.0))
+    # the last exit: through UP1, into UNSAFE2 or through UP3
+    exit_ = rng.choice(3, reach.size, p=exits / stop)
+    visits = [n2 - 1 - loops + (exit_ == 2), n2, loops + (exit_ == 0)]
+    times = rng.standard_exponential(n) / q[up3]
+    times[reach] += _time_in(np.stack(visits, dtype=float), q[list(UP_STATES)], rng)
+    finals = np.full(n, int(State.UNSAFE1))
+    finals[reach] = np.array([State.EXHAUSTED, State.UNSAFE2, State.UNSAFE1])[exit_]
+    return times, finals
+
+
+def _cycles(chain, n: int, rng: np.random.Generator):
+    """n UP3 -> UP3 cycles of the availability chain: their lengths and
+    up times.
+
+    With the jump probabilities named as in _first_passages, a cycle
+    holds once in UP3, then goes down through UNSAFE1 with probability
+    u, or visits UP2 G ~ Geometric(a) times. Each of the G - 1
+    excursions from UP2 is a trip to UP1 (with probability b / (b + e))
+    or a detour through UNSAFE2. A trip visits EXHAUSTED Geometric(d) - 1
+    times, so the K1 trips visit it NegBin(K1, d) times, drawn as
+    Poisson(Gamma(K1) f / d).
+    """
+    q, p = chain
+    up3, up2, up1 = UP_STATES
+    a, b, e = p[up2, up3], p[up2, up1], p[up2, State.UNSAFE2]
+    d, f = p[up1, up2], p[up1, State.EXHAUSTED]
+    if p[up3, up2] > 0.0:
+        # the counts of a cycle that reaches UP2 have means below 1 / (a d)
+        _check_counts(a * d, "the product of the jump probabilities UP2 -> UP3 "
+                      "and UP1 -> UP2")
+    reached = rng.random(n) < p[up3, up2]
+    reach = np.flatnonzero(reached)
+    g = rng.geometric(a, reach.size)
+    k1 = rng.binomial(g - 1, b / (b + e))
+    n_ex = rng.poisson(rng.standard_gamma(k1) * (f / d))
+    up = rng.standard_exponential(n) / q[up3]
+    down = rng.standard_exponential(n) / q[State.UNSAFE1] * ~reached
+    up[reach] += _time_in(np.stack([g, k1 + n_ex], dtype=float), q[[up2, up1]], rng)
+    down[reach] += _time_in(
+        np.stack([n_ex, g - 1 - k1], dtype=float), q[[State.EXHAUSTED, State.UNSAFE2]], rng
+    )
+    return up + down, up
 
 
 def _ratio_estimate(chunks) -> SimEstimate:
@@ -185,15 +235,12 @@ def _first_passage_samples(cfg: SimConfig):
     Chunk k holds up to _CHUNK samples drawn from the k-th child of the
     seed.
     """
-    tables = _jump_tables(cfg.params, ChainMode.RELIABILITY)
+    chain = _jump_chain(cfg.params, ChainMode.RELIABILITY)
     n = cfg.replications
     seeds = np.random.SeedSequence(cfg.seed).spawn((n + _CHUNK - 1) // _CHUNK)
     for k, child in enumerate(seeds):
         size = min(_CHUNK, n - k * _CHUNK)
-        times, _, states = _passage(
-            tables, DOWN_STATES, size, np.random.default_rng(child)
-        )
-        yield times, states
+        yield _first_passages(chain, size, np.random.default_rng(child))
 
 
 def simulate_mttf(cfg: SimConfig) -> SimEstimate:
@@ -211,13 +258,13 @@ def _regeneration_cycles(cfg: SimConfig):
     chunks start small and double up to _CHUNK, so a model with very
     long cycles draws few of them.
     """
-    tables = _jump_tables(cfg.params, ChainMode.AVAILABILITY)
+    chain = _jump_chain(cfg.params, ChainMode.AVAILABILITY)
     seeds = np.random.SeedSequence(cfg.seed)
     elapsed = 0.0
     size = _FIRST_CYCLE_CHUNK
     while elapsed < cfg.horizon:
         rng = np.random.default_rng(seeds.spawn(1)[0])
-        length, up, _ = _passage(tables, (State.UP3,), size, rng)
+        length, up = _cycles(chain, size, rng)
         ends = elapsed + np.cumsum(length)
         # up to and including the cycle that reaches the horizon
         keep = int(np.searchsorted(ends, cfg.horizon)) + 1

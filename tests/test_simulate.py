@@ -1,17 +1,21 @@
 """Monte Carlo simulators against analytic values and each other."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fuzzrel import (
+    DOWN_STATES,
+    ChainMode,
     SimConfig,
     SimEstimate,
     State,
     SystemParams,
     ValidationError,
+    build_generator,
     mttf,
     simulate_availability,
     simulate_mttf,
@@ -110,14 +114,45 @@ class TestFirstPassage:
         # change of draw order would move every MTTF estimate per seed
         cfg = SimConfig(params=params(), replications=70_000, seed=9)
         times, _ = joined(_first_passage_samples(cfg))
-        assert math.fsum(times) == 439477.79298381234
-        assert times[0] == 13.278281658568059
-        assert times[-1] == 8.800455300459252
+        assert math.fsum(times) == 441076.26685037685
+        assert times[0] == 4.6450670911102465
+        assert times[-1] == 21.718749350354415
 
     def test_full_coverage_absorbs_only_by_exhaustion(self):
         cfg = SimConfig(params=params(c=1.0), replications=5_000, seed=3)
         _, finals = joined(_first_passage_samples(cfg))
         assert set(np.unique(finals)) == {int(State.EXHAUSTED)}
+
+    def test_near_one_matches_analytic_value_quickly(self):
+        # repair four decades faster than failure: a passage makes about
+        # 2,000 jumps, but the sampler draws counts, not jumps
+        cfg = SimConfig(params=NEAR_ONE, replications=200_000, seed=41)
+        started = time.perf_counter()
+        est = simulate_mttf(cfg)
+        assert time.perf_counter() - started < 1.0
+        assert abs(est.mean - mttf(NEAR_ONE)) <= est.margin()
+
+    def test_stiff_full_coverage_matches_analytic_value(self):
+        # a visit to UP2 ends the passage with probability 2e-16, which
+        # a stop probability formed as 1 - (continuation) would lose
+        p = params(lam=1.0, theta=0.0, mu=1e8, c=1.0)
+        est = simulate_mttf(SimConfig(params=p, replications=100_000, seed=43))
+        assert abs(est.mean - mttf(p)) <= est.margin()
+
+    @pytest.mark.parametrize(
+        "simulate_fn, p, cause",
+        [
+            (simulate_mttf, params(lam=1.0, theta=0.0, mu=1e10, c=1.0),
+             "a visit to UP2 ends the passage"),
+            (simulate_availability, params(lam=1e9, theta=0.0, mu=1e-10, c=0.5),
+             "UP2 -> UP3 and UP1 -> UP2"),
+        ],
+        ids=["mttf", "availability"],
+    )
+    def test_saturated_counts_raise_typed_error(self, simulate_fn, p, cause):
+        # numpy's geometric would return 2**63 - 1 without a word
+        with pytest.raises(ValidationError, match=f"{cause}.*overflow int64"):
+            simulate_fn(SimConfig(params=p, replications=10, horizon=10.0))
 
     def test_zero_coverage_fails_unsafe_in_one_jump(self):
         p = params(lam=1.0, theta=0.5, c=0.0)
@@ -154,11 +189,6 @@ class TestAvailability:
         cfg = SimConfig(params=p, horizon=200_000.0, seed=31)
         est = simulate_availability(cfg)
         assert abs(est.mean - 2.0 / 3.4) <= est.margin()
-
-    def test_sweep_cap_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_EXHAUSTION_SWEEPS", 1)
-        with pytest.raises(ValidationError, match="did not reach UP3"):
-            simulate_availability(SimConfig(params=params(), horizon=100.0))
 
     def test_rejects_zero_repair(self):
         with pytest.raises(ValidationError):
@@ -211,9 +241,9 @@ class TestRunningSums:
 
     def test_jump_tables_built_once_per_call(self, monkeypatch):
         calls = []
-        build = simulate._jump_tables
+        build = simulate._jump_chain
         monkeypatch.setattr(
-            simulate, "_jump_tables", lambda *a: calls.append(a) or build(*a)
+            simulate, "_jump_chain", lambda *a: calls.append(a) or build(*a)
         )
         simulate_mttf(SimConfig(params=MODAL, replications=140_000, seed=1))
         simulate_availability(SimConfig(params=MODAL, horizon=50_000.0, seed=1))
@@ -256,3 +286,64 @@ class TestAvailabilityErrorBar:
             z.append((est.mean - want) / est.std_error)
         assert 0.85 <= np.std(z, ddof=1) <= 1.15
         assert abs(np.mean(z)) <= 0.25
+
+
+def up_block_moments(p):
+    """E[T], E[T^2] and the absorption probabilities of the first
+    passage from UP3, from the reliability chain's up block S by dense
+    linear algebra: alpha (-S)^-1 1, 2 alpha (-S)^-2 1, alpha (-S)^-1 R."""
+    q = build_generator(p, ChainMode.RELIABILITY).rates
+    up, down = slice(0, 3), slice(3, 6)
+    n = np.linalg.inv(-q[up, up])
+    return n[0].sum(), 2.0 * (n @ n)[0].sum(), n[0] @ q[up, down]
+
+
+def stationary_by_solve(p):
+    """Stationary law of the availability chain from pi Q = 0, sum 1."""
+    a = build_generator(p, ChainMode.AVAILABILITY).rates.T.copy()
+    a[-1] = 1.0
+    return np.linalg.solve(a, np.eye(len(State))[-1])
+
+
+def z(sample, want):
+    return (sample.mean() - want) / (sample.std(ddof=1) / math.sqrt(sample.size))
+
+
+class TestSampledLaw:
+    """The samples' law against dense linear algebra on the generator,
+    not against the analytic closed forms: |z| <= 4 at fixed seeds."""
+
+    MODELS = {
+        "c=0": params(c=0.0),
+        "c=0.5": params(c=0.5),
+        "c=0.9": params(c=0.9),
+        "c=1": params(c=1.0),
+        # repair slower than failure: UP1 and EXHAUSTED are visited often
+        "slow-repair": params(mu=0.3),
+        "near-one": NEAR_ONE,
+    }
+
+    @pytest.mark.parametrize(
+        "p", list(MODELS.values()) + [params(mu=0.0)], ids=list(MODELS) + ["mu=0"]
+    )
+    def test_first_passage_moments_and_absorption(self, p):
+        m1, m2, absorbed = up_block_moments(p)
+        cfg = SimConfig(params=p, replications=200_000, seed=61)
+        times, finals = joined(_first_passage_samples(cfg))
+        assert abs(z(times, m1)) <= 4.0
+        assert abs(z(times**2, m2)) <= 4.0
+        for s, want in zip(DOWN_STATES, absorbed):
+            # a state absorbing always or never must do so in every sample
+            sd = math.sqrt(max(want * (1.0 - want), 0.0) / finals.size)
+            assert abs(np.mean(finals == s) - want) <= 4.0 * sd + 1e-12
+
+    @pytest.mark.parametrize("p", MODELS.values(), ids=MODELS)
+    def test_cycle_length_and_up_time(self, p):
+        pi = stationary_by_solve(p)
+        # UP3 is left once per cycle, at rate q_UP3
+        cycles_per_time = pi[State.UP3] * -build_generator(
+            p, ChainMode.AVAILABILITY).rates[State.UP3, State.UP3]
+        cfg = SimConfig(params=p, horizon=100_000.0, seed=67)
+        lengths, up = joined(_regeneration_cycles(cfg))
+        assert abs(z(lengths, 1.0 / cycles_per_time)) <= 4.0
+        assert abs(z(up, pi[:3].sum() / cycles_per_time)) <= 4.0
