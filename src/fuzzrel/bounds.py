@@ -7,15 +7,17 @@ of alpha levels traces out the membership curve of the characteristic.
 
 Each pair is solved by the vertex method of Dong & Shah (Fuzzy Sets
 Syst. 24, 1987) wherever a certificate shows it exact, and by interval
-subdivision elsewhere. The certificate samples the analytic partial
-derivatives of the characteristic on a 3-per-axis lattice of the box. An
+subdivision elsewhere. A box is validated once, at its one worst corner,
+and evaluated once: a single batched call gives the characteristic and
+its analytic partial derivatives on a 3-per-axis lattice of the box. An
 axis whose samples all share one sign is monotone and is pinned at the
-end that sign selects for each bound. With no axis left open, each bound
-is one vertex value; otherwise the open axes are halved and each half is
-certified in turn (Moore, Kearfott & Cloud, Introduction to Interval
-Analysis, 2009, ch. 9). The search is deterministic. Under the standby
-constraint theta <= lambda the feasible set is a polytope, and its
-vertices on theta = lambda join the box corners.
+end that sign selects for each bound, where the lattice values already
+hold the vertex values. With no axis left open, each bound is one vertex
+value; otherwise the open axes are halved and each half is certified in
+turn (Moore, Kearfott & Cloud, Introduction to Interval Analysis, 2009,
+ch. 9). The search is deterministic. Under the standby constraint theta
+<= lambda the feasible set is a polytope, and its vertices on theta =
+lambda join the box corners.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .fuzzy import NESTING_TOL, FuzzyNumber, Interval, MembershipCurve
+from .fuzzy import FuzzyNumber, Interval, MembershipCurve, _escapes
 from . import markov
 from .markov import SystemParams
 
@@ -144,6 +146,8 @@ class FuzzySystemParams:
         ends are affine in alpha, so their excess peaks at a level or just
         above one; an intermediate membership plateau makes a cut jump
         there, and that right-hand limit is extrapolated from the midpoint.
+        Rounding of the interpolated ends stays within a few ulps of the
+        lambda cut; any larger excess is rejected, at every scale of rates.
         """
 
         def excess(alpha: float) -> float:
@@ -159,7 +163,7 @@ class FuzzySystemParams:
             at_hi = excess(hi)
             above_lo = 2.0 * excess(0.5 * (lo + hi)) - at_hi
             worst = max(excess(lo), above_lo, at_hi)
-            if worst > 1e-12:
+            if worst > 8.0 * np.spacing(self.failure_rate.alpha_cut(lo).hi):
                 raise ValidationError(
                     f"standby failure rate cut exceeds failure rate cut by "
                     f"{worst:.3g} for alpha in [{lo:g}, {hi:g}]"
@@ -257,7 +261,8 @@ def _point(names: Sequence[str], row: np.ndarray) -> dict[str, float]:
 def _box_values(
     fp: FuzzySystemParams, metric: Metric, points: np.ndarray
 ) -> np.ndarray:
-    """The metric at stacked points of a valid box, in one kernel call."""
+    """The metric at stacked points of a valid box, in one values-kernel
+    call; only brute_force_bounds, the search's reference, uses it."""
     rates = _rate_vectors(fp, points)
     if metric.kind == "mtbf":
         return markov._mttf_values(rates)
@@ -317,19 +322,18 @@ def _sign(values: np.ndarray, partials: np.ndarray, width: float) -> int | None:
     return int(signs[0]) if len(signs) else 0
 
 
-def _axis_signs(
+def _certify(
     fp: FuzzySystemParams, metric: Metric, box: dict[str, Interval], coupled: bool
-) -> dict[str, int | None]:
-    """Monotonicity certificate: the sign of each axis's partial derivative.
-
-    Samples the analytic sensitivities on the box's 3-per-axis lattice
-    (vertices, edge midpoints, face centres, centre). An axis maps to +1
-    or -1 when every nonzero sample has that sign, to 0 when every sample
-    is zero, and to None, open, otherwise. When the standby constraint
-    cuts the box, lambda and theta are certified only together with the
-    edge direction d/dlambda + d/dtheta, and are open together otherwise.
-    A certificate that cannot be computed raises SolverError naming the
-    box.
+) -> tuple[np.ndarray, np.ndarray, dict[str, int | None]]:
+    """The one evaluation of a box: its feasible 3-per-axis lattice points
+    (vertices, edge midpoints, face centres, centre) as rows, the metric
+    at each, and the monotonicity certificate, from one batched
+    sensitivity call. An axis maps to +1 or -1 when every nonzero sample
+    has that sign, to 0 when every sample is zero, and to None, open,
+    otherwise. When the standby constraint cuts the box, lambda and theta
+    are certified only together with the edge direction d/dlambda +
+    d/dtheta, and are open together otherwise. A certificate that cannot
+    be computed raises SolverError naming the box.
     """
     names = list(box)
     points = _feasible_points(box, 3, coupled)
@@ -360,7 +364,7 @@ def _axis_signs(
         edge = _sign(values, partials[:, 0] + partials[:, 1], max(widths[:2]))
         if None in (signs[PARAM_LAMBDA], signs[PARAM_THETA], edge):
             signs[PARAM_LAMBDA] = signs[PARAM_THETA] = None
-    return signs
+    return points, values, signs
 
 
 def _extreme(
@@ -368,24 +372,22 @@ def _extreme(
     metric: Metric,
     box: dict[str, Interval],
     coupled: bool,
-    points: np.ndarray,
-    values: np.ndarray,
-    signs: dict[str, int | None],
+    certificate: tuple[np.ndarray, np.ndarray, dict[str, int | None]],
     sign: float,
 ) -> tuple[float, np.ndarray]:
     """Largest value of sign * metric over the feasible part of the box,
     and the point that takes it.
 
-    points holds the feasible vertices of the box as rows and values the
-    metric at each. Certified axes sit at the ends their signs select;
-    under a cutting standby constraint a certified lambda-theta pair takes
-    the best matching polytope vertex. The open axes are then halved, with
-    every other axis collapsed to that best point, and each half holding
-    a feasible point is certified and searched the same way. Recursion
-    stops where the certificate closes, which its relative zero test
-    ensures near a smooth optimum, or where an open axis no longer
-    splits in floating point.
+    certificate is the box's _certify result. Certified axes sit at the
+    ends their signs select, where the best lattice point is taken; under
+    a cutting standby constraint that includes the polytope's vertices on
+    theta = lambda. The open axes are then halved, every other axis held
+    at that best point, and each half with a feasible point is certified
+    and searched the same way. Recursion stops where the certificate
+    closes, which its relative zero test ensures near a smooth optimum, or
+    where an open axis no longer splits in floating point.
     """
+    points, values, signs = certificate
     names = list(box)
     pair = (PARAM_LAMBDA, PARAM_THETA) if coupled else ()
     ends = {
@@ -409,38 +411,29 @@ def _extreme(
     ]
     for cut in itertools.product(*halves):
         half = dict(zip(names, cut))
-        half_coupled = _cut_by_standby(fp, half)
-        points = _feasible_points(half, 2, half_coupled)
-        if not len(points):
+        if half[PARAM_THETA].lo > half[PARAM_LAMBDA].hi:
             continue
-        found = _extreme(
-            fp,
-            metric,
-            half,
-            half_coupled,
-            points,
-            _box_values(fp, metric, points),
-            _axis_signs(fp, metric, half, half_coupled),
-            sign,
-        )
+        half_coupled = _cut_by_standby(fp, half)
+        half_certificate = _certify(fp, metric, half, half_coupled)
+        found = _extreme(fp, metric, half, half_coupled, half_certificate, sign)
         if sign * found[0] > sign * best[0]:
             best = found
     return best
 
 
-def _scan(
-    fp: FuzzySystemParams, metric: Metric, alpha: float, per_axis: int
-) -> tuple[dict[str, Interval], bool, np.ndarray, np.ndarray]:
-    """The alpha-cut box, whether theta <= lambda cuts it, its feasible
-    lattice points with per_axis values on each free axis, and the metric
-    at each point.
+def _box(
+    fp: FuzzySystemParams, metric: Metric, alpha: float
+) -> tuple[dict[str, Interval], bool]:
+    """The alpha-cut box of the metric's axes, validated, and whether
+    theta <= lambda cuts it.
 
-    Each point must make a SystemParams, and availability also needs
-    repair (markov._rates). Every rule is a per-axis bound or theta <=
-    lambda, so valid vertices make the whole box valid, and the points of
-    its sub-boxes are evaluated unchecked. The values come from one
-    batched kernel call; a point that fails raises KernelEvaluationError
-    naming it.
+    The cuts lie inside supports that FuzzySystemParams validated, so the
+    only rules left are theta <= lambda and, for availability, repair
+    (markov._rates). Both are monotone, so one corner decides the box:
+    (lambda lo, theta hi, mu lo, beta lo), or (lambda hi, theta lo, mu
+    lo, beta lo) where the standby constraint cuts the box and keeps only
+    its feasible part. A failing corner raises KernelEvaluationError
+    naming it, and every point inside the box is evaluated unchecked.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -448,24 +441,25 @@ def _scan(
     names = _metric_axes(metric)
     box = fp.cuts(alpha, names)
     coupled = _cut_by_standby(fp, box)
-    points = _feasible_points(box, per_axis, coupled)
-    if not len(points):
+    lam, theta = box[PARAM_LAMBDA], box[PARAM_THETA]
+    if coupled and theta.lo > lam.hi:
         raise SolverError(
             f"no feasible point in the alpha={alpha} box under the standby "
             f"rate constraint"
         )
+    corner = np.array([[iv.lo for iv in box.values()]])
+    corner[0, :2] = (lam.hi, theta.lo) if coupled else (lam.lo, theta.hi)
     mode = markov.ChainMode.RELIABILITY
     if metric.uses_reboot_rate:
         mode = markov.ChainMode.AVAILABILITY
-    for row, rates in zip(points, _rate_vectors(fp, points)):
-        try:
-            markov._rates(SystemParams(*rates), mode)
-        except ValidationError as exc:
-            point = _point(names, row)
-            raise KernelEvaluationError(
-                f"{metric.describe()} failed at {point}: {exc}", point=point
-            ) from exc
-    return box, coupled, points, _box_values(fp, metric, points)
+    try:
+        markov._rates(SystemParams(*_rate_vectors(fp, corner)[0]), mode)
+    except ValidationError as exc:
+        point = _point(names, corner[0])
+        raise KernelEvaluationError(
+            f"{metric.describe()} failed at {point}: {exc}", point=point
+        ) from exc
+    return box, coupled
 
 
 def characteristic_bounds(
@@ -473,21 +467,21 @@ def characteristic_bounds(
 ) -> BoundsResult:
     """Lower and upper bounds of a characteristic over one alpha-cut box.
 
-    Validates and evaluates every vertex of the feasible set (_scan), then
-    certifies each axis by the sign of its partial derivative over the
-    box (_axis_signs). A certified axis is pinned, for each bound, at the
-    end its sign selects, and a constant one at its lower end. With no
-    axis open the bounds are vertex values, the vertex method of Dong &
-    Shah (1987); otherwise the open axes are halved until the certificate
-    closes on every piece (_extreme), each piece's vertices evaluated in
-    one batched call. The result is deterministic.
+    Validates the box at its one worst corner (_box), then makes one
+    batched sensitivity call on its 3-per-axis lattice, which gives the
+    metric at the lattice points and certifies each axis by the sign of
+    its partial derivative (_certify). A certified axis is pinned, for
+    each bound, at the end its sign selects, and a constant one at its
+    lower end. With no axis open the bounds are vertex values, the vertex
+    method of Dong & Shah (1987); otherwise the open axes are halved
+    until the certificate closes on every piece (_extreme), each piece
+    certified by its own single call. The result is deterministic.
     """
-    box, coupled, points, values = _scan(fp, metric, alpha, 2)
-    signs = _axis_signs(fp, metric, box, coupled)
-    open_axes = tuple(n for n in box if signs[n] is None)
+    box, coupled = _box(fp, metric, alpha)
+    certificate = _certify(fp, metric, box, coupled)
+    open_axes = tuple(n for n, s in certificate[2].items() if s is None)
     (min_val, min_point), (max_val, max_point) = (
-        _extreme(fp, metric, box, coupled, points, values, signs, sign)
-        for sign in (-1.0, 1.0)
+        _extreme(fp, metric, box, coupled, certificate, sign) for sign in (-1.0, 1.0)
     )
     return BoundsResult(
         alpha=float(alpha),
@@ -511,7 +505,9 @@ def brute_force_bounds(
     grid_per_axis = int(grid_per_axis)
     if grid_per_axis < 2:
         raise ValidationError(f"grid_per_axis must be >= 2, got {grid_per_axis}")
-    box, _, points, values = _scan(fp, metric, alpha, grid_per_axis)
+    box, coupled = _box(fp, metric, alpha)
+    points = _feasible_points(box, grid_per_axis, coupled)
+    values = _box_values(fp, metric, points)
     lo, hi = np.argmin(values), np.argmax(values)
     return BoundsResult(
         alpha=float(alpha),
@@ -554,8 +550,9 @@ def enforce_nesting(
     """Clamp float noise out of an interval ladder, reject real escapes.
 
     Bounds at a higher alpha must sit inside every lower-alpha interval.
-    Escapes beyond NESTING_TOL are solver failures; smaller ones are
-    squeezed so downstream consumers see exact nesting.
+    Escapes beyond NESTING_TOL of the intervals' magnitude are solver
+    failures; smaller ones are squeezed so downstream consumers see exact
+    nesting.
     """
     nested: list[Interval] = []
     for a, iv in zip(alphas, intervals):
@@ -563,7 +560,7 @@ def enforce_nesting(
             nested.append(iv)
             continue
         prev = nested[-1]
-        if iv.lo < prev.lo - NESTING_TOL or iv.hi > prev.hi + NESTING_TOL:
+        if _escapes(iv, prev):
             prev_a = alphas[len(nested) - 1]
             raise NestingError(
                 f"bounds at alpha={a:g} escape bounds at alpha={prev_a:g}: "

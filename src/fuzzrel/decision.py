@@ -28,7 +28,7 @@ from .errors import (
     UnknownParameterError,
     ValidationError,
 )
-from .fuzzy import NESTING_TOL, Interval, MembershipCurve
+from .fuzzy import Interval, MembershipCurve, _escapes
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,7 @@ class AlphaCutTable:
             columns = [(p, row.cuts[p], prev.cuts[p]) for p in self.parameters]
             columns.append(("bounds", row.bounds, prev.bounds))
             for name, hi_iv, lo_iv in columns:
-                if (
-                    hi_iv.lo < lo_iv.lo - NESTING_TOL
-                    or hi_iv.hi > lo_iv.hi + NESTING_TOL
-                ):
+                if _escapes(hi_iv, lo_iv):
                     raise ValidationError(
                         f"column {name} not nested between alpha={prev.alpha} "
                         f"and alpha={row.alpha}"
@@ -132,6 +129,10 @@ class DecisionQuery:
     target: Interval
 
 
+# the top row may pass the target by this fraction of their magnitude
+_CONTAINMENT_TOL = 1e-13
+
+
 def invert_query(curve: MembershipCurve, query: DecisionQuery) -> float:
     """Smallest alpha whose characteristic interval fits the target.
 
@@ -146,7 +147,7 @@ def invert_query(curve: MembershipCurve, query: DecisionQuery) -> float:
     lows = np.asarray([iv.lo for iv in curve.intervals])
     highs = np.asarray([iv.hi for iv in curve.intervals])
 
-    if lows[-1] < target.lo - 1e-12 or highs[-1] > target.hi + 1e-12:
+    if _escapes(Interval(lows[-1], highs[-1]), target, _CONTAINMENT_TOL):
         raise NoContainmentError(
             f"even the alpha={alphas[-1]:g} interval "
             f"[{lows[-1]:.6g}, {highs[-1]:.6g}] is not inside the target "
@@ -159,7 +160,7 @@ def invert_query(curve: MembershipCurve, query: DecisionQuery) -> float:
     else:
         j = int(np.searchsorted(lows, target.lo, side="left"))
         if j >= len(lows):
-            # containment held only through the 1e-12 slack
+            # containment held only through the _CONTAINMENT_TOL slack
             alpha_lo = float(alphas[-1])
         elif lows[j] == target.lo:
             alpha_lo = float(alphas[j])
@@ -215,8 +216,11 @@ class CalibrationResult:
     upper_residual: float
 
 
-_BOUNDARY_ROOT_TOL = 1e-9
-_CALIBRATION_TOL = 1e-6
+# fractions of the anchor's magnitude, max(|lo|, |hi|), so that a model
+# with every rate scaled calibrates alike; at anchors below 10, such as
+# the reference model's, they are at most 1e-9 and 1e-6
+_BOUNDARY_ROOT_TOL = 1e-10
+_CALIBRATION_TOL = 1e-7
 
 
 def calibrate_coverage(
@@ -237,11 +241,12 @@ def calibrate_coverage(
         result = characteristic_bounds(fp.with_coverage(c), metric, anchor_alpha)
         return result.bounds.lo - anchor_bounds.lo
 
+    scale = max(abs(anchor_bounds.lo), abs(anchor_bounds.hi))
     gap0 = lower_gap(0.0)
     gap1 = lower_gap(1.0)
-    if abs(gap1) <= _BOUNDARY_ROOT_TOL:
+    if abs(gap1) <= _BOUNDARY_ROOT_TOL * scale:
         coverage = 1.0
-    elif abs(gap0) <= _BOUNDARY_ROOT_TOL:
+    elif abs(gap0) <= _BOUNDARY_ROOT_TOL * scale:
         coverage = 0.0
     elif np.sign(gap0) == np.sign(gap1):
         raise CalibrationError(
@@ -258,10 +263,10 @@ def calibrate_coverage(
     final = characteristic_bounds(fp.with_coverage(coverage), metric, anchor_alpha)
     lower_residual = final.bounds.lo - anchor_bounds.lo
     upper_residual = final.bounds.hi - anchor_bounds.hi
-    if abs(lower_residual) > _CALIBRATION_TOL:
+    if abs(lower_residual) > _CALIBRATION_TOL * scale:
         raise CalibrationError(
             f"calibration stalled, lower-bound residual {lower_residual:.3e} "
-            f"exceeds {_CALIBRATION_TOL:g}"
+            f"exceeds {_CALIBRATION_TOL * scale:.3g}"
         )
     return CalibrationResult(
         coverage=coverage,

@@ -17,8 +17,10 @@ import numpy as np
 from .errors import ValidationError
 
 # Consecutive membership-curve rows may escape nesting by at most this
-# much before construction fails; anything smaller is float noise.
-NESTING_TOL = 1e-9
+# fraction of their magnitude before construction fails; anything smaller
+# is float noise. On curves whose ends stay below 10, such as the reference
+# model's, that is at most 1e-9.
+NESTING_TOL = 1e-10
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -60,6 +62,14 @@ class Interval:
 
     def encloses(self, other: "Interval", tol: float = 0.0) -> bool:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
+
+
+def _escapes(inner: Interval, outer: Interval, rtol: float = NESTING_TOL) -> bool:
+    """Whether inner reaches outside outer by more than rtol times the
+    largest endpoint magnitude of the two, so that one tolerance serves
+    every scale of rates."""
+    slack = rtol * max(abs(inner.lo), abs(inner.hi), abs(outer.lo), abs(outer.hi))
+    return inner.lo < outer.lo - slack or inner.hi > outer.hi + slack
 
 
 def _interp_level(x0: float, m0: float, x1: float, m1: float, alpha: float) -> float:
@@ -256,7 +266,7 @@ class MembershipCurve:
         for (a0, iv0), (a1, iv1) in zip(
             zip(alphas, intervals), zip(alphas[1:], intervals[1:])
         ):
-            if iv1.lo < iv0.lo - NESTING_TOL or iv1.hi > iv0.hi + NESTING_TOL:
+            if _escapes(iv1, iv0):
                 raise ValidationError(
                     f"interval at alpha={a1} escapes interval at alpha={a0}: "
                     f"[{iv1.lo}, {iv1.hi}] vs [{iv0.lo}, {iv0.hi}]"

@@ -168,7 +168,7 @@ def _generators(rates: np.ndarray, mode: ChainMode) -> np.ndarray:
     rates has shape (..., 5), columns lambda, theta, mu, c, beta, and the
     result has shape (..., 6, 6) with rows closed to zero. Nothing is
     checked: the rates come from a validated SystemParams or from inside
-    a box whose vertices were validated. For a fixed c the result is
+    a box validated at its worst corner. For a fixed c the result is
     linear in lambda, theta, mu and beta.
     """
     rates = np.asarray(rates, dtype=float)
@@ -347,8 +347,8 @@ def failure_density_laplace(params: SystemParams, s: float) -> float:
 # -- kernels ------------------------------------------------------------------
 #
 # Rate rows must come from validated SystemParams or from inside a box
-# whose vertices were. The closed forms also take complex rows, for
-# _complex_step.
+# validated at its worst corner. The closed forms also take complex rows,
+# for _complex_step.
 
 
 def _mttf_values(rates: np.ndarray) -> np.ndarray:
@@ -667,6 +667,8 @@ def _reliability_sensitivities(
     entry of M is (dB/dp)[i, j] d_i / d_j = (dB/dp)[i, j] / B[i, j]
     S[i, j], which stays finite when c = 0 zeroes B[0, 1], B[1, 2] and
     S off the diagonal. Rows without a symmetrizer use _up_block_expm.
+    The bounds search takes its R(t) values from here, so they are clipped
+    exactly as _reliability_values clips them.
     """
     eig = _up_eigen(rates)
     e = _rate_directions(rates)
@@ -682,4 +684,7 @@ def _reliability_sensitivities(
     partials = t * np.einsum("nk,nkl,npkl,nl->np", eig.u, gamma, g, eig.v)
     if not eig.ok.all():
         values[~eig.ok], partials[~eig.ok] = _up_block_expm(rates[~eig.ok], t)
+    values = np.minimum(np.maximum(values, 0.0), 1.0)
+    if t == 0.0:
+        values[:] = 1.0
     return values, partials

@@ -98,14 +98,16 @@ def demo_params(coverage=0.9, **overrides):
     return FuzzySystemParams(**kwargs)
 
 
-def crisp_params():
-    return FuzzySystemParams(
+def crisp_params(**overrides):
+    kwargs = dict(
         failure_rate=FuzzyNumber.crisp(0.6),
         standby_failure_rate=FuzzyNumber.crisp(0.2),
         repair_rate=FuzzyNumber.crisp(4.0),
         reboot_rate=FuzzyNumber.crisp(2.0),
         coverage=0.9,
     )
+    kwargs.update(overrides)
+    return FuzzySystemParams(**kwargs)
 
 
 class TestMetric:
@@ -180,6 +182,19 @@ class TestFuzzyParamsValidation:
         demo_params(
             failure_rate=theta, standby_failure_rate=theta, enforce_standby_slower=True
         )
+
+    @pytest.mark.parametrize(
+        "lam, theta", [(1e-13, 5e-13), (0.5, 0.5 + 5e-13)], ids=["tiny", "unit"]
+    )
+    def test_standby_excess_beyond_rounding_rejected(self, lam, theta):
+        # an absolute slack of 1e-12 let both through, and every bound of
+        # them then found no feasible point
+        with pytest.raises(ValidationError, match="exceeds failure rate cut"):
+            crisp_params(
+                failure_rate=FuzzyNumber.crisp(lam),
+                standby_failure_rate=FuzzyNumber.crisp(theta),
+                enforce_standby_slower=True,
+            )
 
     def test_modal_reduction(self):
         p = demo_params().modal_params()
@@ -285,6 +300,19 @@ class TestCharacteristicBounds:
         with pytest.raises(KernelEvaluationError, match="repair_rate > 0") as err:
             characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
         assert err.value.point["mu"] == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_reliability_at_time_zero_is_exactly_one(self, alpha):
+        res = characteristic_bounds(demo_params(), reliability_at_time(0.0), alpha)
+        assert (res.bounds.lo, res.bounds.hi) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("t", [1e-9, 1.0, 200.0])
+    def test_reliability_without_repair_stays_in_unit_interval(self, t):
+        # mu = 0 rows take R(t) from expm of the up block (_up_block_expm)
+        fp = demo_params(repair_rate=FuzzyNumber.trapezoidal(0.0, 1.0, 2.0, 3.0))
+        res = characteristic_bounds(fp, reliability_at_time(t), 0.0)
+        assert res.argmin["mu"] == 0.0
+        assert 0.0 <= res.bounds.lo <= res.bounds.hi <= 1.0
 
     def test_stiff_corner_matches_50_digit_reference(self):
         # a 6x6 expm left the probability simplex at the mu = 1e9 corner
@@ -395,16 +423,16 @@ def coupled_params():
 
 
 def open_lambda_and_mu_on(top_box):
-    """_axis_signs with lambda and mu forced open on top_box only."""
-    certify = bounds._axis_signs
+    """_certify with lambda and mu forced open on top_box only."""
+    certify = bounds._certify
 
-    def signs(fp, metric, box, coupled):
-        found = certify(fp, metric, box, coupled)
+    def certificate(fp, metric, box, coupled):
+        points, values, signs = certify(fp, metric, box, coupled)
         if box == top_box:
-            found.update(dict.fromkeys(("lambda", "mu")))
-        return found
+            signs.update(dict.fromkeys(("lambda", "mu")))
+        return points, values, signs
 
-    return signs
+    return certificate
 
 
 # The c = 0.5 availability box, whose maximum lies inside the mu cut.
@@ -476,7 +504,7 @@ class TestCertificate:
     def test_two_open_axes_subdivided(self, fp, metric):
         res = characteristic_bounds(fp, metric, 0.0)
         top_box = fp.cuts(0.0, tuple(res.box))
-        with mock.patch.object(bounds, "_axis_signs", open_lambda_and_mu_on(top_box)):
+        with mock.patch.object(bounds, "_certify", open_lambda_and_mu_on(top_box)):
             forced = characteristic_bounds(fp, metric, 0.0)
         assert {"lambda", "mu"} <= set(forced.open_axes)
         assert forced.method is BoundsMethod.SUBDIVISION
@@ -502,6 +530,32 @@ class TestCertificate:
             with pytest.raises(SolverError, match=r"mu in \[3, 6\]"):
                 characteristic_bounds(demo_params(), STEADY_AVAILABILITY, 0.0)
         assert broken.call_count == 1
+
+    def test_one_sensitivity_call_per_level_and_no_values_call(self):
+        # the certificate's call supplies the vertex values too
+        counted = mock.Mock(wraps=bounds.markov._mttf_sensitivities)
+        refuse = mock.Mock(side_effect=AssertionError("values kernel called"))
+        with (
+            mock.patch.object(bounds.markov, "_mttf_sensitivities", counted),
+            mock.patch.object(bounds, "_box_values", refuse),
+        ):
+            results = bounds.bounds_at_levels(demo_params(), MTBF, ALPHAS_11)
+        assert counted.call_count == len(ALPHAS_11)
+        for res in results:
+            lo, hi = REFERENCE_MTBF_BOUNDS[round(res.alpha, 1)]
+            assert res.bounds.lo == pytest.approx(lo, abs=5e-3)
+            assert res.bounds.hi == pytest.approx(hi, abs=5e-3)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "metric", [MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)]
+    )
+    def test_box_validated_at_one_corner(self, metric, alpha):
+        # availability at alpha = 0 subdivides mu; its halves build none
+        built = mock.Mock(wraps=SystemParams)
+        with mock.patch.object(bounds, "SystemParams", built):
+            characteristic_bounds(demo_params(), metric, alpha)
+        assert built.call_count == 1
 
     def test_coupled_maximum_on_theta_equals_lambda(self):
         res = characteristic_bounds(coupled_params(), MTBF, 0.0)

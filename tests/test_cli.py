@@ -453,6 +453,17 @@ class TestExitCodes:
         assert main(["metrics", cfg]) == EXIT_PARSE
         assert "'solver.enforce_standby_slower'" in capsys.readouterr().err
 
+    def test_standby_excess_beyond_rounding_is_validation_error(
+        self, config_path, tmp_path
+    ):
+        # accepted under an absolute 1e-12 slack, then no bound was feasible
+        solver = {"enforce_standby_slower": True}
+        cfg = config_path(
+            {**DEMO_CONFIG, "lambda": 0.5, "theta": 0.5 + 5e-13, "solver": solver}
+        )
+        out = str(tmp_path / "cuts.csv")
+        assert main(["alphacut", cfg, "--out", out]) == EXIT_VALIDATION
+
     @pytest.mark.parametrize(
         "section, key",
         [("simulation", "warmup_fraction"), ("simulation", "batches"),

@@ -23,6 +23,23 @@ from fuzzrel import (
 from test_bounds import ALPHAS_11, REFERENCE_MTBF_BOUNDS, crisp_params, demo_params
 
 
+def scaled_demo_params(k, coverage):
+    """demo_params with every rate times k."""
+    rates = dict(
+        failure_rate=(0.5, 0.6, 0.7, 0.8),
+        standby_failure_rate=(0.1, 0.2, 0.3, 0.4),
+        repair_rate=(3.0, 4.0, 5.0, 6.0),
+        reboot_rate=(1.5, 2.0, 2.5, 3.0),
+    )
+    return demo_params(
+        coverage,
+        **{
+            name: FuzzyNumber.trapezoidal(*(k * x for x in nodes))
+            for name, nodes in rates.items()
+        },
+    )
+
+
 @pytest.fixture(scope="module")
 def demo_table():
     return build_table(demo_params(), MTBF, ALPHAS_11)
@@ -103,6 +120,16 @@ class TestInvertQuery:
         with pytest.raises(NoContainmentError):
             invert_query(demo_curve, DecisionQuery(MTBF, Interval(5.2, 6.0)))
 
+    def test_containment_slack_scales_with_the_curve(self):
+        # every rate times 1e10 puts the MTBF near 5e-10, where an absolute
+        # slack of 1e-12 hid a 0.1% miss at each end
+        fp = scaled_demo_params(1e10, 0.9)
+        curve = build_table(fp, MTBF, (0.0, 0.5, 1.0)).to_curve()
+        top = curve.intervals[-1]
+        target = Interval(1.001 * top.lo, 0.999 * top.hi)
+        with pytest.raises(NoContainmentError):
+            invert_query(curve, DecisionQuery(MTBF, target))
+
     def test_one_sided_threshold(self, demo_curve):
         # loose upper bound: the answer is set by the lower branch alone
         top = demo_curve.intervals[-1]
@@ -165,6 +192,15 @@ class TestCalibrateCoverage:
         fp = demo_params()
         with pytest.raises(CalibrationError):
             calibrate_coverage(fp, MTBF, 1.0, Interval(100.0, 200.0))
+
+    @pytest.mark.parametrize("k", [1e-10, 1e-9, 1e10, 1e11])
+    def test_scaled_rates_calibrate_alike(self, k):
+        # the MTBF scales as 1 / k and the true coverage stays 0.9; with
+        # absolute tolerances k <= 1e-8 stalled, 1e10 returned 0, 1e11 1
+        anchor = characteristic_bounds(scaled_demo_params(k, 0.9), MTBF, 1.0).bounds
+        result = calibrate_coverage(scaled_demo_params(k, 0.5), MTBF, 1.0, anchor)
+        assert result.coverage == pytest.approx(0.9, abs=1e-9)
+        assert abs(result.lower_residual) <= 1e-12 * anchor.lo
 
     def test_availability_metric_calibrates_too(self):
         fp = demo_params()

@@ -161,6 +161,18 @@ class TestMembershipCurve:
                 [(0.0, Interval(0.0, 1.0)), (1.0, Interval(-0.5, 0.5))]
             )
 
+    def test_nesting_tolerance_scales_with_the_rows(self):
+        # an absolute 1e-9 accepted an alpha = 1 row wholly outside the
+        # alpha = 0 row when both sit near 1e-10
+        with pytest.raises(ValidationError):
+            MembershipCurve(
+                (0.0, 1.0), (Interval(1e-10, 2e-10), Interval(5e-10, 6e-10))
+            )
+        # while it rejected rounding noise of a few ulps at 1e9
+        wide = Interval(1e9, 2e9)
+        noisy = Interval(1e9 - 4.0 * np.spacing(1e9), 2e9 + 4.0 * np.spacing(2e9))
+        assert MembershipCurve((0.0, 1.0), (wide, noisy)).membership_at(1.5e9) == 1.0
+
     def test_rejects_disordered_alphas(self):
         with pytest.raises(ValidationError):
             MembershipCurve.from_rows(
