@@ -4,20 +4,45 @@ At each alpha level the fuzzy rates cut down to a box of crisp rate
 vectors. The lower and upper bounds of a characteristic over that box
 are a pair of small constrained programs; solving them across a ladder
 of alpha levels traces out the membership curve of the characteristic.
+A box is validated once, at its one worst corner. Under the standby
+constraint theta <= lambda the feasible set is a polytope.
 
-Each pair is solved by the vertex method of Dong & Shah (Fuzzy Sets
-Syst. 24, 1987) wherever a certificate shows it exact, and by interval
-subdivision elsewhere. A box is validated once, at its one worst corner,
-and evaluated once: a single batched call gives the characteristic and
-its analytic partial derivatives on a 3-per-axis lattice of the box. An
-axis whose samples all share one sign is monotone and is pinned at the
-end that sign selects for each bound, where the lattice values already
-hold the vertex values. With no axis left open, each bound is one vertex
-value; otherwise the open axes are halved and each half is certified in
-turn (Moore, Kearfott & Cloud, Introduction to Interval Analysis, 2009,
-ch. 9). The search is deterministic. Under the standby constraint theta
-<= lambda the feasible set is a polytope, and its vertices on theta =
-lambda join the box corners.
+MTBF and steady availability have closed-form bounds, found for a whole
+ladder in one batched pass (_closed_form_bounds). Write each metric as
+num / den, the closed forms of markov._mttf_values and
+markov._availability_values, with num and den polynomials in (lambda,
+theta, mu, beta) whose coefficients are polynomials in c. A partial's
+sign is that of num' den - num den', den^2 being positive. Expanded in
+the Bernstein basis on c in [0, 1], every coefficient of those
+numerators has one sign (test_bounds.TestProofs checks this with sympy):
+
+- MTTF falls in lambda and in theta;
+- availability falls in lambda and in theta and rises in beta;
+
+for all rates >= 0 and every c in [0, 1]. So each bound pins lambda,
+theta and beta at the ends these signs select, the vertex method of Dong
+& Shah (Fuzzy Sets Syst. 24, 1987) made exact; under theta <= lambda the
+maximum moves lambda up to theta lo and the minimum theta down to lambda
+hi, the polytope's vertices on theta = lambda. What is left is one
+variable, mu. The numerator of each metric's mu derivative is a
+polynomial in mu (markov._mttf_mu_slope, markov._availability_mu_slope)
+whose coefficients change sign at most once, from + at the low powers to
+- at the high ones; by Descartes' rule of signs each metric turns at most
+once in mu, from rising to falling. The minimum then lies at an end of
+the mu cut, and the maximum at an end or at that turn, which a bisection
+on the slope polynomial brackets to adjacent floats. No sampling is left
+to trust, and the values kernel runs once per ladder.
+
+Reliability at a mission time has no such proof yet. Its bounds come
+from a certificate (Moore, Kearfott & Cloud, Introduction to Interval
+Analysis, 2009, ch. 9): one batched call gives R(t) and its analytic
+partial derivatives on a 3-per-axis lattice of the box. An axis whose
+samples all share one sign is monotone and is pinned at the end that
+sign selects, where the lattice values already hold the vertex values.
+With no axis left open, each bound is one vertex value; otherwise the
+open axes are halved and each half is certified in turn. The search is
+deterministic, and the polytope's vertices on theta = lambda join the
+box corners.
 """
 
 from __future__ import annotations
@@ -46,8 +71,8 @@ PARAM_MU = "mu"
 PARAM_BETA = "beta"
 PARAMETER_NAMES = (PARAM_LAMBDA, PARAM_THETA, PARAM_MU, PARAM_BETA)
 
-# a partial counts as zero when it moves the metric across the box by less
-# than this fraction of the metric
+# an R(t) partial counts as zero when it moves R across the box by less
+# than this fraction of R
 _ZERO_CHANGE = 1e-12
 
 
@@ -207,6 +232,7 @@ class FuzzySystemParams:
 
 
 class BoundsMethod(Enum):
+    CLOSED_FORM = "closed-form"
     CORNER_SCAN = "corner-scan"
     SUBDIVISION = "subdivision"
     GRID_REFINE = "grid-refine"
@@ -216,9 +242,11 @@ class BoundsMethod(Enum):
 class BoundsResult:
     """Bounds of one characteristic over one alpha-cut box.
 
-    open_axes names the axes the monotonicity certificate left open on the
-    whole box, which subdivision then halved; it is empty when every axis
-    was pinned at a vertex.
+    For R(t), open_axes names the axes the monotonicity certificate left
+    open on the whole box, which subdivision then halved; it is empty when
+    every axis was pinned at a vertex. For MTBF and availability, whose
+    other axes are pinned by proof, it is ("mu",) where the maximum lies
+    inside the mu cut, at the metric's one turn in mu, and empty otherwise.
     """
 
     alpha: float
@@ -325,9 +353,9 @@ def _sign(values: np.ndarray, partials: np.ndarray, width: float) -> int | None:
 def _certify(
     fp: FuzzySystemParams, metric: Metric, box: dict[str, Interval], coupled: bool
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int | None]]:
-    """The one evaluation of a box: its feasible 3-per-axis lattice points
-    (vertices, edge midpoints, face centres, centre) as rows, the metric
-    at each, and the monotonicity certificate, from one batched
+    """The one evaluation of an R(t) box: its feasible 3-per-axis lattice
+    points (vertices, edge midpoints, face centres, centre) as rows, R at
+    each, and the monotonicity certificate, from one batched
     sensitivity call. An axis maps to +1 or -1 when every nonzero sample
     has that sign, to 0 when every sample is zero, and to None, open,
     otherwise. When the standby constraint cuts the box, lambda and theta
@@ -340,12 +368,7 @@ def _certify(
     rates = _rate_vectors(fp, points)
     try:
         with np.errstate(all="ignore"):
-            if metric.kind == "mtbf":
-                values, partials = markov._mttf_sensitivities(rates)
-            elif metric.kind == "availability":
-                values, partials = markov._availability_sensitivities(rates)
-            else:
-                values, partials = markov._reliability_sensitivities(rates, metric.t)
+            values, partials = markov._reliability_sensitivities(rates, metric.t)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"{metric.describe()} sensitivities failed on the box "
@@ -421,6 +444,24 @@ def _extreme(
     return best
 
 
+def _cut_box(
+    fp: FuzzySystemParams, metric: Metric, alpha: float
+) -> tuple[dict[str, Interval], bool]:
+    """The alpha-cut box of the metric's axes and whether theta <= lambda
+    cuts it; a box with no point where theta <= lambda raises SolverError."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+    box = fp.cuts(alpha, _metric_axes(metric))
+    coupled = _cut_by_standby(fp, box)
+    if coupled and box[PARAM_THETA].lo > box[PARAM_LAMBDA].hi:
+        raise SolverError(
+            f"no feasible point in the alpha={alpha} box under the standby "
+            f"rate constraint"
+        )
+    return box, coupled
+
+
 def _box(
     fp: FuzzySystemParams, metric: Metric, alpha: float
 ) -> tuple[dict[str, Interval], bool]:
@@ -435,18 +476,9 @@ def _box(
     its feasible part. A failing corner raises KernelEvaluationError
     naming it, and every point inside the box is evaluated unchecked.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    names = _metric_axes(metric)
-    box = fp.cuts(alpha, names)
-    coupled = _cut_by_standby(fp, box)
+    box, coupled = _cut_box(fp, metric, alpha)
+    names = list(box)
     lam, theta = box[PARAM_LAMBDA], box[PARAM_THETA]
-    if coupled and theta.lo > lam.hi:
-        raise SolverError(
-            f"no feasible point in the alpha={alpha} box under the standby "
-            f"rate constraint"
-        )
     corner = np.array([[iv.lo for iv in box.values()]])
     corner[0, :2] = (lam.hi, theta.lo) if coupled else (lam.lo, theta.hi)
     mode = markov.ChainMode.RELIABILITY
@@ -462,21 +494,131 @@ def _box(
     return box, coupled
 
 
+def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomials with coefficients coeffs (k, ...), highest power
+    first, at x, by Horner's rule."""
+    value = coeffs[0]
+    for coefficient in coeffs[1:]:
+        value = value * x + coefficient
+    return value
+
+
+def _turn(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where each polynomial of coeffs (k, N), positive at lo and negative
+    at hi, changes sign: one bisection over all N at once, run until every
+    bracket closes to adjacent floats, returning its low end."""
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not ((lo < mid) & (mid < hi)).any():
+            return lo
+        rising = _polyval(coeffs, mid) > 0.0
+        lo = np.where(rising, mid, lo)
+        hi = np.where(rising, hi, mid)
+
+
+def _closed_form_bounds(
+    fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
+) -> tuple[BoundsResult, ...]:
+    """MTBF or availability bounds at every level of a ladder, in one pass.
+
+    The cuts of the levels nest, so the first level's worst corner is the
+    worst of them all and the only one checked (_box); each later level is
+    checked for a feasible point alone. Then, for every level at once:
+
+    - lambda and theta sit at proven ends, and beta too for availability
+      (see the module docstring). The maximum takes lambda = max(lambda
+      lo, theta lo), theta lo and beta hi; the minimum lambda hi, theta =
+      min(theta hi, lambda hi) and beta lo. Without a cutting standby
+      constraint these are box corners.
+    - In mu each metric turns at most once, from rising to falling
+      (markov._mttf_mu_slope, markov._availability_mu_slope). So each
+      minimum lies at an end of the mu cut, and each maximum at an end or,
+      where the slope is positive at mu lo and negative at mu hi, at the
+      turn, which _turn brackets.
+
+    One values-kernel call evaluates every candidate. A value that is not
+    finite raises SolverError naming its box.
+    """
+    names = _metric_axes(metric)
+    first, _ = _box(fp, metric, alphas[0])
+    boxes = [first] + [_cut_box(fp, metric, a)[0] for a in alphas[1:]]
+    n = len(boxes)
+    # ends[end, axis, level], end 0 the cut's lower end
+    ends = np.array([[(iv.lo, iv.hi) for iv in box.values()] for box in boxes]).T
+    (lam_lo, theta_lo, mu_lo), (lam_hi, theta_hi, mu_hi) = ends[:, :3]
+    # rows of the minimum's point, then of the maximum's
+    at = np.empty((2, n, 5))
+    at[0, :, 0], at[0, :, 1] = lam_hi, np.minimum(theta_hi, lam_hi)
+    at[1, :, 0], at[1, :, 1] = np.maximum(lam_lo, theta_lo), theta_lo
+    at[:, :, 3] = fp.coverage
+    if metric.uses_reboot_rate:
+        at[:, :, 4] = ends[:, 3]
+        values_of, slope_of = markov._availability_values, markov._availability_mu_slope
+    else:
+        at[:, :, 4] = fp.reboot_rate.modal_interval.midpoint
+        values_of, slope_of = markov._mttf_values, markov._mttf_mu_slope
+    slope = slope_of(at[1])
+    at_lo, at_hi = _polyval(slope[:, None], ends[:, 2])
+    turns = np.flatnonzero((at_lo > 0.0) & (at_hi < 0.0))
+    # candidates: the minimum's point at mu lo and mu hi, the maximum's
+    # likewise, then the maximum's point at each turn
+    rows = np.concatenate([np.repeat(at, 2, axis=0).reshape(4 * n, 5), at[1, turns]])
+    rows[: 4 * n, 2] = np.tile(ends[:, 2].reshape(-1), 2)
+    if len(turns):
+        rows[4 * n :, 2] = _turn(slope[:, turns], mu_lo[turns], mu_hi[turns])
+    with np.errstate(all="ignore"):
+        values = values_of(rows)
+    if not np.isfinite(values).all():
+        level = np.flatnonzero(~np.isfinite(values))[0] % n
+        raise SolverError(
+            f"{metric.describe()} is not finite on the box "
+            f"{_describe_box(boxes[level])}"
+        )
+
+    # per level: the smaller end value, and the larger one unless its turn
+    # is larger still; ties keep the first, mu lo
+    values, points = values.tolist(), rows[:, [0, 1, 2, 4][: len(names)]].tolist()
+    turn_rows = dict(zip(turns.tolist(), range(4 * n, len(values))))
+    results = []
+    for i, (alpha, box) in enumerate(zip(alphas, boxes)):
+        low = n + i if values[n + i] < values[i] else i
+        high = 3 * n + i if values[3 * n + i] > values[2 * n + i] else 2 * n + i
+        turn = turn_rows.get(i)
+        at_turn = turn is not None and values[turn] > values[high]
+        if at_turn:
+            high = turn
+        results.append(
+            BoundsResult(
+                alpha=float(alpha),
+                box=box,
+                bounds=Interval(values[low], values[high]),
+                argmin=dict(zip(names, points[low])),
+                argmax=dict(zip(names, points[high])),
+                method=BoundsMethod.CLOSED_FORM,
+                open_axes=(PARAM_MU,) if at_turn else (),
+            )
+        )
+    return tuple(results)
+
+
 def characteristic_bounds(
     fp: FuzzySystemParams, metric: Metric, alpha: float
 ) -> BoundsResult:
     """Lower and upper bounds of a characteristic over one alpha-cut box.
 
-    Validates the box at its one worst corner (_box), then makes one
-    batched sensitivity call on its 3-per-axis lattice, which gives the
-    metric at the lattice points and certifies each axis by the sign of
-    its partial derivative (_certify). A certified axis is pinned, for
-    each bound, at the end its sign selects, and a constant one at its
-    lower end. With no axis open the bounds are vertex values, the vertex
-    method of Dong & Shah (1987); otherwise the open axes are halved
-    until the certificate closes on every piece (_extreme), each piece
-    certified by its own single call. The result is deterministic.
+    MTBF and availability take the closed form of a one-level ladder
+    (_closed_form_bounds). R(t) validates the box at its one worst corner
+    (_box), then makes one batched sensitivity call on its 3-per-axis
+    lattice, which gives R at the lattice points and certifies each axis
+    by the sign of its partial derivative (_certify). A certified axis is
+    pinned, for each bound, at the end its sign selects, and a constant
+    one at its lower end. With no axis open the bounds are vertex values,
+    the vertex method of Dong & Shah (1987); otherwise the open axes are
+    halved until the certificate closes on every piece (_extreme), each
+    piece certified by its own single call. The result is deterministic.
     """
+    if metric.kind != "reliability":
+        return _closed_form_bounds(fp, metric, (alpha,))[0]
     box, coupled = _box(fp, metric, alpha)
     certificate = _certify(fp, metric, box, coupled)
     open_axes = tuple(n for n, s in certificate[2].items() if s is None)
@@ -539,8 +681,11 @@ def _validate_alpha_ladder(alphas: Sequence[float]) -> tuple[float, ...]:
 def bounds_at_levels(
     fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
 ) -> tuple[BoundsResult, ...]:
-    """characteristic_bounds across an alpha ladder."""
+    """characteristic_bounds across an alpha ladder; MTBF and availability
+    take every level in one pass (_closed_form_bounds)."""
     ladder = _validate_alpha_ladder(alphas)
+    if metric.kind != "reliability":
+        return _closed_form_bounds(fp, metric, ladder)
     return tuple(characteristic_bounds(fp, metric, a) for a in ladder)
 
 

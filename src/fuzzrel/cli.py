@@ -281,9 +281,10 @@ def cmd_curve(args) -> int:
 
     support = curve.support
     zs = np.linspace(support.lo, support.hi, 201)
+    grades = curve.membership_at(zs)
     member = ["z,membership"]
-    for z in zs:
-        member.append(f"{_fmt(float(z), full)},{_fmt(curve.membership_at(float(z)), full)}")
+    for z, grade in zip(zs.tolist(), grades.tolist()):
+        member.append(f"{_fmt(z, full)},{_fmt(grade, full)}")
     stem, ext = os.path.splitext(args.out)
     member_path = f"{stem}_membership{ext}"
     _write_lines(member_path, member)

@@ -97,18 +97,15 @@ def build_table(
     metric: Metric,
     alphas: Sequence[float],
 ) -> AlphaCutTable:
-    """Alpha-cut table for a metric across an alpha ladder."""
+    """Alpha-cut table for a metric across an alpha ladder; the cut
+    columns are the boxes the bounds search took at each level."""
     ladder = _validate_alpha_ladder(alphas)
     names = _metric_axes(metric)
     results = bounds_at_levels(fp, metric, ladder)
     bound_ivs = enforce_nesting(ladder, [r.bounds for r in results])
-
-    cut_columns = {}
-    for name in names:
-        fz = fp.fuzzy_by_name(name)
-        cut_columns[name] = enforce_nesting(
-            ladder, [fz.alpha_cut(a) for a in ladder]
-        )
+    cut_columns = {
+        name: enforce_nesting(ladder, [r.box[name] for r in results]) for name in names
+    }
 
     rows = tuple(
         TableRow(

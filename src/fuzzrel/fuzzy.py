@@ -9,6 +9,8 @@ interval optimizers downstream consume.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +27,7 @@ NESTING_TOL = 1e-10
 
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValidationError(f"{name} must be finite, got {v!r}")
 
 
@@ -210,16 +212,15 @@ class FuzzyNumber:
         if ms[0] >= alpha:
             lo = vs[0]
         else:
-            rising = ms[: first + 1]
-            i = int(np.searchsorted(rising, alpha, side="left"))
+            # first index of the rising branch whose membership is >= alpha
+            i = bisect.bisect_left(ms, alpha, 0, first + 1)
             lo = _interp_level(vs[i - 1], ms[i - 1], vs[i], ms[i], alpha)
 
         if ms[-1] >= alpha:
             hi = vs[-1]
         else:
-            falling = ms[last:]
             # first index from the right whose membership is >= alpha
-            j = int(np.searchsorted(falling[::-1], alpha, side="left"))
+            j = bisect.bisect_left(ms[last:][::-1], alpha)
             i = len(ms) - 1 - j
             hi = _interp_level(vs[i], ms[i], vs[i + 1], ms[i + 1], alpha)
 
@@ -301,40 +302,42 @@ class MembershipCurve:
             float(np.interp(alpha, alphas, highs)),
         )
 
-    def membership_at(self, z: float) -> float:
+    def membership_at(self, z):
         """Membership grade of z under the curve's piecewise-linear shape.
 
         Computed as the largest alpha whose interval contains z, which for
         nested rows equals linear interpolation on the branch z falls on.
         Points outside the lowest-alpha interval get 0, points inside the
         highest-alpha interval get that alpha (1 for a complete curve).
+        z may be a float, which gives a float, or an array, which gives an
+        array of the grades its elements would give one at a time.
         """
-        z = float(z)
-        _require_finite("query point", z)
+        shape = np.shape(z)
+        zs = np.asarray(z, dtype=float).reshape(-1)
+        if not np.isfinite(zs).all():
+            _require_finite("query point", *zs.tolist())
         lows = np.asarray([iv.lo for iv in self.intervals])
         highs = np.asarray([iv.hi for iv in self.intervals])
         alphas = np.asarray(self.alphas)
+        last = len(alphas) - 1
 
-        if z < lows[0] or z > highs[0]:
-            return 0.0
-        if lows[-1] <= z <= highs[-1]:
-            return float(alphas[-1])
+        def branch(ends, k):
+            # the grade where z meets ends between rows k and k + 1, both
+            # ends on z's side, or row k's alpha where z is its end; rows
+            # off the branch are clamped and their grades discarded below
+            k = np.maximum(k, 0)
+            k1 = np.minimum(k + 1, last)
+            x0, a0 = ends[k], alphas[k]
+            inner = a0 + np.abs(zs - x0) * (alphas[k1] - a0) / np.abs(ends[k1] - x0)
+            return np.where(x0 == zs, a0, inner)
 
-        if z < lows[-1]:
-            # lower branch: lows is nondecreasing; find the last row whose
-            # lower endpoint is still <= z, i.e. the highest alpha reached
-            k = int(np.searchsorted(lows, z, side="right")) - 1
-            if lows[k] == z:
-                return float(alphas[k])
-            x0, x1 = lows[k], lows[k + 1]
-            a0, a1 = alphas[k], alphas[k + 1]
-            return float(a0 + (z - x0) * (a1 - a0) / (x1 - x0))
-
-        # upper branch: highs is nonincreasing
-        neg = -highs
-        k = int(np.searchsorted(neg, -z, side="right")) - 1
-        if highs[k] == z:
-            return float(alphas[k])
-        x0, x1 = highs[k], highs[k + 1]
-        a0, a1 = alphas[k], alphas[k + 1]
-        return float(a0 + (x0 - z) * (a1 - a0) / (x0 - x1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # lower branch: lows is nondecreasing; the last row whose lower
+            # endpoint is still <= z is the highest alpha reached
+            lower = branch(lows, np.searchsorted(lows, zs, side="right") - 1)
+            # upper branch: highs is nonincreasing
+            upper = branch(highs, np.searchsorted(-highs, -zs, side="right") - 1)
+        grade = np.where(zs < lows[-1], lower, upper)
+        grade = np.where((lows[-1] <= zs) & (zs <= highs[-1]), alphas[-1], grade)
+        grade = np.where((zs < lows[0]) | (zs > highs[0]), 0.0, grade)
+        return grade.reshape(shape) if shape else float(grade[0])

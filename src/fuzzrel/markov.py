@@ -27,13 +27,14 @@ state returns to the up state it left, so the transitions pair up along a
 tree rooted at UP3 and the availability chain is reversible: its
 stationary law follows from detailed balance, and the MTTF from first-step
 analysis of the up block, both as closed forms made only of sums,
-products and quotients of nonnegative terms. Their partials come from the
-same formulas by complex step. R(t) takes one eigendecomposition of the
-symmetrized up block per row, which serves every mission time and the
-partials. Transients of the availability chain, and the rare reliability
-rows without repair, use a matrix exponential. The public functions pass
-the one row of a validated SystemParams; the bounds search passes all
-points of a box in one call.
+products and quotients of nonnegative terms. The numerators of their
+derivatives in mu are polynomials in mu, whose coefficients the bounds
+search reads to find where each metric turns. R(t) takes one
+eigendecomposition of the symmetrized up block per row, which serves
+every mission time and the partials. Transients of the availability
+chain, and the rare reliability rows without repair, use a matrix
+exponential. The public functions pass the one row of a validated
+SystemParams; the bounds search passes all points of a box in one call.
 """
 
 from __future__ import annotations
@@ -347,8 +348,7 @@ def failure_density_laplace(params: SystemParams, s: float) -> float:
 # -- kernels ------------------------------------------------------------------
 #
 # Rate rows must come from validated SystemParams or from inside a box
-# validated at its worst corner. The closed forms also take complex rows,
-# for _complex_step.
+# validated at its worst corner.
 
 
 def _mttf_values(rates: np.ndarray) -> np.ndarray:
@@ -601,34 +601,79 @@ def steady_availability(params: SystemParams) -> float:
     return float(_availability_values(_rates(params, ChainMode.AVAILABILITY))[0])
 
 
+# -- slopes in mu -------------------------------------------------------------
+#
+# A closed form P / Q turns in mu where the numerator P' Q - P Q' of its
+# mu derivative changes sign, Q^2 being positive. That numerator is a
+# polynomial in mu; each function returns its coefficients at stacked rate
+# rows, shape (k, N), highest power first, with positive factors that
+# carry no sign dropped. The mu column of the rows is not read.
+
+
+def _mttf_mu_slope(rates: np.ndarray) -> np.ndarray:
+    """The numerator of dMTTF/dmu over a, as coefficients of mu^2, mu, 1.
+
+    In _mttf_values' terms MTTF = P / (a E), with P = D + a c N = mu^2 +
+    ((3 - 2c) lambda + a c) mu + (2 lambda^2 + a c (1 + 2c) lambda) and
+    E = (1 - c) mu (mu + 3 lambda) + 2 lambda^2. P' E - P E' collapses to
+
+        -c (1 - c) theta mu^2 + 2 c lambda Y mu + c lambda^2 (3 Y + 2 theta)
+
+    with Y = 2 c (2c - 1) lambda - (1 - c) (1 + 2c) theta. The leading
+    coefficient is never positive, and the constant one is 3 lambda / 2
+    times the middle one plus 2 c lambda^2 theta >= 0: a positive middle
+    coefficient makes the constant positive. So the signs run (-, any, +)
+    or all <= 0, and by Descartes' rule the slope has at most one positive
+    root, where MTTF turns from rising to falling.
+    """
+    lam, theta, c = rates[:, 0], rates[:, 1], rates[:, 3]
+    y = 2.0 * c * (2.0 * c - 1.0) * lam - (1.0 - c) * (1.0 + 2.0 * c) * theta
+    return np.array(
+        [
+            -c * (1.0 - c) * theta,
+            2.0 * c * lam * y,
+            c * lam * lam * (3.0 * y + 2.0 * theta),
+        ]
+    )
+
+
+def _availability_mu_slope(rates: np.ndarray) -> np.ndarray:
+    """The numerator of dA/dmu over beta a, as coefficients of mu^4 .. 1.
+
+    Scaling _stationary's masses by beta mu^3 gives A = U / (U + V), with
+    U = beta (mu^3 + c a mu^2 + 2 c^2 a lambda mu) and V = a ((1 - c)
+    mu^3 + 2 c (1 - c) lambda mu^2 + 2 c^2 lambda^2 beta). U' V - U V'
+    is beta a times
+
+        -c (1 - c) theta mu^4 - 4 c^2 (1 - c) lambda a mu^3
+        + 2 c^2 lambda^2 (3 beta - 2 c (1 - c) a) mu^2
+        + 4 beta c^3 lambda^2 a mu + 4 beta c^4 lambda^3 a.
+
+    The signs run (-, -, any, +, +) for 0 < c < 1, so by Descartes' rule
+    the slope has at most one positive root, where A turns from rising to
+    falling; c = 0 leaves A constant in mu and c = 1 rising.
+    """
+    lam, theta, c, beta = rates[:, 0], rates[:, 1], rates[:, 3], rates[:, 4]
+    a = 2.0 * lam + theta
+    cc = c * c
+    lam2 = lam * lam
+    return np.array(
+        [
+            -c * (1.0 - c) * theta,
+            -4.0 * cc * (1.0 - c) * lam * a,
+            2.0 * cc * lam2 * (3.0 * beta - 2.0 * c * (1.0 - c) * a),
+            4.0 * beta * cc * c * lam2 * a,
+            4.0 * beta * cc * cc * lam2 * lam * a,
+        ]
+    )
+
+
 # -- sensitivities ------------------------------------------------------------
 #
-# Partial derivatives of each metric with respect to lambda, theta, mu and,
-# for availability, beta, at stacked rate vectors (Blake, Reibman & Trivedi,
-# SIGMETRICS 1988). Each returns (values, partials) with shapes (N,) and
-# (N, k), k = 3 for MTTF and R(t) and 4 for availability, in that rate
-# order.
-
-# A step so small that the O(h^2) terms vanish next to any value, while h
-# times a partial stays far above underflow for rates in 1e-6..1e9.
-_STEP = 1e-100
-
-
-def _complex_step(
-    values_of, rates: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """values_of at each rate row and its partials by the first k rates.
-
-    Complex step (Squire & Trapp, SIAM Rev. 40, 1998): f(x + i h e_p) =
-    f(x) + i h df/dx_p + O(h^2), so imag / h is the partial with no
-    difference taken. values_of runs once, on every row stepped in each
-    rate. Its closed forms use only sums, products and quotients of
-    nonnegative terms, so values and partials keep full relative precision.
-    """
-    stepped = np.repeat(rates[:, None, :].astype(complex), k, axis=1)
-    stepped[:, range(k), _RATE_FEATURES[:k]] += 1j * _STEP
-    f = values_of(stepped.reshape(-1, rates.shape[1])).reshape(len(rates), k)
-    return f[:, 0].real, f.imag / _STEP
+# Partial derivatives of R(t) with respect to lambda, theta and mu at
+# stacked rate vectors (Blake, Reibman & Trivedi, SIGMETRICS 1988), for the
+# bounds search's certificate. MTTF and availability need only the sign of
+# their mu derivative, which the slope polynomials above give.
 
 
 def _rate_directions(rates: np.ndarray) -> np.ndarray:
@@ -643,17 +688,6 @@ def _rate_directions(rates: np.ndarray) -> np.ndarray:
     units[:, range(3), range(3)] = 1.0
     units[:, :, 3] = rates[:, None, 3]
     return _generators(units, ChainMode.RELIABILITY)[:, :, _UP, _UP]
-
-
-def _mttf_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MTTF and its partials, by complex step of _mttf_values."""
-    return _complex_step(_mttf_values, rates, 3)
-
-
-def _availability_sensitivities(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steady availability and its partials, by complex step of
-    _availability_values."""
-    return _complex_step(_availability_values, rates, 4)
 
 
 def _reliability_sensitivities(

@@ -259,7 +259,7 @@ class TestCharacteristicBounds:
     def test_crisp_box_collapses_to_point(self):
         fp = crisp_params()
         res = characteristic_bounds(fp, MTBF, 0.5)
-        assert res.method is BoundsMethod.CORNER_SCAN
+        assert res.method is BoundsMethod.CLOSED_FORM
         assert res.bounds.is_point
         assert res.bounds.lo == pytest.approx(mttf(fp.modal_params()), abs=1e-12)
 
@@ -472,9 +472,10 @@ def loaded_after(module, work="", package="fuzzrel"):
 class TestCertificate:
     @pytest.mark.parametrize("metric", [MTBF, reliability_at_time(10.0)])
     def test_reference_levels_certified(self, metric):
+        method = BoundsMethod.CORNER_SCAN if metric.t else BoundsMethod.CLOSED_FORM
         for res in bounds.bounds_at_levels(demo_params(), metric, ALPHAS_11):
             assert res.open_axes == ()
-            assert res.method is BoundsMethod.CORNER_SCAN
+            assert res.method is method
 
     def test_interior_availability_maximum_left_to_search(self):
         # dA/dmu changes sign inside the box: the corners alone give
@@ -482,7 +483,7 @@ class TestCertificate:
         fp = demo_params(coverage=0.5)
         res = characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
         assert res.open_axes == ("mu",)
-        assert res.method is BoundsMethod.SUBDIVISION
+        assert res.method is BoundsMethod.CLOSED_FORM
         assert res.bounds.hi == pytest.approx(0.847221810531241, abs=1e-9)
         assert res.argmax["mu"] == pytest.approx(3.3227, abs=1e-3)
 
@@ -490,12 +491,15 @@ class TestCertificate:
     def test_reference_availability_bounds_pinned(self, alpha):
         res = characteristic_bounds(demo_params(), STEADY_AVAILABILITY, alpha)
         lo, hi = REFERENCE_AVAILABILITY_BOUNDS[alpha]
-        assert res.open_axes == ("mu",)
+        # dA/dmu flips sign inside the box only at the minimum's point,
+        # which an end of the mu cut takes; the maximum's point rises
+        assert res.open_axes == ()
         assert res.bounds.lo == pytest.approx(lo, rel=1e-12)
         assert res.bounds.hi == pytest.approx(hi, rel=1e-12)
 
+    # R(t) at three mission times; MTBF and availability take no certificate
     @pytest.mark.parametrize(
-        "metric", [MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)]
+        "metric", [reliability_at_time(t) for t in (0.5, 2.0, 10.0)]
     )
     @pytest.mark.parametrize(
         "fp", [demo_params(), demo_params(coverage=0.5), coupled_params()],
@@ -519,32 +523,33 @@ class TestCertificate:
         "failure",
         [
             dict(side_effect=np.linalg.LinAlgError("singular matrix")),
-            dict(return_value=(np.full(81, np.nan), np.zeros((81, 4)))),
+            dict(return_value=(np.full(27, np.nan), np.zeros((27, 3)))),
         ],
         ids=["singular", "not-finite"],
     )
     def test_failed_certificate_is_a_solver_error(self, failure):
         # raised by the first certificate, naming its box, before any halving
         broken = mock.Mock(**failure)
-        with mock.patch.object(bounds.markov, "_availability_sensitivities", broken):
+        with mock.patch.object(bounds.markov, "_reliability_sensitivities", broken):
             with pytest.raises(SolverError, match=r"mu in \[3, 6\]"):
-                characteristic_bounds(demo_params(), STEADY_AVAILABILITY, 0.0)
+                characteristic_bounds(demo_params(), reliability_at_time(2.0), 0.0)
         assert broken.call_count == 1
 
     def test_one_sensitivity_call_per_level_and_no_values_call(self):
         # the certificate's call supplies the vertex values too
-        counted = mock.Mock(wraps=bounds.markov._mttf_sensitivities)
+        metric = reliability_at_time(10.0)
+        counted = mock.Mock(wraps=bounds.markov._reliability_sensitivities)
         refuse = mock.Mock(side_effect=AssertionError("values kernel called"))
         with (
-            mock.patch.object(bounds.markov, "_mttf_sensitivities", counted),
+            mock.patch.object(bounds.markov, "_reliability_sensitivities", counted),
             mock.patch.object(bounds, "_box_values", refuse),
         ):
-            results = bounds.bounds_at_levels(demo_params(), MTBF, ALPHAS_11)
+            results = bounds.bounds_at_levels(demo_params(), metric, ALPHAS_11)
         assert counted.call_count == len(ALPHAS_11)
         for res in results:
-            lo, hi = REFERENCE_MTBF_BOUNDS[round(res.alpha, 1)]
-            assert res.bounds.lo == pytest.approx(lo, abs=5e-3)
-            assert res.bounds.hi == pytest.approx(hi, abs=5e-3)
+            corners = brute_force_bounds(demo_params(), metric, res.alpha, 2)
+            assert res.bounds.lo == pytest.approx(corners.bounds.lo, rel=1e-12)
+            assert res.bounds.hi == pytest.approx(corners.bounds.hi, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     @pytest.mark.parametrize(
@@ -641,3 +646,274 @@ def test_certified_bounds_never_worse_than_full_search(model):
     tol = 1e-9 * max(abs(grid.bounds.lo), abs(grid.bounds.hi))
     assert res.bounds.lo <= grid.bounds.lo + tol
     assert res.bounds.hi >= grid.bounds.hi - tol
+
+
+def bernstein_sign(sp, expr, symbols, c):
+    """+1 or -1 where expr, a polynomial in symbols with coefficients
+    polynomial in c, has that sign or is zero for every symbol >= 0 and c
+    in [0, 1], by the Bernstein coefficients on [0, 1] of each coefficient;
+    0 for zero; None where the coefficients do not settle the sign."""
+    signs = set()
+    for coefficient in sp.Poly(sp.expand(expr), *symbols).coeffs():
+        a = sp.Poly(coefficient, c).all_coeffs()[::-1]
+        n = len(a) - 1
+        weight = sp.binomial
+        signs |= {
+            sp.sign(sum(a[j] * weight(k, j) / weight(n, j) for j in range(k + 1)))
+            for k in range(n + 1)
+        }
+    signs.discard(0)
+    return signs.pop() if len(signs) == 1 else (None if signs else 0)
+
+
+class TestProofs:
+    """The facts the closed-form bounds rest on, proven with sympy from the
+    values kernels themselves, run on arrays of symbols."""
+
+    @pytest.fixture(scope="class")
+    def symbolic(self):
+        sp = pytest.importorskip("sympy")
+        lam, theta, mu, beta, c = sp.symbols("lambda theta mu beta c", nonnegative=True)
+        rates = np.array([[lam, theta, mu, c, beta]], dtype=object)
+
+        def closed_form(kernel):
+            value = sp.nsimplify(kernel(rates)[0], rational=True)
+            return sp.fraction(sp.together(value))
+
+        forms = {
+            "mtbf": closed_form(bounds.markov._mttf_values),
+            "availability": closed_form(bounds.markov._availability_values),
+        }
+        return sp, (lam, theta, mu, beta), c, rates, forms
+
+    @staticmethod
+    def numerator(sp, form, x):
+        """The numerator of d(num/den)/dx, whose sign is the partial's."""
+        num, den = form
+        return sp.diff(num, x) * den - num * sp.diff(den, x)
+
+    @pytest.mark.parametrize(
+        "kind, signs",
+        [("mtbf", (-1, -1, 0)), ("availability", (-1, -1, 1))],
+    )
+    def test_monotone_in_lambda_theta_and_beta(self, symbolic, kind, signs):
+        sp, symbols, c, _, forms = symbolic
+        lam, theta, _, beta = symbols
+        num, den = forms[kind]
+        assert bernstein_sign(sp, den, symbols, c) == 1
+        for x, sign in zip((lam, theta, beta), signs):
+            numerator = self.numerator(sp, forms[kind], x)
+            assert bernstein_sign(sp, numerator, symbols, c) == sign
+
+    @pytest.mark.parametrize(
+        "kind, slope, factor",
+        [
+            ("mtbf", "_mttf_mu_slope", lambda lam, theta, beta: 2 * lam + theta),
+            (
+                "availability",
+                "_availability_mu_slope",
+                lambda lam, theta, beta: beta * (2 * lam + theta),
+            ),
+        ],
+        ids=["mtbf", "availability"],
+    )
+    def test_mu_slope_has_one_sign_change(self, symbolic, kind, slope, factor):
+        sp, symbols, c, rates, forms = symbolic
+        lam, theta, mu, beta = symbols
+        coefficients = [
+            sp.nsimplify(sp.expand(k[0]), rational=True)
+            for k in getattr(bounds.markov, slope)(rates)
+        ]
+        # the slope polynomial is the mu numerator up to a positive factor
+        polynomial = sum(k * mu**p for p, k in enumerate(coefficients[::-1]))
+        numerator = self.numerator(sp, forms[kind], mu)
+        assert sp.cancel(numerator / polynomial - factor(lam, theta, beta)) == 0
+        signs = [bernstein_sign(sp, k, symbols, c) for k in coefficients]
+        if kind == "mtbf":
+            # (-, any, +) or all <= 0: a positive middle coefficient forces
+            # a positive constant one
+            assert signs[0] == -1
+            assert bernstein_sign(
+                sp, 2 * coefficients[2] - 3 * lam * coefficients[1], symbols, c
+            ) == 1
+        else:
+            assert signs[:2] == [-1, -1] and signs[3:] == [1, 1]
+
+
+def pinned_mu_scan(fp, metric, box, points=2001, rounds=12):
+    """Lowest and highest metric values along the mu cut, the other axes
+    at the ends proven for each bound, by a 2001-point scan of mu that
+    zooms in on its best point until the bracket stops shrinking."""
+    lam, theta, mu = box["lambda"], box["theta"], box["mu"]
+    beta = box.get("beta", fp.reboot_rate.modal_interval)
+    markov = bounds.markov
+    kernel = markov._mttf_values if metric is MTBF else markov._availability_values
+
+    def along(point, lo, hi):
+        mus = np.linspace(lo, hi, points)
+        rows = np.tile([*point[:2], 0.0, fp.coverage, point[2]], (points, 1))
+        rows[:, 2] = mus
+        return mus, kernel(rows)
+
+    at_min = (lam.hi, min(theta.hi, lam.hi), beta.lo)
+    at_max = (max(lam.lo, theta.lo), theta.lo, beta.hi)
+    lowest = along(at_min, mu.lo, mu.hi)[1].min()
+    lo, hi, highest = mu.lo, mu.hi, -np.inf
+    for _ in range(rounds):
+        mus, values = along(at_max, lo, hi)
+        k = int(np.argmax(values))
+        highest = max(highest, values[k])
+        lo, hi = mus[max(k - 1, 0)], mus[min(k + 1, points - 1)]
+        if hi - lo <= 1e-12 * hi:
+            break
+    return lowest, highest
+
+
+@st.composite
+def wide_models(draw):
+    """Log-uniform rates over 1e-6..1e9, coverage 0, 1 or between, theta
+    zero in some, coupled or not. The repair rate is drawn over the whole
+    range, or within a decade or two of lambda, where turns in mu lie."""
+
+    def nodes(exponent=st.floats(-6.0, 9.0)):
+        lo, hi = sorted(10 ** draw(exponent) for _ in range(2))
+        b = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        return lo, b, b + draw(st.floats(0.0, 1.0)) * (hi - b), hi
+
+    lam = nodes()
+    near = np.log10(lam[0])
+    mu = nodes(st.floats(-6.0, 9.0) | st.floats(max(near - 1, -6), min(near + 2, 9)))
+    coupled = draw(st.booleans())
+    s_lo = draw(st.just(0.0) | st.floats(0.0, 0.99))
+    s_hi = draw(st.sampled_from([s_lo, 1.0]) | st.floats(s_lo, 1.0))
+    # coupled: theta's cuts follow lambda's; otherwise theta stays below
+    # lambda's support
+    under = lam if coupled else (lam[0],) * 4
+    fp = FuzzySystemParams(
+        failure_rate=FuzzyNumber.trapezoidal(*lam),
+        standby_failure_rate=FuzzyNumber.trapezoidal(
+            *(s * x for s, x in zip((s_lo, s_lo, s_hi, s_hi), under))
+        ),
+        repair_rate=FuzzyNumber.trapezoidal(*mu),
+        reboot_rate=FuzzyNumber.trapezoidal(*nodes()),
+        coverage=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        enforce_standby_slower=coupled,
+    )
+    return fp, draw(st.sampled_from([MTBF, STEADY_AVAILABILITY]))
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(wide_models())
+    def test_ladder_brackets_grid_and_equals_mu_scan(self, model):
+        fp, metric = model
+        for res in bounds.bounds_at_levels(fp, metric, (0.0, 0.5, 1.0)):
+            grid = brute_force_bounds(fp, metric, res.alpha, 7)
+            tol = 1e-9 * max(abs(grid.bounds.lo), abs(grid.bounds.hi))
+            assert res.bounds.lo <= grid.bounds.lo + tol
+            assert res.bounds.hi >= grid.bounds.hi - tol
+            lowest, highest = pinned_mu_scan(fp, metric, res.box)
+            assert res.bounds.lo == pytest.approx(lowest, rel=1e-12, abs=0.0)
+            assert res.bounds.hi == pytest.approx(highest, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY])
+    def test_one_values_call_and_one_corner_check_per_ladder(self, metric):
+        kernel = "_mttf_values" if metric is MTBF else "_availability_values"
+        counted = mock.Mock(wraps=getattr(bounds.markov, kernel))
+        built = mock.Mock(wraps=SystemParams)
+        refuse = mock.Mock(side_effect=AssertionError("certificate called"))
+        with (
+            mock.patch.object(bounds.markov, kernel, counted),
+            mock.patch.object(bounds, "SystemParams", built),
+            mock.patch.object(bounds, "_certify", refuse),
+        ):
+            results = bounds.bounds_at_levels(demo_params(), metric, ALPHAS_11)
+        assert counted.call_count == 1
+        assert built.call_count == 1
+        assert [r.alpha for r in results] == list(ALPHAS_11)
+        assert all(r.method is BoundsMethod.CLOSED_FORM for r in results)
+
+    def test_non_finite_value_is_a_solver_error(self):
+        nan = mock.Mock(side_effect=lambda rows: np.full(len(rows), np.nan))
+        with mock.patch.object(bounds.markov, "_mttf_values", nan):
+            message = r"MTBF is not finite on the box .*mu in \[3, 6\]"
+            with pytest.raises(SolverError, match=message):
+                bounds.bounds_at_levels(demo_params(), MTBF, ALPHAS_11)
+
+    @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY])
+    def test_zero_coverage_is_constant_in_mu(self, metric):
+        # A = beta / (beta + a) and MTTF = 1 / a, with a = 2 lambda + theta
+        res = characteristic_bounds(demo_params(coverage=0.0), metric, 0.0)
+        a_lo, a_hi = 2 * 0.5 + 0.1, 2 * 0.8 + 0.4
+        if metric is MTBF:
+            expected = (1 / a_hi, 1 / a_lo)
+        else:
+            expected = (1.5 / (1.5 + a_hi), 3 / (3 + a_lo))
+        assert (res.bounds.lo, res.bounds.hi) == pytest.approx(expected, rel=1e-15)
+        assert res.open_axes == ()
+
+    @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY])
+    def test_full_coverage_rises_in_mu(self, metric):
+        res = characteristic_bounds(demo_params(coverage=1.0), metric, 0.0)
+        assert (res.argmin["mu"], res.argmax["mu"]) == (3.0, 6.0)
+        assert res.open_axes == ()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(standby_failure_rate=FuzzyNumber.crisp(0.0), coverage=0.5),
+            dict(repair_rate=FuzzyNumber.trapezoidal(0.0, 1.0, 2.0, 3.0), coverage=0.5),
+            dict(repair_rate=FuzzyNumber.crisp(3.3227), coverage=0.5),
+            # MTBF turns at mu ~ 7.6 where lambda = theta = 0.3
+            dict(
+                failure_rate=FuzzyNumber.crisp(0.3),
+                standby_failure_rate=FuzzyNumber.crisp(0.3),
+                repair_rate=FuzzyNumber.trapezoidal(3.0, 4.0, 9.0, 12.0),
+            ),
+        ],
+        ids=["theta=0", "mu_lo=0", "crisp mu", "turn"],
+    )
+    @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY])
+    def test_edge_boxes_match_mu_scan(self, overrides, metric):
+        fp = demo_params(**overrides)
+        if metric is STEADY_AVAILABILITY and fp.repair_rate.support.lo == 0.0:
+            with pytest.raises(KernelEvaluationError, match="repair_rate > 0"):
+                characteristic_bounds(fp, metric, 0.0)
+            return
+        for res in bounds.bounds_at_levels(fp, metric, (0.0, 0.5, 1.0)):
+            lowest, highest = pinned_mu_scan(fp, metric, res.box)
+            assert res.bounds.lo == pytest.approx(lowest, rel=1e-12, abs=0.0)
+            assert res.bounds.hi == pytest.approx(highest, rel=1e-12, abs=0.0)
+            if res.box["mu"].is_point:
+                assert res.open_axes == ()
+        if fp.failure_rate.is_crisp and metric is MTBF:
+            assert res.open_axes == ("mu",)
+            assert res.argmax["mu"] == pytest.approx(7.6, abs=0.05)
+
+    @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY])
+    def test_coupled_box_infeasible_at_the_top_level(self, metric):
+        # theta's modal point lies one ulp above lambda's: the levels below
+        # alpha = 1 have feasible points, the top one none
+        above = np.nextafter(0.3, 1.0)
+        fp = demo_params(
+            failure_rate=FuzzyNumber.trapezoidal(0.1, 0.3, 0.3, 0.6),
+            standby_failure_rate=FuzzyNumber.trapezoidal(0.1, *[above] * 3),
+            enforce_standby_slower=True,
+        )
+        assert characteristic_bounds(fp, metric, 0.5).bounds.lo > 0.0
+        message = r"no feasible point in the alpha=1\.0 box"
+        with pytest.raises(SolverError, match=message):
+            bounds.bounds_at_levels(fp, metric, (0.0, 0.5, 1.0))
+        with pytest.raises(SolverError, match=message):
+            characteristic_bounds(fp, metric, 1.0)
+
+    def test_invalid_ladder_fails_at_its_first_level(self):
+        fp = demo_params(
+            standby_failure_rate=FuzzyNumber.trapezoidal(0.5, 0.9, 1.0, 1.2)
+        )
+        with pytest.raises(KernelEvaluationError) as single:
+            characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
+        with pytest.raises(KernelEvaluationError) as ladder:
+            bounds.bounds_at_levels(fp, STEADY_AVAILABILITY, ALPHAS_11)
+        assert str(ladder.value) == str(single.value)
+        assert ladder.value.point == single.value.point

@@ -17,6 +17,7 @@ from fuzzrel import (
     calibrate_coverage,
     characteristic_bounds,
     invert_query,
+    reliability_at_time,
     required_parameter_range,
 )
 
@@ -51,6 +52,16 @@ def demo_curve(demo_table):
 
 
 class TestBuildTable:
+    @pytest.mark.parametrize(
+        "metric", [MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)]
+    )
+    def test_cut_columns_equal_alpha_cut(self, metric):
+        fp = demo_params()
+        table = build_table(fp, metric, ALPHAS_11)
+        for row in table.rows:
+            for name in table.parameters:
+                assert row.cuts[name] == fp.fuzzy_by_name(name).alpha_cut(row.alpha)
+
     def test_parameter_columns_are_the_cuts(self, demo_table):
         for row in demo_table.rows:
             a = row.alpha

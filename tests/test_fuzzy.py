@@ -32,6 +32,27 @@ class TestInterval:
         with pytest.raises(ValidationError):
             Interval(0.0, float("inf"))
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (float("nan"), "nan"),
+            (float("inf"), "inf"),
+            (float("-inf"), "-inf"),
+            (np.float64("nan"), "nan"),
+            (np.float32("-inf"), "-inf"),
+        ],
+    )
+    def test_nonfinite_message_names_the_value(self, value, shown):
+        curve = MembershipCurve((0.0,), (Interval(0.0, 1.0),))
+        endpoint = rf"^interval endpoint must be finite, got {shown}$"
+        query = rf"^query point must be finite, got {shown}$"
+        with pytest.raises(ValidationError, match=endpoint):
+            Interval(value, 1.0)
+        with pytest.raises(ValidationError, match=query):
+            curve.membership_at(value)
+        with pytest.raises(ValidationError, match=query):
+            curve.membership_at(np.array([0.5, value]))
+
 
 class TestConstructors:
     def test_trapezoid_cuts(self):
@@ -150,6 +171,31 @@ class TestNestingProperty:
             assert fz.alpha_cut(grade).contains(z, tol=1e-9)
 
 
+def scalar_membership(curve, z):
+    """The grade of one point by the branch search membership_at made
+    before it took arrays, kept as the reference of its array path."""
+    lows = np.asarray([iv.lo for iv in curve.intervals])
+    highs = np.asarray([iv.hi for iv in curve.intervals])
+    alphas = np.asarray(curve.alphas)
+    if z < lows[0] or z > highs[0]:
+        return 0.0
+    if lows[-1] <= z <= highs[-1]:
+        return float(alphas[-1])
+    if z < lows[-1]:
+        k = int(np.searchsorted(lows, z, side="right")) - 1
+        if lows[k] == z:
+            return float(alphas[k])
+        x0, x1 = lows[k], lows[k + 1]
+        a0, a1 = alphas[k], alphas[k + 1]
+        return float(a0 + (z - x0) * (a1 - a0) / (x1 - x0))
+    k = int(np.searchsorted(-highs, -z, side="right")) - 1
+    if highs[k] == z:
+        return float(alphas[k])
+    x0, x1 = highs[k], highs[k + 1]
+    a0, a1 = alphas[k], alphas[k + 1]
+    return float(a0 + (x0 - z) * (a1 - a0) / (x0 - x1))
+
+
 class TestMembershipCurve:
     def build(self, fz, n=11):
         alphas = [i / (n - 1) for i in range(n)]
@@ -216,6 +262,30 @@ class TestMembershipCurve:
         curve = self.build(FuzzyNumber.crisp(2.0))
         assert curve.membership_at(2.0) == 1.0
         assert curve.membership_at(2.001) == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        ends=st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.5]), min_size=1, max_size=6),
+        tops=st.lists(st.sampled_from([5.0, 6.0, 7.5]), min_size=6, max_size=6),
+        levels=st.sets(st.sampled_from([i / 20 for i in range(21)]), min_size=6),
+        probes=st.lists(st.floats(-1.0, 9.0), max_size=20),
+    )
+    def test_array_grades_equal_scalar_grades(self, ends, tops, levels, probes):
+        # plateaus where rows share an end; probes at every row end, outside
+        # the support and in between
+        lows = sorted(ends)
+        highs = sorted(tops[: len(lows)], reverse=True)
+        curve = MembershipCurve(
+            tuple(sorted(levels)[: len(lows)]),
+            tuple(Interval(lo, hi) for lo, hi in zip(lows, highs)),
+        )
+        zs = np.array(lows + highs + probes + [-1.0, 9.0])
+        grades = curve.membership_at(zs)
+        assert grades.shape == zs.shape
+        for z, grade in zip(zs.tolist(), grades.tolist()):
+            assert grade == scalar_membership(curve, z)
+            assert curve.membership_at(z) == grade
+            assert type(curve.membership_at(z)) is float
 
     @settings(max_examples=50, deadline=None)
     @given(fz=trapezoids())

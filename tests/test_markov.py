@@ -644,50 +644,86 @@ class TestReliabilityKernel:
         )
 
 
+def mu_partial(kind, rates):
+    """dMTTF/dmu or dA/dmu from markov's slope numerators, with the
+    factors their docstrings drop put back: MTTF' = slope / (a E^2) and
+    A' = beta a slope / (U + V)^2."""
+    from fuzzrel import markov
+
+    lam, theta, mu, c, beta = rates.T
+    a = 2.0 * lam + theta
+
+    def at_mu(coeffs):
+        return sum(k * mu**p for p, k in enumerate(coeffs[::-1]))
+
+    if kind == "mttf":
+        e = (1.0 - c) * mu * (mu + 3.0 * lam) + 2.0 * lam * lam
+        return at_mu(markov._mttf_mu_slope(rates)) / (a * e * e)
+    u = beta * (mu**3 + c * a * mu**2 + 2.0 * c * c * a * lam * mu)
+    v = a * ((1.0 - c) * mu**3 + 2.0 * c * (1.0 - c) * lam * mu**2
+             + 2.0 * c * c * lam * lam * beta)
+    return beta * a * at_mu(markov._availability_mu_slope(rates)) / (u + v) ** 2
+
+
 class TestSensitivities:
-    """Analytic partials of each metric against central differences."""
+    """Partials of each metric against central differences: every partial
+    of R(t); for MTTF and availability the mu partial of their slope
+    numerators, and the signs the bounds search takes as proven for the
+    other rates (test_bounds.TestProofs)."""
+
+    FIELDS = ("failure_rate", "standby_failure_rate", "repair_rate", "reboot_rate")
+    # proven signs of the lambda, theta and beta partials
+    SIGNS = {"mttf": (-1, -1, None, 0), "availability": (-1, -1, None, 1)}
 
     @staticmethod
-    def metrics(t=2.0):
-        from fuzzrel import markov
-
-        return {
-            "mttf": (mttf, markov._mttf_sensitivities),
-            "availability": (steady_availability, markov._availability_sensitivities),
-            "reliability": (
-                lambda p: reliability_at(p, t),
-                lambda rates: markov._reliability_sensitivities(rates, t),
-            ),
-        }
+    def central(kernel, base, field):
+        x = getattr(base, field)
+        h = 1e-6 * x
+        up = kernel(SystemParams(**{**vars(base), field: x + h}))
+        down = kernel(SystemParams(**{**vars(base), field: x - h}))
+        return (up - down) / (2 * h)
 
     @pytest.mark.parametrize("c", [0.0, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("kind", ["mttf", "availability", "reliability"])
     def test_partials_match_central_differences(self, kind, c):
-        kernel, sensitivities = self.metrics()[kind]
-        points = [(0.6, 0.2, 4.0, c, 2.0), (0.37, 0.1, 0.8, c, 5.0)]
-        values, partials = sensitivities(np.array(points))
-        fields = ("failure_rate", "standby_failure_rate", "repair_rate", "reboot_rate")
+        from fuzzrel import markov
+
+        t = 2.0
+        kernel = {
+            "mttf": mttf,
+            "availability": steady_availability,
+            "reliability": lambda p: reliability_at(p, t),
+        }[kind]
+        points = np.array([(0.6, 0.2, 4.0, c, 2.0), (0.37, 0.1, 0.8, c, 5.0)])
+        if kind == "reliability":
+            values, partials = markov._reliability_sensitivities(points, t)
+        else:
+            partials = mu_partial(kind, points)
         for row, point in enumerate(points):
             base = params(*point)
-            assert values[row] == pytest.approx(kernel(base), rel=1e-12)
-            for axis, field in enumerate(fields):
-                h = 1e-6 * getattr(base, field)
-                x = getattr(base, field)
-                up = kernel(SystemParams(**{**vars(base), field: x + h}))
-                down = kernel(SystemParams(**{**vars(base), field: x - h}))
-                central = (up - down) / (2 * h)
-                # beta enters only the availability chain, which alone
-                # reports its partial
-                expected = partials[row, axis] if axis < partials.shape[1] else 0.0
+            for axis, field in enumerate(self.FIELDS):
+                central = self.central(kernel, base, field)
+                if kind == "reliability":
+                    assert values[row] == pytest.approx(kernel(base), rel=1e-12)
+                    # beta does not enter R(t)
+                    expected = partials[row, axis] if axis < 3 else 0.0
+                elif field == "repair_rate":
+                    expected = partials[row]
+                else:
+                    sign = self.SIGNS[kind][axis]
+                    assert sign * central >= 0.0 if sign else central == 0.0
+                    continue
                 assert central == pytest.approx(expected, rel=1e-5, abs=1e-8)
 
     def test_full_coverage_fast_repair_mttf_partials(self):
+        # at c = 1 the slope numerator is a sum of positive terms, and the
+        # mu partial keeps the full precision of the 50-digit reference
         from fuzzrel import markov
 
         rates = markov._rates(FAST_REPAIR)
-        values, partials = markov._mttf_sensitivities(rates)
-        assert values[0] == pytest.approx(FULL_COVERAGE_MTTF[1][1], rel=1e-14)
-        np.testing.assert_allclose(partials[0], FAST_REPAIR_MTTF_PARTIALS, rtol=1e-14)
+        assert mu_partial("mttf", rates)[0] == pytest.approx(
+            FAST_REPAIR_MTTF_PARTIALS[2], rel=1e-14
+        )
 
     @pytest.mark.parametrize(
         "point",
