@@ -7,24 +7,40 @@ of alpha levels traces out the membership curve of the characteristic.
 A box is validated once, at its one worst corner. Under the standby
 constraint theta <= lambda the feasible set is a polytope.
 
-MTBF and steady availability have closed-form bounds, found for a whole
-ladder in one batched pass (_closed_form_bounds). Write each metric as
-num / den, the closed forms of markov._mttf_values and
-markov._availability_values, with num and den polynomials in (lambda,
-theta, mu, beta) whose coefficients are polynomials in c. A partial's
-sign is that of num' den - num den', den^2 being positive. Expanded in
-the Bernstein basis on c in [0, 1], every coefficient of those
-numerators has one sign (test_bounds.TestProofs checks this with sympy):
+Every metric's bounds are found for a whole ladder in one batched pass
+(_ladder_bounds), with lambda, theta and beta at proven ends and only mu
+searched. Write MTBF and steady availability as num / den, the closed
+forms of markov._mttf_values and markov._availability_values, with num
+and den polynomials in (lambda, theta, mu, beta) whose coefficients are
+polynomials in c. A partial's sign is that of num' den - num den', den^2
+being positive. Expanded in the Bernstein basis on c in [0, 1], every
+coefficient of those numerators has one sign (test_bounds.TestProofs
+checks this with sympy):
 
 - MTTF falls in lambda and in theta;
-- availability falls in lambda and in theta and rises in beta;
+- availability falls in lambda and in theta and rises in beta.
 
-for all rates >= 0 and every c in [0, 1]. So each bound pins lambda,
-theta and beta at the ends these signs select, the vertex method of Dong
-& Shah (Fuzzy Sets Syst. 24, 1987) made exact; under theta <= lambda the
-maximum moves lambda up to theta lo and the minimum theta down to lambda
-hi, the polytope's vertices on theta = lambda. What is left is one
-variable, mu. The numerator of each metric's mu derivative is a
+R(t) falls in lambda and in theta too, at every t. With r = expm(B t) 1
+the survival probabilities from UP3, UP2 and UP1 and a = 2 lambda +
+theta, the gaps f = r3 - c r2 and g = r2 - c r1 obey
+
+    f' = -(a + c mu) f + 2 c lambda g + c (1 - c) mu r2
+    g' = mu f - (mu + 2 lambda) g + c lambda r1
+
+from f(0) = g(0) = 1 - c: a cooperative system with nonnegative input,
+so f, g >= 0. dR/dp is the integral over [0, t] of e_UP3^T expm(B (t -
+s)) (dB/dp) r(s), with expm(B u) >= 0, and (dB/dlambda) r = -(2f, 2g,
+r1), (dB/dtheta) r = -(f, 0, 0) are never positive (TestProofs checks
+the identities with sympy).
+
+These hold for all rates >= 0 and every c in [0, 1]. So each bound pins
+lambda, theta and beta at the ends these signs select, the vertex method
+of Dong & Shah (Fuzzy Sets Syst. 24, 1987) made exact; under theta <=
+lambda the maximum moves lambda up to theta lo and the minimum theta
+down to lambda hi, the polytope's vertices on theta = lambda. What is
+left is one variable, mu.
+
+For MTBF and availability the numerator of the mu derivative is a
 polynomial in mu (markov._mttf_mu_slope, markov._availability_mu_slope)
 whose coefficients change sign at most once, from + at the low powers to
 - at the high ones; by Descartes' rule of signs each metric turns at most
@@ -33,16 +49,13 @@ the mu cut, and the maximum at an end or at that turn, which a bisection
 on the slope polynomial brackets to adjacent floats. No sampling is left
 to trust, and the values kernel runs once per ladder.
 
-Reliability at a mission time has no such proof yet. Its bounds come
-from a certificate (Moore, Kearfott & Cloud, Introduction to Interval
-Analysis, 2009, ch. 9): one batched call gives R(t) and its analytic
-partial derivatives on a 3-per-axis lattice of the box. An axis whose
-samples all share one sign is monotone and is pinned at the end that
-sign selects, where the lattice values already hold the vertex values.
-With no axis left open, each bound is one vertex value; otherwise the
-open axes are halved and each half is certified in turn. The search is
-deterministic, and the polytope's vertices on theta = lambda join the
-box corners.
+R(t) has no such proof in mu, and may peak inside the cut. Its mu is
+found by a sign certificate (Moore, Kearfott & Cloud, Introduction to
+Interval Analysis, 2009, ch. 9): one batched call gives R(t) and dR/dmu
+at mu lo, the midpoint and mu hi for both points of every level. A cut
+whose samples share one sign takes the end that sign selects; an open
+one is halved, and each half certified by its own call, depth first.
+The search is deterministic.
 """
 
 from __future__ import annotations
@@ -71,7 +84,7 @@ PARAM_MU = "mu"
 PARAM_BETA = "beta"
 PARAMETER_NAMES = (PARAM_LAMBDA, PARAM_THETA, PARAM_MU, PARAM_BETA)
 
-# an R(t) partial counts as zero when it moves R across the box by less
+# a dR/dmu sample counts as zero when it moves R across the mu cut by less
 # than this fraction of R
 _ZERO_CHANGE = 1e-12
 
@@ -242,11 +255,13 @@ class BoundsMethod(Enum):
 class BoundsResult:
     """Bounds of one characteristic over one alpha-cut box.
 
-    For R(t), open_axes names the axes the monotonicity certificate left
-    open on the whole box, which subdivision then halved; it is empty when
-    every axis was pinned at a vertex. For MTBF and availability, whose
-    other axes are pinned by proof, it is ("mu",) where the maximum lies
-    inside the mu cut, at the metric's one turn in mu, and empty otherwise.
+    lambda, theta and beta are pinned by proof for every metric, so
+    open_axes is () or ("mu",). For MTBF and availability it is ("mu",)
+    where the maximum lies inside the mu cut, at the metric's one turn in
+    mu, and method is CLOSED_FORM. For R(t) it is ("mu",) where the sign
+    certificate left either bound's mu cut open, which subdivision then
+    halved (method SUBDIVISION), and () where both closed at once
+    (CORNER_SCAN).
     """
 
     alpha: float
@@ -339,111 +354,6 @@ def _describe_box(box: dict[str, Interval]) -> str:
     return ", ".join(f"{n} in [{iv.lo:.17g}, {iv.hi:.17g}]" for n, iv in box.items())
 
 
-def _sign(values: np.ndarray, partials: np.ndarray, width: float) -> int | None:
-    """The one sign of a partial over its samples, 0 if all are zero, or
-    None if it flips. A sample is zero when its change across the box is
-    below 1e-12 of the metric."""
-    nonzero = np.abs(partials) * width > _ZERO_CHANGE * np.abs(values)
-    signs = np.unique(np.sign(partials[nonzero]))
-    if len(signs) > 1:
-        return None
-    return int(signs[0]) if len(signs) else 0
-
-
-def _certify(
-    fp: FuzzySystemParams, metric: Metric, box: dict[str, Interval], coupled: bool
-) -> tuple[np.ndarray, np.ndarray, dict[str, int | None]]:
-    """The one evaluation of an R(t) box: its feasible 3-per-axis lattice
-    points (vertices, edge midpoints, face centres, centre) as rows, R at
-    each, and the monotonicity certificate, from one batched
-    sensitivity call. An axis maps to +1 or -1 when every nonzero sample
-    has that sign, to 0 when every sample is zero, and to None, open,
-    otherwise. When the standby constraint cuts the box, lambda and theta
-    are certified only together with the edge direction d/dlambda +
-    d/dtheta, and are open together otherwise. A certificate that cannot
-    be computed raises SolverError naming the box.
-    """
-    names = list(box)
-    points = _feasible_points(box, 3, coupled)
-    rates = _rate_vectors(fp, points)
-    try:
-        with np.errstate(all="ignore"):
-            values, partials = markov._reliability_sensitivities(rates, metric.t)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"{metric.describe()} sensitivities failed on the box "
-            f"{_describe_box(box)}: {exc}"
-        ) from exc
-    if not (np.all(np.isfinite(partials)) and np.all(np.isfinite(values))):
-        raise SolverError(
-            f"{metric.describe()} sensitivities are not finite on the box "
-            f"{_describe_box(box)}"
-        )
-    widths = [iv.width for iv in box.values()]
-    signs = {
-        name: _sign(values, partials[:, i], widths[i]) for i, name in enumerate(names)
-    }
-    if coupled:
-        edge = _sign(values, partials[:, 0] + partials[:, 1], max(widths[:2]))
-        if None in (signs[PARAM_LAMBDA], signs[PARAM_THETA], edge):
-            signs[PARAM_LAMBDA] = signs[PARAM_THETA] = None
-    return points, values, signs
-
-
-def _extreme(
-    fp: FuzzySystemParams,
-    metric: Metric,
-    box: dict[str, Interval],
-    coupled: bool,
-    certificate: tuple[np.ndarray, np.ndarray, dict[str, int | None]],
-    sign: float,
-) -> tuple[float, np.ndarray]:
-    """Largest value of sign * metric over the feasible part of the box,
-    and the point that takes it.
-
-    certificate is the box's _certify result. Certified axes sit at the
-    ends their signs select, where the best lattice point is taken; under
-    a cutting standby constraint that includes the polytope's vertices on
-    theta = lambda. The open axes are then halved, every other axis held
-    at that best point, and each half with a feasible point is certified
-    and searched the same way. Recursion stops where the certificate
-    closes, which its relative zero test ensures near a smooth optimum, or
-    where an open axis no longer splits in floating point.
-    """
-    points, values, signs = certificate
-    names = list(box)
-    pair = (PARAM_LAMBDA, PARAM_THETA) if coupled else ()
-    ends = {
-        i: box[n].hi if signs[n] * sign > 0 else box[n].lo
-        for i, n in enumerate(names)
-        if signs[n] is not None and n not in pair
-    }
-    pinned = np.all(points[:, list(ends)] == list(ends.values()), axis=1)
-    matching = np.flatnonzero(pinned)
-    at = matching[np.argmax(sign * values[matching])]
-    best = (float(values[at]), points[at])
-    mids = {n: 0.5 * (box[n].lo + box[n].hi) for n, s in signs.items() if s is None}
-    if not mids or not all(box[n].lo < m < box[n].hi for n, m in mids.items()):
-        return best
-
-    halves = [
-        (Interval(box[n].lo, mids[n]), Interval(mids[n], box[n].hi))
-        if n in mids
-        else (Interval(best[1][i], best[1][i]),)
-        for i, n in enumerate(names)
-    ]
-    for cut in itertools.product(*halves):
-        half = dict(zip(names, cut))
-        if half[PARAM_THETA].lo > half[PARAM_LAMBDA].hi:
-            continue
-        half_coupled = _cut_by_standby(fp, half)
-        half_certificate = _certify(fp, metric, half, half_coupled)
-        found = _extreme(fp, metric, half, half_coupled, half_certificate, sign)
-        if sign * found[0] > sign * best[0]:
-            best = found
-    return best
-
-
 def _cut_box(
     fp: FuzzySystemParams, metric: Metric, alpha: float
 ) -> tuple[dict[str, Interval], bool]:
@@ -516,124 +426,234 @@ def _turn(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         hi = np.where(rising, hi, mid)
 
 
-def _closed_form_bounds(
+def _not_finite(metric: Metric, box: dict[str, Interval]) -> SolverError:
+    return SolverError(
+        f"{metric.describe()} is not finite on the box {_describe_box(box)}"
+    )
+
+
+def _mu_by_slope(
+    metric: Metric, at: np.ndarray, mu_ends: np.ndarray, boxes
+) -> tuple[np.ndarray, np.ndarray]:
+    """MTBF or availability at each point of at (2, N, 5), the minimum's
+    then the maximum's at each level, with its mu column set where the
+    metric is lowest, or highest, along the level's mu cut (mu_ends, lo
+    then hi), and whether each maximum lies inside the cut.
+
+    Each metric turns at most once in mu, from rising to falling
+    (markov._mttf_mu_slope, markov._availability_mu_slope). So the minimum
+    lies at an end of the mu cut, and the maximum at an end or, where the
+    slope is positive at mu lo and negative at mu hi, at the turn, which
+    _turn brackets. One values-kernel call evaluates every candidate; ties
+    keep mu lo.
+    """
+    n = at.shape[1]
+    if metric.uses_reboot_rate:
+        values_of = markov._availability_values
+        slope_of = markov._availability_mu_slope
+    else:
+        values_of, slope_of = markov._mttf_values, markov._mttf_mu_slope
+    slope = slope_of(at[1])
+    at_lo, at_hi = _polyval(slope[:, None], mu_ends)
+    turns = np.flatnonzero((at_lo > 0.0) & (at_hi < 0.0))
+    # candidates: each point at mu lo and mu hi, then the maximum's point
+    # at each turn
+    ends = np.repeat(at[:, None], 2, axis=1)
+    ends[..., 2] = mu_ends[None]
+    rows = np.concatenate([ends.reshape(4 * n, 5), at[1, turns]])
+    if len(turns):
+        rows[4 * n :, 2] = _turn(slope[:, turns], *mu_ends[:, turns])
+    with np.errstate(all="ignore"):
+        values = values_of(rows)
+    finite = np.isfinite(values)
+    if not finite.all():
+        levels = np.concatenate([np.tile(np.arange(n), 4), turns])
+        raise _not_finite(metric, boxes[levels[~finite][0]])
+
+    # the better end of each cut, mu lo on a tie, then any better turn
+    at_ends = values[: 4 * n].reshape(2, 2, n)
+    signs = np.array([[-1.0], [1.0]])
+    upper = signs * at_ends[:, 1] > signs * at_ends[:, 0]
+    best = np.where(upper, at_ends[:, 1], at_ends[:, 0])
+    at[..., 2] = np.where(upper, mu_ends[1], mu_ends[0])
+    inside = np.zeros(n, dtype=bool)
+    if len(turns):
+        inside[turns] = values[4 * n :] > best[1, turns]
+        best[1, inside] = values[4 * n :][inside[turns]]
+        at[1, inside, 2] = rows[4 * n :, 2][inside[turns]]
+    return best, inside
+
+
+def _mu_lattice(at: np.ndarray, lo, hi) -> np.ndarray:
+    """Rows (..., 3, 5) of the points at (..., 5) with mu at lo, the
+    midpoint and hi."""
+    rows = np.repeat(at[..., None, :], 3, axis=-2)
+    rows[..., 2] = np.stack(np.broadcast_arrays(lo, 0.5 * (lo + hi), hi), axis=-1)
+    return rows
+
+
+def _mu_samples(
+    metric: Metric, rows: np.ndarray, boxes: Sequence[dict[str, Interval]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """R(t) and dR/dmu at rows (..., N, 3, 5), mu samples in the cuts of
+    the N boxes, in one sensitivity call. A call that fails or gives a
+    value that is not finite raises SolverError naming the box."""
+    try:
+        with np.errstate(all="ignore"):
+            values, partials = markov._reliability_sensitivities(
+                rows.reshape(-1, 5), metric.t
+            )
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"{metric.describe()} sensitivities failed on the box "
+            f"{_describe_box(boxes[0])}: {exc}"
+        ) from exc
+    shape = rows.shape[:-1]
+    values, partials = values.reshape(shape), partials.reshape(shape)
+    finite = np.isfinite(values) & np.isfinite(partials)
+    if not finite.all():
+        levels = np.broadcast_to(np.arange(len(boxes))[:, None], shape)
+        raise _not_finite(metric, boxes[levels[~finite][0]])
+    return values, partials
+
+
+def _mu_signs(values: np.ndarray, partials: np.ndarray, width) -> np.ndarray:
+    """The one sign of dR/dmu over each set of samples (last axis), 0 if
+    all are zero, or NaN, open, if they differ. A sample is zero when its
+    change across the mu cut, width wide, is below 1e-12 of R."""
+    change = np.abs(partials) * np.expand_dims(width, -1)
+    nonzero = change > _ZERO_CHANGE * np.abs(values)
+    rising = (nonzero & (partials > 0.0)).any(axis=-1)
+    falling = (nonzero & (partials < 0.0)).any(axis=-1)
+    return np.where(rising & falling, np.nan, rising * 1.0 - falling)
+
+
+def _mu_extreme(
+    metric: Metric,
+    rows: np.ndarray,
+    values: np.ndarray,
+    partials: np.ndarray,
+    sign: float,
+    box: dict[str, Interval],
+) -> tuple[float, float]:
+    """Largest sign * R(t) along a mu cut, and the mu that takes it, from
+    R and dR/dmu sampled at rows (3, 5), a _mu_lattice of the cut.
+
+    Where the partials share one sign R is monotone on the cut, and the
+    end that sign selects is taken, mu lo where R is flat. Otherwise the
+    best sample stands until a half of the cut, sampled and searched the
+    same way, does better; the halves are searched depth first. Recursion
+    stops where the certificate closes, which its relative zero test
+    ensures near a smooth optimum, or where the midpoint no longer splits
+    the cut (Moore, Kearfott & Cloud, Introduction to Interval Analysis,
+    2009, ch. 9).
+    """
+    mus = rows[:, 2]
+    lo, mid, hi = mus
+    slope = _mu_signs(values, partials, hi - lo)
+    if not np.isnan(slope):
+        k = 2 if slope * sign > 0 else 0
+        return float(values[k]), float(mus[k])
+    k = int(np.argmax(sign * values))
+    best = float(values[k]), float(mus[k])
+    if not lo < mid < hi:
+        return best
+    for half in ((lo, mid), (mid, hi)):
+        half_rows = _mu_lattice(rows[0], *half)
+        (half_values,), (half_partials,) = _mu_samples(metric, half_rows[None], [box])
+        found = _mu_extreme(metric, half_rows, half_values, half_partials, sign, box)
+        if sign * found[0] > sign * best[0]:
+            best = found
+    return best
+
+
+def _mu_by_certificate(
+    metric: Metric, at: np.ndarray, mu_ends: np.ndarray, boxes
+) -> tuple[np.ndarray, np.ndarray]:
+    """R(t) at each point of at (2, N, 5), the minimum's then the
+    maximum's at each level, with its mu column set where R is lowest, or
+    highest, along the level's mu cut (mu_ends, lo then hi), and whether
+    the certificate left either point's cut open.
+
+    One batched sensitivity call gives R and dR/dmu at mu lo, the
+    midpoint and mu hi for both points of every level; _mu_extreme takes
+    each cut from there, with one more call per half of an open one.
+    """
+    rows = _mu_lattice(at, *mu_ends)
+    values, partials = _mu_samples(metric, rows, boxes)
+    best = np.empty(at.shape[:2])
+    for k, i in np.ndindex(best.shape):
+        samples = rows[k, i], values[k, i], partials[k, i]
+        best[k, i], at[k, i, 2] = _mu_extreme(metric, *samples, 2 * k - 1, boxes[i])
+    opened = np.isnan(_mu_signs(values, partials, mu_ends[1] - mu_ends[0]))
+    return best, opened.any(axis=0)
+
+
+def _ladder_bounds(
     fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
 ) -> tuple[BoundsResult, ...]:
-    """MTBF or availability bounds at every level of a ladder, in one pass.
+    """Bounds of a metric at every level of a ladder, in one pass.
 
     The cuts of the levels nest, so the first level's worst corner is the
     worst of them all and the only one checked (_box); each later level is
-    checked for a feasible point alone. Then, for every level at once:
-
-    - lambda and theta sit at proven ends, and beta too for availability
-      (see the module docstring). The maximum takes lambda = max(lambda
-      lo, theta lo), theta lo and beta hi; the minimum lambda hi, theta =
-      min(theta hi, lambda hi) and beta lo. Without a cutting standby
-      constraint these are box corners.
-    - In mu each metric turns at most once, from rising to falling
-      (markov._mttf_mu_slope, markov._availability_mu_slope). So each
-      minimum lies at an end of the mu cut, and each maximum at an end or,
-      where the slope is positive at mu lo and negative at mu hi, at the
-      turn, which _turn brackets.
-
-    One values-kernel call evaluates every candidate. A value that is not
-    finite raises SolverError naming its box.
+    checked for a feasible point alone. Then, for every level at once,
+    lambda and theta sit at proven ends, and beta too for availability
+    (see the module docstring). The maximum takes lambda = max(lambda lo,
+    theta lo), theta lo and beta hi; the minimum lambda hi, theta =
+    min(theta hi, lambda hi) and beta lo. Without a cutting standby
+    constraint these are box corners. Only mu is left: MTBF and
+    availability find it in closed form (_mu_by_slope), R(t) by a sign
+    certificate (_mu_by_certificate). A value that is not finite raises
+    SolverError naming its box.
     """
     names = _metric_axes(metric)
     first, _ = _box(fp, metric, alphas[0])
     boxes = [first] + [_cut_box(fp, metric, a)[0] for a in alphas[1:]]
-    n = len(boxes)
     # ends[end, axis, level], end 0 the cut's lower end
     ends = np.array([[(iv.lo, iv.hi) for iv in box.values()] for box in boxes]).T
-    (lam_lo, theta_lo, mu_lo), (lam_hi, theta_hi, mu_hi) = ends[:, :3]
-    # rows of the minimum's point, then of the maximum's
-    at = np.empty((2, n, 5))
+    (lam_lo, theta_lo), (lam_hi, theta_hi) = ends[:, :2]
+    # rows of the minimum's point, then of the maximum's; mu is searched
+    at = np.empty((2, len(boxes), 5))
     at[0, :, 0], at[0, :, 1] = lam_hi, np.minimum(theta_hi, lam_hi)
     at[1, :, 0], at[1, :, 1] = np.maximum(lam_lo, theta_lo), theta_lo
     at[:, :, 3] = fp.coverage
     if metric.uses_reboot_rate:
         at[:, :, 4] = ends[:, 3]
-        values_of, slope_of = markov._availability_values, markov._availability_mu_slope
     else:
         at[:, :, 4] = fp.reboot_rate.modal_interval.midpoint
-        values_of, slope_of = markov._mttf_values, markov._mttf_mu_slope
-    slope = slope_of(at[1])
-    at_lo, at_hi = _polyval(slope[:, None], ends[:, 2])
-    turns = np.flatnonzero((at_lo > 0.0) & (at_hi < 0.0))
-    # candidates: the minimum's point at mu lo and mu hi, the maximum's
-    # likewise, then the maximum's point at each turn
-    rows = np.concatenate([np.repeat(at, 2, axis=0).reshape(4 * n, 5), at[1, turns]])
-    rows[: 4 * n, 2] = np.tile(ends[:, 2].reshape(-1), 2)
-    if len(turns):
-        rows[4 * n :, 2] = _turn(slope[:, turns], mu_lo[turns], mu_hi[turns])
-    with np.errstate(all="ignore"):
-        values = values_of(rows)
-    if not np.isfinite(values).all():
-        level = np.flatnonzero(~np.isfinite(values))[0] % n
-        raise SolverError(
-            f"{metric.describe()} is not finite on the box "
-            f"{_describe_box(boxes[level])}"
-        )
+    if metric.kind == "reliability":
+        values, searched = _mu_by_certificate(metric, at, ends[:, 2], boxes)
+        methods = (BoundsMethod.CORNER_SCAN, BoundsMethod.SUBDIVISION)
+    else:
+        values, searched = _mu_by_slope(metric, at, ends[:, 2], boxes)
+        methods = (BoundsMethod.CLOSED_FORM, BoundsMethod.CLOSED_FORM)
 
-    # per level: the smaller end value, and the larger one unless its turn
-    # is larger still; ties keep the first, mu lo
-    values, points = values.tolist(), rows[:, [0, 1, 2, 4][: len(names)]].tolist()
-    turn_rows = dict(zip(turns.tolist(), range(4 * n, len(values))))
-    results = []
-    for i, (alpha, box) in enumerate(zip(alphas, boxes)):
-        low = n + i if values[n + i] < values[i] else i
-        high = 3 * n + i if values[3 * n + i] > values[2 * n + i] else 2 * n + i
-        turn = turn_rows.get(i)
-        at_turn = turn is not None and values[turn] > values[high]
-        if at_turn:
-            high = turn
-        results.append(
-            BoundsResult(
-                alpha=float(alpha),
-                box=box,
-                bounds=Interval(values[low], values[high]),
-                argmin=dict(zip(names, points[low])),
-                argmax=dict(zip(names, points[high])),
-                method=BoundsMethod.CLOSED_FORM,
-                open_axes=(PARAM_MU,) if at_turn else (),
-            )
+    values, searched = values.tolist(), searched.tolist()
+    points = at[..., [0, 1, 2, 4][: len(names)]].tolist()
+    return tuple(
+        BoundsResult(
+            alpha=float(alpha),
+            box=box,
+            bounds=Interval(values[0][i], values[1][i]),
+            argmin=dict(zip(names, points[0][i])),
+            argmax=dict(zip(names, points[1][i])),
+            method=methods[searched[i]],
+            open_axes=(PARAM_MU,) if searched[i] else (),
         )
-    return tuple(results)
+        for i, (alpha, box) in enumerate(zip(alphas, boxes))
+    )
 
 
 def characteristic_bounds(
     fp: FuzzySystemParams, metric: Metric, alpha: float
 ) -> BoundsResult:
-    """Lower and upper bounds of a characteristic over one alpha-cut box.
-
-    MTBF and availability take the closed form of a one-level ladder
-    (_closed_form_bounds). R(t) validates the box at its one worst corner
-    (_box), then makes one batched sensitivity call on its 3-per-axis
-    lattice, which gives R at the lattice points and certifies each axis
-    by the sign of its partial derivative (_certify). A certified axis is
-    pinned, for each bound, at the end its sign selects, and a constant
-    one at its lower end. With no axis open the bounds are vertex values,
-    the vertex method of Dong & Shah (1987); otherwise the open axes are
-    halved until the certificate closes on every piece (_extreme), each
-    piece certified by its own single call. The result is deterministic.
+    """Lower and upper bounds of a characteristic over one alpha-cut box:
+    the one-level case of _ladder_bounds. The box is validated at its one
+    worst corner (_box); lambda, theta and beta sit at proven ends, and mu
+    is found in closed form for MTBF and availability and by a sign
+    certificate for R(t). The result is deterministic.
     """
-    if metric.kind != "reliability":
-        return _closed_form_bounds(fp, metric, (alpha,))[0]
-    box, coupled = _box(fp, metric, alpha)
-    certificate = _certify(fp, metric, box, coupled)
-    open_axes = tuple(n for n, s in certificate[2].items() if s is None)
-    (min_val, min_point), (max_val, max_point) = (
-        _extreme(fp, metric, box, coupled, certificate, sign) for sign in (-1.0, 1.0)
-    )
-    return BoundsResult(
-        alpha=float(alpha),
-        box=box,
-        bounds=Interval(min_val, max_val),
-        argmin=_point(box, min_point),
-        argmax=_point(box, max_point),
-        method=BoundsMethod.SUBDIVISION if open_axes else BoundsMethod.CORNER_SCAN,
-        open_axes=open_axes,
-    )
+    return _ladder_bounds(fp, metric, (alpha,))[0]
 
 
 def brute_force_bounds(
@@ -641,8 +661,8 @@ def brute_force_bounds(
 ) -> BoundsResult:
     """Exhaustive grid scan of the alpha-cut box, for cross-validation.
 
-    Independent of the certificate and subdivision machinery on purpose;
-    the grid extremes bracket the true bounds from inside.
+    Independent of the proven ends and the mu search on purpose; the grid
+    extremes bracket the true bounds from inside.
     """
     grid_per_axis = int(grid_per_axis)
     if grid_per_axis < 2:
@@ -681,12 +701,9 @@ def _validate_alpha_ladder(alphas: Sequence[float]) -> tuple[float, ...]:
 def bounds_at_levels(
     fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
 ) -> tuple[BoundsResult, ...]:
-    """characteristic_bounds across an alpha ladder; MTBF and availability
-    take every level in one pass (_closed_form_bounds)."""
-    ladder = _validate_alpha_ladder(alphas)
-    if metric.kind != "reliability":
-        return _closed_form_bounds(fp, metric, ladder)
-    return tuple(characteristic_bounds(fp, metric, a) for a in ladder)
+    """characteristic_bounds across an alpha ladder, every level in one
+    pass (_ladder_bounds)."""
+    return _ladder_bounds(fp, metric, _validate_alpha_ladder(alphas))
 
 
 def enforce_nesting(
@@ -725,7 +742,7 @@ def membership_curve(
     fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
 ) -> MembershipCurve:
     """Membership curve of a characteristic across an alpha ladder."""
-    ladder = _validate_alpha_ladder(alphas)
-    results = bounds_at_levels(fp, metric, ladder)
+    results = bounds_at_levels(fp, metric, alphas)
+    ladder = [r.alpha for r in results]
     intervals = enforce_nesting(ladder, [r.bounds for r in results])
     return MembershipCurve(ladder, intervals)

@@ -20,7 +20,6 @@ from .bounds import (
     characteristic_bounds,
     enforce_nesting,
     _metric_axes,
-    _validate_alpha_ladder,
 )
 from .errors import (
     CalibrationError,
@@ -99,9 +98,9 @@ def build_table(
 ) -> AlphaCutTable:
     """Alpha-cut table for a metric across an alpha ladder; the cut
     columns are the boxes the bounds search took at each level."""
-    ladder = _validate_alpha_ladder(alphas)
     names = _metric_axes(metric)
-    results = bounds_at_levels(fp, metric, ladder)
+    results = bounds_at_levels(fp, metric, alphas)
+    ladder = [r.alpha for r in results]
     bound_ivs = enforce_nesting(ladder, [r.bounds for r in results])
     cut_columns = {
         name: enforce_nesting(ladder, [r.box[name] for r in results]) for name in names
@@ -186,22 +185,11 @@ def required_parameter_range(
 ) -> Interval:
     """Parameter interval that must hold to claim a given alpha level.
 
-    Interpolates the stored cut columns linearly in alpha, so querying a
+    Interpolates the stored cut column linearly in alpha, so querying a
     tabulated level returns that row's cut unchanged.
     """
-    series = table.cut_series(parameter)
-    alphas = np.asarray(table.alphas)
-    alpha = float(alpha)
-    if not alphas[0] <= alpha <= alphas[-1]:
-        raise ValidationError(
-            f"alpha {alpha} outside tabulated range [{alphas[0]}, {alphas[-1]}]"
-        )
-    lows = np.asarray([iv.lo for iv in series])
-    highs = np.asarray([iv.hi for iv in series])
-    return Interval(
-        float(np.interp(alpha, alphas, lows)),
-        float(np.interp(alpha, alphas, highs)),
-    )
+    column = MembershipCurve(table.alphas, table.cut_series(parameter))
+    return column.interval_at(alpha)
 
 
 @dataclass(frozen=True)

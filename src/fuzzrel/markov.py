@@ -31,14 +31,18 @@ products and quotients of nonnegative terms. The numerators of their
 derivatives in mu are polynomials in mu, whose coefficients the bounds
 search reads to find where each metric turns. R(t) takes one
 eigendecomposition of the symmetrized up block per row, which serves
-every mission time and the partials. Transients of the availability
-chain, and the rare reliability rows without repair, use a matrix
-exponential. The public functions pass the one row of a validated
-SystemParams; the bounds search passes all points of a box in one call.
+every mission time and the partial in mu, with the slowest decay rate
+taken from det(-B), a sum of nonnegative terms that the MTTF shares.
+R(t) falls in lambda and theta, so the bounds search needs no partial
+in those. Transients of the availability chain, and the rare reliability
+rows without repair, use a matrix exponential. The public functions pass
+the one row of a validated SystemParams; the bounds search passes all
+points of a ladder in one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple
@@ -101,7 +105,7 @@ class SystemParams:
         ):
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.failure_rate <= 0:
             raise ValidationError(f"failure_rate must be > 0, got {self.failure_rate}")
@@ -351,6 +355,13 @@ def failure_density_laplace(params: SystemParams, s: float) -> float:
 # validated at its worst corner.
 
 
+def _up_determinant(a, lam, mu, c):
+    """det(-B) of the up block B, a ((1 - c) mu (mu + 3 lambda) +
+    2 lambda^2) with a = 2 lambda + theta, from rate columns: a sum of
+    nonnegative terms, which keeps full relative precision."""
+    return a * ((1.0 - c) * mu * (mu + 3.0 * lam) + 2.0 * lam * lam)
+
+
 def _mttf_values(rates: np.ndarray) -> np.ndarray:
     """MTTF from UP3 at each rate row, by first-step analysis.
 
@@ -361,21 +372,18 @@ def _mttf_values(rates: np.ndarray) -> np.ndarray:
         (mu + 2 lambda) m2 = 1 + mu m3 + 2 c lambda m1
         (mu + lambda) m1 = 1 + mu m2
 
-    and eliminating m2 and m1 gives
-    m3 = (D + a c N) / (a ((1 - c) mu (mu + 3 lambda) + 2 lambda^2)), with
-    D = mu^2 + (3 - 2c) lambda mu + 2 lambda^2 and N = mu + lambda +
-    2 c lambda. Every term is nonnegative, so the value keeps full relative
-    precision at any rates. An LU solve of the up block does not: at
-    c = 1 all its rows but the last sum to zero, and it loses about
-    (mu / lambda)^2 eps.
+    and eliminating m2 and m1 gives m3 = (D + a c N) / det(-B)
+    (_up_determinant), with D = mu^2 + (3 - 2c) lambda mu + 2 lambda^2 and
+    N = mu + lambda + 2 c lambda. Every term is nonnegative, so the value
+    keeps full relative precision at any rates. An LU solve of the up
+    block does not: at c = 1 all its rows but the last sum to zero, and it
+    loses about (mu / lambda)^2 eps.
     """
     lam, theta, mu, c = rates.T[:4]
     a = 2.0 * lam + theta
     d = mu * mu + (3.0 - 2.0 * c) * lam * mu + 2.0 * lam * lam
     n = mu + lam + 2.0 * c * lam
-    return (d + a * c * n) / (
-        a * ((1.0 - c) * mu * (mu + 3.0 * lam) + 2.0 * lam * lam)
-    )
+    return (d + a * c * n) / _up_determinant(a, lam, mu, c)
 
 
 def mttf(params: SystemParams) -> float:
@@ -429,6 +437,11 @@ class _UpEigen(NamedTuple):
 
 
 def _up_eigen(rates: np.ndarray) -> _UpEigen:
+    """eigh resolves eigenvalues only to about eps ||S||, and at c = 1 with
+    fast repair the slowest decay rate, about 1/MTTF, lies far below that.
+    So the slowest eigenvalue is taken from the other two and the product
+    of all three, det(B) = -det(-B) (_up_determinant), which keeps full
+    relative precision; the two fast ones are resolved to their own size."""
     b = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = np.sqrt(_stationary(rates)[:, _UP])
@@ -442,6 +455,8 @@ def _up_eigen(rates: np.ndarray) -> _UpEigen:
     s[:, 0, 1] = s[:, 1, 0] = off[:, 0]
     s[:, 1, 2] = s[:, 2, 1] = off[:, 1]
     w, vecs = np.linalg.eigh(s)
+    lam, theta, mu, c = rates.T[:4]
+    w[:, 2] = -_up_determinant(2.0 * lam + theta, lam, mu, c) / (w[:, 0] * w[:, 1])
     u, v = vecs[:, 0, :], (vecs * d[:, :, None]).sum(axis=1)
     return _UpEigen(b, s, w, vecs, d, u, v, ok)
 
@@ -452,25 +467,29 @@ def _exp1(x: np.ndarray) -> np.ndarray:
     return np.where(x == 0.0, 1.0, np.expm1(safe) / safe)
 
 
+# dB/dmu of the up block: the generator is linear in mu for a fixed c, so
+# it is the up block assembled with mu at 1 and every other rate at 0
+_UP_BLOCK_MU_DIRECTION = _generators(
+    np.array([[0.0, 0.0, 1.0, 0.0, 0.0]]), ChainMode.RELIABILITY
+)[0, _UP, _UP]
+
+
 def _up_block_expm(rates: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) and its partials by lambda, theta and mu from expm of the up
-    block, for rows without a symmetrizer.
+    """R(t) and its partial by mu from expm of the up block, for rows
+    without a symmetrizer.
 
     expm([[A, E], [0, A]]) holds the Frechet derivative of expm at A in
-    direction E as its top-right block, with A = B^T t and E = dB^T/dp t.
+    direction E as its top-right block, with A = B^T t and E = dB^T/dmu t.
     """
     import scipy.linalg
 
     n_up = len(UP_STATES)
     a = np.swapaxes(_generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP], -1, -2)
-    d_a = np.swapaxes(_rate_directions(rates), -1, -2)
-    n, k = d_a.shape[:2]
-    big = np.zeros((n, k, 2 * n_up, 2 * n_up))
-    big[:, :, :n_up, :n_up] = a[:, None] * t
-    big[:, :, n_up:, n_up:] = a[:, None] * t
-    big[:, :, :n_up, n_up:] = d_a * t
-    e = scipy.linalg.expm(big.reshape(-1, 2 * n_up, 2 * n_up)).reshape(big.shape)
-    return e[:, 0, :n_up, 0].sum(axis=1), e[:, :, :n_up, n_up].sum(axis=2)
+    big = np.zeros((len(rates), 2 * n_up, 2 * n_up))
+    big[:, :n_up, :n_up] = big[:, n_up:, n_up:] = a * t
+    big[:, :n_up, n_up:] = _UP_BLOCK_MU_DIRECTION.T * t
+    e = scipy.linalg.expm(big)
+    return e[:, :n_up, 0].sum(axis=1), e[:, :n_up, n_up].sum(axis=1)
 
 
 def _reliability_values(rates: np.ndarray, times) -> np.ndarray:
@@ -668,54 +687,40 @@ def _availability_mu_slope(rates: np.ndarray) -> np.ndarray:
     )
 
 
-# -- sensitivities ------------------------------------------------------------
+# -- sensitivity --------------------------------------------------------------
 #
-# Partial derivatives of R(t) with respect to lambda, theta and mu at
-# stacked rate vectors (Blake, Reibman & Trivedi, SIGMETRICS 1988), for the
-# bounds search's certificate. MTTF and availability need only the sign of
-# their mu derivative, which the slope polynomials above give.
-
-
-def _rate_directions(rates: np.ndarray) -> np.ndarray:
-    """dB/dp of the reliability chain's up block B at each rate vector,
-    shape (N, 3, 3, 3), for p = lambda, theta and mu.
-
-    For a fixed c the generator is linear in the rates, so each derivative
-    is the generator assembled with that rate at 1 and the others at 0.
-    """
-    # lambda, theta and mu sit in columns 0, 1 and 2; c in 3
-    units = np.zeros((len(rates), 3, 5))
-    units[:, range(3), range(3)] = 1.0
-    units[:, :, 3] = rates[:, None, 3]
-    return _generators(units, ChainMode.RELIABILITY)[:, :, _UP, _UP]
-
+# The partial derivative of R(t) with respect to mu at stacked rate
+# vectors (Blake, Reibman & Trivedi, SIGMETRICS 1988), for the bounds
+# search's certificate in mu. R(t) falls in lambda and theta
+# (test_bounds.TestProofs), and MTTF and availability need only the sign
+# of their mu derivative, which the slope polynomials above give.
 
 def _reliability_sensitivities(
     rates: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Daleckii-Krein formula on the eigenbasis of R's kernel.
+    """R(t) and dR/dmu at each rate row, by the Daleckii-Krein formula on
+    the eigenbasis of R's kernel.
 
-    With D fixed, dexpm(B t)/dp = D^-1 V (G o V^T M V) V^T D t, where
-    M = D (dB/dp) D^-1 and G[k, l] is the divided difference of exp at
+    With D fixed, dexpm(B t)/dmu = D^-1 V (G o V^T M V) V^T D t, where
+    M = D (dB/dmu) D^-1 and G[k, l] is the divided difference of exp at
     w_k t and w_l t (Higham, Functions of Matrices, 2008, sec. 3.2). An
-    entry of M is (dB/dp)[i, j] d_i / d_j = (dB/dp)[i, j] / B[i, j]
+    entry of M is (dB/dmu)[i, j] d_i / d_j = (dB/dmu)[i, j] / B[i, j]
     S[i, j], which stays finite when c = 0 zeroes B[0, 1], B[1, 2] and
     S off the diagonal. Rows without a symmetrizer use _up_block_expm.
     The bounds search takes its R(t) values from here, so they are clipped
     exactly as _reliability_values clips them.
     """
     eig = _up_eigen(rates)
-    e = _rate_directions(rates)
-    b = eig.b[:, None]
-    m = np.divide(e, b, out=np.zeros_like(e), where=b != 0.0) * eig.s[:, None]
+    e, b = _UP_BLOCK_MU_DIRECTION, eig.b
+    m = np.divide(e, b, out=np.zeros_like(b), where=b != 0.0) * eig.s
     x = eig.w * t
     # e^b (e^(a - b) - 1) / (a - b) with b the larger, never above 1
     pairs = x[:, :, None], x[:, None, :]
     hi, lo = np.maximum(*pairs), np.minimum(*pairs)
     gamma = np.exp(hi) * _exp1(lo - hi)
     values = np.einsum("nk,nk,nk->n", eig.u, np.exp(x), eig.v)
-    g = np.einsum("nik,npij,njl->npkl", eig.vecs, m, eig.vecs)
-    partials = t * np.einsum("nk,nkl,npkl,nl->np", eig.u, gamma, g, eig.v)
+    g = np.einsum("nik,nij,njl->nkl", eig.vecs, m, eig.vecs)
+    partials = t * np.einsum("nk,nkl,nkl,nl->n", eig.u, gamma, g, eig.v)
     if not eig.ok.all():
         values[~eig.ok], partials[~eig.ok] = _up_block_expm(rates[~eig.ok], t)
     values = np.minimum(np.maximum(values, 0.0), 1.0)

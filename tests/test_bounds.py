@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzrel import (
     BoundsMethod,
@@ -422,17 +422,16 @@ def coupled_params():
     )
 
 
-def open_lambda_and_mu_on(top_box):
-    """_certify with lambda and mu forced open on top_box only."""
-    certify = bounds._certify
+def open_mu_on(top_width):
+    """_mu_signs with mu forced open on cuts top_width wide only, which
+    the halves of a cut never are."""
+    mu_signs = bounds._mu_signs
 
-    def certificate(fp, metric, box, coupled):
-        points, values, signs = certify(fp, metric, box, coupled)
-        if box == top_box:
-            signs.update(dict.fromkeys(("lambda", "mu")))
-        return points, values, signs
+    def signs(values, partials, width):
+        forced = np.asarray(width) == top_width
+        return np.where(forced, np.nan, mu_signs(values, partials, width))
 
-    return certificate
+    return signs
 
 
 # The c = 0.5 availability box, whose maximum lies inside the mu cut.
@@ -506,11 +505,11 @@ class TestCertificate:
         ids=["reference", "c=0.5", "coupled"],
     )
     def test_two_open_axes_subdivided(self, fp, metric):
+        # lambda and theta are pinned by proof, so only mu can be open
         res = characteristic_bounds(fp, metric, 0.0)
-        top_box = fp.cuts(0.0, tuple(res.box))
-        with mock.patch.object(bounds, "_certify", open_lambda_and_mu_on(top_box)):
+        with mock.patch.object(bounds, "_mu_signs", open_mu_on(res.box["mu"].width)):
             forced = characteristic_bounds(fp, metric, 0.0)
-        assert {"lambda", "mu"} <= set(forced.open_axes)
+        assert forced.open_axes == ("mu",)
         assert forced.method is BoundsMethod.SUBDIVISION
         assert forced.bounds.lo == pytest.approx(res.bounds.lo, rel=1e-12)
         assert forced.bounds.hi == pytest.approx(res.bounds.hi, rel=1e-12)
@@ -523,12 +522,13 @@ class TestCertificate:
         "failure",
         [
             dict(side_effect=np.linalg.LinAlgError("singular matrix")),
-            dict(return_value=(np.full(27, np.nan), np.zeros((27, 3)))),
+            dict(return_value=(np.full(6, np.nan), np.zeros(6))),
         ],
         ids=["singular", "not-finite"],
     )
     def test_failed_certificate_is_a_solver_error(self, failure):
-        # raised by the first certificate, naming its box, before any halving
+        # raised by the first mu certificate, naming its box, before any
+        # halving
         broken = mock.Mock(**failure)
         with mock.patch.object(bounds.markov, "_reliability_sensitivities", broken):
             with pytest.raises(SolverError, match=r"mu in \[3, 6\]"):
@@ -536,16 +536,20 @@ class TestCertificate:
         assert broken.call_count == 1
 
     def test_one_sensitivity_call_per_level_and_no_values_call(self):
-        # the certificate's call supplies the vertex values too
+        # one call certifies mu at every level of the ladder, and supplies
+        # the vertex values too; one corner check validates the ladder
         metric = reliability_at_time(10.0)
         counted = mock.Mock(wraps=bounds.markov._reliability_sensitivities)
         refuse = mock.Mock(side_effect=AssertionError("values kernel called"))
+        built = mock.Mock(wraps=SystemParams)
         with (
             mock.patch.object(bounds.markov, "_reliability_sensitivities", counted),
             mock.patch.object(bounds, "_box_values", refuse),
+            mock.patch.object(bounds, "SystemParams", built),
         ):
             results = bounds.bounds_at_levels(demo_params(), metric, ALPHAS_11)
-        assert counted.call_count == len(ALPHAS_11)
+        assert counted.call_count == 1
+        assert built.call_count == 1
         for res in results:
             corners = brute_force_bounds(demo_params(), metric, res.alpha, 2)
             assert res.bounds.lo == pytest.approx(corners.bounds.lo, rel=1e-12)
@@ -556,7 +560,7 @@ class TestCertificate:
         "metric", [MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)]
     )
     def test_box_validated_at_one_corner(self, metric, alpha):
-        # availability at alpha = 0 subdivides mu; its halves build none
+        # a subdivided mu cut builds none for its halves
         built = mock.Mock(wraps=SystemParams)
         with mock.patch.object(bounds, "SystemParams", built):
             characteristic_bounds(demo_params(), metric, alpha)
@@ -740,6 +744,56 @@ class TestProofs:
             assert signs[:2] == [-1, -1] and signs[3:] == [1, 1]
 
 
+    def test_reliability_falls_in_lambda_and_theta(self, symbolic):
+        # With r = expm(B t) 1, the survival probabilities (r3, r2, r1) from
+        # UP3, UP2 and UP1, the gaps f = r3 - c r2 and g = r2 - c r1 solve a
+        # cooperative system with nonnegative input from f(0) = g(0) = 1 - c,
+        # so f, g >= 0. dR/dp is the integral of e_UP3^T expm(B (t - s))
+        # (dB/dp) r(s) over [0, t], expm(B u) >= 0, and (dB/dp) r <= 0 for
+        # p = lambda, theta: R(t) falls in both, at every t.
+        sp, symbols, c, _, _ = symbolic
+        lam, theta, mu, beta = symbols
+        markov = bounds.markov
+        features = {
+            markov._LAM: lam,
+            markov._THETA: theta,
+            markov._MU: mu,
+            markov._BETA: beta,
+            markov._C_LAM: c * lam,
+            markov._C_THETA: c * theta,
+            markov._U_LAM: (1 - c) * lam,
+            markov._U_THETA: (1 - c) * theta,
+        }
+        n_up = len(markov.UP_STATES)
+        b = sp.zeros(n_up, n_up)
+        for source, target, weights in markov._TRANSITIONS:
+            rate = sum(sp.nsimplify(w) * features[k] for k, w in weights.items())
+            b[source, source] -= rate
+            if target in markov.UP_STATES:
+                b[source, target] += rate
+        r3, r2, r1 = sp.symbols("r3 r2 r1")
+        r = sp.Matrix([r3, r2, r1])
+        f, g = r3 - c * r2, r2 - c * r1
+        r_dot = b * r
+        f_dot, g_dot = r_dot[0] - c * r_dot[1], r_dot[1] - c * r_dot[2]
+        a = 2 * lam + theta
+        # f' and g' in f, g and the input terms, with these coefficients
+        coupling = {"f": 2 * c * lam, "g": mu}
+        inputs = {"f": c * (1 - c) * mu, "g": c * lam}
+        f_rhs = -(a + c * mu) * f + coupling["f"] * g + inputs["f"] * r2
+        g_rhs = coupling["g"] * f - (mu + 2 * lam) * g + inputs["g"] * r1
+        assert sp.expand(f_dot - f_rhs) == 0
+        assert sp.expand(g_dot - g_rhs) == 0
+        ones = {r3: 1, r2: 1, r1: 1}
+        assert sp.expand(f.subs(ones) - (1 - c)) == 0
+        assert sp.expand(g.subs(ones) - (1 - c)) == 0
+        zero = sp.zeros(n_up, 1)
+        assert sp.expand(b.diff(lam) * r + sp.Matrix([2 * f, 2 * g, r1])) == zero
+        assert sp.expand(b.diff(theta) * r + sp.Matrix([f, 0, 0])) == zero
+        for coefficient in (*coupling.values(), *inputs.values()):
+            assert bernstein_sign(sp, coefficient, symbols, c) == 1
+
+
 def pinned_mu_scan(fp, metric, box, points=2001, rounds=12):
     """Lowest and highest metric values along the mu cut, the other axes
     at the ends proven for each bound, by a 2001-point scan of mu that
@@ -747,7 +801,13 @@ def pinned_mu_scan(fp, metric, box, points=2001, rounds=12):
     lam, theta, mu = box["lambda"], box["theta"], box["mu"]
     beta = box.get("beta", fp.reboot_rate.modal_interval)
     markov = bounds.markov
-    kernel = markov._mttf_values if metric is MTBF else markov._availability_values
+
+    def kernel(rows):
+        if metric.kind == "reliability":
+            return markov._reliability_values(rows, metric.t)
+        if metric is MTBF:
+            return markov._mttf_values(rows)
+        return markov._availability_values(rows)
 
     def along(point, lo, hi):
         mus = np.linspace(lo, hi, points)
@@ -770,26 +830,30 @@ def pinned_mu_scan(fp, metric, box, points=2001, rounds=12):
 
 
 @st.composite
-def wide_models(draw):
-    """Log-uniform rates over 1e-6..1e9, coverage 0, 1 or between, theta
+def wide_params(draw, decades=(-6.0, 9.0), repair_from_zero=False):
+    """Log-uniform rates over the decades, coverage 0, 1 or between, theta
     zero in some, coupled or not. The repair rate is drawn over the whole
-    range, or within a decade or two of lambda, where turns in mu lie."""
+    range, or within a decade or two of lambda, where turns in mu lie;
+    with repair_from_zero its cut starts at 0 in some."""
+    low, high = decades
 
-    def nodes(exponent=st.floats(-6.0, 9.0)):
+    def nodes(exponent=st.floats(low, high)):
         lo, hi = sorted(10 ** draw(exponent) for _ in range(2))
         b = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
         return lo, b, b + draw(st.floats(0.0, 1.0)) * (hi - b), hi
 
     lam = nodes()
     near = np.log10(lam[0])
-    mu = nodes(st.floats(-6.0, 9.0) | st.floats(max(near - 1, -6), min(near + 2, 9)))
+    mu = nodes(st.floats(low, high) | st.floats(max(near - 1, low), min(near + 2, high)))
+    if repair_from_zero and draw(st.booleans()):
+        mu = (0.0, *mu[1:])
     coupled = draw(st.booleans())
     s_lo = draw(st.just(0.0) | st.floats(0.0, 0.99))
     s_hi = draw(st.sampled_from([s_lo, 1.0]) | st.floats(s_lo, 1.0))
     # coupled: theta's cuts follow lambda's; otherwise theta stays below
     # lambda's support
     under = lam if coupled else (lam[0],) * 4
-    fp = FuzzySystemParams(
+    return FuzzySystemParams(
         failure_rate=FuzzyNumber.trapezoidal(*lam),
         standby_failure_rate=FuzzyNumber.trapezoidal(
             *(s * x for s, x in zip((s_lo, s_lo, s_hi, s_hi), under))
@@ -799,7 +863,20 @@ def wide_models(draw):
         coverage=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
         enforce_standby_slower=coupled,
     )
-    return fp, draw(st.sampled_from([MTBF, STEADY_AVAILABILITY]))
+
+
+@st.composite
+def wide_models(draw):
+    return draw(wide_params()), draw(st.sampled_from([MTBF, STEADY_AVAILABILITY]))
+
+
+@st.composite
+def reliability_models(draw):
+    """wide_params over 1e-3..1e3, repair from 0 in some, and a mission
+    time between a tenth of the modal MTTF and ten times it."""
+    fp = draw(wide_params((-3.0, 3.0), repair_from_zero=True))
+    factor = draw(st.sampled_from([0.1, 1.0, 10.0]) | st.floats(0.1, 10.0))
+    return fp, reliability_at_time(factor * mttf(fp.modal_params()))
 
 
 class TestClosedForm:
@@ -821,11 +898,11 @@ class TestClosedForm:
         kernel = "_mttf_values" if metric is MTBF else "_availability_values"
         counted = mock.Mock(wraps=getattr(bounds.markov, kernel))
         built = mock.Mock(wraps=SystemParams)
-        refuse = mock.Mock(side_effect=AssertionError("certificate called"))
+        refuse = mock.Mock(side_effect=AssertionError("sensitivities called"))
         with (
             mock.patch.object(bounds.markov, kernel, counted),
             mock.patch.object(bounds, "SystemParams", built),
-            mock.patch.object(bounds, "_certify", refuse),
+            mock.patch.object(bounds.markov, "_reliability_sensitivities", refuse),
         ):
             results = bounds.bounds_at_levels(demo_params(), metric, ALPHAS_11)
         assert counted.call_count == 1
@@ -917,3 +994,35 @@ class TestClosedForm:
             bounds.bounds_at_levels(fp, STEADY_AVAILABILITY, ALPHAS_11)
         assert str(ladder.value) == str(single.value)
         assert ladder.value.point == single.value.point
+
+
+# R(1) peaks inside the mu cut at every level, at mu ~ 53, where the draws
+# of reliability_models rarely put a maximum
+INTERIOR_RELIABILITY_MAXIMUM = (
+    crisp_params(
+        failure_rate=FuzzyNumber.crisp(1.0),
+        standby_failure_rate=FuzzyNumber.crisp(0.5),
+        repair_rate=FuzzyNumber.trapezoidal(1.0, 10.0, 100.0, 1000.0),
+    ),
+    reliability_at_time(1.0),
+)
+
+
+class TestReliabilityLadder:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(reliability_models())
+    @example(INTERIOR_RELIABILITY_MAXIMUM)
+    def test_reliability_ladder_brackets_grid_and_mu_scan(self, model):
+        # lambda and theta sit at proven ends; the mu certificate samples,
+        # so a scan of mu at those ends checks that it misses no extreme
+        fp, metric = model
+        for res in bounds.bounds_at_levels(fp, metric, (0.0, 0.5, 1.0)):
+            grid = brute_force_bounds(fp, metric, res.alpha, 7)
+            tol = 1e-9 * max(abs(grid.bounds.lo), abs(grid.bounds.hi))
+            assert res.bounds.lo <= grid.bounds.lo + tol
+            assert res.bounds.hi >= grid.bounds.hi - tol
+            # one round: zooming in on mu lo = 0 reaches mu << lambda, where
+            # the eigenbasis loses relative accuracy
+            lowest, highest = pinned_mu_scan(fp, metric, res.box, rounds=1)
+            assert lowest >= res.bounds.lo - 1e-12 * abs(res.bounds.lo)
+            assert highest <= res.bounds.hi + 1e-12 * abs(res.bounds.hi)

@@ -181,6 +181,30 @@ class TestParamsValidation:
         with pytest.raises(ValidationError):
             params(mu=float("nan"))
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (float("nan"), "nan"),
+            (float("inf"), "inf"),
+            (float("-inf"), "-inf"),
+            (np.float64("nan"), "nan"),
+            (np.float32("inf"), "inf"),
+        ],
+        ids=["nan", "inf", "-inf", "numpy-nan", "numpy-inf"],
+    )
+    @pytest.mark.parametrize("field", ["lam", "theta", "mu", "c", "beta"])
+    def test_nonfinite_message_names_field_and_value(self, field, value, shown):
+        name = {
+            "lam": "failure_rate",
+            "theta": "standby_failure_rate",
+            "mu": "repair_rate",
+            "c": "coverage",
+            "beta": "reboot_rate",
+        }[field]
+        message = rf"^{name} must be finite, got {shown}$"
+        with pytest.raises(ValidationError, match=message):
+            params(**{field: value})
+
     def test_zero_repair_rate_allowed_for_first_passage(self):
         assert mttf(params(lam=1.0, theta=0.0, mu=0.0, c=1.0)) == pytest.approx(2.0)
 
@@ -609,12 +633,9 @@ class TestReliabilityKernel:
             expected, rel=1e-14, abs=0.0
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="eigh resolves eigenvalues only to about eps ||S||, far above "
-        "the slowest decay rate at c = 1 with fast repair",
-    )
     def test_full_coverage_fast_repair_matches_60_digit_reference(self):
+        # eigh alone resolves eigenvalues only to about eps ||S||, far above
+        # the slowest decay rate here; that rate comes from det(-B)
         factors, expected = zip(*FAST_REPAIR_RELIABILITY)
         times = np.array(factors) * FULL_COVERAGE_MTTF[1][1]
         r = [reliability_at(FAST_REPAIR, t) for t in times]
@@ -666,14 +687,18 @@ def mu_partial(kind, rates):
 
 
 class TestSensitivities:
-    """Partials of each metric against central differences: every partial
-    of R(t); for MTTF and availability the mu partial of their slope
-    numerators, and the signs the bounds search takes as proven for the
-    other rates (test_bounds.TestProofs)."""
+    """Partials of each metric against central differences: the mu partial
+    of R(t) and of the MTTF and availability slope numerators, and the
+    signs the bounds search takes as proven for the other rates
+    (test_bounds.TestProofs)."""
 
     FIELDS = ("failure_rate", "standby_failure_rate", "repair_rate", "reboot_rate")
     # proven signs of the lambda, theta and beta partials
-    SIGNS = {"mttf": (-1, -1, None, 0), "availability": (-1, -1, None, 1)}
+    SIGNS = {
+        "mttf": (-1, -1, None, 0),
+        "availability": (-1, -1, None, 1),
+        "reliability": (-1, -1, None, 0),
+    }
 
     @staticmethod
     def central(kernel, base, field):
@@ -701,19 +726,15 @@ class TestSensitivities:
             partials = mu_partial(kind, points)
         for row, point in enumerate(points):
             base = params(*point)
+            if kind == "reliability":
+                assert values[row] == pytest.approx(kernel(base), rel=1e-12)
             for axis, field in enumerate(self.FIELDS):
                 central = self.central(kernel, base, field)
-                if kind == "reliability":
-                    assert values[row] == pytest.approx(kernel(base), rel=1e-12)
-                    # beta does not enter R(t)
-                    expected = partials[row, axis] if axis < 3 else 0.0
-                elif field == "repair_rate":
-                    expected = partials[row]
-                else:
-                    sign = self.SIGNS[kind][axis]
-                    assert sign * central >= 0.0 if sign else central == 0.0
+                if field == "repair_rate":
+                    assert central == pytest.approx(partials[row], rel=1e-5, abs=1e-8)
                     continue
-                assert central == pytest.approx(expected, rel=1e-5, abs=1e-8)
+                sign = self.SIGNS[kind][axis]
+                assert sign * central >= 0.0 if sign else central == 0.0
 
     def test_full_coverage_fast_repair_mttf_partials(self):
         # at c = 1 the slope numerator is a sum of positive terms, and the
@@ -743,18 +764,16 @@ class TestSensitivities:
         values, partials = markov._reliability_sensitivities(np.array([point]), t)
         base = params(*point)
         assert values[0] == pytest.approx(reliability_at(base, t), rel=1e-12)
-        fields = ("failure_rate", "standby_failure_rate", "repair_rate")
-        for axis, field in enumerate(fields):
-            x = getattr(base, field)
-            # a rate of zero cannot step down: second-order one-sided, with
-            # a step long enough that rounding stays below its O(h^2) error
-            h = 1e-6 * x or 1e-4 * base.failure_rate
-            if x == 0.0:
-                steps, weights = (0, 1, 2), (-3, 4, -1)
-            else:
-                steps, weights = (-1, 1), (-1, 1)
-            expected = sum(
-                w * reliability_at(SystemParams(**{**vars(base), field: x + k * h}), t)
-                for k, w in zip(steps, weights)
-            ) / (2 * h)
-            assert partials[0, axis] == pytest.approx(expected, rel=1e-4, abs=1e-8)
+        x = base.repair_rate
+        # a rate of zero cannot step down: second-order one-sided, with a
+        # step long enough that rounding stays below its O(h^2) error
+        h = 1e-6 * x or 1e-4 * base.failure_rate
+        if x == 0.0:
+            steps, weights = (0, 1, 2), (-3, 4, -1)
+        else:
+            steps, weights = (-1, 1), (-1, 1)
+        expected = sum(
+            w * reliability_at(SystemParams(**{**vars(base), "repair_rate": mu}), t)
+            for mu, w in zip(x + np.array(steps) * h, weights)
+        ) / (2 * h)
+        assert partials[0] == pytest.approx(expected, rel=1e-4, abs=1e-8)
