@@ -61,7 +61,7 @@ The search is deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -145,12 +145,11 @@ def evaluate_metric(params: SystemParams, metric: Metric) -> float:
 class FuzzySystemParams:
     """Fuzzy rates of the system; coverage stays crisp.
 
-    enforce_standby_slower couples the standby and active failure rates:
-    construction then requires every theta cut to stay below the matching
-    lambda cut's upper bound, and the bounds search keeps to points where
-    the standby fails no faster than an active unit. Left off, the box axes
-    are treated independently and an infeasible point inside the box
-    surfaces as a kernel evaluation error.
+    The standby fails no faster than an active unit, theta <= lambda, so
+    theta's alpha = 1 cut must start no higher than lambda's ends. Cuts
+    nest and each holds its modal interval, so then every level has points
+    where theta <= lambda, and the bounds search keeps to them: under that
+    constraint the feasible set of a box is a polytope.
     """
 
     failure_rate: FuzzyNumber
@@ -158,7 +157,6 @@ class FuzzySystemParams:
     repair_rate: FuzzyNumber
     reboot_rate: FuzzyNumber
     coverage: float
-    enforce_standby_slower: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coverage", float(self.coverage))
@@ -174,38 +172,14 @@ class FuzzySystemParams:
             raise ValidationError("reboot_rate support must be strictly positive")
         if self.standby_failure_rate.support.lo < 0.0:
             raise ValidationError("standby_failure_rate support must be >= 0")
-        if self.enforce_standby_slower:
-            self._check_standby_slower()
-
-    def _check_standby_slower(self) -> None:
-        """Every theta cut must end no later than the matching lambda cut.
-
-        Between consecutive breakpoint levels of the two numbers both upper
-        ends are affine in alpha, so their excess peaks at a level or just
-        above one; an intermediate membership plateau makes a cut jump
-        there, and that right-hand limit is extrapolated from the midpoint.
-        Rounding of the interpolated ends stays within a few ulps of the
-        lambda cut; any larger excess is rejected, at every scale of rates.
-        """
-
-        def excess(alpha: float) -> float:
-            th = self.standby_failure_rate.alpha_cut(alpha).hi
-            return th - self.failure_rate.alpha_cut(alpha).hi
-
-        levels = sorted(
-            {0.0, 1.0}
-            | set(self.failure_rate.memberships)
-            | set(self.standby_failure_rate.memberships)
-        )
-        for lo, hi in zip(levels, levels[1:]):
-            at_hi = excess(hi)
-            above_lo = 2.0 * excess(0.5 * (lo + hi)) - at_hi
-            worst = max(excess(lo), above_lo, at_hi)
-            if worst > 8.0 * np.spacing(self.failure_rate.alpha_cut(lo).hi):
-                raise ValidationError(
-                    f"standby failure rate cut exceeds failure rate cut by "
-                    f"{worst:.3g} for alpha in [{lo:g}, {hi:g}]"
-                )
+        # modal ends are breakpoints, not interpolated, so no slack is due
+        theta = self.standby_failure_rate.modal_interval
+        lam = self.failure_rate.modal_interval
+        if theta.lo > lam.hi:
+            raise ValidationError(
+                f"standby failure rate cut exceeds failure rate cut at alpha=1: "
+                f"theta starts at {theta.lo!r}, above lambda's end {lam.hi!r}"
+            )
 
     _BY_NAME = {
         PARAM_LAMBDA: "failure_rate",
@@ -234,14 +208,7 @@ class FuzzySystemParams:
         )
 
     def with_coverage(self, coverage: float) -> "FuzzySystemParams":
-        return FuzzySystemParams(
-            failure_rate=self.failure_rate,
-            standby_failure_rate=self.standby_failure_rate,
-            repair_rate=self.repair_rate,
-            reboot_rate=self.reboot_rate,
-            coverage=coverage,
-            enforce_standby_slower=self.enforce_standby_slower,
-        )
+        return replace(self, coverage=coverage)
 
 
 class BoundsMethod(Enum):
@@ -314,9 +281,9 @@ def _box_values(
     return markov._reliability_values(rates, metric.t)
 
 
-def _cut_by_standby(fp: FuzzySystemParams, box: dict[str, Interval]) -> bool:
+def _cut_by_standby(box: dict[str, Interval]) -> bool:
     """Whether theta <= lambda removes part of the box."""
-    return fp.enforce_standby_slower and box[PARAM_THETA].hi > box[PARAM_LAMBDA].lo
+    return box[PARAM_THETA].hi > box[PARAM_LAMBDA].lo
 
 
 def _axis_values(box: dict[str, Interval], per_axis: int) -> list[np.ndarray]:
@@ -326,9 +293,7 @@ def _axis_values(box: dict[str, Interval], per_axis: int) -> list[np.ndarray]:
     ]
 
 
-def _feasible_points(
-    box: dict[str, Interval], per_axis: int, coupled: bool
-) -> np.ndarray:
+def _feasible_points(box: dict[str, Interval], per_axis: int) -> np.ndarray:
     """Lattice points of the box, per_axis values on each free axis, as rows.
 
     When the standby constraint cuts the box, the points with theta above
@@ -337,7 +302,7 @@ def _feasible_points(
     """
     axes = _axis_values(box, per_axis)
     points = np.array(list(itertools.product(*axes)))
-    if not coupled:
+    if not _cut_by_standby(box):
         return points
     points = points[points[:, 1] <= points[:, 0]]
     lam, theta = box[PARAM_LAMBDA], box[PARAM_THETA]
@@ -354,43 +319,23 @@ def _describe_box(box: dict[str, Interval]) -> str:
     return ", ".join(f"{n} in [{iv.lo:.17g}, {iv.hi:.17g}]" for n, iv in box.items())
 
 
-def _cut_box(
-    fp: FuzzySystemParams, metric: Metric, alpha: float
-) -> tuple[dict[str, Interval], bool]:
-    """The alpha-cut box of the metric's axes and whether theta <= lambda
-    cuts it; a box with no point where theta <= lambda raises SolverError."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    box = fp.cuts(alpha, _metric_axes(metric))
-    coupled = _cut_by_standby(fp, box)
-    if coupled and box[PARAM_THETA].lo > box[PARAM_LAMBDA].hi:
-        raise SolverError(
-            f"no feasible point in the alpha={alpha} box under the standby "
-            f"rate constraint"
-        )
-    return box, coupled
+def _boxes(
+    fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
+) -> list[dict[str, Interval]]:
+    """The alpha-cut boxes of the metric's axes at each level, validated.
 
-
-def _box(
-    fp: FuzzySystemParams, metric: Metric, alpha: float
-) -> tuple[dict[str, Interval], bool]:
-    """The alpha-cut box of the metric's axes, validated, and whether
-    theta <= lambda cuts it.
-
-    The cuts lie inside supports that FuzzySystemParams validated, so the
-    only rules left are theta <= lambda and, for availability, repair
-    (markov._rates). Both are monotone, so one corner decides the box:
-    (lambda lo, theta hi, mu lo, beta lo), or (lambda hi, theta lo, mu
-    lo, beta lo) where the standby constraint cuts the box and keeps only
-    its feasible part. A failing corner raises KernelEvaluationError
-    naming it, and every point inside the box is evaluated unchecked.
+    The cuts lie inside supports that FuzzySystemParams validated, and
+    every box has its corner (lambda hi, theta lo) on the feasible side of
+    theta <= lambda, so the only rule left is availability's repair
+    (markov._rates). The cuts nest, so one corner of the first box decides
+    every level: (lambda hi, theta lo, mu lo, beta lo). A failing corner
+    raises KernelEvaluationError naming it, and every point inside the
+    boxes is evaluated unchecked.
     """
-    box, coupled = _cut_box(fp, metric, alpha)
-    names = list(box)
-    lam, theta = box[PARAM_LAMBDA], box[PARAM_THETA]
-    corner = np.array([[iv.lo for iv in box.values()]])
-    corner[0, :2] = (lam.hi, theta.lo) if coupled else (lam.lo, theta.hi)
+    names = _metric_axes(metric)
+    boxes = [fp.cuts(alpha, names) for alpha in alphas]
+    corner = np.array([[iv.lo for iv in boxes[0].values()]])
+    corner[0, 0] = boxes[0][PARAM_LAMBDA].hi
     mode = markov.ChainMode.RELIABILITY
     if metric.uses_reboot_rate:
         mode = markov.ChainMode.AVAILABILITY
@@ -401,7 +346,7 @@ def _box(
         raise KernelEvaluationError(
             f"{metric.describe()} failed at {point}: {exc}", point=point
         ) from exc
-    return box, coupled
+    return boxes
 
 
 def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -594,21 +539,18 @@ def _ladder_bounds(
 ) -> tuple[BoundsResult, ...]:
     """Bounds of a metric at every level of a ladder, in one pass.
 
-    The cuts of the levels nest, so the first level's worst corner is the
-    worst of them all and the only one checked (_box); each later level is
-    checked for a feasible point alone. Then, for every level at once,
-    lambda and theta sit at proven ends, and beta too for availability
-    (see the module docstring). The maximum takes lambda = max(lambda lo,
-    theta lo), theta lo and beta hi; the minimum lambda hi, theta =
-    min(theta hi, lambda hi) and beta lo. Without a cutting standby
-    constraint these are box corners. Only mu is left: MTBF and
+    The boxes are validated at one corner (_boxes). Then, for every level
+    at once, lambda and theta sit at proven ends, and beta too for
+    availability (see the module docstring). The maximum takes lambda =
+    max(lambda lo, theta lo), theta lo and beta hi; the minimum lambda hi,
+    theta = min(theta hi, lambda hi) and beta lo. Where theta <= lambda
+    does not cut the box these are box corners. Only mu is left: MTBF and
     availability find it in closed form (_mu_by_slope), R(t) by a sign
     certificate (_mu_by_certificate). A value that is not finite raises
     SolverError naming its box.
     """
     names = _metric_axes(metric)
-    first, _ = _box(fp, metric, alphas[0])
-    boxes = [first] + [_cut_box(fp, metric, a)[0] for a in alphas[1:]]
+    boxes = _boxes(fp, metric, alphas)
     # ends[end, axis, level], end 0 the cut's lower end
     ends = np.array([[(iv.lo, iv.hi) for iv in box.values()] for box in boxes]).T
     (lam_lo, theta_lo), (lam_hi, theta_hi) = ends[:, :2]
@@ -649,7 +591,7 @@ def characteristic_bounds(
 ) -> BoundsResult:
     """Lower and upper bounds of a characteristic over one alpha-cut box:
     the one-level case of _ladder_bounds. The box is validated at its one
-    worst corner (_box); lambda, theta and beta sit at proven ends, and mu
+    worst corner (_boxes); lambda, theta and beta sit at proven ends, and mu
     is found in closed form for MTBF and availability and by a sign
     certificate for R(t). The result is deterministic.
     """
@@ -667,8 +609,8 @@ def brute_force_bounds(
     grid_per_axis = int(grid_per_axis)
     if grid_per_axis < 2:
         raise ValidationError(f"grid_per_axis must be >= 2, got {grid_per_axis}")
-    box, coupled = _box(fp, metric, alpha)
-    points = _feasible_points(box, grid_per_axis, coupled)
+    (box,) = _boxes(fp, metric, (alpha,))
+    points = _feasible_points(box, grid_per_axis)
     values = _box_values(fp, metric, points)
     lo, hi = np.argmin(values), np.argmax(values)
     return BoundsResult(

@@ -157,11 +157,13 @@ def load_model_config(
         if key not in raw:
             raise ConfigError(f"{path}: missing required field '{key}'")
 
+    # theta <= lambda is part of the model; older model files may still set
+    # solver.enforce_standby_slower, which must be a boolean and does nothing
     solver = _section(raw, "solver", ("enforce_standby_slower",))
-    coupled = solver.get("enforce_standby_slower", False)
-    if not isinstance(coupled, bool):
+    retired = solver.get("enforce_standby_slower", False)
+    if not isinstance(retired, bool):
         raise ConfigError(
-            f"field 'solver.enforce_standby_slower' must be a boolean, got {coupled!r}"
+            f"field 'solver.enforce_standby_slower' must be a boolean, got {retired!r}"
         )
     fp = FuzzySystemParams(
         failure_rate=_fuzzy_field(raw["lambda"], "lambda"),
@@ -169,7 +171,6 @@ def load_model_config(
         repair_rate=_fuzzy_field(raw["mu"], "mu"),
         reboot_rate=_fuzzy_field(raw["beta"], "beta"),
         coverage=_as_number(raw["c"], "c"),
-        enforce_standby_slower=coupled,
     )
     metric = _parse_metric(raw, override_metric, override_t)
 

@@ -394,15 +394,13 @@ def mttf(params: SystemParams) -> float:
 
 def _transient(q: np.ndarray, t: float) -> np.ndarray:
     """P(t) = expm(Q^T t) P(0) from all mass on UP3 at each generator,
-    clipped at zero and checked by the StateProbabilities rules."""
+    clipped at zero; StateProbabilities checks each row it reaches."""
     # imported here: scipy.linalg is the slowest import of the package,
     # and only the expm paths use it
     import scipy.linalg
 
     p = scipy.linalg.expm(np.swapaxes(q, -1, -2) * t)[..., State.UP3]
-    p = np.maximum(p, 0.0)
-    _check_distributions(p)
-    return p
+    return np.maximum(p, 0.0)
 
 
 # Down states absorb in the reliability chain, so its up masses evolve by
@@ -720,6 +718,14 @@ def _reliability_sensitivities(
     gamma = np.exp(hi) * _exp1(lo - hi)
     values = np.einsum("nk,nk,nk->n", eig.u, np.exp(x), eig.v)
     g = np.einsum("nik,nij,njl->nkl", eig.vecs, m, eig.vecs)
+    # g's diagonal holds dw/dmu; the slow mode's comes from the identity
+    # _up_eigen takes w3 from, dw3/w3 = dDelta/Delta - dw1/w1 - dw2/w2
+    lam, theta, mu, c = rates.T[:4]
+    a = 2.0 * lam + theta
+    slope = a * (1.0 - c) * (2.0 * mu + 3.0 * lam) / _up_determinant(a, lam, mu, c)
+    g[:, 2, 2] = eig.w[:, 2] * (
+        slope - g[:, 0, 0] / eig.w[:, 0] - g[:, 1, 1] / eig.w[:, 1]
+    )
     partials = t * np.einsum("nk,nkl,nkl,nl->n", eig.u, gamma, g, eig.v)
     if not eig.ok.all():
         values[~eig.ok], partials[~eig.ok] = _up_block_expm(rates[~eig.ok], t)

@@ -14,9 +14,11 @@ from fuzzrel import (
     BoundsMethod,
     FuzzyNumber,
     FuzzySystemParams,
+    Interval,
     KernelEvaluationError,
     MTBF,
     Metric,
+    NestingError,
     STEADY_AVAILABILITY,
     SolverError,
     SystemParams,
@@ -110,6 +112,22 @@ def crisp_params(**overrides):
     return FuzzySystemParams(**kwargs)
 
 
+def assert_polytope_bounds(fp, alpha):
+    """Every metric's bounds at alpha enclose a grid of the box's points
+    where theta <= lambda, and are taken at such points."""
+    for metric in (MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)):
+        res = characteristic_bounds(fp, metric, alpha)
+        assert bounds._cut_by_standby(res.box)
+        # availability's grid has four axes, the others' three
+        per_axis = 13 if metric.uses_reboot_rate else 41
+        grid = brute_force_bounds(fp, metric, alpha, per_axis)
+        tol = 1e-12 * max(abs(grid.bounds.lo), abs(grid.bounds.hi))
+        assert res.bounds.lo <= grid.bounds.lo + tol
+        assert res.bounds.hi >= grid.bounds.hi - tol
+        for point in (res.argmin, res.argmax):
+            assert point["theta"] <= point["lambda"]
+
+
 class TestMetric:
     def test_reliability_requires_time(self):
         with pytest.raises(ValidationError):
@@ -146,27 +164,26 @@ class TestFuzzyParamsValidation:
         with pytest.raises(ValidationError):
             demo_params(
                 standby_failure_rate=FuzzyNumber.trapezoidal(0.5, 0.9, 1.0, 1.2),
-                enforce_standby_slower=True,
             )
         # theta cuts below lambda's upper bounds: accepted
-        demo_params(enforce_standby_slower=True)
+        demo_params()
 
     def test_standby_coupling_checked_between_sample_levels(self):
         # theta's upper end passes lambda's only for alpha in (0, 0.01),
-        # peaking at alpha = 0.005: 0.5998 > 0.5995
-        with pytest.raises(ValidationError):
-            demo_params(
-                failure_rate=FuzzyNumber.trapezoidal(0.1, 0.3, 0.5, 0.6),
-                standby_failure_rate=FuzzyNumber.from_breakpoints(
-                    [(0.1, 0.0), (0.2, 1.0), (0.3, 1.0), (0.5, 0.01),
-                     (0.5998, 0.005), (0.6, 0.0)]
-                ),
-                enforce_standby_slower=True,
-            )
+        # peaking at alpha = 0.005: 0.5998 > 0.5995. theta <= lambda cuts
+        # that box, and its bounds keep to the polytope
+        fp = demo_params(
+            failure_rate=FuzzyNumber.trapezoidal(0.1, 0.3, 0.5, 0.6),
+            standby_failure_rate=FuzzyNumber.from_breakpoints(
+                [(0.1, 0.0), (0.2, 1.0), (0.3, 1.0), (0.5, 0.01),
+                 (0.5998, 0.005), (0.6, 0.0)]
+            ),
+        )
+        assert_polytope_bounds(fp, 0.005)
 
     def test_standby_coupling_checked_just_above_a_plateau(self):
         # lambda's cut jumps from 0.6 down to 0.5 just above alpha = 0.4;
-        # theta's upper end is 0.51 there and drops below lambda's by 0.5
+        # theta's upper end is 0.51 there, and theta <= lambda cuts the box
         lam = FuzzyNumber.from_breakpoints(
             [(0.1, 0.0), (0.2, 1.0), (0.3, 1.0), (0.5, 0.4), (0.6, 0.4), (0.7, 0.0)]
         )
@@ -174,13 +191,8 @@ class TestFuzzyParamsValidation:
             [(0.1, 0.0), (0.2, 1.0), (0.3, 1.0), (0.46, 0.5), (0.51, 0.4), (0.58, 0.0)]
         )
         assert theta.alpha_cut(0.41).hi > lam.alpha_cut(0.41).hi
-        with pytest.raises(ValidationError):
-            demo_params(
-                failure_rate=lam, standby_failure_rate=theta, enforce_standby_slower=True
-            )
-        # the same theta against its own upper ends is accepted
-        demo_params(
-            failure_rate=theta, standby_failure_rate=theta, enforce_standby_slower=True
+        assert_polytope_bounds(
+            demo_params(failure_rate=lam, standby_failure_rate=theta), 0.41
         )
 
     @pytest.mark.parametrize(
@@ -193,7 +205,6 @@ class TestFuzzyParamsValidation:
             crisp_params(
                 failure_rate=FuzzyNumber.crisp(lam),
                 standby_failure_rate=FuzzyNumber.crisp(theta),
-                enforce_standby_slower=True,
             )
 
     def test_modal_reduction(self):
@@ -285,15 +296,6 @@ class TestCharacteristicBounds:
         with pytest.raises(ValidationError):
             characteristic_bounds(demo_params(), MTBF, 1.5)
 
-    def test_kernel_error_carries_offending_point(self):
-        # theta support reaches above lambda's: some box corners invalid
-        fp = demo_params(
-            standby_failure_rate=FuzzyNumber.trapezoidal(0.5, 0.9, 1.0, 1.2)
-        )
-        with pytest.raises(KernelEvaluationError) as err:
-            characteristic_bounds(fp, MTBF, 0.0)
-        assert "theta" in err.value.point
-
     def test_availability_rejects_a_box_without_repair(self):
         fp = demo_params(repair_rate=FuzzyNumber.trapezoidal(0.0, 1.0, 2.0, 3.0))
         assert characteristic_bounds(fp, MTBF, 0.0).bounds.lo > 0.0
@@ -337,7 +339,6 @@ class TestCharacteristicBounds:
         fp = demo_params(
             failure_rate=FuzzyNumber.trapezoidal(0.5, 0.6, 0.7, 0.8),
             standby_failure_rate=FuzzyNumber.trapezoidal(0.3, 0.5, 0.6, 0.8),
-            enforce_standby_slower=True,
         )
         res = characteristic_bounds(fp, MTBF, 0.0)
         assert res.argmin["theta"] <= res.argmin["lambda"] + 1e-12
@@ -412,13 +413,35 @@ class TestMembershipCurveOp:
         assert curve.intervals[0].encloses(curve.intervals[2])
 
 
+class TestEnforceNesting:
+    ALPHAS = (0.0, 0.5, 1.0)
+
+    def test_noise_below_tolerance_is_clamped(self):
+        # the top row pokes out of the middle one by 1e-12 of its magnitude
+        top = Interval(5.0 - 5e-12, 7.0 + 5e-12)
+        rows = [Interval(4.0, 9.0), Interval(5.0, 7.0), top]
+        nested = bounds.enforce_nesting(self.ALPHAS, rows)
+        assert nested == (Interval(4.0, 9.0), Interval(5.0, 7.0), Interval(5.0, 7.0))
+
+    def test_escape_beyond_tolerance_names_both_levels(self):
+        rows = [Interval(4.0, 9.0), Interval(5.0, 7.0), Interval(5.0, 7.0 + 1e-6)]
+        with pytest.raises(NestingError, match=r"alpha=1 escape bounds at alpha=0\.5"):
+            bounds.enforce_nesting(self.ALPHAS, rows)
+
+    def test_collapse_below_zero_width_is_rejected(self):
+        # within tolerance, but wholly above a point row
+        top = Interval(5.0 + 1e-12, 5.0 + 1e-12)
+        rows = [Interval(4.0, 9.0), Interval(5.0, 5.0), top]
+        with pytest.raises(NestingError, match=r"alpha=1 collapse below width zero"):
+            bounds.enforce_nesting(self.ALPHAS, rows)
+
+
 def coupled_params():
     # theta <= lambda cuts every box: at alpha = 0 the MTBF maximum is the
     # polytope vertex lambda = theta = 0.3, not a box corner
     return demo_params(
         failure_rate=FuzzyNumber.trapezoidal(0.1, 0.3, 0.5, 0.6),
         standby_failure_rate=FuzzyNumber.trapezoidal(0.3, 0.35, 0.45, 0.5),
-        enforce_standby_slower=True,
     )
 
 
@@ -631,7 +654,6 @@ def boxed_models(draw):
         repair_rate=_box(10 ** draw(exponent), draw(spread)),
         reboot_rate=_box(10 ** draw(exponent), draw(spread)),
         coverage=draw(st.floats(0.0, 1.0)),
-        enforce_standby_slower=coupled,
     )
     mission = draw(st.floats(0.05, 5.0)) / lam_hi
     metric = draw(
@@ -861,7 +883,6 @@ def wide_params(draw, decades=(-6.0, 9.0), repair_from_zero=False):
         repair_rate=FuzzyNumber.trapezoidal(*mu),
         reboot_rate=FuzzyNumber.trapezoidal(*nodes()),
         coverage=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-        enforce_standby_slower=coupled,
     )
 
 
@@ -969,31 +990,35 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY])
     def test_coupled_box_infeasible_at_the_top_level(self, metric):
-        # theta's modal point lies one ulp above lambda's: the levels below
-        # alpha = 1 have feasible points, the top one none
+        # theta's modal point one ulp above lambda's: the levels below
+        # alpha = 1 would have feasible points, the top one none, so the
+        # model is rejected as it is built
+        lam = FuzzyNumber.trapezoidal(0.1, 0.3, 0.3, 0.6)
         above = np.nextafter(0.3, 1.0)
+        with pytest.raises(ValidationError, match="exceeds failure rate cut"):
+            demo_params(
+                failure_rate=lam,
+                standby_failure_rate=FuzzyNumber.trapezoidal(0.1, *[above] * 3),
+            )
+        # at 0.3 itself the top box keeps the one point lambda = theta
         fp = demo_params(
-            failure_rate=FuzzyNumber.trapezoidal(0.1, 0.3, 0.3, 0.6),
-            standby_failure_rate=FuzzyNumber.trapezoidal(0.1, *[above] * 3),
-            enforce_standby_slower=True,
+            failure_rate=lam,
+            standby_failure_rate=FuzzyNumber.trapezoidal(0.1, *[0.3] * 3),
         )
-        assert characteristic_bounds(fp, metric, 0.5).bounds.lo > 0.0
-        message = r"no feasible point in the alpha=1\.0 box"
-        with pytest.raises(SolverError, match=message):
-            bounds.bounds_at_levels(fp, metric, (0.0, 0.5, 1.0))
-        with pytest.raises(SolverError, match=message):
-            characteristic_bounds(fp, metric, 1.0)
+        top = bounds.bounds_at_levels(fp, metric, (0.0, 0.5, 1.0))[-1]
+        for point in (top.argmin, top.argmax):
+            assert (point["lambda"], point["theta"]) == (0.3, 0.3)
 
     def test_invalid_ladder_fails_at_its_first_level(self):
-        fp = demo_params(
-            standby_failure_rate=FuzzyNumber.trapezoidal(0.5, 0.9, 1.0, 1.2)
-        )
+        # only the alpha = 0 box reaches mu = 0, where availability fails
+        fp = demo_params(repair_rate=FuzzyNumber.trapezoidal(0.0, 1.0, 2.0, 3.0))
         with pytest.raises(KernelEvaluationError) as single:
             characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
         with pytest.raises(KernelEvaluationError) as ladder:
             bounds.bounds_at_levels(fp, STEADY_AVAILABILITY, ALPHAS_11)
         assert str(ladder.value) == str(single.value)
         assert ladder.value.point == single.value.point
+        assert characteristic_bounds(fp, STEADY_AVAILABILITY, 0.1).bounds.lo > 0.0
 
 
 # R(1) peaks inside the mu cut at every level, at mu ~ 53, where the draws
@@ -1006,6 +1031,26 @@ INTERIOR_RELIABILITY_MAXIMUM = (
     ),
     reliability_at_time(1.0),
 )
+
+
+# c = 1 with repair up to 1.5e9 times the failure rate, at t = the modal
+# MTTF: dR/dmu of the slow mode taken from eigh had the wrong sign at mu
+# hi, and the mu certificate halved the cut for tens of thousands of
+# calls. The maximum, at lambda lo and mu hi, is from a 150-digit
+# mpmath.expm, to 50 digits; the minimum, 2.197e-235675366091, rounds to 0.
+FULL_COVERAGE_FAST_REPAIR_BOX = FuzzySystemParams(
+    failure_rate=FuzzyNumber.trapezoidal(
+        1.252573406797911, 1.252573406797911, 11.419134206249014, 11.419134206249014
+    ),
+    standby_failure_rate=FuzzyNumber.crisp(0.5557640952454194),
+    repair_rate=FuzzyNumber.trapezoidal(
+        31351.74772803112, 31351.74772803112, 19282132082.614647, 19282132082.614647
+    ),
+    reboot_rate=FuzzyNumber.crisp(1.0),
+    coverage=1.0,
+)
+FULL_COVERAGE_FAST_REPAIR_T = 8.752545884375384e16
+FULL_COVERAGE_FAST_REPAIR_MAX = 0.99774149810930803339926881369685828063509216563014
 
 
 class TestReliabilityLadder:
@@ -1026,3 +1071,25 @@ class TestReliabilityLadder:
             lowest, highest = pinned_mu_scan(fp, metric, res.box, rounds=1)
             assert lowest >= res.bounds.lo - 1e-12 * abs(res.bounds.lo)
             assert highest <= res.bounds.hi + 1e-12 * abs(res.bounds.hi)
+
+    def test_full_coverage_fast_repair_certificate_closes(self):
+        sensitivities = bounds.markov._reliability_sensitivities
+        calls = []
+
+        def capped(rows, t):
+            calls.append(len(rows))
+            assert len(calls) <= 3, "the mu certificate did not close"
+            return sensitivities(rows, t)
+
+        metric = reliability_at_time(FULL_COVERAGE_FAST_REPAIR_T)
+        with mock.patch.object(bounds.markov, "_reliability_sensitivities", capped):
+            res = characteristic_bounds(FULL_COVERAGE_FAST_REPAIR_BOX, metric, 0.0)
+        assert res.bounds.lo == 0.0
+        assert res.bounds.hi == pytest.approx(
+            FULL_COVERAGE_FAST_REPAIR_MAX, rel=1e-14, abs=0.0
+        )
+        assert res.argmax == {
+            "lambda": 1.252573406797911,
+            "theta": 0.5557640952454194,
+            "mu": 19282132082.614647,
+        }

@@ -453,6 +453,16 @@ class TestExitCodes:
         assert main(["metrics", cfg]) == EXIT_PARSE
         assert "'solver.enforce_standby_slower'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_retired_standby_coupling_flag_still_loads(self, config_path, flag):
+        # theta <= lambda always holds; older model files may still set it
+        from fuzzrel.cli import load_model_config
+
+        solver = {"enforce_standby_slower": flag}
+        flagged = load_model_config(config_path({**DEMO_CONFIG, "solver": solver}))
+        plain = load_model_config(config_path(DEMO_CONFIG, "plain.json"))
+        assert flagged == plain
+
     def test_standby_excess_beyond_rounding_is_validation_error(
         self, config_path, tmp_path
     ):

@@ -747,6 +747,22 @@ class TestSensitivities:
         )
 
     @pytest.mark.parametrize(
+        "mu, expected",
+        [(2.09e9, 1.519254416325298222867174e-10),
+         (19282132082.614647, 2.339937869078345053180825e-13)],
+    )
+    def test_full_coverage_fast_repair_reliability_partial(self, mu, expected):
+        # eigh resolves the slow mode's eigenvalue derivative only to about
+        # eps ||S||: taken from it, the partial was 99 times too large at mu
+        # 2.09e9 and of the wrong sign at 1.9e10. det(-B) gives it to full
+        # precision. expected: mpmath.diff of a 150-digit expm
+        from fuzzrel import markov
+
+        point = np.array([[1.252573406797911, 0.5557640952454194, mu, 1.0, 1.0]])
+        _, partials = markov._reliability_sensitivities(point, 8.752545884375384e16)
+        assert partials[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
         "point",
         [
             (0.6, 0.2, 0.0, 0.9, 2.0),
