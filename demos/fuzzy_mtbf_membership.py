@@ -29,13 +29,11 @@ def main():
     table = build_table(fp, MTBF, alphas)
 
     print("alpha  lambda cut        theta cut         mu cut            mtbf bounds")
-    for i, alpha in enumerate(table.alphas):
-        lam = table.rows[i].cuts["lambda"]
-        theta = table.rows[i].cuts["theta"]
-        mu = table.rows[i].cuts["mu"]
-        b = table.rows[i].bounds
+    for row in table.rows:
+        lam, theta, mu = (row.cuts[name] for name in ("lambda", "theta", "mu"))
+        b = row.bounds
         print(
-            f"{alpha:4.1f}   [{lam.lo:.2f}, {lam.hi:.2f}]      "
+            f"{row.alpha:4.1f}   [{lam.lo:.2f}, {lam.hi:.2f}]      "
             f"[{theta.lo:.2f}, {theta.hi:.2f}]      "
             f"[{mu.lo:.2f}, {mu.hi:.2f}]      "
             f"[{b.lo:.4f}, {b.hi:.4f}]"

@@ -43,7 +43,6 @@ from .markov import (
 from .bounds import (
     MTBF,
     STEADY_AVAILABILITY,
-    BoundsMethod,
     BoundsResult,
     FuzzySystemParams,
     Metric,
@@ -71,7 +70,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AlphaCutTable",
-    "BoundsMethod",
     "BoundsResult",
     "CalibrationError",
     "CalibrationResult",

@@ -62,8 +62,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,7 +73,16 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .fuzzy import FuzzyNumber, Interval, MembershipCurve, _escapes
+from .fuzzy import (
+    FuzzyNumber,
+    Interval,
+    MembershipCurve,
+    _cut,
+    _cut_table,
+    _CutTable,
+    _escapes,
+    _ladder,
+)
 from . import markov
 from .markov import SystemParams
 
@@ -162,23 +171,23 @@ class FuzzySystemParams:
         object.__setattr__(self, "coverage", float(self.coverage))
         if not 0.0 <= self.coverage <= 1.0:
             raise ValidationError(f"coverage must lie in [0, 1], got {self.coverage}")
-        if self.failure_rate.support.lo <= 0.0:
+        if self.failure_rate.values[0] <= 0.0:
             raise ValidationError("failure_rate support must be strictly positive")
-        if self.repair_rate.support.lo < 0.0:
+        if self.repair_rate.values[0] < 0.0:
             # zero is allowed for first-passage work; availability kernels
             # reject it at evaluation time
             raise ValidationError("repair_rate support must be >= 0")
-        if self.reboot_rate.support.lo <= 0.0:
+        if self.reboot_rate.values[0] <= 0.0:
             raise ValidationError("reboot_rate support must be strictly positive")
-        if self.standby_failure_rate.support.lo < 0.0:
+        if self.standby_failure_rate.values[0] < 0.0:
             raise ValidationError("standby_failure_rate support must be >= 0")
         # modal ends are breakpoints, not interpolated, so no slack is due
-        theta = self.standby_failure_rate.modal_interval
-        lam = self.failure_rate.modal_interval
-        if theta.lo > lam.hi:
+        theta_lo = self.standby_failure_rate._mode[0]
+        lam_hi = self.failure_rate._mode[1]
+        if theta_lo > lam_hi:
             raise ValidationError(
                 f"standby failure rate cut exceeds failure rate cut at alpha=1: "
-                f"theta starts at {theta.lo!r}, above lambda's end {lam.hi!r}"
+                f"theta starts at {theta_lo!r}, above lambda's end {lam_hi!r}"
             )
 
     _BY_NAME = {
@@ -194,28 +203,28 @@ class FuzzySystemParams:
         except KeyError:
             raise ValidationError(f"unknown parameter name {name!r}") from None
 
-    def cuts(self, alpha: float, names: Sequence[str]) -> dict[str, Interval]:
-        return {name: self.fuzzy_by_name(name).alpha_cut(alpha) for name in names}
+    @cached_property
+    def _cut_table(self) -> _CutTable:
+        return _cut_table([self.fuzzy_by_name(name) for name in PARAMETER_NAMES])
+
+    def cuts(self, alphas) -> np.ndarray:
+        """Cuts of the rates, in PARAMETER_NAMES order, at each level of
+        alphas, in any order, as a (rate, level, 2) array of their lower
+        and upper ends, every rate cut in one batched step."""
+        return _cut(self._cut_table, alphas)
 
     def modal_params(self) -> SystemParams:
         """Crisp reduction: midpoint of each alpha = 1 cut."""
         return SystemParams(
-            failure_rate=self.failure_rate.modal_interval.midpoint,
-            standby_failure_rate=self.standby_failure_rate.modal_interval.midpoint,
-            repair_rate=self.repair_rate.modal_interval.midpoint,
+            failure_rate=_modal_midpoint(self.failure_rate),
+            standby_failure_rate=_modal_midpoint(self.standby_failure_rate),
+            repair_rate=_modal_midpoint(self.repair_rate),
             coverage=self.coverage,
-            reboot_rate=self.reboot_rate.modal_interval.midpoint,
+            reboot_rate=_modal_midpoint(self.reboot_rate),
         )
 
     def with_coverage(self, coverage: float) -> "FuzzySystemParams":
         return replace(self, coverage=coverage)
-
-
-class BoundsMethod(Enum):
-    CLOSED_FORM = "closed-form"
-    CORNER_SCAN = "corner-scan"
-    SUBDIVISION = "subdivision"
-    GRID_REFINE = "grid-refine"
 
 
 @dataclass(frozen=True)
@@ -225,10 +234,8 @@ class BoundsResult:
     lambda, theta and beta are pinned by proof for every metric, so
     open_axes is () or ("mu",). For MTBF and availability it is ("mu",)
     where the maximum lies inside the mu cut, at the metric's one turn in
-    mu, and method is CLOSED_FORM. For R(t) it is ("mu",) where the sign
-    certificate left either bound's mu cut open, which subdivision then
-    halved (method SUBDIVISION), and () where both closed at once
-    (CORNER_SCAN).
+    mu. For R(t) it is ("mu",) where the sign certificate left either
+    bound's mu cut open, which subdivision then halved.
     """
 
     alpha: float
@@ -236,15 +243,25 @@ class BoundsResult:
     bounds: Interval
     argmin: dict[str, float]
     argmax: dict[str, float]
-    method: BoundsMethod
     open_axes: tuple[str, ...] = ()
 
 
+class _Ladder(NamedTuple):
+    """Bounds of a metric across a ladder of levels, as arrays."""
+
+    cuts: np.ndarray  # (axis, level, 2), each axis's cut, lo then hi
+    bounds: np.ndarray  # (2, level), the minimum then the maximum
+    points: np.ndarray  # (2, level, axis), where each bound is taken
+    searched: np.ndarray  # (level,), whether mu's cut was left open
+
+
+def _modal_midpoint(fz: FuzzyNumber) -> float:
+    lo, hi = fz._mode
+    return 0.5 * (lo + hi)
+
+
 def _metric_axes(metric: Metric) -> tuple[str, ...]:
-    names = (PARAM_LAMBDA, PARAM_THETA, PARAM_MU)
-    if metric.uses_reboot_rate:
-        names += (PARAM_BETA,)
-    return names
+    return PARAMETER_NAMES[: 4 if metric.uses_reboot_rate else 3]
 
 
 def _rate_vectors(fp: FuzzySystemParams, points: np.ndarray) -> np.ndarray:
@@ -256,11 +273,7 @@ def _rate_vectors(fp: FuzzySystemParams, points: np.ndarray) -> np.ndarray:
     rates = np.empty((len(points), 5))
     rates[:, :3] = points[:, :3]
     rates[:, 3] = fp.coverage
-    rates[:, 4] = (
-        points[:, 3]
-        if points.shape[1] > 3
-        else fp.reboot_rate.modal_interval.midpoint
-    )
+    rates[:, 4] = points[:, 3] if points.shape[1] > 3 else _modal_midpoint(fp.reboot_rate)
     return rates
 
 
@@ -315,30 +328,34 @@ def _feasible_points(box: dict[str, Interval], per_axis: int) -> np.ndarray:
     return np.unique(np.vstack([points, np.reshape(diagonal, (-1, len(box)))]), axis=0)
 
 
+def _box(metric: Metric, cuts: np.ndarray) -> dict[str, Interval]:
+    """The box of one level, from its cuts (axis, 2)."""
+    return dict(zip(_metric_axes(metric), map(Interval, *cuts.T.tolist())))
+
+
 def _describe_box(box: dict[str, Interval]) -> str:
     return ", ".join(f"{n} in [{iv.lo:.17g}, {iv.hi:.17g}]" for n, iv in box.items())
 
 
-def _boxes(
-    fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
-) -> list[dict[str, Interval]]:
-    """The alpha-cut boxes of the metric's axes at each level, validated.
+def _boxes(fp: FuzzySystemParams, metric: Metric, alphas: np.ndarray) -> np.ndarray:
+    """The alpha-cut boxes of the metric's axes at each level, validated:
+    their cuts (axis, level, 2), lo then hi.
 
     The cuts lie inside supports that FuzzySystemParams validated, and
     every box has its corner (lambda hi, theta lo) on the feasible side of
     theta <= lambda, so the only rule left is availability's repair
-    (markov._rates). The cuts nest, so one corner of the first box decides
-    every level: (lambda hi, theta lo, mu lo, beta lo). A failing corner
-    raises KernelEvaluationError naming it, and every point inside the
-    boxes is evaluated unchecked.
+    (markov._rates). The cuts nest, so one corner of the lowest level's box
+    decides every level: (lambda hi, theta lo, mu lo, beta lo). A failing
+    corner raises KernelEvaluationError naming it, and every point inside
+    the boxes is evaluated unchecked.
     """
     names = _metric_axes(metric)
-    boxes = [fp.cuts(alpha, names) for alpha in alphas]
-    corner = np.array([[iv.lo for iv in boxes[0].values()]])
-    corner[0, 0] = boxes[0][PARAM_LAMBDA].hi
-    mode = markov.ChainMode.RELIABILITY
-    if metric.uses_reboot_rate:
-        mode = markov.ChainMode.AVAILABILITY
+    cuts = fp.cuts(alphas)[: len(names)]
+    lowest = alphas.argmin()
+    corner = cuts[None, :, lowest, 0].copy()
+    corner[0, 0] = cuts[0, lowest, 1]
+    modes = markov.ChainMode
+    mode = modes.AVAILABILITY if metric.uses_reboot_rate else modes.RELIABILITY
     try:
         markov._rates(SystemParams(*_rate_vectors(fp, corner)[0]), mode)
     except ValidationError as exc:
@@ -346,7 +363,7 @@ def _boxes(
         raise KernelEvaluationError(
             f"{metric.describe()} failed at {point}: {exc}", point=point
         ) from exc
-    return boxes
+    return cuts
 
 
 def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -371,14 +388,15 @@ def _turn(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         hi = np.where(rising, hi, mid)
 
 
-def _not_finite(metric: Metric, box: dict[str, Interval]) -> SolverError:
+def _not_finite(metric: Metric, cuts: np.ndarray) -> SolverError:
+    """The error of a value that is not finite on the box with cuts (axis, 2)."""
     return SolverError(
-        f"{metric.describe()} is not finite on the box {_describe_box(box)}"
+        f"{metric.describe()} is not finite on the box {_describe_box(_box(metric, cuts))}"
     )
 
 
 def _mu_by_slope(
-    metric: Metric, at: np.ndarray, mu_ends: np.ndarray, boxes
+    metric: Metric, at: np.ndarray, mu_ends: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """MTBF or availability at each point of at (2, N, 5), the minimum's
     then the maximum's at each level, with its mu column set where the
@@ -413,7 +431,7 @@ def _mu_by_slope(
     finite = np.isfinite(values)
     if not finite.all():
         levels = np.concatenate([np.tile(np.arange(n), 4), turns])
-        raise _not_finite(metric, boxes[levels[~finite][0]])
+        raise _not_finite(metric, cuts[:, levels[~finite][0]])
 
     # the better end of each cut, mu lo on a tie, then any better turn
     at_ends = values[: 4 * n].reshape(2, 2, n)
@@ -438,11 +456,11 @@ def _mu_lattice(at: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _mu_samples(
-    metric: Metric, rows: np.ndarray, boxes: Sequence[dict[str, Interval]]
+    metric: Metric, rows: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) and dR/dmu at rows (..., N, 3, 5), mu samples in the cuts of
-    the N boxes, in one sensitivity call. A call that fails or gives a
-    value that is not finite raises SolverError naming the box."""
+    """R(t) and dR/dmu at rows (..., N, 3, 5), mu samples in the N boxes
+    with cuts (axis, N, 2), in one sensitivity call. A call that fails or
+    gives a value that is not finite raises SolverError naming the box."""
     try:
         with np.errstate(all="ignore"):
             values, partials = markov._reliability_sensitivities(
@@ -451,14 +469,14 @@ def _mu_samples(
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"{metric.describe()} sensitivities failed on the box "
-            f"{_describe_box(boxes[0])}: {exc}"
+            f"{_describe_box(_box(metric, cuts[:, 0]))}: {exc}"
         ) from exc
     shape = rows.shape[:-1]
     values, partials = values.reshape(shape), partials.reshape(shape)
     finite = np.isfinite(values) & np.isfinite(partials)
     if not finite.all():
-        levels = np.broadcast_to(np.arange(len(boxes))[:, None], shape)
-        raise _not_finite(metric, boxes[levels[~finite][0]])
+        levels = np.broadcast_to(np.arange(cuts.shape[1])[:, None], shape)
+        raise _not_finite(metric, cuts[:, levels[~finite][0]])
     return values, partials
 
 
@@ -479,10 +497,11 @@ def _mu_extreme(
     values: np.ndarray,
     partials: np.ndarray,
     sign: float,
-    box: dict[str, Interval],
+    cuts: np.ndarray,
 ) -> tuple[float, float]:
     """Largest sign * R(t) along a mu cut, and the mu that takes it, from
-    R and dR/dmu sampled at rows (3, 5), a _mu_lattice of the cut.
+    R and dR/dmu sampled at rows (3, 5), a _mu_lattice of the cut, in the
+    box with cuts (axis, 1, 2).
 
     Where the partials share one sign R is monotone on the cut, and the
     end that sign selects is taken, mu lo where R is flat. Otherwise the
@@ -505,15 +524,15 @@ def _mu_extreme(
         return best
     for half in ((lo, mid), (mid, hi)):
         half_rows = _mu_lattice(rows[0], *half)
-        (half_values,), (half_partials,) = _mu_samples(metric, half_rows[None], [box])
-        found = _mu_extreme(metric, half_rows, half_values, half_partials, sign, box)
+        (half_values,), (half_partials,) = _mu_samples(metric, half_rows[None], cuts)
+        found = _mu_extreme(metric, half_rows, half_values, half_partials, sign, cuts)
         if sign * found[0] > sign * best[0]:
             best = found
     return best
 
 
 def _mu_by_certificate(
-    metric: Metric, at: np.ndarray, mu_ends: np.ndarray, boxes
+    metric: Metric, at: np.ndarray, mu_ends: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """R(t) at each point of at (2, N, 5), the minimum's then the
     maximum's at each level, with its mu column set where R is lowest, or
@@ -525,64 +544,75 @@ def _mu_by_certificate(
     each cut from there, with one more call per half of an open one.
     """
     rows = _mu_lattice(at, *mu_ends)
-    values, partials = _mu_samples(metric, rows, boxes)
+    values, partials = _mu_samples(metric, rows, cuts)
     best = np.empty(at.shape[:2])
     for k, i in np.ndindex(best.shape):
         samples = rows[k, i], values[k, i], partials[k, i]
-        best[k, i], at[k, i, 2] = _mu_extreme(metric, *samples, 2 * k - 1, boxes[i])
+        best[k, i], at[k, i, 2] = _mu_extreme(
+            metric, *samples, 2 * k - 1, cuts[:, i : i + 1]
+        )
     opened = np.isnan(_mu_signs(values, partials, mu_ends[1] - mu_ends[0]))
     return best, opened.any(axis=0)
 
 
-def _ladder_bounds(
-    fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
-) -> tuple[BoundsResult, ...]:
-    """Bounds of a metric at every level of a ladder, in one pass.
+def _search(
+    fp: FuzzySystemParams, metric: Metric, cuts: np.ndarray, coverage: float
+) -> _Ladder:
+    """Bounds of a metric in the validated boxes with cuts (axis, level,
+    2), from _boxes, at a coverage, for every level at once.
 
-    The boxes are validated at one corner (_boxes). Then, for every level
-    at once, lambda and theta sit at proven ends, and beta too for
-    availability (see the module docstring). The maximum takes lambda =
-    max(lambda lo, theta lo), theta lo and beta hi; the minimum lambda hi,
-    theta = min(theta hi, lambda hi) and beta lo. Where theta <= lambda
-    does not cut the box these are box corners. Only mu is left: MTBF and
+    lambda and theta sit at proven ends, and beta too for availability
+    (see the module docstring). The maximum takes lambda = max(lambda lo,
+    theta lo), theta lo and beta hi; the minimum lambda hi, theta =
+    min(theta hi, lambda hi) and beta lo. Where theta <= lambda does not
+    cut the box these are box corners. Only mu is left: MTBF and
     availability find it in closed form (_mu_by_slope), R(t) by a sign
     certificate (_mu_by_certificate). A value that is not finite raises
     SolverError naming its box.
     """
-    names = _metric_axes(metric)
-    boxes = _boxes(fp, metric, alphas)
     # ends[end, axis, level], end 0 the cut's lower end
-    ends = np.array([[(iv.lo, iv.hi) for iv in box.values()] for box in boxes]).T
+    ends = cuts.transpose(2, 0, 1)
     (lam_lo, theta_lo), (lam_hi, theta_hi) = ends[:, :2]
     # rows of the minimum's point, then of the maximum's; mu is searched
-    at = np.empty((2, len(boxes), 5))
+    at = np.empty((2, cuts.shape[1], 5))
     at[0, :, 0], at[0, :, 1] = lam_hi, np.minimum(theta_hi, lam_hi)
     at[1, :, 0], at[1, :, 1] = np.maximum(lam_lo, theta_lo), theta_lo
-    at[:, :, 3] = fp.coverage
+    at[:, :, 3] = coverage
     if metric.uses_reboot_rate:
         at[:, :, 4] = ends[:, 3]
     else:
-        at[:, :, 4] = fp.reboot_rate.modal_interval.midpoint
+        at[:, :, 4] = _modal_midpoint(fp.reboot_rate)
     if metric.kind == "reliability":
-        values, searched = _mu_by_certificate(metric, at, ends[:, 2], boxes)
-        methods = (BoundsMethod.CORNER_SCAN, BoundsMethod.SUBDIVISION)
+        values, searched = _mu_by_certificate(metric, at, ends[:, 2], cuts)
     else:
-        values, searched = _mu_by_slope(metric, at, ends[:, 2], boxes)
-        methods = (BoundsMethod.CLOSED_FORM, BoundsMethod.CLOSED_FORM)
+        values, searched = _mu_by_slope(metric, at, ends[:, 2], cuts)
+    points = at[..., [0, 1, 2, 4][: len(cuts)]]
+    return _Ladder(cuts, values, points, searched)
 
-    values, searched = values.tolist(), searched.tolist()
-    points = at[..., [0, 1, 2, 4][: len(names)]].tolist()
+
+def _ladder_bounds(
+    fp: FuzzySystemParams, metric: Metric, alphas: np.ndarray
+) -> _Ladder:
+    """Bounds of a metric at every level of alphas, in any order, in one
+    pass: the boxes are validated at one corner (_boxes) and searched
+    together (_search)."""
+    return _search(fp, metric, _boxes(fp, metric, alphas), fp.coverage)
+
+
+def _results(metric: Metric, alphas: np.ndarray, found: _Ladder) -> tuple[BoundsResult, ...]:
+    """One BoundsResult per level of a ladder's bounds."""
+    names = _metric_axes(metric)
+    bounds, points = found.bounds.tolist(), found.points.tolist()
     return tuple(
         BoundsResult(
-            alpha=float(alpha),
-            box=box,
-            bounds=Interval(values[0][i], values[1][i]),
+            alpha=alpha,
+            box=_box(metric, found.cuts[:, i]),
+            bounds=Interval(bounds[0][i], bounds[1][i]),
             argmin=dict(zip(names, points[0][i])),
             argmax=dict(zip(names, points[1][i])),
-            method=methods[searched[i]],
-            open_axes=(PARAM_MU,) if searched[i] else (),
+            open_axes=(PARAM_MU,) if searched else (),
         )
-        for i, (alpha, box) in enumerate(zip(alphas, boxes))
+        for i, (alpha, searched) in enumerate(zip(alphas.tolist(), found.searched.tolist()))
     )
 
 
@@ -595,7 +625,8 @@ def characteristic_bounds(
     is found in closed form for MTBF and availability and by a sign
     certificate for R(t). The result is deterministic.
     """
-    return _ladder_bounds(fp, metric, (alpha,))[0]
+    alphas = np.array([float(alpha)])
+    return _results(metric, alphas, _ladder_bounds(fp, metric, alphas))[0]
 
 
 def brute_force_bounds(
@@ -609,7 +640,7 @@ def brute_force_bounds(
     grid_per_axis = int(grid_per_axis)
     if grid_per_axis < 2:
         raise ValidationError(f"grid_per_axis must be >= 2, got {grid_per_axis}")
-    (box,) = _boxes(fp, metric, (alpha,))
+    box = _box(metric, _boxes(fp, metric, np.array([float(alpha)]))[:, 0])
     points = _feasible_points(box, grid_per_axis)
     values = _box_values(fp, metric, points)
     lo, hi = np.argmin(values), np.argmax(values)
@@ -619,23 +650,13 @@ def brute_force_bounds(
         bounds=Interval(values[lo], values[hi]),
         argmin=_point(box, points[lo]),
         argmax=_point(box, points[hi]),
-        method=BoundsMethod.GRID_REFINE,
     )
 
 
-def _validate_alpha_ladder(alphas: Sequence[float]) -> tuple[float, ...]:
-    ladder = tuple(float(a) for a in alphas)
-    if len(ladder) < 2:
-        raise ValidationError("need at least the alpha levels 0 and 1")
-    for a in ladder:
-        if not 0.0 <= a <= 1.0:
-            raise ValidationError(f"alpha {a} outside [0, 1]")
-    for a, b in zip(ladder, ladder[1:]):
-        if not a < b:
-            raise ValidationError(
-                f"alpha levels must strictly increase, got {a} then {b}"
-            )
-    if ladder[0] != 0.0 or ladder[-1] != 1.0:
+def _complete_ladder(alphas: Sequence[float]) -> np.ndarray:
+    """alphas checked as a ladder (fuzzy._ladder) that runs from 0 to 1."""
+    ladder = _ladder(alphas)
+    if len(ladder) < 2 or ladder[0] != 0.0 or ladder[-1] != 1.0:
         raise ValidationError("alpha levels must start at 0 and end at 1")
     return ladder
 
@@ -645,46 +666,47 @@ def bounds_at_levels(
 ) -> tuple[BoundsResult, ...]:
     """characteristic_bounds across an alpha ladder, every level in one
     pass (_ladder_bounds)."""
-    return _ladder_bounds(fp, metric, _validate_alpha_ladder(alphas))
+    ladder = _complete_ladder(alphas)
+    return _results(metric, ladder, _ladder_bounds(fp, metric, ladder))
 
 
 def enforce_nesting(
-    alphas: Sequence[float], intervals: Sequence[Interval]
-) -> tuple[Interval, ...]:
+    alphas: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Clamp float noise out of an interval ladder, reject real escapes.
 
     Bounds at a higher alpha must sit inside every lower-alpha interval.
     Escapes beyond NESTING_TOL of the intervals' magnitude are solver
     failures; smaller ones are squeezed so downstream consumers see exact
-    nesting.
+    nesting. Returns the clamped lower and upper ends: the running maximum
+    of the lower ends and the running minimum of the upper ones.
     """
-    nested: list[Interval] = []
-    for a, iv in zip(alphas, intervals):
-        if not nested:
-            nested.append(iv)
-            continue
-        prev = nested[-1]
-        if _escapes(iv, prev):
-            prev_a = alphas[len(nested) - 1]
+    lows = np.maximum.accumulate(lower)
+    highs = np.minimum.accumulate(upper)
+    # each row against the clamped row below it
+    escaped = _escapes(lower[1:], upper[1:], lows[:-1], highs[:-1])
+    collapsed = lows[1:] > highs[1:]
+    bad = np.flatnonzero(escaped | collapsed)
+    if len(bad):
+        k = bad[0] + 1
+        if escaped[k - 1]:
             raise NestingError(
-                f"bounds at alpha={a:g} escape bounds at alpha={prev_a:g}: "
-                f"[{iv.lo}, {iv.hi}] vs [{prev.lo}, {prev.hi}]"
+                f"bounds at alpha={alphas[k]:g} escape bounds at alpha={alphas[k - 1]:g}: "
+                f"[{lower[k]}, {upper[k]}] vs [{lows[k - 1]}, {highs[k - 1]}]"
             )
-        lo = max(iv.lo, prev.lo)
-        hi = min(iv.hi, prev.hi)
-        if lo > hi:
-            raise NestingError(
-                f"bounds at alpha={a:g} collapse below width zero after nesting"
-            )
-        nested.append(Interval(lo, hi))
-    return tuple(nested)
+        raise NestingError(
+            f"bounds at alpha={alphas[k]:g} collapse below width zero after nesting"
+        )
+    return lows, highs
+
+
+def _curve(alphas: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> MembershipCurve:
+    return MembershipCurve(alphas, *enforce_nesting(alphas, lower, upper))
 
 
 def membership_curve(
     fp: FuzzySystemParams, metric: Metric, alphas: Sequence[float]
 ) -> MembershipCurve:
     """Membership curve of a characteristic across an alpha ladder."""
-    results = bounds_at_levels(fp, metric, alphas)
-    ladder = [r.alpha for r in results]
-    intervals = enforce_nesting(ladder, [r.bounds for r in results])
-    return MembershipCurve(ladder, intervals)
+    ladder = _complete_ladder(alphas)
+    return _curve(ladder, *_ladder_bounds(fp, metric, ladder).bounds)

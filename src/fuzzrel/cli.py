@@ -225,21 +225,18 @@ def _levels(args, cfg: ModelConfig) -> tuple[float, ...]:
     return tuple(i / (n - 1) for i in range(n))
 
 
+def _csv(header: list[str], columns: list[np.ndarray], full: bool) -> list[str]:
+    rows = zip(*(column.tolist() for column in columns))
+    return [",".join(header)] + [",".join(_fmt(x, full) for x in row) for row in rows]
+
+
 def _table_csv(table: AlphaCutTable, full: bool) -> list[str]:
-    header = ["alpha"]
-    for name in table.parameters:
-        letter = _COLUMN_LETTER[name]
+    header, columns = ["alpha"], [table.alphas]
+    named = [(_COLUMN_LETTER[name], curve) for name, curve in table.cuts.items()]
+    for letter, curve in [*named, ("T", table.bounds)]:
         header += [f"{letter}_L", f"{letter}_U"]
-    header += ["T_L", "T_U"]
-    lines = [",".join(header)]
-    for row in table.rows:
-        cells = [_fmt(row.alpha, full)]
-        for name in table.parameters:
-            iv = row.cuts[name]
-            cells += [_fmt(iv.lo, full), _fmt(iv.hi, full)]
-        cells += [_fmt(row.bounds.lo, full), _fmt(row.bounds.hi, full)]
-        lines.append(",".join(cells))
-    return lines
+        columns += [curve.lower, curve.upper]
+    return _csv(header, columns, full)
 
 
 def cmd_metrics(args) -> int:
@@ -275,10 +272,8 @@ def cmd_curve(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
     curve = membership_curve(cfg.fuzzy_params, cfg.metric, _levels(args, cfg))
     full = args.full_precision
-    rows = ["alpha,lower,upper"]
-    for alpha, iv in curve.rows:
-        rows.append(f"{_fmt(alpha, full)},{_fmt(iv.lo, full)},{_fmt(iv.hi, full)}")
-    _write_lines(args.out, rows)
+    header = ["alpha", "lower", "upper"]
+    _write_lines(args.out, _csv(header, [curve.alphas, curve.lower, curve.upper], full))
 
     support = curve.support
     zs = np.linspace(support.lo, support.hi, 201)
@@ -342,8 +337,9 @@ def cmd_calibrate(args) -> int:
         curve = membership_curve(calibrated, cfg.metric, alphas)
         print("reference residuals:")
         print("alpha,T_L_residual,T_U_residual")
-        for (a, lo, hi), iv in zip(cfg.reference_bounds, curve.intervals):
-            print(f"{a:.2f},{iv.lo - lo:+.6f},{iv.hi - hi:+.6f}")
+        ends = zip(curve.lower.tolist(), curve.upper.tolist())
+        for (a, lo, hi), (lower, upper) in zip(cfg.reference_bounds, ends):
+            print(f"{a:.2f},{lower - lo:+.6f},{upper - hi:+.6f}")
     return EXIT_OK
 
 

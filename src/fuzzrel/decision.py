@@ -16,10 +16,12 @@ import numpy as np
 from .bounds import (
     FuzzySystemParams,
     Metric,
-    bounds_at_levels,
-    characteristic_bounds,
-    enforce_nesting,
+    _boxes,
+    _complete_ladder,
+    _curve,
+    _ladder_bounds,
     _metric_axes,
+    _search,
 )
 from .errors import (
     CalibrationError,
@@ -41,54 +43,48 @@ class TableRow:
 
 @dataclass(frozen=True)
 class AlphaCutTable:
-    """Alpha-indexed table of parameter cuts and characteristic bounds."""
+    """Alpha-indexed table of parameter cuts and characteristic bounds,
+    held as columns: the bounds' curve and one curve of cuts per
+    parameter, all on the same levels. Each column checks its own
+    nesting."""
 
     metric: Metric
-    parameters: tuple[str, ...]
-    rows: tuple[TableRow, ...]
+    bounds: MembershipCurve
+    cuts: dict[str, MembershipCurve]
 
     def __post_init__(self):
-        object.__setattr__(self, "parameters", tuple(self.parameters))
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if not self.rows:
-            raise ValidationError("table needs at least one row")
-        for row in self.rows:
-            missing = [p for p in self.parameters if p not in row.cuts]
-            if missing:
-                raise ValidationError(
-                    f"row alpha={row.alpha} lacks cuts for {missing}"
-                )
-        alphas = [row.alpha for row in self.rows]
-        for a, b in zip(alphas, alphas[1:]):
-            if not a < b:
-                raise ValidationError(
-                    f"row alphas must strictly increase, got {a} then {b}"
-                )
-        for prev, row in zip(self.rows, self.rows[1:]):
-            columns = [(p, row.cuts[p], prev.cuts[p]) for p in self.parameters]
-            columns.append(("bounds", row.bounds, prev.bounds))
-            for name, hi_iv, lo_iv in columns:
-                if _escapes(hi_iv, lo_iv):
-                    raise ValidationError(
-                        f"column {name} not nested between alpha={prev.alpha} "
-                        f"and alpha={row.alpha}"
-                    )
+        for name, column in self.cuts.items():
+            if not np.array_equal(column.alphas, self.bounds.alphas):
+                raise ValidationError(f"column {name} has other alpha levels than the bounds")
 
     @property
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(row.alpha for row in self.rows)
+    def parameters(self) -> tuple[str, ...]:
+        return tuple(self.cuts)
 
-    def cut_series(self, parameter: str) -> tuple[Interval, ...]:
-        if parameter not in self.parameters:
+    @property
+    def alphas(self) -> np.ndarray:
+        return self.bounds.alphas
+
+    @property
+    def rows(self) -> tuple[TableRow, ...]:
+        columns = {name: column.intervals for name, column in self.cuts.items()}
+        return tuple(
+            TableRow(alpha, {name: ivs[i] for name, ivs in columns.items()}, bounds)
+            for i, (alpha, bounds) in enumerate(self.bounds.rows)
+        )
+
+    def _column(self, parameter: str) -> MembershipCurve:
+        if parameter not in self.cuts:
             raise UnknownParameterError(
                 f"unknown parameter {parameter!r}, table has {self.parameters}"
             )
-        return tuple(row.cuts[parameter] for row in self.rows)
+        return self.cuts[parameter]
+
+    def cut_series(self, parameter: str) -> tuple[Interval, ...]:
+        return self._column(parameter).intervals
 
     def to_curve(self) -> MembershipCurve:
-        return MembershipCurve(
-            self.alphas, tuple(row.bounds for row in self.rows)
-        )
+        return self.bounds
 
 
 def build_table(
@@ -98,23 +94,11 @@ def build_table(
 ) -> AlphaCutTable:
     """Alpha-cut table for a metric across an alpha ladder; the cut
     columns are the boxes the bounds search took at each level."""
-    names = _metric_axes(metric)
-    results = bounds_at_levels(fp, metric, alphas)
-    ladder = [r.alpha for r in results]
-    bound_ivs = enforce_nesting(ladder, [r.bounds for r in results])
-    cut_columns = {
-        name: enforce_nesting(ladder, [r.box[name] for r in results]) for name in names
-    }
-
-    rows = tuple(
-        TableRow(
-            alpha=a,
-            cuts={name: cut_columns[name][i] for name in names},
-            bounds=bound_ivs[i],
-        )
-        for i, a in enumerate(ladder)
-    )
-    return AlphaCutTable(metric=metric, parameters=names, rows=rows)
+    ladder = _complete_ladder(alphas)
+    found = _ladder_bounds(fp, metric, ladder)
+    bounds = _curve(ladder, *found.bounds)
+    cuts = {name: _curve(ladder, *c.T) for name, c in zip(_metric_axes(metric), found.cuts)}
+    return AlphaCutTable(metric=metric, bounds=bounds, cuts=cuts)
 
 
 @dataclass(frozen=True)
@@ -139,11 +123,9 @@ def invert_query(curve: MembershipCurve, query: DecisionQuery) -> float:
     the guaranteed range fits my target".
     """
     target = query.target
-    alphas = np.asarray(curve.alphas)
-    lows = np.asarray([iv.lo for iv in curve.intervals])
-    highs = np.asarray([iv.hi for iv in curve.intervals])
+    alphas, lows, highs = curve.alphas, curve.lower, curve.upper
 
-    if _escapes(Interval(lows[-1], highs[-1]), target, _CONTAINMENT_TOL):
+    if _escapes(lows[-1], highs[-1], target.lo, target.hi, _CONTAINMENT_TOL):
         raise NoContainmentError(
             f"even the alpha={alphas[-1]:g} interval "
             f"[{lows[-1]:.6g}, {highs[-1]:.6g}] is not inside the target "
@@ -188,8 +170,7 @@ def required_parameter_range(
     Interpolates the stored cut column linearly in alpha, so querying a
     tabulated level returns that row's cut unchanged.
     """
-    column = MembershipCurve(table.alphas, table.cut_series(parameter))
-    return column.interval_at(alpha)
+    return table._column(parameter).interval_at(alpha)
 
 
 @dataclass(frozen=True)
@@ -219,12 +200,17 @@ def calibrate_coverage(
     The characteristic's lower bound grows with coverage for this model,
     so the anchor's lower endpoint pins coverage down to a root-finding
     problem on [0, 1]. The upper-bound residual at the solution is
-    reported as a consistency diagnostic rather than being fit.
+    reported as a consistency diagnostic rather than being fit. The
+    anchor box is cut and validated once; coverage enters only the
+    search.
     """
+    cuts = _boxes(fp, metric, np.array([float(anchor_alpha)]))
+
+    def bounds_at(c: float) -> np.ndarray:
+        return _search(fp, metric, cuts, c).bounds[:, 0]
 
     def lower_gap(c: float) -> float:
-        result = characteristic_bounds(fp.with_coverage(c), metric, anchor_alpha)
-        return result.bounds.lo - anchor_bounds.lo
+        return float(bounds_at(c)[0]) - anchor_bounds.lo
 
     scale = max(abs(anchor_bounds.lo), abs(anchor_bounds.hi))
     gap0 = lower_gap(0.0)
@@ -245,9 +231,8 @@ def calibrate_coverage(
             scipy.optimize.brentq(lower_gap, 0.0, 1.0, xtol=1e-12, maxiter=200)
         )
 
-    final = characteristic_bounds(fp.with_coverage(coverage), metric, anchor_alpha)
-    lower_residual = final.bounds.lo - anchor_bounds.lo
-    upper_residual = final.bounds.hi - anchor_bounds.hi
+    anchor = [anchor_bounds.lo, anchor_bounds.hi]
+    lower_residual, upper_residual = (bounds_at(coverage) - anchor).tolist()
     if abs(lower_residual) > _CALIBRATION_TOL * scale:
         raise CalibrationError(
             f"calibration stalled, lower-bound residual {lower_residual:.3e} "

@@ -9,14 +9,17 @@ interval optimizers downstream consume.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+
+# the peak's membership in the search keys of _cut_table
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 # Consecutive membership-curve rows may escape nesting by at most this
 # fraction of their magnitude before construction fails; anything smaller
@@ -66,17 +69,35 @@ class Interval:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
 
 
-def _escapes(inner: Interval, outer: Interval, rtol: float = NESTING_TOL) -> bool:
-    """Whether inner reaches outside outer by more than rtol times the
-    largest endpoint magnitude of the two, so that one tolerance serves
-    every scale of rates."""
-    slack = rtol * max(abs(inner.lo), abs(inner.hi), abs(outer.lo), abs(outer.hi))
-    return inner.lo < outer.lo - slack or inner.hi > outer.hi + slack
+def _escapes(inner_lo, inner_hi, outer_lo, outer_hi, rtol: float = NESTING_TOL):
+    """Where [inner_lo, inner_hi] reaches outside [outer_lo, outer_hi] by
+    more than rtol times the largest endpoint magnitude of the two, so that
+    one tolerance serves every scale of rates; elementwise over arrays."""
+    slack = rtol * np.maximum(
+        np.maximum(np.abs(inner_lo), np.abs(inner_hi)),
+        np.maximum(np.abs(outer_lo), np.abs(outer_hi)),
+    )
+    return (inner_lo < outer_lo - slack) | (inner_hi > outer_hi + slack)
 
 
-def _interp_level(x0: float, m0: float, x1: float, m1: float, alpha: float) -> float:
-    # invariant from the callers: m0 != m1 on the crossing segment
-    return x0 + (alpha - m0) * (x1 - x0) / (m1 - m0)
+def _frozen(x) -> np.ndarray:
+    array = np.array(x, dtype=float, ndmin=1)
+    array.flags.writeable = False
+    return array
+
+
+def _ladder(alphas) -> np.ndarray:
+    """alphas as a read-only float array, checked to lie in [0, 1] and to
+    strictly increase."""
+    ladder = _frozen(alphas)
+    outside = ~((0.0 <= ladder) & (ladder <= 1.0))
+    if outside.any():
+        raise ValidationError(f"alpha {ladder[outside][0]} outside [0, 1]")
+    stalled = np.flatnonzero(~(ladder[1:] > ladder[:-1]))
+    if len(stalled):
+        a, b = ladder[stalled[0] : stalled[0] + 2]
+        raise ValidationError(f"alpha levels must strictly increase, got {a} then {b}")
+    return ladder
 
 
 @dataclass(frozen=True)
@@ -130,8 +151,13 @@ class FuzzyNumber:
         if any(a < b for a, b in zip(falling, falling[1:])):
             raise ValidationError("membership must be nonincreasing after the peak")
 
-        object.__setattr__(self, "_peak_first", first)
-        object.__setattr__(self, "_peak_last", last)
+        object.__setattr__(self, "_mode", (values[first], values[last]))
+
+    @cached_property
+    def _table(self) -> _CutTable:
+        """This number's cut table; built on the first cut, as most numbers
+        are never cut."""
+        return _cut_table((self,))
 
     # -- constructors ----------------------------------------------------
 
@@ -177,7 +203,7 @@ class FuzzyNumber:
 
     @property
     def modal_interval(self) -> Interval:
-        return Interval(self.values[self._peak_first], self.values[self._peak_last])
+        return Interval(*self._mode)
 
     @property
     def is_crisp(self) -> bool:
@@ -192,99 +218,155 @@ class FuzzyNumber:
             return 0.0
         return float(np.interp(x, self.values, self.memberships))
 
+    def alpha_cuts(self, alphas) -> np.ndarray:
+        """Cuts at each of n levels, in any order, as an (n, 2) array of
+        their lower and upper ends (see _cut).
+
+        alpha = 0 gives the support, alpha = 1 the modal interval.
+        """
+        return _cut(self._table, alphas)[0]
+
     def alpha_cut(self, alpha: float) -> Interval:
         """Closed interval of points with membership >= alpha.
 
         alpha = 0 returns the support closure rather than the whole line.
         """
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-        if alpha == 0.0 or self.is_crisp:
-            return self.support
-        if alpha == 1.0:
-            return self.modal_interval
-
-        vs = self.values
-        ms = self.memberships
-        first, last = self._peak_first, self._peak_last
-
-        if ms[0] >= alpha:
-            lo = vs[0]
-        else:
-            # first index of the rising branch whose membership is >= alpha
-            i = bisect.bisect_left(ms, alpha, 0, first + 1)
-            lo = _interp_level(vs[i - 1], ms[i - 1], vs[i], ms[i], alpha)
-
-        if ms[-1] >= alpha:
-            hi = vs[-1]
-        else:
-            # first index from the right whose membership is >= alpha
-            j = bisect.bisect_left(ms[last:][::-1], alpha)
-            i = len(ms) - 1 - j
-            hi = _interp_level(vs[i], ms[i], vs[i + 1], ms[i + 1], alpha)
-
-        # every cut contains the modal interval; interpolation rounding
-        # must not be allowed to break that
-        lo = min(lo, vs[first])
-        hi = max(hi, vs[last])
-        return Interval(lo, hi)
+        return Interval(*self.alpha_cuts([alpha])[0])
 
 
-@dataclass(frozen=True)
+class _CutTable(NamedTuple):
+    """Segment tables of the branches of k fuzzy numbers, cut together
+    by _cut."""
+
+    levels: np.ndarray  # every branch's search keys, sorted and unique
+    segments: np.ndarray  # (4, 2k, len(levels) + 1), see _cut_table
+    caps: np.ndarray  # (2, 2k, 1), each branch's floor then ceiling
+
+
+def _cut_table(numbers: Sequence[FuzzyNumber]) -> _CutTable:
+    """The cut table of numbers, their rising then falling branch each.
+
+    A branch's search key holds its memberships from its end towards the
+    peak, the peak's 1 taken one ulp lower. A level alpha with i key
+    entries below it crosses the segment in the branch's row i, (x0, m0,
+    dx, dm) from the segment's left point; that is bisect_left's choice
+    for every alpha below 1. Row 0 is padded to give the branch's end
+    exactly (dx = -0.0 keeps even an end of -0.0), and the last row,
+    which alpha = 1 alone reaches, the modal end. A flat segment, which no
+    level crosses, divides by 1.
+
+    levels is the union of the keys, so that one search of it serves
+    every branch: an alpha with r levels below it has as many key entries
+    below it as are at most levels[r - 1], and crosses the segment
+    segments[:, b, r] of branch b.
+    """
+    keys, tables, caps = [], [], []
+    for fz in numbers:
+        vs, ms, (lo, hi) = fz.values, fz.memberships, fz._mode
+        first, last = vs.index(lo), vs.index(hi)
+        pairs = zip(vs, ms, vs[1:], ms[1:])
+        segments = [(x0, m0, x1 - x0, (m1 - m0) or 1.0) for x0, m0, x1, m1 in pairs]
+        for key, end, rows, mode in (
+            (ms[:first], vs[0], segments[:first], lo),
+            (ms[last + 1 :][::-1], vs[-1], segments[last:][::-1], hi),
+        ):
+            keys.append(np.array([*key, _BELOW_ONE]))
+            tables.append(np.array([(end, 0.0, -0.0, 1.0), *rows, (mode, 0.0, -0.0, 1.0)]))
+        caps += [(-np.inf, lo), (hi, np.inf)]
+    levels = np.unique(np.concatenate(keys))
+    below = np.concatenate([[-np.inf], levels])
+    crossed = [table[key.searchsorted(below, side="right")] for key, table in zip(keys, tables)]
+    return _CutTable(levels, np.stack(crossed).transpose(2, 0, 1), np.array(caps).T[..., None])
+
+
+def _cut(table: _CutTable, alphas) -> np.ndarray:
+    """Cuts of each number of table at each of n levels, in any order, as
+    a (k, n, 2) array of their lower and upper ends.
+
+    Each end is interpolated on the segment of its branch that the level
+    crosses. Every cut contains the modal interval, and rounding in the
+    interpolation is not allowed to break that.
+    """
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    inside = (0.0 <= alphas) & (alphas <= 1.0)
+    if not inside.all():
+        raise ValidationError(f"alpha must lie in [0, 1], got {alphas[~inside][0]}")
+    x0, m0, dx, dm = table.segments[..., table.levels.searchsorted(alphas)]
+    ends = x0 + (alphas - m0) * dx / dm
+    # each lower end capped at its modal end from above, each upper one
+    # from below; on a tie both keep end, as min(end, mode) and max(end,
+    # mode) do
+    floor, ceiling = table.caps
+    ends = np.minimum(ceiling, np.maximum(floor, ends))
+    return ends.reshape(len(ends) // 2, 2, len(alphas)).transpose(0, 2, 1)
+
+
+@dataclass(frozen=True, eq=False)
 class MembershipCurve:
     """Interval bounds of a derived quantity indexed by alpha level.
 
-    Rows are (alpha, [lower, upper]) with strictly increasing alphas and
-    nested intervals. The curve is itself the sampled membership function
-    of the derived quantity: linear interpolation between rows on each
-    branch.
+    Held as read-only arrays: strictly increasing alphas and the lower and
+    upper ends of nested intervals at them. The curve is itself the
+    sampled membership function of the derived quantity: linear
+    interpolation between rows on each branch.
     """
 
-    alphas: tuple[float, ...]
-    intervals: tuple[Interval, ...]
+    alphas: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        intervals = tuple(self.intervals)
+        alphas, lower, upper = _ladder(self.alphas), _frozen(self.lower), _frozen(self.upper)
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
         if len(alphas) == 0:
             raise ValidationError("membership curve needs at least one row")
-        if len(alphas) != len(intervals):
+        if not len(alphas) == len(lower) == len(upper):
             raise ValidationError(
-                f"{len(alphas)} alphas but {len(intervals)} intervals"
+                f"{len(alphas)} alphas but {len(lower)} lower and {len(upper)} upper ends"
             )
-        for a in alphas:
-            if not 0.0 <= a <= 1.0:
-                raise ValidationError(f"alpha {a} outside [0, 1]")
-        for a, b in zip(alphas, alphas[1:]):
-            if not a < b:
-                raise ValidationError(
-                    f"alpha levels must strictly increase, got {a} then {b}"
-                )
-        for (a0, iv0), (a1, iv1) in zip(
-            zip(alphas, intervals), zip(alphas[1:], intervals[1:])
-        ):
-            if _escapes(iv1, iv0):
-                raise ValidationError(
-                    f"interval at alpha={a1} escapes interval at alpha={a0}: "
-                    f"[{iv1.lo}, {iv1.hi}] vs [{iv0.lo}, {iv0.hi}]"
-                )
+        faulty = np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper)))
+        if len(faulty):
+            # Interval rejects the first faulty row, naming its fault
+            Interval(lower[faulty[0]], upper[faulty[0]])
+        escaped = np.flatnonzero(_escapes(lower[1:], upper[1:], lower[:-1], upper[:-1]))
+        if len(escaped):
+            k = escaped[0]
+            raise ValidationError(
+                f"interval at alpha={alphas[k + 1]} escapes interval at alpha={alphas[k]}: "
+                f"[{lower[k + 1]}, {upper[k + 1]}] vs [{lower[k]}, {upper[k]}]"
+            )
+
+    def _key(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(self.alphas.tolist()), tuple(self.lower.tolist()), tuple(self.upper.tolist())
+
+    # curves compare and hash by value, as tuples of their rows would
+    def __eq__(self, other):
+        return isinstance(other, MembershipCurve) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[float, Interval]]) -> "MembershipCurve":
         rows = list(rows)
-        return cls(tuple(a for a, _ in rows), tuple(iv for _, iv in rows))
+        return cls(
+            [a for a, _ in rows], [iv.lo for _, iv in rows], [iv.hi for _, iv in rows]
+        )
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.lower.tolist(), self.upper.tolist()))
 
     @property
     def rows(self) -> tuple[tuple[float, Interval], ...]:
-        return tuple(zip(self.alphas, self.intervals))
+        return tuple(zip(self.alphas.tolist(), self.intervals))
 
     @property
     def support(self) -> Interval:
-        return self.intervals[0]
+        return Interval(self.lower[0], self.upper[0])
 
     def interval_at(self, alpha: float) -> Interval:
         """Interval at an alpha level, interpolated between stored rows."""
@@ -294,12 +376,9 @@ class MembershipCurve:
                 f"alpha {alpha} outside tabulated range "
                 f"[{self.alphas[0]}, {self.alphas[-1]}]"
             )
-        alphas = np.asarray(self.alphas)
-        lows = np.asarray([iv.lo for iv in self.intervals])
-        highs = np.asarray([iv.hi for iv in self.intervals])
         return Interval(
-            float(np.interp(alpha, alphas, lows)),
-            float(np.interp(alpha, alphas, highs)),
+            float(np.interp(alpha, self.alphas, self.lower)),
+            float(np.interp(alpha, self.alphas, self.upper)),
         )
 
     def membership_at(self, z):
@@ -316,9 +395,7 @@ class MembershipCurve:
         zs = np.asarray(z, dtype=float).reshape(-1)
         if not np.isfinite(zs).all():
             _require_finite("query point", *zs.tolist())
-        lows = np.asarray([iv.lo for iv in self.intervals])
-        highs = np.asarray([iv.hi for iv in self.intervals])
-        alphas = np.asarray(self.alphas)
+        lows, highs, alphas = self.lower, self.upper, self.alphas
         last = len(alphas) - 1
 
         def branch(ends, k):

@@ -275,9 +275,7 @@ def _axis_samples(fz, levels):
 
 
 def _vector_membership(curve, zs):
-    alphas = np.asarray(curve.alphas)
-    lows = np.asarray([iv.lo for iv in curve.intervals])
-    highs = np.asarray([iv.hi for iv in curve.intervals])
+    alphas, lows, highs = curve.alphas, curve.lower, curve.upper
     rising = np.interp(zs, lows, alphas, left=0.0, right=alphas[-1])
     falling = np.interp(zs, highs[::-1], alphas[::-1], left=alphas[-1], right=0.0)
     inside = (zs >= lows[0]) & (zs <= highs[0])
@@ -302,7 +300,7 @@ def test_criterion_7_fuzzy_invariants(capsys):
                 f"trapezoid {i}: cut at {a1} escapes cut at {a0}",
             )
         try:
-            MembershipCurve(ladder, tuple(cuts))
+            MembershipCurve.from_rows(zip(ladder, cuts))
         except Exception as exc:  # pragma: no cover - failure detail
             failures.append(f"trapezoid {i}: curve rows rejected: {exc}")
 

@@ -1,8 +1,10 @@
 """Fuzzy numbers: constructors, alpha-cuts, membership curves."""
 
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzrel import (
     FuzzyNumber,
@@ -10,6 +12,7 @@ from fuzzrel import (
     MembershipCurve,
     ValidationError,
 )
+from fuzzrel.fuzzy import _cut, _cut_table
 
 
 class TestInterval:
@@ -43,7 +46,7 @@ class TestInterval:
         ],
     )
     def test_nonfinite_message_names_the_value(self, value, shown):
-        curve = MembershipCurve((0.0,), (Interval(0.0, 1.0),))
+        curve = MembershipCurve((0.0,), (0.0,), (1.0,))
         endpoint = rf"^interval endpoint must be finite, got {shown}$"
         query = rf"^query point must be finite, got {shown}$"
         with pytest.raises(ValidationError, match=endpoint):
@@ -171,12 +174,101 @@ class TestNestingProperty:
             assert fz.alpha_cut(grade).contains(z, tol=1e-9)
 
 
+def scalar_alpha_cut(fz, alpha):
+    """The cut alpha_cut made one level at a time, by bisection on the
+    breakpoints, before alpha_cuts took arrays: the reference of its array
+    path, as a (lo, hi) pair of floats."""
+    vs, ms = fz.values, fz.memberships
+    if alpha == 0.0 or len(vs) == 1:
+        return vs[0], vs[-1]
+    first = ms.index(1.0)
+    last = len(ms) - 1 - ms[::-1].index(1.0)
+    if alpha == 1.0:
+        return vs[first], vs[last]
+
+    def interp(x0, m0, x1, m1):
+        return x0 + (alpha - m0) * (x1 - x0) / (m1 - m0)
+
+    if ms[0] >= alpha:
+        lo = vs[0]
+    else:
+        i = bisect.bisect_left(ms, alpha, 0, first + 1)
+        lo = interp(vs[i - 1], ms[i - 1], vs[i], ms[i])
+    if ms[-1] >= alpha:
+        hi = vs[-1]
+    else:
+        i = len(ms) - 1 - bisect.bisect_left(ms[last:][::-1], alpha)
+        hi = interp(vs[i], ms[i], vs[i + 1], ms[i + 1])
+    return min(lo, vs[first]), max(hi, vs[last])
+
+
+# memberships below the peak: plateaus, the ulp below 1, anything else
+_BELOW_PEAK = st.sampled_from([0.0, 0.25, 0.5, float(np.nextafter(1.0, 0.0))]) | st.floats(
+    0.0, 1.0, exclude_max=True
+)
+
+
+@st.composite
+def polylines(draw):
+    """Breakpoint fuzzy numbers: a rising branch whose memberships may
+    repeat (flat segments), a plateau of one or more peaks, a falling
+    branch, or a crisp number."""
+    rising = sorted(draw(st.lists(_BELOW_PEAK, max_size=4)))
+    falling = sorted(draw(st.lists(_BELOW_PEAK, max_size=4)), reverse=True)
+    memberships = rising + [1.0] * draw(st.integers(1, 3)) + falling
+    values = draw(
+        st.lists(
+            st.floats(-1e3, 1e3, allow_subnormal=False),
+            min_size=len(memberships),
+            max_size=len(memberships),
+            unique=True,
+        )
+    )
+    return FuzzyNumber(tuple(sorted(values)), tuple(memberships))
+
+
+class TestAlphaCuts:
+    @settings(max_examples=300, deadline=None)
+    @given(fz=polylines(), levels=st.lists(st.floats(0.0, 1.0), max_size=8))
+    @example(fz=FuzzyNumber.crisp(-0.0), levels=[0.5])
+    @example(fz=FuzzyNumber((0.0, 0.1, 0.7, 3.0), (0.3, 1.0, 1.0, 0.3)), levels=[0.3])
+    def test_equal_the_scalar_cuts_bit_for_bit(self, fz, levels):
+        # every breakpoint's membership, both ends and random levels, in
+        # no particular order
+        alphas = [0.0, 1.0, *fz.memberships, *levels][::-1]
+        cuts = fz.alpha_cuts(alphas)
+        expected = np.array([scalar_alpha_cut(fz, a) for a in alphas])
+        assert cuts.shape == (len(alphas), 2)
+        assert cuts.tobytes() == expected.tobytes()
+        for a, cut in zip(alphas, cuts.tolist()):
+            assert fz.alpha_cut(a) == Interval(*cut)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        numbers=st.lists(polylines(), min_size=1, max_size=4),
+        levels=st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+    def test_numbers_cut_together_equal_their_scalar_cuts(self, numbers, levels):
+        # one search of the union of every branch's keys serves them all
+        alphas = [0.0, 1.0, *levels]
+        for fz in numbers:
+            alphas += fz.memberships
+        cuts = _cut(_cut_table(numbers), alphas[::-1])
+        expected = [[scalar_alpha_cut(fz, a) for a in alphas[::-1]] for fz in numbers]
+        assert cuts.tobytes() == np.array(expected).tobytes()
+
+    def test_levels_outside_the_unit_interval_are_rejected(self):
+        fz = FuzzyNumber.triangular(0.0, 1.0, 2.0)
+        for bad in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValidationError, match="alpha must lie in"):
+                fz.alpha_cuts([0.5, bad])
+        assert fz.alpha_cuts([]).shape == (0, 2)
+
+
 def scalar_membership(curve, z):
     """The grade of one point by the branch search membership_at made
     before it took arrays, kept as the reference of its array path."""
-    lows = np.asarray([iv.lo for iv in curve.intervals])
-    highs = np.asarray([iv.hi for iv in curve.intervals])
-    alphas = np.asarray(curve.alphas)
+    lows, highs, alphas = curve.lower, curve.upper, curve.alphas
     if z < lows[0] or z > highs[0]:
         return 0.0
     if lows[-1] <= z <= highs[-1]:
@@ -201,6 +293,14 @@ class TestMembershipCurve:
         alphas = [i / (n - 1) for i in range(n)]
         return MembershipCurve.from_rows([(a, fz.alpha_cut(a)) for a in alphas])
 
+    def test_curves_compare_and_hash_by_value(self):
+        fz = FuzzyNumber.triangular(1.0, 2.0, 4.0)
+        curve = self.build(fz)
+        same = MembershipCurve(list(curve.alphas), list(curve.lower), list(curve.upper))
+        assert same == curve and hash(same) == hash(curve)
+        assert self.build(fz, n=5) != curve
+        assert self.build(FuzzyNumber.triangular(1.0, 2.0, 5.0)) != curve
+
     def test_rejects_non_nested_rows(self):
         with pytest.raises(ValidationError):
             MembershipCurve.from_rows(
@@ -211,13 +311,11 @@ class TestMembershipCurve:
         # an absolute 1e-9 accepted an alpha = 1 row wholly outside the
         # alpha = 0 row when both sit near 1e-10
         with pytest.raises(ValidationError):
-            MembershipCurve(
-                (0.0, 1.0), (Interval(1e-10, 2e-10), Interval(5e-10, 6e-10))
-            )
+            MembershipCurve((0.0, 1.0), (1e-10, 5e-10), (2e-10, 6e-10))
         # while it rejected rounding noise of a few ulps at 1e9
-        wide = Interval(1e9, 2e9)
-        noisy = Interval(1e9 - 4.0 * np.spacing(1e9), 2e9 + 4.0 * np.spacing(2e9))
-        assert MembershipCurve((0.0, 1.0), (wide, noisy)).membership_at(1.5e9) == 1.0
+        lower = (1e9, 1e9 - 4.0 * np.spacing(1e9))
+        upper = (2e9, 2e9 + 4.0 * np.spacing(2e9))
+        assert MembershipCurve((0.0, 1.0), lower, upper).membership_at(1.5e9) == 1.0
 
     def test_rejects_disordered_alphas(self):
         with pytest.raises(ValidationError):
@@ -275,10 +373,7 @@ class TestMembershipCurve:
         # the support and in between
         lows = sorted(ends)
         highs = sorted(tops[: len(lows)], reverse=True)
-        curve = MembershipCurve(
-            tuple(sorted(levels)[: len(lows)]),
-            tuple(Interval(lo, hi) for lo, hi in zip(lows, highs)),
-        )
+        curve = MembershipCurve(sorted(levels)[: len(lows)], lows, highs[: len(lows)])
         zs = np.array(lows + highs + probes + [-1.0, 9.0])
         grades = curve.membership_at(zs)
         assert grades.shape == zs.shape
