@@ -51,11 +51,12 @@ to trust, and the values kernel runs once per ladder.
 
 R(t) has no such proof in mu, and may peak inside the cut. Its mu is
 found by a sign certificate (Moore, Kearfott & Cloud, Introduction to
-Interval Analysis, 2009, ch. 9): one batched call gives R(t) and dR/dmu
-at mu lo, the midpoint and mu hi for both points of every level. A cut
-whose samples share one sign takes the end that sign selects; an open
-one is halved, and each half certified by its own call, depth first.
-The search is deterministic.
+Interval Analysis, 2009, ch. 9), breadth first: each round's one
+batched call gives R(t) and dR/dmu at mu lo, the midpoint and mu hi of
+every open cut, for both points of every level. A cut whose samples
+share one sign takes the end that sign selects; an open one is halved,
+and its halves are certified together in the next round. The search is
+deterministic.
 """
 
 from __future__ import annotations
@@ -458,9 +459,10 @@ def _mu_lattice(at: np.ndarray, lo, hi) -> np.ndarray:
 def _mu_samples(
     metric: Metric, rows: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) and dR/dmu at rows (..., N, 3, 5), mu samples in the N boxes
-    with cuts (axis, N, 2), in one sensitivity call. A call that fails or
-    gives a value that is not finite raises SolverError naming the box."""
+    """R(t) and dR/dmu at rows (m, 3, 5), the mu samples of m cuts, in
+    one sensitivity call; cuts (axis, m, 2) holds the box of each row's
+    level. A call that fails or gives a value that is not finite raises
+    SolverError naming a box."""
     try:
         with np.errstate(all="ignore"):
             values, partials = markov._reliability_sensitivities(
@@ -471,12 +473,10 @@ def _mu_samples(
             f"{metric.describe()} sensitivities failed on the box "
             f"{_describe_box(_box(metric, cuts[:, 0]))}: {exc}"
         ) from exc
-    shape = rows.shape[:-1]
-    values, partials = values.reshape(shape), partials.reshape(shape)
+    values, partials = values.reshape(-1, 3), partials.reshape(-1, 3)
     finite = np.isfinite(values) & np.isfinite(partials)
     if not finite.all():
-        levels = np.broadcast_to(np.arange(cuts.shape[1])[:, None], shape)
-        raise _not_finite(metric, cuts[:, levels[~finite][0]])
+        raise _not_finite(metric, cuts[:, np.flatnonzero(~finite.all(axis=1))[0]])
     return values, partials
 
 
@@ -491,46 +491,6 @@ def _mu_signs(values: np.ndarray, partials: np.ndarray, width) -> np.ndarray:
     return np.where(rising & falling, np.nan, rising * 1.0 - falling)
 
 
-def _mu_extreme(
-    metric: Metric,
-    rows: np.ndarray,
-    values: np.ndarray,
-    partials: np.ndarray,
-    sign: float,
-    cuts: np.ndarray,
-) -> tuple[float, float]:
-    """Largest sign * R(t) along a mu cut, and the mu that takes it, from
-    R and dR/dmu sampled at rows (3, 5), a _mu_lattice of the cut, in the
-    box with cuts (axis, 1, 2).
-
-    Where the partials share one sign R is monotone on the cut, and the
-    end that sign selects is taken, mu lo where R is flat. Otherwise the
-    best sample stands until a half of the cut, sampled and searched the
-    same way, does better; the halves are searched depth first. Recursion
-    stops where the certificate closes, which its relative zero test
-    ensures near a smooth optimum, or where the midpoint no longer splits
-    the cut (Moore, Kearfott & Cloud, Introduction to Interval Analysis,
-    2009, ch. 9).
-    """
-    mus = rows[:, 2]
-    lo, mid, hi = mus
-    slope = _mu_signs(values, partials, hi - lo)
-    if not np.isnan(slope):
-        k = 2 if slope * sign > 0 else 0
-        return float(values[k]), float(mus[k])
-    k = int(np.argmax(sign * values))
-    best = float(values[k]), float(mus[k])
-    if not lo < mid < hi:
-        return best
-    for half in ((lo, mid), (mid, hi)):
-        half_rows = _mu_lattice(rows[0], *half)
-        (half_values,), (half_partials,) = _mu_samples(metric, half_rows[None], cuts)
-        found = _mu_extreme(metric, half_rows, half_values, half_partials, sign, cuts)
-        if sign * found[0] > sign * best[0]:
-            best = found
-    return best
-
-
 def _mu_by_certificate(
     metric: Metric, at: np.ndarray, mu_ends: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -539,20 +499,45 @@ def _mu_by_certificate(
     highest, along the level's mu cut (mu_ends, lo then hi), and whether
     the certificate left either point's cut open.
 
-    One batched sensitivity call gives R and dR/dmu at mu lo, the
-    midpoint and mu hi for both points of every level; _mu_extreme takes
-    each cut from there, with one more call per half of an open one.
+    The search runs in rounds, breadth first, with one sensitivity call
+    per round for every open cut of every level (Moore, Kearfott & Cloud,
+    Introduction to Interval Analysis, 2009, ch. 9). Round 0 samples each
+    whole cut at mu lo, the midpoint and mu hi. A cut whose samples share
+    one sign offers the end that sign selects, mu lo where R is flat; an
+    open one offers its best sample and is halved for the next round,
+    unless the midpoint no longer splits it. The certificate's relative
+    zero test closes the halves near a smooth optimum. Each bound takes
+    its best offer, on a tie the one a depth-first search of the halves
+    meets first: the lowest cut, then the earliest round.
     """
-    rows = _mu_lattice(at, *mu_ends)
-    values, partials = _mu_samples(metric, rows, cuts)
-    best = np.empty(at.shape[:2])
-    for k, i in np.ndindex(best.shape):
-        samples = rows[k, i], values[k, i], partials[k, i]
-        best[k, i], at[k, i, 2] = _mu_extreme(
-            metric, *samples, 2 * k - 1, cuts[:, i : i + 1]
-        )
-    opened = np.isnan(_mu_signs(values, partials, mu_ends[1] - mu_ends[0]))
-    return best, opened.any(axis=0)
+    n = at.shape[1]
+    points = at.reshape(2 * n, 5)
+    sign = np.repeat([-1.0, 1.0], n)
+    # the open cuts: which bound and level each searches, on [lo, hi]
+    cut, lo, hi = np.arange(2 * n), np.tile(mu_ends[0], 2), np.tile(mu_ends[1], 2)
+    offers = []
+    while len(cut):
+        rows = _mu_lattice(points[cut], lo, hi)
+        values, partials = _mu_samples(metric, rows, cuts[:, cut % n])
+        slope = _mu_signs(values, partials, hi - lo)
+        shut = ~np.isnan(slope)
+        if not offers:
+            opened = (~shut).reshape(2, n).any(axis=0)
+        best = np.argmax(sign[cut, None] * values, axis=1)
+        k = np.where(shut, 2 * (slope * sign[cut] > 0), best)
+        row = np.arange(len(cut))
+        offers.append((cut, values[row, k], rows[row, k, 2], lo))
+        mid = rows[:, 1, 2]
+        split = ~shut & (lo < mid) & (mid < hi)
+        cut = np.repeat(cut[split], 2)
+        lo = np.stack([lo[split], mid[split]], axis=1).ravel()
+        hi = np.stack([mid[split], hi[split]], axis=1).ravel()
+    cut, value, mu, lo = map(np.concatenate, zip(*offers))
+    # lexsort is stable, so an earlier round wins among equal keys
+    order = np.lexsort((lo, -sign[cut] * value, cut))
+    first = order[np.searchsorted(cut[order], np.arange(2 * n))]
+    at[..., 2] = mu[first].reshape(2, n)
+    return value[first].reshape(2, n), opened
 
 
 def _search(

@@ -8,6 +8,7 @@ calibrates the crisp coverage probability against anchor bounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -206,6 +207,8 @@ def calibrate_coverage(
     """
     cuts = _boxes(fp, metric, np.array([float(anchor_alpha)]))
 
+    # the bracket check, brentq and the residual meet some coverages twice
+    @functools.cache
     def bounds_at(c: float) -> np.ndarray:
         return _search(fp, metric, cuts, c).bounds[:, 0]
 

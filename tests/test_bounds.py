@@ -1,5 +1,6 @@
 """Interval bounds over alpha-cut boxes: NLP pipeline vs grid scans."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -510,16 +511,78 @@ def coupled_params():
     )
 
 
-def open_mu_on(top_width):
-    """_mu_signs with mu forced open on cuts top_width wide only, which
-    the halves of a cut never are."""
+def open_mu_on(*top_widths):
+    """_mu_signs with mu forced open on cuts exactly as wide as one of
+    top_widths, which the halves of a cut seldom are."""
     mu_signs = bounds._mu_signs
 
     def signs(values, partials, width):
-        forced = np.asarray(width) == top_width
+        forced = np.isin(np.asarray(width), top_widths)
         return np.where(forced, np.nan, mu_signs(values, partials, width))
 
     return signs
+
+
+def depth_first_mu_extreme(metric, rows, values, partials, sign, cuts):
+    """The mu search as it was before it ran in rounds: the largest sign *
+    R(t) along a cut and the mu that takes it, from R and dR/dmu sampled
+    at rows (3, 5), a _mu_lattice of the cut, in the box with cuts (axis,
+    1, 2). An open cut's best sample stands until a half, sampled by its
+    own call and searched the same way, depth first, does better."""
+    mus = rows[:, 2]
+    lo, mid, hi = mus
+    slope = bounds._mu_signs(values, partials, hi - lo)
+    if not np.isnan(slope):
+        k = 2 if slope * sign > 0 else 0
+        return float(values[k]), float(mus[k])
+    k = int(np.argmax(sign * values))
+    best = float(values[k]), float(mus[k])
+    if not lo < mid < hi:
+        return best
+    for half in ((lo, mid), (mid, hi)):
+        half_rows = bounds._mu_lattice(rows[0], *half)
+        (half_values,), (half_partials,) = bounds._mu_samples(metric, half_rows[None], cuts)
+        found = depth_first_mu_extreme(
+            metric, half_rows, half_values, half_partials, sign, cuts
+        )
+        if sign * found[0] > sign * best[0]:
+            best = found
+    return best
+
+
+def depth_first_mu_by_certificate(metric, at, mu_ends, cuts):
+    """bounds._mu_by_certificate as it was before it ran in rounds: one
+    batched call for every cut, then depth_first_mu_extreme per bound and
+    level."""
+    n = at.shape[1]
+    rows = bounds._mu_lattice(at, *mu_ends)
+    values, partials = bounds._mu_samples(
+        metric, rows.reshape(-1, 3, 5), np.concatenate([cuts, cuts], axis=1)
+    )
+    values, partials = values.reshape(2, n, 3), partials.reshape(2, n, 3)
+    best = np.empty((2, n))
+    for k, i in np.ndindex(best.shape):
+        samples = rows[k, i], values[k, i], partials[k, i]
+        best[k, i], at[k, i, 2] = depth_first_mu_extreme(
+            metric, *samples, 2 * k - 1, cuts[:, i : i + 1]
+        )
+    opened = np.isnan(bounds._mu_signs(values, partials, mu_ends[1] - mu_ends[0]))
+    return best, opened.any(axis=0)
+
+
+def ladder_probe():
+    """tools/ladder_probe.py, whose draw_ladder draws seeded R(t) models."""
+    path = Path(__file__).parents[1] / "tools" / "ladder_probe.py"
+    spec = importlib.util.spec_from_file_location("ladder_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def mu_widths(fp, alphas):
+    """The width of the mu cut at each level, as the search computes it."""
+    lo, hi = fp.cuts(np.asarray(alphas))[2].T
+    return hi - lo
 
 
 # The c = 0.5 availability box, whose maximum lies inside the mu cut.
@@ -1201,3 +1264,104 @@ class TestReliabilityLadder:
             "theta": 0.5557640952454194,
             "mu": 19282132082.614647,
         }
+
+
+class TestMuRounds:
+    """R(t)'s mu search runs in breadth-first rounds, one sensitivity call
+    each, and returns what the depth-first search of the halves did."""
+
+    @staticmethod
+    def both_searches(fp, metric, alphas):
+        """The ladder from the rounds, then from the depth-first search."""
+        rounds = bounds._ladder_bounds(fp, metric, alphas)
+        reference = depth_first_mu_by_certificate
+        with mock.patch.object(bounds, "_mu_by_certificate", reference):
+            return rounds, bounds._ladder_bounds(fp, metric, alphas)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["as-is", "forced-open"])
+    def test_rounds_equal_depth_first_bit_for_bit(self, forced):
+        # the probe's first 40 ladders and the wide model; forced, every
+        # level's whole mu cut opens, and halves as wide as a level's cut
+        # open too
+        probe = ladder_probe()
+        rng = np.random.default_rng(7)
+        models = [probe.draw_ladder(rng) for _ in range(40)] + [(probe.WIDE, 10.0)]
+        alphas = probe.ALPHAS
+        opened = 0
+        for fp, t in models:
+            widths = mu_widths(fp, alphas) if forced else ()
+            with mock.patch.object(bounds, "_mu_signs", open_mu_on(*widths)):
+                rounds, reference = self.both_searches(fp, reliability_at_time(t), alphas)
+            for field in ("bounds", "points", "searched"):
+                assert getattr(rounds, field).tobytes() == getattr(reference, field).tobytes()
+            opened += rounds.searched.any()
+        assert opened == (len(models) if forced else 8)
+
+    def test_tie_goes_to_the_offer_depth_first_meets_first(self):
+        # R peaks at 0.9 at mu = 3.375 and 5.25, inside the cut [3, 6]:
+        # 3.375 is offered in round 2 by [3, 3.75], 5.25 in round 1 by
+        # [4.5, 6]; depth first meets the left one first
+        slopes = {3.0: -1.0, 3.375: 1.0, 4.5: 1.0, 6.0: -1.0}
+
+        def tied(rows, t):
+            mus = rows[:, 2]
+            values = np.where(np.isin(mus, [3.375, 5.25]), 0.9, 0.5)
+            return values, np.array([slopes.get(mu, 0.0) for mu in mus])
+
+        metric = reliability_at_time(1.0)
+        with mock.patch.object(bounds.markov, "_reliability_sensitivities", tied):
+            rounds, reference = self.both_searches(demo_params(), metric, np.zeros(1))
+        assert rounds.bounds[1, 0] == 0.9
+        assert rounds.points[1, 0, 2] == reference.points[1, 0, 2] == 3.375
+        assert rounds.points.tobytes() == reference.points.tobytes()
+
+    @pytest.mark.parametrize(
+        "alphas, calls, depth_first_calls",
+        [(ALPHAS_11, 3, 57), ((0.0,), 2, 5)],
+        ids=["11-levels", "alpha=0"],
+    )
+    def test_one_sensitivity_call_per_round(self, alphas, calls, depth_first_calls):
+        # every level's whole mu cut forced open; the halves of the alpha =
+        # 0.5 cut, [3.5, 5.5], are as wide as the alpha = 1 cut, so they
+        # open too, and a third round certifies their halves
+        fp, metric = demo_params(), reliability_at_time(10.0)
+        alphas = np.array(alphas)
+        counted = mock.Mock(wraps=bounds.markov._reliability_sensitivities)
+        with (
+            mock.patch.object(bounds, "_mu_signs", open_mu_on(*mu_widths(fp, alphas))),
+            mock.patch.object(bounds.markov, "_reliability_sensitivities", counted),
+        ):
+            assert bounds._ladder_bounds(fp, metric, alphas).searched.all()
+            assert counted.call_count == calls
+            counted.reset_mock()
+            reference = depth_first_mu_by_certificate
+            with mock.patch.object(bounds, "_mu_by_certificate", reference):
+                bounds._ladder_bounds(fp, metric, alphas)
+            assert counted.call_count == depth_first_calls
+
+    def test_non_finite_value_in_a_later_round_names_its_box(self):
+        # only the alpha = 0.2 and 0.5 cuts open, so round 1 holds their
+        # halves; its last row is in the alpha = 0.5 box
+        fp, metric = demo_params(), reliability_at_time(2.0)
+        alphas = np.array([0.0, 0.2, 0.5, 1.0])
+        sensitivities = bounds.markov._reliability_sensitivities
+        calls = []
+
+        def broken(rows, t):
+            calls.append(len(rows))
+            values, partials = sensitivities(rows, t)
+            if len(calls) == 2:
+                values[-1] = np.nan
+            return values, partials
+
+        widths = mu_widths(fp, alphas)[1:3]
+        with (
+            mock.patch.object(bounds, "_mu_signs", open_mu_on(*widths)),
+            mock.patch.object(bounds.markov, "_reliability_sensitivities", broken),
+        ):
+            message = r"not finite on the box .*mu in \[3\.5, 5\.5\]"
+            with pytest.raises(SolverError, match=message):
+                bounds._ladder_bounds(fp, metric, alphas)
+        # round 0: both points at four levels; round 1: the two halves of
+        # each point's two open cuts; three samples each
+        assert calls == [24, 24]

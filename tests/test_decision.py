@@ -1,5 +1,7 @@
 """Decision layer: tables, inverse queries, coverage calibration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,15 @@ from fuzzrel import (
     reliability_at_time,
     required_parameter_range,
 )
+from fuzzrel import decision
 
-from test_bounds import ALPHAS_11, REFERENCE_MTBF_BOUNDS, crisp_params, demo_params
+from test_bounds import (
+    ALPHAS_11,
+    REFERENCE_MTBF_BOUNDS,
+    coupled_params,
+    crisp_params,
+    demo_params,
+)
 
 
 def scaled_demo_params(k, coverage):
@@ -220,3 +229,23 @@ class TestCalibrateCoverage:
         ).bounds
         result = calibrate_coverage(fp, STEADY_AVAILABILITY, 1.0, anchor)
         assert result.coverage == pytest.approx(0.7, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "fp, anchor",
+        [
+            (demo_params(0.5), Interval(5.0669, 6.5424)),
+            (coupled_params().with_coverage(0.5), None),
+        ],
+        ids=["reference", "coupled"],
+    )
+    def test_one_bound_search_per_distinct_coverage(self, fp, anchor):
+        # the bracket check evaluates c = 0 and 1, which brentq evaluates
+        # again, and the residual step meets brentq's root once more
+        if anchor is None:
+            anchor = characteristic_bounds(fp.with_coverage(0.9), MTBF, 1.0).bounds
+        searched = mock.Mock(wraps=decision._search)
+        with mock.patch.object(decision, "_search", searched):
+            result = calibrate_coverage(fp, MTBF, 1.0, anchor)
+        coverages = [call.args[3] for call in searched.call_args_list]
+        assert len(coverages) == len(set(coverages))
+        assert {0.0, 1.0, result.coverage} <= set(coverages)
