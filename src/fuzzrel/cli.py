@@ -253,7 +253,7 @@ def cmd_metrics(args) -> int:
     lines.append("reliability:")
     times = np.array([0.0, 0.5, 1.0, 2.0, 5.0]) * value
     # one eigendecomposition serves all five times
-    rel = markov._reliability_values(markov._rates(params), times)[0]
+    rel = markov._reliability_values(markov._rates(params), times)
     for t, r in zip(times, rel):
         lines.append(f"  t={_fmt(t, full)}  R={_fmt(r, full)}")
     print("\n".join(lines))

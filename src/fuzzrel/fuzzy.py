@@ -29,9 +29,9 @@ NESTING_TOL = 1e-10
 
 
 def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValidationError(f"{name} must be finite, got {v!r}")
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValidationError(f"{name} must be finite, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class FuzzyNumber:
     memberships: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        memberships = tuple(float(m) for m in self.memberships)
+        values = tuple(map(float, self.values))
+        memberships = tuple(map(float, self.memberships))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "memberships", memberships)
 
@@ -129,26 +129,28 @@ class FuzzyNumber:
             )
         _require_finite("breakpoint value", *values)
         _require_finite("membership", *memberships)
-        for a, b in zip(values, values[1:]):
-            if not a < b:
-                raise ValidationError(
-                    f"breakpoint values must strictly increase, got {a} then {b}"
-                )
-        for m in memberships:
-            if not 0.0 <= m <= 1.0:
-                raise ValidationError(f"membership {m} outside [0, 1]")
+        # finite values strictly increase exactly when they are their own
+        # sorted set
+        if sorted(set(values)) != list(values):
+            a, b = next((a, b) for a, b in zip(values, values[1:]) if not a < b)
+            raise ValidationError(
+                f"breakpoint values must strictly increase, got {a} then {b}"
+            )
+        if min(memberships) < 0.0 or max(memberships) > 1.0:
+            m = next(m for m in memberships if not 0.0 <= m <= 1.0)
+            raise ValidationError(f"membership {m} outside [0, 1]")
         if 1.0 not in memberships:
             raise ValidationError("membership must reach 1 somewhere (normality)")
 
         first = memberships.index(1.0)
         last = len(memberships) - 1 - memberships[::-1].index(1.0)
-        if any(m != 1.0 for m in memberships[first : last + 1]):
+        if memberships[first : last + 1].count(1.0) != last + 1 - first:
             raise ValidationError("peak breakpoints must be contiguous")
         rising = memberships[: first + 1]
-        if any(a > b for a, b in zip(rising, rising[1:])):
+        if list(rising) != sorted(rising):
             raise ValidationError("membership must be nondecreasing before the peak")
         falling = memberships[last:]
-        if any(a < b for a, b in zip(falling, falling[1:])):
+        if list(falling) != sorted(falling, reverse=True):
             raise ValidationError("membership must be nonincreasing after the peak")
 
         object.__setattr__(self, "_mode", (values[first], values[last]))

@@ -35,9 +35,13 @@ every mission time and the partial in mu, with the slowest decay rate
 taken from det(-B), a sum of nonnegative terms that the MTTF shares.
 R(t) falls in lambda and theta, so the bounds search needs no partial
 in those. Transients of the availability chain, and the rare reliability
-rows without repair, use a matrix exponential. The public functions pass
-the one row of a validated SystemParams; the bounds search passes all
-points of a ladder in one call.
+rows without repair, use a matrix exponential. The kernels take rate
+rows (..., 5) and reduce on the last axis, so the public functions pass
+the one row (5,) of a validated SystemParams, on which the same kernel
+body runs on numpy scalars (np.rollaxis(rates, -1) unpacks into
+scalars for one row and into columns for a stack), while the bounds
+search passes all points of a ladder in one call; the slopes and
+sensitivities in mu serve only the search and take stacks (N, 5).
 """
 
 from __future__ import annotations
@@ -236,14 +240,15 @@ class GeneratorMatrix:
 def _rates(
     params: SystemParams, mode: ChainMode = ChainMode.RELIABILITY
 ) -> np.ndarray:
-    """Raw rate row (1, 5) of a validated SystemParams, whose fields run
-    in _generators' column order. Availability also needs repair."""
+    """The one raw rate row (5,) of a validated SystemParams, whose fields
+    run in _generators' column order; the kernels of the crisp metrics
+    take it as they take a stack (N, 5). Availability also needs repair."""
     if mode is ChainMode.AVAILABILITY and params.repair_rate == 0.0:
         raise ValidationError(
             "availability analysis requires repair_rate > 0, the chain is "
             "not irreducible otherwise"
         )
-    return np.array([list(vars(params).values())])
+    return np.array(list(vars(params).values()))
 
 
 def _check_distributions(p: np.ndarray) -> None:
@@ -272,7 +277,7 @@ def build_generator(
 ) -> GeneratorMatrix:
     """Assemble and validate the generator for one chain variant."""
     return GeneratorMatrix(
-        mode=mode, rates=_generators(_rates(params, mode), mode)[0], initial=_initial()
+        mode=mode, rates=_generators(_rates(params, mode), mode), initial=_initial()
     )
 
 
@@ -323,7 +328,7 @@ def laplace_state_probs(params: SystemParams, s: float) -> LaplaceStateVector:
     s = float(s)
     if not np.isfinite(s) or s <= 0.0:
         raise ValidationError(f"transform variable s must be > 0, got {s}")
-    rates = _generators(_rates(params), ChainMode.RELIABILITY)[0]
+    rates = _generators(_rates(params), ChainMode.RELIABILITY)
     lhs = s * np.eye(N_STATES) - rates.T
     try:
         ptilde = np.linalg.solve(lhs, _initial())
@@ -379,7 +384,7 @@ def _mttf_values(rates: np.ndarray) -> np.ndarray:
     block does not: at c = 1 all its rows but the last sum to zero, and it
     loses about (mu / lambda)^2 eps.
     """
-    lam, theta, mu, c = rates.T[:4]
+    lam, theta, mu, c = np.rollaxis(rates, -1)[:4]
     a = 2.0 * lam + theta
     d = mu * mu + (3.0 - 2.0 * c) * lam * mu + 2.0 * lam * lam
     n = mu + lam + 2.0 * c * lam
@@ -389,7 +394,7 @@ def _mttf_values(rates: np.ndarray) -> np.ndarray:
 def mttf(params: SystemParams) -> float:
     """Mean time to first system failure starting from UP3, the expected
     absorption time of the reliability chain (_mttf_values)."""
-    return float(_mttf_values(_rates(params))[0])
+    return float(_mttf_values(_rates(params)))
 
 
 def _transient(q: np.ndarray, t: float) -> np.ndarray:
@@ -408,23 +413,27 @@ def _transient(q: np.ndarray, t: float) -> np.ndarray:
 # generator, UP3 <-> UP2 <-> UP1, so the diagonal D with d_0 = 1 and
 # d_{i+1} = d_i sqrt(B[i, i+1] / B[i+1, i]) makes S = D B D^-1 symmetric,
 # with off-diagonals sqrt(B[i, i+1] B[i+1, i]) (Keilson 1979). The d_i^2
-# are the up states' detailed-balance masses, from _stationary. Then
-# S = V diag(w) V^T from numpy.linalg.eigh, with real w < 0, and
-# expm(B t) = D^-1 V diag(exp(w t)) V^T D.
+# are the up states' detailed-balance masses (_stationary). With
+# a = 2 lambda + theta, B's diagonal is -a, -(mu + 2 lambda), -(mu + lambda),
+# its rates up the chain c a and 2 c lambda, and down it mu, so S and D are
+# written from the rate columns. Then S = V diag(w) V^T from
+# numpy.linalg.eigh, with real w < 0, and expm(B t) = D^-1 V diag(exp(w t))
+# V^T D.
 
 
 class _UpEigen(NamedTuple):
-    """The symmetrized up block at stacked rate rows.
+    """The symmetrized up block at rate rows (..., 5).
 
-    b and s are B and S (N, 3, 3), w and vecs the eigenvalues (N, 3) and
-    eigenvectors (N, 3, 3) of S, and d the symmetrizer (N, 3). u = V^T
+    s is S (..., 3, 3), w and vecs the eigenvalues (..., 3) and
+    eigenvectors (..., 3, 3) of S, and d the symmetrizer (..., 3),
+    (1, sqrt(c a / mu), sqrt(c a / mu) sqrt(2 c lambda / mu)). u = V^T
     D^-1 e_UP3 and v = V^T D 1, so that R(t) = sum_k u_k exp(w_k t) v_k.
     c = 0 makes d_1 = d_2 = 0 and S diagonal, and needs nothing else. ok
-    marks the rows whose d is finite; mu = 0, or an up mass overflowing,
-    leaves B without a symmetrizer, and those rows go to _up_block_expm.
+    marks the rows whose d is finite, 0-d for one row; mu = 0, or an up
+    mass overflowing, leaves B without a symmetrizer, and those rows go to
+    _up_block_expm.
     """
 
-    b: np.ndarray
     s: np.ndarray
     w: np.ndarray
     vecs: np.ndarray
@@ -440,23 +449,27 @@ def _up_eigen(rates: np.ndarray) -> _UpEigen:
     So the slowest eigenvalue is taken from the other two and the product
     of all three, det(B) = -det(-B) (_up_determinant), which keeps full
     relative precision; the two fast ones are resolved to their own size."""
-    b = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = np.sqrt(_stationary(rates)[:, _UP])
-    ok = np.isfinite(d).all(axis=1)
-    d[~ok] = 0.0
+    lam, theta, mu, c = np.rollaxis(rates, -1)[:4]
+    a = 2.0 * lam + theta
+    s = np.zeros(rates.shape[:-1] + (3, 3))
+    s[..., 0, 0] = -a
+    s[..., 1, 1] = -(mu + 2.0 * lam)
+    s[..., 2, 2] = -(mu + lam)
     # split so that the product cannot overflow; one value fills both
     # sides, so S is exactly symmetric; mu = 0 leaves S diagonal
-    upper, lower = np.diagonal(b, 1, 1, 2), np.diagonal(b, -1, 1, 2)
-    off = np.sqrt(upper) * np.sqrt(lower)
-    s = b.copy()
-    s[:, 0, 1] = s[:, 1, 0] = off[:, 0]
-    s[:, 1, 2] = s[:, 2, 1] = off[:, 1]
+    root_mu = np.sqrt(mu)
+    s[..., 0, 1] = s[..., 1, 0] = np.sqrt(c * a) * root_mu
+    s[..., 1, 2] = s[..., 2, 1] = np.sqrt(2.0 * c * lam) * root_mu
+    d = np.ones(rates.shape[:-1] + (3,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d1 = np.sqrt(c * a / mu)
+        d[..., 1], d[..., 2] = d1, d1 * np.sqrt(2.0 * c * lam / mu)
+    ok = np.isfinite(d).all(axis=-1)
+    d[~ok] = 0.0
     w, vecs = np.linalg.eigh(s)
-    lam, theta, mu, c = rates.T[:4]
-    w[:, 2] = -_up_determinant(2.0 * lam + theta, lam, mu, c) / (w[:, 0] * w[:, 1])
-    u, v = vecs[:, 0, :], (vecs * d[:, :, None]).sum(axis=1)
-    return _UpEigen(b, s, w, vecs, d, u, v, ok)
+    w[..., 2] = -_up_determinant(a, lam, mu, c) / (w[..., 0] * w[..., 1])
+    u, v = vecs[..., 0, :], (vecs * d[..., :, None]).sum(axis=-2)
+    return _UpEigen(s, w, vecs, d, u, v, ok)
 
 
 def _exp1(x: np.ndarray) -> np.ndarray:
@@ -468,8 +481,8 @@ def _exp1(x: np.ndarray) -> np.ndarray:
 # dB/dmu of the up block: the generator is linear in mu for a fixed c, so
 # it is the up block assembled with mu at 1 and every other rate at 0
 _UP_BLOCK_MU_DIRECTION = _generators(
-    np.array([[0.0, 0.0, 1.0, 0.0, 0.0]]), ChainMode.RELIABILITY
-)[0, _UP, _UP]
+    np.array([0.0, 0.0, 1.0, 0.0, 0.0]), ChainMode.RELIABILITY
+)[_UP, _UP]
 
 
 def _up_block_expm(rates: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -491,8 +504,8 @@ def _up_block_expm(rates: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _reliability_values(rates: np.ndarray, times) -> np.ndarray:
-    """R at each rate row (N, 5) and each of the times, shape (N,) plus
-    the shape of times.
+    """R at each rate row (..., 5) and each of the times, shape (...)
+    plus the shape of times.
 
     R(t) = sum_k u_k exp(w_k t) v_k from one eigendecomposition per row,
     clipped to [0, 1], and exactly 1 at t = 0.
@@ -500,18 +513,18 @@ def _reliability_values(rates: np.ndarray, times) -> np.ndarray:
     shape = np.shape(times)
     times = np.asarray(times, dtype=float).reshape(-1)
     eig = _up_eigen(rates)
-    decay = np.exp(eig.w[:, None, :] * times[:, None])
-    r = (decay * (eig.u * eig.v)[:, None, :]).sum(axis=-1)
+    decay = np.exp(eig.w[..., None, :] * times[:, None])
+    r = (decay * (eig.u * eig.v)[..., None, :]).sum(axis=-1)
     if not eig.ok.all():
         for j, t in enumerate(times):
             r[~eig.ok, j] = _up_block_expm(rates[~eig.ok], t)[0]
     r = np.minimum(np.maximum(r, 0.0), 1.0)
-    r[:, times == 0.0] = 1.0
-    return r.reshape((len(r),) + shape)
+    r[..., times == 0.0] = 1.0
+    return r.reshape(rates.shape[:-1] + shape)
 
 
 def _reliability_distribution(rates: np.ndarray, t: float) -> np.ndarray:
-    """P(t) of the reliability chain at each rate row, (N, 6).
+    """P(t) of the reliability chain at each rate row, (..., 6).
 
     The up masses come from the eigenbasis. Each down state's mass is the
     flow into it, sum_j Q[j, down] times the integral of P_up,j over
@@ -522,12 +535,10 @@ def _reliability_distribution(rates: np.ndarray, t: float) -> np.ndarray:
     q = _generators(rates, ChainMode.RELIABILITY)
     eig = _up_eigen(rates)
     x = eig.w * t
-    up = np.einsum("nk,njk,nj->nj", eig.u * np.exp(x), eig.vecs, eig.d)
-    spent = np.einsum("nk,njk,nj->nj", eig.u * t * _exp1(x), eig.vecs, eig.d)
-    p = np.concatenate(
-        [np.maximum(up, 0.0), np.einsum("nj,njm->nm", spent, q[:, _UP, _DOWN])],
-        axis=1,
-    )
+    up = np.einsum("...k,...jk,...j->...j", eig.u * np.exp(x), eig.vecs, eig.d)
+    spent = np.einsum("...k,...jk,...j->...j", eig.u * t * _exp1(x), eig.vecs, eig.d)
+    flows = np.einsum("...j,...jm->...m", spent, q[..., _UP, _DOWN])
+    p = np.concatenate([np.maximum(up, 0.0), flows], axis=-1)
     if not eig.ok.all():
         p[~eig.ok] = _transient(q[~eig.ok], t)
     return p
@@ -551,18 +562,18 @@ def state_probabilities(
     t = _time(t)
     rates = _rates(params, mode)
     if mode is ChainMode.RELIABILITY:
-        return StateProbabilities(t=t, p=_reliability_distribution(rates, t)[0])
-    return StateProbabilities(t=t, p=_transient(_generators(rates, mode), t)[0])
+        return StateProbabilities(t=t, p=_reliability_distribution(rates, t))
+    return StateProbabilities(t=t, p=_transient(_generators(rates, mode), t))
 
 
 def reliability_at(params: SystemParams, t: float) -> float:
     """Probability the system has not failed by time t."""
-    return float(_reliability_values(_rates(params), _time(t))[0])
+    return float(_reliability_values(_rates(params), _time(t)))
 
 
 def _stationary(rates: np.ndarray) -> np.ndarray:
     """Stationary masses of the availability chain at each rate row,
-    (N, 6) in State order, scaled so that UP3 has mass 1.
+    (..., 6) in State order, scaled so that UP3 has mass 1.
 
     Each transition has one partner that undoes it: UP2 and UNSAFE1 return
     to UP3, UP1 and UNSAFE2 to UP2, EXHAUSTED to UP1. These five pairs form
@@ -583,15 +594,17 @@ def _stationary(rates: np.ndarray) -> np.ndarray:
     when mu = 0; availability requires mu > 0, and _up_eigen takes such
     rows to have no symmetrizer.
     """
-    lam, theta, mu, c, beta = rates.T
+    lam, theta, mu, c, beta = np.rollaxis(rates, -1)
     a = 2.0 * lam + theta
-    x = np.empty((len(rates), N_STATES), dtype=rates.dtype)
-    x[:, State.UP3] = 1.0
-    x[:, State.UP2] = c * a / mu
-    x[:, State.UP1] = x[:, State.UP2] * 2.0 * c * lam / mu
-    x[:, State.EXHAUSTED] = x[:, State.UP1] * lam / mu
-    x[:, State.UNSAFE1] = (1.0 - c) * a / beta
-    x[:, State.UNSAFE2] = x[:, State.UP2] * 2.0 * (1.0 - c) * lam / beta
+    up2 = c * a / mu
+    up1 = up2 * 2.0 * c * lam / mu
+    x = np.empty(rates.shape[:-1] + (N_STATES,), dtype=rates.dtype)
+    x[..., State.UP3] = 1.0
+    x[..., State.UP2] = up2
+    x[..., State.UP1] = up1
+    x[..., State.EXHAUSTED] = up1 * lam / mu
+    x[..., State.UNSAFE1] = (1.0 - c) * a / beta
+    x[..., State.UNSAFE2] = up2 * 2.0 * (1.0 - c) * lam / beta
     return x
 
 
@@ -599,8 +612,8 @@ def _availability_values(rates: np.ndarray) -> np.ndarray:
     """Steady availability at each rate row, as up / (up + down) mass so
     that it never rounds above 1."""
     x = _stationary(rates)
-    up = x[:, _UP].sum(axis=1)
-    return up / (up + x[:, _DOWN].sum(axis=1))
+    up = x[..., _UP].sum(axis=-1)
+    return up / (up + x[..., _DOWN].sum(axis=-1))
 
 
 def stationary_distribution(params: SystemParams) -> np.ndarray:
@@ -609,13 +622,13 @@ def stationary_distribution(params: SystemParams) -> np.ndarray:
     Degenerate coverage values (c = 0 or c = 1) leave part of the state
     space unreachable from UP3; those states get exactly zero.
     """
-    x = _stationary(_rates(params, ChainMode.AVAILABILITY))[0]
+    x = _stationary(_rates(params, ChainMode.AVAILABILITY))
     return x / x.sum()
 
 
 def steady_availability(params: SystemParams) -> float:
     """Long-run fraction of time the system is operational."""
-    return float(_availability_values(_rates(params, ChainMode.AVAILABILITY))[0])
+    return float(_availability_values(_rates(params, ChainMode.AVAILABILITY)))
 
 
 # -- slopes in mu -------------------------------------------------------------
@@ -693,6 +706,21 @@ def _availability_mu_slope(rates: np.ndarray) -> np.ndarray:
 # (test_bounds.TestProofs), and MTTF and availability need only the sign
 # of their mu derivative, which the slope polynomials above give.
 
+def _up_mu_direction(s: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """M = D (dB/dmu) D^-1 at stacked rows, from S (N, 3, 3) and mu (N,).
+
+    dB/dmu holds -1 on the diagonal below UP3 and 1 just under it, where
+    M's entry is d_i / d_(i-1) = S[i, i-1] / mu: 0 when c = 0 zeroes S
+    off the diagonal, and not finite when mu = 0, a row without a
+    symmetrizer.
+    """
+    m = np.zeros_like(s)
+    m[:, 1, 1] = m[:, 2, 2] = -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m[:, 1, 0], m[:, 2, 1] = s[:, 1, 0] / mu, s[:, 2, 1] / mu
+    return m
+
+
 def _reliability_sensitivities(
     rates: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -701,16 +729,15 @@ def _reliability_sensitivities(
 
     With D fixed, dexpm(B t)/dmu = D^-1 V (G o V^T M V) V^T D t, where
     M = D (dB/dmu) D^-1 and G[k, l] is the divided difference of exp at
-    w_k t and w_l t (Higham, Functions of Matrices, 2008, sec. 3.2). An
-    entry of M is (dB/dmu)[i, j] d_i / d_j = (dB/dmu)[i, j] / B[i, j]
-    S[i, j], which stays finite when c = 0 zeroes B[0, 1], B[1, 2] and
-    S off the diagonal. Rows without a symmetrizer use _up_block_expm.
-    The bounds search takes its R(t) values from here, so they are clipped
-    exactly as _reliability_values clips them.
+    w_k t and w_l t (Higham, Functions of Matrices, 2008, sec. 3.2), and M
+    comes from _up_mu_direction. Rows without a symmetrizer use
+    _up_block_expm. The bounds search takes its R(t) values from here, so
+    they are clipped exactly as _reliability_values clips them. Only the
+    bounds search calls this, so rates is a stack (N, 5).
     """
     eig = _up_eigen(rates)
-    e, b = _UP_BLOCK_MU_DIRECTION, eig.b
-    m = np.divide(e, b, out=np.zeros_like(b), where=b != 0.0) * eig.s
+    lam, theta, mu, c = rates.T[:4]
+    m = _up_mu_direction(eig.s, mu)
     x = eig.w * t
     # e^b (e^(a - b) - 1) / (a - b) with b the larger, never above 1
     pairs = x[:, :, None], x[:, None, :]
@@ -720,7 +747,6 @@ def _reliability_sensitivities(
     g = np.einsum("nik,nij,njl->nkl", eig.vecs, m, eig.vecs)
     # g's diagonal holds dw/dmu; the slow mode's comes from the identity
     # _up_eigen takes w3 from, dw3/w3 = dDelta/Delta - dw1/w1 - dw2/w2
-    lam, theta, mu, c = rates.T[:4]
     a = 2.0 * lam + theta
     slope = a * (1.0 - c) * (2.0 * mu + 3.0 * lam) / _up_determinant(a, lam, mu, c)
     g[:, 2, 2] = eig.w[:, 2] * (

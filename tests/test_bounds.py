@@ -761,7 +761,7 @@ class TestCertificate:
         reliability = f"""
 from fuzzrel import markov
 fuzzrel.reliability_at({params}, 1.0)
-markov._reliability_sensitivities(markov._rates({params}), 1.0)
+markov._reliability_sensitivities(markov._rates({params})[None], 1.0)
 fuzzrel.membership_curve(
     fuzzrel.FuzzySystemParams(
         fuzzrel.FuzzyNumber.trapezoidal(0.5, 0.6, 0.7, 0.8),

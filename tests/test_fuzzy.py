@@ -83,7 +83,7 @@ class TestConstructors:
         assert right.alpha_cut(1.0) == Interval(2.0, 3.0)
 
     def test_trapezoid_rejects_disorder(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"ordered a <= b <= c <= d, got \(3.0, 2.0"):
             FuzzyNumber.trapezoidal(3.0, 2.0, 4.0, 5.0)
 
     def test_breakpoints_with_vertical_edge(self):
@@ -98,24 +98,41 @@ class TestConstructors:
         assert fz.membership(0.999) == 0.0
 
     def test_validation_rules(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="strictly increase, got 1.0 then 1.0"):
             FuzzyNumber((1.0, 1.0), (0.0, 1.0))  # duplicate values
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="must reach 1 somewhere"):
             FuzzyNumber((1.0, 2.0), (0.0, 0.5))  # never reaches 1
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"membership 1.5 outside \[0, 1\]"):
             FuzzyNumber((1.0, 2.0, 3.0), (0.0, 1.0, 1.5))  # membership > 1
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="peak breakpoints must be contiguous"):
             # dips between two peaks: peak run not contiguous
             FuzzyNumber((0.0, 1.0, 2.0), (1.0, 0.5, 1.0))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="nonincreasing after the peak"):
             # rises again on the falling edge
             FuzzyNumber((0.0, 1.0, 2.0, 3.0), (1.0, 0.2, 0.4, 0.0))
 
+    @pytest.mark.parametrize(
+        "values, memberships, message",
+        [
+            ((), (), "needs at least one breakpoint"),
+            ((1.0, 2.0), (1.0,), "2 values but 1 memberships"),
+            ((1.0, float("inf")), (1.0, 0.0), "breakpoint value must be finite, got inf"),
+            ((1.0, 2.0), (1.0, float("nan")), "membership must be finite, got nan"),
+            ((1.0, 3.0, 2.0, 2.5), (0.0, 1.0, 0.5, 0.0), "got 3.0 then 2.0"),
+            ((0.0, 1.0), (-0.5, 1.0), r"membership -0.5 outside \[0, 1\]"),
+            ((0.0, 1.0, 2.0, 3.0), (0.4, 0.2, 1.0, 0.0), "nondecreasing before the peak"),
+        ],
+        ids=["empty", "lengths", "value", "membership", "order", "range", "rising"],
+    )
+    def test_rejections_name_their_cause(self, values, memberships, message):
+        with pytest.raises(ValidationError, match=message):
+            FuzzyNumber(values, memberships)
+
     def test_alpha_domain_checked(self):
         fz = FuzzyNumber.triangular(0.0, 1.0, 2.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \[0, 1\], got -0.1"):
             fz.alpha_cut(-0.1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \[0, 1\], got 1.1"):
             fz.alpha_cut(1.1)
 
 

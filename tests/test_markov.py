@@ -566,6 +566,101 @@ def test_batched_kernels_match_single_rows(kind):
     np.testing.assert_allclose(batched(rates), expected, rtol=1e-13)
 
 
+@st.composite
+def rate_rows(draw, repair=False):
+    """Raw rate rows (5,): lambda, mu and beta log-uniform over 1e-6..1e9,
+    theta a share of lambda, c in [0, 1] with both ends drawn often, and
+    mu = 0 unless repair is required."""
+    lam = draw(log_uniform(1e-6, 1e9))
+    mu = log_uniform(1e-6, 1e9)
+    return np.array([
+        lam,
+        draw(st.floats(0.0, 1.0)) * lam,
+        draw(mu if repair else st.one_of(st.just(0.0), mu)),
+        draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        draw(log_uniform(1e-6, 1e9)),
+    ])
+
+
+def rate_stacks(repair=False):
+    """A row and a stack (N, 5) that holds it at a drawn place."""
+    return st.lists(rate_rows(repair), min_size=1, max_size=5).flatmap(
+        lambda rows: st.tuples(st.just(np.array(rows)), st.integers(0, len(rows) - 1))
+    )
+
+
+class TestOneKernelPath:
+    """A crisp call runs each kernel on one row (5,), the bounds search on
+    stacks (N, 5): the same body, so one row gives exactly what it gives
+    inside any stack."""
+
+    @pytest.mark.parametrize("kind", ["mttf", "stationary", "availability", "reliability"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_row_equals_its_place_in_a_stack(self, kind, data):
+        from fuzzrel import markov
+
+        stack, i = data.draw(rate_stacks(repair=kind in ("stationary", "availability")))
+        kernel = {
+            "mttf": markov._mttf_values,
+            "stationary": markov._stationary,
+            "availability": markov._availability_values,
+            "reliability": lambda r: markov._reliability_values(
+                r, np.array(REPORT_TIMES) * markov._mttf_values(stack[i])
+            ),
+        }[kind]
+        row, in_stack = kernel(stack[i]), kernel(stack)[i]
+        assert np.shape(row) == np.shape(in_stack)
+        np.testing.assert_array_equal(row, in_stack)
+
+
+def reference_up_block(rates):
+    """S, d and M = D (dB/dmu) D^-1 at stacked rows as assembled from the
+    whole generator: B is _generators' up block, d the square roots of
+    _stationary's up masses, S = D B D^-1 with off-diagonals
+    sqrt(B[i, j]) sqrt(B[j, i]), and M[i, j] = (dB/dmu)[i, j] / B[i, j]
+    S[i, j]."""
+    from fuzzrel import markov
+
+    up = markov._UP
+    b = markov._generators(rates, ChainMode.RELIABILITY)[:, up, up]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.sqrt(markov._stationary(rates)[:, up])
+    d[~np.isfinite(d).all(axis=1)] = 0.0
+    s = b.copy()
+    for i, j in ((0, 1), (1, 2)):
+        s[:, i, j] = s[:, j, i] = np.sqrt(b[:, i, j]) * np.sqrt(b[:, j, i])
+    e = markov._UP_BLOCK_MU_DIRECTION
+    m = np.divide(e, b, out=np.zeros_like(b), where=b != 0.0) * s
+    return s, d, m
+
+
+class TestUpBlockAssembly:
+    # a few ulps: each side rounds a handful of products, sums and roots
+    # of nonnegative terms, in a different order. At c near the smallest
+    # double, the reference's c a, 2 c lambda and up masses underflow, and
+    # the entries built on them, below sqrt(tiny) sqrt(mu) ~ 5e-150, lose
+    # what the rows written from the rates keep
+    RTOL, ATOL = 8 * np.finfo(float).eps, 1e-148
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rate_stacks())
+    def test_written_from_rates_matches_generator_assembly(self, drawn):
+        from fuzzrel import markov
+
+        rates, _ = drawn
+        s, d, m = reference_up_block(rates)
+        eig = markov._up_eigen(rates)
+        tol = dict(rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose(eig.s, s, **tol)
+        np.testing.assert_allclose(eig.d, d, **tol)
+        ok = eig.ok
+        np.testing.assert_allclose(markov._up_mu_direction(eig.s, rates[:, 2])[ok], m[ok], **tol)
+        assert np.array_equal(ok, rates[:, 2] > 0.0)
+        off = eig.s[rates[:, 3] == 0.0][:, [0, 1, 1, 2], [1, 0, 2, 1]]
+        assert np.all(off == 0.0)
+
+
 def up_block_reliability(p, t):
     """1^T expm(B t) from UP3, B the up block of the reference generator."""
     up = list(UP_STATES)
@@ -599,7 +694,7 @@ class TestReliabilityKernel:
         from fuzzrel import markov
 
         times = np.array(REPORT_TIMES) * mttf(p)
-        r = markov._reliability_values(markov._rates(p), times)[0]
+        r = markov._reliability_values(markov._rates(p), times)
         assert r[0] == 1.0
         assert np.all((0.0 <= r) & (r <= 1.0))
         assert np.all(np.diff(r) <= 0.0)
@@ -741,7 +836,7 @@ class TestSensitivities:
         # mu partial keeps the full precision of the 50-digit reference
         from fuzzrel import markov
 
-        rates = markov._rates(FAST_REPAIR)
+        rates = markov._rates(FAST_REPAIR)[None]
         assert mu_partial("mttf", rates)[0] == pytest.approx(
             FAST_REPAIR_MTTF_PARTIALS[2], rel=1e-14
         )
