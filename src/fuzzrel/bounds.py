@@ -49,14 +49,17 @@ the mu cut, and the maximum at an end or at that turn, which a bisection
 on the slope polynomial brackets to adjacent floats. No sampling is left
 to trust, and the values kernel runs once per ladder.
 
-R(t) has no such proof in mu, and may peak inside the cut. Its mu is
-found by a sign certificate (Moore, Kearfott & Cloud, Introduction to
-Interval Analysis, 2009, ch. 9), breadth first: each round's one
-batched call gives R(t) and dR/dmu at mu lo, the midpoint and mu hi of
-every open cut, for both points of every level. A cut whose samples
-share one sign takes the end that sign selects; an open one is halved,
-and its halves are certified together in the next round. The search is
-deterministic.
+R(t) is taken to turn at most once in mu too, from rising to falling,
+but that is not proven: it is evidenced by a derandomized property over
+wide rates, coverages and mission times
+(test_bounds.TestReliabilityTurn), along which dR/dmu never changes sign
+twice, nor from - to +. Two routes to a proof are open: the derivative
+in mu of the cooperative system for f and g above, and sign regularity
+(Karlin, Total Positivity, 1968). R(t) then takes MTBF's route: one
+sensitivity call gives R and dR/dmu at both ends of every cut, each
+bound takes the better end, and where the maximum's point does not fall
+at mu lo but falls at mu hi a bisection on the sign of dR/dmu finds the
+turn, one call per round. Both searches are deterministic.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ PARAM_MU = "mu"
 PARAM_BETA = "beta"
 PARAMETER_NAMES = (PARAM_LAMBDA, PARAM_THETA, PARAM_MU, PARAM_BETA)
 
-# a dR/dmu sample counts as zero when it moves R across the mu cut by less
-# than this fraction of R
+# a change of R counts as zero when it is at most this fraction of R: the
+# change that a dR/dmu sample makes across the mu cut or the bisection's
+# bracket, or the gain of R from mu lo to mu hi
 _ZERO_CHANGE = 1e-12
 
 
@@ -233,10 +237,8 @@ class BoundsResult:
     """Bounds of one characteristic over one alpha-cut box.
 
     lambda, theta and beta are pinned by proof for every metric, so
-    open_axes is () or ("mu",). For MTBF and availability it is ("mu",)
-    where the maximum lies inside the mu cut, at the metric's one turn in
-    mu. For R(t) it is ("mu",) where the sign certificate left either
-    bound's mu cut open, which subdivision then halved.
+    open_axes is () or ("mu",): ("mu",) where the maximum lies inside the
+    mu cut, at the metric's one turn in mu.
     """
 
     alpha: float
@@ -253,7 +255,7 @@ class _Ladder(NamedTuple):
     cuts: np.ndarray  # (axis, level, 2), each axis's cut, lo then hi
     bounds: np.ndarray  # (2, level), the minimum then the maximum
     points: np.ndarray  # (2, level, axis), where each bound is taken
-    searched: np.ndarray  # (level,), whether mu's cut was left open
+    searched: np.ndarray  # (level,), whether the maximum lies at mu's turn
 
 
 def _modal_midpoint(fz: FuzzyNumber) -> float:
@@ -448,96 +450,100 @@ def _mu_by_slope(
     return best, inside
 
 
-def _mu_lattice(at: np.ndarray, lo, hi) -> np.ndarray:
-    """Rows (..., 3, 5) of the points at (..., 5) with mu at lo, the
-    midpoint and hi."""
-    rows = np.repeat(at[..., None, :], 3, axis=-2)
-    rows[..., 2] = np.stack(np.broadcast_arrays(lo, 0.5 * (lo + hi), hi), axis=-1)
-    return rows
-
-
-def _mu_samples(
-    metric: Metric, rows: np.ndarray, cuts: np.ndarray
+def _sensitivities(
+    metric: Metric, rows: np.ndarray, cuts: np.ndarray, levels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) and dR/dmu at rows (m, 3, 5), the mu samples of m cuts, in
-    one sensitivity call; cuts (axis, m, 2) holds the box of each row's
-    level. A call that fails or gives a value that is not finite raises
-    SolverError naming a box."""
+    """R(t) and dR/dmu at rows (m, 5) in one sensitivity call, row i in
+    the box of level levels[i] of cuts (axis, level, 2). A call that fails
+    or gives a value that is not finite raises SolverError naming a box."""
     try:
         with np.errstate(all="ignore"):
-            values, partials = markov._reliability_sensitivities(
-                rows.reshape(-1, 5), metric.t
-            )
+            values, partials = markov._reliability_sensitivities(rows, metric.t)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"{metric.describe()} sensitivities failed on the box "
-            f"{_describe_box(_box(metric, cuts[:, 0]))}: {exc}"
+            f"{_describe_box(_box(metric, cuts[:, levels[0]]))}: {exc}"
         ) from exc
-    values, partials = values.reshape(-1, 3), partials.reshape(-1, 3)
     finite = np.isfinite(values) & np.isfinite(partials)
     if not finite.all():
-        raise _not_finite(metric, cuts[:, np.flatnonzero(~finite.all(axis=1))[0]])
+        raise _not_finite(metric, cuts[:, levels[np.flatnonzero(~finite)[0]]])
     return values, partials
 
 
-def _mu_signs(values: np.ndarray, partials: np.ndarray, width) -> np.ndarray:
-    """The one sign of dR/dmu over each set of samples (last axis), 0 if
-    all are zero, or NaN, open, if they differ. A sample is zero when its
-    change across the mu cut, width wide, is below 1e-12 of R."""
-    change = np.abs(partials) * np.expand_dims(width, -1)
-    nonzero = change > _ZERO_CHANGE * np.abs(values)
-    rising = (nonzero & (partials > 0.0)).any(axis=-1)
-    falling = (nonzero & (partials < 0.0)).any(axis=-1)
-    return np.where(rising & falling, np.nan, rising * 1.0 - falling)
+def _mu_sign(values, partials, width, r_hi) -> np.ndarray:
+    """The sign of dR/dmu at each sample, 0 where R is flat: where the
+    slope moves R across width by at most _ZERO_CHANGE of R. A flat sample
+    that R climbs from by more than that to r_hi, R at mu hi, counts as
+    rising: R has underflowed there, and rises further up the cut."""
+    change = _ZERO_CHANGE * np.abs(values)
+    moves = np.abs(partials) * width > change
+    return np.where(moves, np.sign(partials), 1.0 * (r_hi - values > change))
 
 
-def _mu_by_certificate(
+def _mu_turn(metric: Metric, at: np.ndarray, r_hi, lo, hi, cuts, levels) -> tuple:
+    """The highest R(t) met by a bisection for the turn of each point of
+    at (m, 5) along its mu cut [lo, hi], where R falls at hi and takes
+    r_hi, and the mu that takes it; the points lie in the boxes of levels.
+
+    One sensitivity call per round serves every bracket still open. Each
+    moves to the half the sign of dR/dmu at its midpoint selects
+    (_mu_sign), and closes where R is flat there or where the midpoint no
+    longer splits it.
+    """
+    best, mu = np.full(len(at), -np.inf), lo.copy()
+    rows, row = at.copy(), np.arange(len(at))
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        split = (lo < mid) & (mid < hi)
+        row, lo, hi, mid = row[split], lo[split], hi[split], mid[split]
+        if not len(row):
+            return best, mu
+        rows[row, 2] = mid
+        values, partials = _sensitivities(metric, rows[row], cuts, levels[row])
+        better = values > best[row]
+        best[row[better]], mu[row[better]] = values[better], mid[better]
+        sign = _mu_sign(values, partials, hi - lo, r_hi[row])
+        lo, hi = np.where(sign > 0.0, mid, lo), np.where(sign > 0.0, hi, mid)
+        row, lo, hi = row[sign != 0.0], lo[sign != 0.0], hi[sign != 0.0]
+
+
+def _mu_by_turn(
     metric: Metric, at: np.ndarray, mu_ends: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """R(t) at each point of at (2, N, 5), the minimum's then the
     maximum's at each level, with its mu column set where R is lowest, or
     highest, along the level's mu cut (mu_ends, lo then hi), and whether
-    the certificate left either point's cut open.
+    each maximum lies at the turn.
 
-    The search runs in rounds, breadth first, with one sensitivity call
-    per round for every open cut of every level (Moore, Kearfott & Cloud,
-    Introduction to Interval Analysis, 2009, ch. 9). Round 0 samples each
-    whole cut at mu lo, the midpoint and mu hi. A cut whose samples share
-    one sign offers the end that sign selects, mu lo where R is flat; an
-    open one offers its best sample and is halved for the next round,
-    unless the midpoint no longer splits it. The certificate's relative
-    zero test closes the halves near a smooth optimum. Each bound takes
-    its best offer, on a tie the one a depth-first search of the halves
-    meets first: the lowest cut, then the earliest round.
+    R(t) turns at most once in mu, from rising to falling (see the module
+    docstring), so as for MTBF the minimum lies at an end of the mu cut
+    and the maximum at an end or at the turn. One sensitivity call gives R
+    and dR/dmu at both ends of both points at every level. Each bound
+    takes the better end, mu lo unless R at mu hi is better by more than
+    _ZERO_CHANGE of R, so that a flat R keeps mu lo whatever its rounding.
+    Where the maximum's point does not fall at mu lo (_mu_sign) but falls
+    at mu hi, _mu_turn bisects for the turn.
     """
     n = at.shape[1]
-    points = at.reshape(2 * n, 5)
-    sign = np.repeat([-1.0, 1.0], n)
-    # the open cuts: which bound and level each searches, on [lo, hi]
-    cut, lo, hi = np.arange(2 * n), np.tile(mu_ends[0], 2), np.tile(mu_ends[1], 2)
-    offers = []
-    while len(cut):
-        rows = _mu_lattice(points[cut], lo, hi)
-        values, partials = _mu_samples(metric, rows, cuts[:, cut % n])
-        slope = _mu_signs(values, partials, hi - lo)
-        shut = ~np.isnan(slope)
-        if not offers:
-            opened = (~shut).reshape(2, n).any(axis=0)
-        best = np.argmax(sign[cut, None] * values, axis=1)
-        k = np.where(shut, 2 * (slope * sign[cut] > 0), best)
-        row = np.arange(len(cut))
-        offers.append((cut, values[row, k], rows[row, k, 2], lo))
-        mid = rows[:, 1, 2]
-        split = ~shut & (lo < mid) & (mid < hi)
-        cut = np.repeat(cut[split], 2)
-        lo = np.stack([lo[split], mid[split]], axis=1).ravel()
-        hi = np.stack([mid[split], hi[split]], axis=1).ravel()
-    cut, value, mu, lo = map(np.concatenate, zip(*offers))
-    # lexsort is stable, so an earlier round wins among equal keys
-    order = np.lexsort((lo, -sign[cut] * value, cut))
-    first = order[np.searchsorted(cut[order], np.arange(2 * n))]
-    at[..., 2] = mu[first].reshape(2, n)
-    return value[first].reshape(2, n), opened
+    ends = np.repeat(at[None], 2, axis=0)
+    ends[..., 2] = mu_ends[:, None]
+    levels = np.tile(np.arange(n), 4)
+    values, partials = _sensitivities(metric, ends.reshape(4 * n, 5), cuts, levels)
+    at_lo, at_hi = values = values.reshape(2, 2, n)
+    upper = np.array([[-1.0], [1.0]]) * (at_hi - at_lo) > _ZERO_CHANGE * np.abs(at_lo)
+    best = np.where(upper, at_hi, at_lo)
+    at[..., 2] = np.where(upper, mu_ends[1], mu_ends[0])
+    width = mu_ends[1] - mu_ends[0]
+    slope = _mu_sign(values[:, 1], partials.reshape(2, 2, n)[:, 1], width, at_hi[1])
+    turns = np.flatnonzero((slope[0] >= 0.0) & (slope[1] < 0.0))
+    value, mu = _mu_turn(
+        metric, at[1, turns], at_hi[1, turns], *mu_ends[:, turns], cuts, turns
+    )
+    inside = np.zeros(n, dtype=bool)
+    inside[turns] = value > best[1, turns]
+    best[1, inside] = value[inside[turns]]
+    at[1, inside, 2] = mu[inside[turns]]
+    return best, inside
 
 
 def _search(
@@ -550,10 +556,11 @@ def _search(
     (see the module docstring). The maximum takes lambda = max(lambda lo,
     theta lo), theta lo and beta hi; the minimum lambda hi, theta =
     min(theta hi, lambda hi) and beta lo. Where theta <= lambda does not
-    cut the box these are box corners. Only mu is left: MTBF and
-    availability find it in closed form (_mu_by_slope), R(t) by a sign
-    certificate (_mu_by_certificate). A value that is not finite raises
-    SolverError naming its box.
+    cut the box these are box corners. Only mu is left, at an end of its
+    cut or at the metric's one turn: MTBF and availability find it in
+    closed form (_mu_by_slope), R(t) from the sign of dR/dmu
+    (_mu_by_turn). A value that is not finite raises SolverError naming
+    its box.
     """
     # ends[end, axis, level], end 0 the cut's lower end
     ends = cuts.transpose(2, 0, 1)
@@ -567,10 +574,8 @@ def _search(
         at[:, :, 4] = ends[:, 3]
     else:
         at[:, :, 4] = _modal_midpoint(fp.reboot_rate)
-    if metric.kind == "reliability":
-        values, searched = _mu_by_certificate(metric, at, ends[:, 2], cuts)
-    else:
-        values, searched = _mu_by_slope(metric, at, ends[:, 2], cuts)
+    search = _mu_by_turn if metric.kind == "reliability" else _mu_by_slope
+    values, searched = search(metric, at, ends[:, 2], cuts)
     points = at[..., [0, 1, 2, 4][: len(cuts)]]
     return _Ladder(cuts, values, points, searched)
 
@@ -607,8 +612,9 @@ def characteristic_bounds(
     """Lower and upper bounds of a characteristic over one alpha-cut box:
     the one-level case of _ladder_bounds. The box is validated at its one
     worst corner (_boxes); lambda, theta and beta sit at proven ends, and mu
-    is found in closed form for MTBF and availability and by a sign
-    certificate for R(t). The result is deterministic.
+    at an end of its cut or at the metric's turn, found in closed form for
+    MTBF and availability and by a bisection on the sign of dR/dmu for
+    R(t). The result is deterministic.
     """
     alphas = np.array([float(alpha)])
     return _results(metric, alphas, _ladder_bounds(fp, metric, alphas))[0]

@@ -701,8 +701,8 @@ def _availability_mu_slope(rates: np.ndarray) -> np.ndarray:
 # -- sensitivity --------------------------------------------------------------
 #
 # The partial derivative of R(t) with respect to mu at stacked rate
-# vectors (Blake, Reibman & Trivedi, SIGMETRICS 1988), for the bounds
-# search's certificate in mu. R(t) falls in lambda and theta
+# vectors (Blake, Reibman & Trivedi, SIGMETRICS 1988), whose sign steers
+# the bounds search in mu. R(t) falls in lambda and theta
 # (test_bounds.TestProofs), and MTTF and availability need only the sign
 # of their mu derivative, which the slope polynomials above give.
 

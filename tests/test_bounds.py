@@ -511,65 +511,6 @@ def coupled_params():
     )
 
 
-def open_mu_on(*top_widths):
-    """_mu_signs with mu forced open on cuts exactly as wide as one of
-    top_widths, which the halves of a cut seldom are."""
-    mu_signs = bounds._mu_signs
-
-    def signs(values, partials, width):
-        forced = np.isin(np.asarray(width), top_widths)
-        return np.where(forced, np.nan, mu_signs(values, partials, width))
-
-    return signs
-
-
-def depth_first_mu_extreme(metric, rows, values, partials, sign, cuts):
-    """The mu search as it was before it ran in rounds: the largest sign *
-    R(t) along a cut and the mu that takes it, from R and dR/dmu sampled
-    at rows (3, 5), a _mu_lattice of the cut, in the box with cuts (axis,
-    1, 2). An open cut's best sample stands until a half, sampled by its
-    own call and searched the same way, depth first, does better."""
-    mus = rows[:, 2]
-    lo, mid, hi = mus
-    slope = bounds._mu_signs(values, partials, hi - lo)
-    if not np.isnan(slope):
-        k = 2 if slope * sign > 0 else 0
-        return float(values[k]), float(mus[k])
-    k = int(np.argmax(sign * values))
-    best = float(values[k]), float(mus[k])
-    if not lo < mid < hi:
-        return best
-    for half in ((lo, mid), (mid, hi)):
-        half_rows = bounds._mu_lattice(rows[0], *half)
-        (half_values,), (half_partials,) = bounds._mu_samples(metric, half_rows[None], cuts)
-        found = depth_first_mu_extreme(
-            metric, half_rows, half_values, half_partials, sign, cuts
-        )
-        if sign * found[0] > sign * best[0]:
-            best = found
-    return best
-
-
-def depth_first_mu_by_certificate(metric, at, mu_ends, cuts):
-    """bounds._mu_by_certificate as it was before it ran in rounds: one
-    batched call for every cut, then depth_first_mu_extreme per bound and
-    level."""
-    n = at.shape[1]
-    rows = bounds._mu_lattice(at, *mu_ends)
-    values, partials = bounds._mu_samples(
-        metric, rows.reshape(-1, 3, 5), np.concatenate([cuts, cuts], axis=1)
-    )
-    values, partials = values.reshape(2, n, 3), partials.reshape(2, n, 3)
-    best = np.empty((2, n))
-    for k, i in np.ndindex(best.shape):
-        samples = rows[k, i], values[k, i], partials[k, i]
-        best[k, i], at[k, i, 2] = depth_first_mu_extreme(
-            metric, *samples, 2 * k - 1, cuts[:, i : i + 1]
-        )
-    opened = np.isnan(bounds._mu_signs(values, partials, mu_ends[1] - mu_ends[0]))
-    return best, opened.any(axis=0)
-
-
 def ladder_probe():
     """tools/ladder_probe.py, whose draw_ladder draws seeded R(t) models."""
     path = Path(__file__).parents[1] / "tools" / "ladder_probe.py"
@@ -577,12 +518,6 @@ def ladder_probe():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def mu_widths(fp, alphas):
-    """The width of the mu cut at each level, as the search computes it."""
-    lo, hi = fp.cuts(np.asarray(alphas))[2].T
-    return hi - lo
 
 
 # The c = 0.5 availability box, whose maximum lies inside the mu cut.
@@ -670,7 +605,7 @@ class TestCertificate:
         assert res.bounds.lo == pytest.approx(lo, rel=1e-12)
         assert res.bounds.hi == pytest.approx(hi, rel=1e-12)
 
-    # R(t) at three mission times; MTBF and availability take no certificate
+    # R(t) at three mission times; only R(t) bisects for its turn in mu
     @pytest.mark.parametrize(
         "metric", [reliability_at_time(t) for t in (0.5, 2.0, 10.0)]
     )
@@ -679,17 +614,19 @@ class TestCertificate:
         ids=["reference", "c=0.5", "coupled"],
     )
     def test_two_open_axes_subdivided(self, fp, metric):
-        # lambda and theta are pinned by proof, so only mu can be open
-        res = characteristic_bounds(fp, metric, 0.0)
-        with mock.patch.object(bounds, "_mu_signs", open_mu_on(res.box["mu"].width)):
-            forced = characteristic_bounds(fp, metric, 0.0)
-        assert forced.open_axes == ("mu",)
-        assert forced.bounds.lo == pytest.approx(res.bounds.lo, rel=1e-12)
-        assert forced.bounds.hi == pytest.approx(res.bounds.hi, rel=1e-12)
-        grid = brute_force_bounds(fp, metric, 0.0, 5)
-        tol = 1e-9 * max(abs(grid.bounds.lo), abs(grid.bounds.hi))
-        assert forced.bounds.lo <= grid.bounds.lo + tol
-        assert forced.bounds.hi >= grid.bounds.hi - tol
+        # lambda and theta are pinned by proof, so only mu is searched. The
+        # turn bisection, forced over the maximum's whole mu cut whatever
+        # the signs at its ends, finds no higher R than the ladder's
+        # maximum, and comes within 1e-12 of it
+        ladder = bounds._ladder_bounds(fp, metric, np.zeros(1))
+        top = bounds._rate_vectors(fp, ladder.points[1])
+        lo, hi = ladder.cuts[2, :, 0], ladder.cuts[2, :, 1]
+        top[:, 2] = hi
+        r_hi = bounds.markov._reliability_values(top, metric.t)
+        value, mu = bounds._mu_turn(metric, top, r_hi, lo, hi, ladder.cuts, np.zeros(1, int))
+        assert lo[0] <= mu[0] <= hi[0]
+        assert value[0] <= ladder.bounds[1, 0]
+        assert value[0] == pytest.approx(ladder.bounds[1, 0], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "failure",
@@ -700,8 +637,8 @@ class TestCertificate:
         ids=["singular", "not-finite"],
     )
     def test_failed_certificate_is_a_solver_error(self, failure):
-        # raised by the first mu certificate, naming its box, before any
-        # halving
+        # raised by the call for the ends of the mu cuts, naming its box,
+        # before any bisection
         broken = mock.Mock(**failure)
         with mock.patch.object(bounds.markov, "_reliability_sensitivities", broken):
             with pytest.raises(SolverError, match=r"mu in \[3, 6\]"):
@@ -709,8 +646,8 @@ class TestCertificate:
         assert broken.call_count == 1
 
     def test_one_sensitivity_call_per_level_and_no_values_call(self):
-        # one call certifies mu at every level of the ladder, and supplies
-        # the vertex values too; one corner check validates the ladder
+        # one call gives R and dR/dmu at both ends of every level's mu cut,
+        # where every bound lies; one corner check validates the ladder
         metric = reliability_at_time(10.0)
         counted = mock.Mock(wraps=bounds.markov._reliability_sensitivities)
         refuse = mock.Mock(side_effect=AssertionError("values kernel called"))
@@ -733,7 +670,7 @@ class TestCertificate:
         "metric", [MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)]
     )
     def test_box_validated_at_one_corner(self, metric, alpha):
-        # a subdivided mu cut builds none for its halves
+        # the bisection for R(t)'s turn builds none for its midpoints
         built = mock.Mock(wraps=SystemParams)
         with mock.patch.object(bounds, "SystemParams", built):
             characteristic_bounds(demo_params(), metric, alpha)
@@ -964,6 +901,48 @@ class TestProofs:
         assert sp.expand(b.diff(theta) * r + sp.Matrix([f, 0, 0])) == zero
         for coefficient in (*coupling.values(), *inputs.values()):
             assert bernstein_sign(sp, coefficient, symbols, c) == 1
+
+
+@st.composite
+def turn_models(draw):
+    """Rates and a mission time for R(t)'s shape in mu: lambda log-uniform
+    on 1e-3..1e3, theta = u lambda or u^4 lambda, coverage anywhere in
+    [0, 1] or close to 0 or 1, and t = 10^U(-3, 2.5) / lambda."""
+    unit = st.floats(0.0, 1.0)
+    lam = 10 ** draw(st.floats(-3.0, 3.0))
+    theta = draw(unit) ** draw(st.sampled_from([1, 4])) * lam
+    coverage = draw(
+        unit
+        | st.floats(0.9, 1.0)
+        | st.just(1.0)
+        | st.floats(-8.0, -2.0).map(lambda e: 1.0 - 10**e)
+        | st.floats(-6.0, 0.0).map(lambda e: 10**e)
+    )
+    return lam, theta, coverage, 10 ** draw(st.floats(-3.0, 2.5)) / lam
+
+
+class TestReliabilityTurn:
+    """R(t) turns at most once in mu, from rising to falling, which the mu
+    search (bounds._mu_by_turn) trusts. No proof is known; until one lands,
+    this property carries the claim. Two routes to a proof are open: the
+    derivative in mu of the cooperative system for f and g that
+    TestProofs.test_reliability_falls_in_lambda_and_theta checks, and sign
+    regularity (Karlin, Total Positivity, 1968)."""
+
+    MU_GRID = np.logspace(-8.0, 8.0, 2001)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(turn_models())
+    def test_dR_dmu_changes_sign_at_most_once_from_rising_to_falling(self, model):
+        # a sign counts where the slope moves R by more than 1e-9 of its
+        # largest value across the grid step ahead
+        lam, theta, coverage, t = model
+        rows = np.tile([lam, theta, 0.0, coverage, 1.0], (len(self.MU_GRID), 1))
+        rows[:, 2] = self.MU_GRID
+        values, partials = bounds.markov._reliability_sensitivities(rows, t)
+        steps = np.diff(self.MU_GRID, append=2 * self.MU_GRID[-1] - self.MU_GRID[-2])
+        signs = np.sign(partials[np.abs(partials) * steps > 1e-9 * values.max()])
+        assert not ((signs[:-1] < 0.0) & (signs[1:] > 0.0)).any()
 
 
 def pinned_mu_scan(fp, metric, box, points=2001, rounds=12):
@@ -1206,7 +1185,7 @@ INTERIOR_RELIABILITY_MAXIMUM = (
 
 # c = 1 with repair up to 1.5e9 times the failure rate, at t = the modal
 # MTTF: dR/dmu of the slow mode taken from eigh had the wrong sign at mu
-# hi, and the mu certificate halved the cut for tens of thousands of
+# hi, and a search that halved the cut ran for tens of thousands of
 # calls. The maximum, at lambda lo and mu hi, is from a 150-digit
 # mpmath.expm, to 50 digits; the minimum, 2.197e-235675366091, rounds to 0.
 FULL_COVERAGE_FAST_REPAIR_BOX = FuzzySystemParams(
@@ -1229,8 +1208,9 @@ class TestReliabilityLadder:
     @given(reliability_models())
     @example(INTERIOR_RELIABILITY_MAXIMUM)
     def test_reliability_ladder_brackets_grid_and_mu_scan(self, model):
-        # lambda and theta sit at proven ends; the mu certificate samples,
-        # so a scan of mu at those ends checks that it misses no extreme
+        # lambda and theta sit at proven ends; the mu search trusts that R
+        # turns at most once in mu, so a scan of mu at those ends checks
+        # that it misses no extreme
         fp, metric = model
         for res in bounds.bounds_at_levels(fp, metric, (0.0, 0.5, 1.0)):
             grid = brute_force_bounds(fp, metric, res.alpha, 7)
@@ -1243,18 +1223,14 @@ class TestReliabilityLadder:
             assert lowest >= res.bounds.lo - 1e-12 * abs(res.bounds.lo)
             assert highest <= res.bounds.hi + 1e-12 * abs(res.bounds.hi)
 
-    def test_full_coverage_fast_repair_certificate_closes(self):
-        sensitivities = bounds.markov._reliability_sensitivities
-        calls = []
-
-        def capped(rows, t):
-            calls.append(len(rows))
-            assert len(calls) <= 3, "the mu certificate did not close"
-            return sensitivities(rows, t)
-
+    def test_full_coverage_fast_repair_takes_the_ends_in_one_call(self):
+        counted = mock.Mock(wraps=bounds.markov._reliability_sensitivities)
         metric = reliability_at_time(FULL_COVERAGE_FAST_REPAIR_T)
-        with mock.patch.object(bounds.markov, "_reliability_sensitivities", capped):
+        with mock.patch.object(bounds.markov, "_reliability_sensitivities", counted):
             res = characteristic_bounds(FULL_COVERAGE_FAST_REPAIR_BOX, metric, 0.0)
+        # R rises at mu hi, so the maximum takes it and nothing is bisected
+        assert counted.call_count == 1
+        assert res.open_axes == ()
         assert res.bounds.lo == 0.0
         assert res.bounds.hi == pytest.approx(
             FULL_COVERAGE_FAST_REPAIR_MAX, rel=1e-14, abs=0.0
@@ -1267,82 +1243,45 @@ class TestReliabilityLadder:
 
 
 class TestMuRounds:
-    """R(t)'s mu search runs in breadth-first rounds, one sensitivity call
-    each, and returns what the depth-first search of the halves did."""
-
-    @staticmethod
-    def both_searches(fp, metric, alphas):
-        """The ladder from the rounds, then from the depth-first search."""
-        rounds = bounds._ladder_bounds(fp, metric, alphas)
-        reference = depth_first_mu_by_certificate
-        with mock.patch.object(bounds, "_mu_by_certificate", reference):
-            return rounds, bounds._ladder_bounds(fp, metric, alphas)
-
-    @pytest.mark.parametrize("forced", [False, True], ids=["as-is", "forced-open"])
-    def test_rounds_equal_depth_first_bit_for_bit(self, forced):
-        # the probe's first 40 ladders and the wide model; forced, every
-        # level's whole mu cut opens, and halves as wide as a level's cut
-        # open too
-        probe = ladder_probe()
-        rng = np.random.default_rng(7)
-        models = [probe.draw_ladder(rng) for _ in range(40)] + [(probe.WIDE, 10.0)]
-        alphas = probe.ALPHAS
-        opened = 0
-        for fp, t in models:
-            widths = mu_widths(fp, alphas) if forced else ()
-            with mock.patch.object(bounds, "_mu_signs", open_mu_on(*widths)):
-                rounds, reference = self.both_searches(fp, reliability_at_time(t), alphas)
-            for field in ("bounds", "points", "searched"):
-                assert getattr(rounds, field).tobytes() == getattr(reference, field).tobytes()
-            opened += rounds.searched.any()
-        assert opened == (len(models) if forced else 8)
-
-    def test_tie_goes_to_the_offer_depth_first_meets_first(self):
-        # R peaks at 0.9 at mu = 3.375 and 5.25, inside the cut [3, 6]:
-        # 3.375 is offered in round 2 by [3, 3.75], 5.25 in round 1 by
-        # [4.5, 6]; depth first meets the left one first
-        slopes = {3.0: -1.0, 3.375: 1.0, 4.5: 1.0, 6.0: -1.0}
-
-        def tied(rows, t):
-            mus = rows[:, 2]
-            values = np.where(np.isin(mus, [3.375, 5.25]), 0.9, 0.5)
-            return values, np.array([slopes.get(mu, 0.0) for mu in mus])
-
-        metric = reliability_at_time(1.0)
-        with mock.patch.object(bounds.markov, "_reliability_sensitivities", tied):
-            rounds, reference = self.both_searches(demo_params(), metric, np.zeros(1))
-        assert rounds.bounds[1, 0] == 0.9
-        assert rounds.points[1, 0, 2] == reference.points[1, 0, 2] == 3.375
-        assert rounds.points.tobytes() == reference.points.tobytes()
+    """R(t)'s mu search: one sensitivity call for both ends of every mu cut,
+    then one per round of the turn bisection, over only the levels whose
+    maximum's point turns inside its cut."""
 
     @pytest.mark.parametrize(
-        "alphas, calls, depth_first_calls",
-        [(ALPHAS_11, 3, 57), ((0.0,), 2, 5)],
-        ids=["11-levels", "alpha=0"],
+        "alphas, turns", [(ALPHAS_11, 7), ((0.0,), 1)], ids=["11-levels", "alpha=0"]
     )
-    def test_one_sensitivity_call_per_round(self, alphas, calls, depth_first_calls):
-        # every level's whole mu cut forced open; the halves of the alpha =
-        # 0.5 cut, [3.5, 5.5], are as wide as the alpha = 1 cut, so they
-        # open too, and a third round certifies their halves
-        fp, metric = demo_params(), reliability_at_time(10.0)
+    def test_one_sensitivity_call_per_round(self, alphas, turns):
+        # the wide model's R(10): 1 call for the ends and 17 bisection
+        # rounds, whose rows are the levels with a turn and shrink as their
+        # brackets close
         alphas = np.array(alphas)
         counted = mock.Mock(wraps=bounds.markov._reliability_sensitivities)
-        with (
-            mock.patch.object(bounds, "_mu_signs", open_mu_on(*mu_widths(fp, alphas))),
-            mock.patch.object(bounds.markov, "_reliability_sensitivities", counted),
-        ):
-            assert bounds._ladder_bounds(fp, metric, alphas).searched.all()
-            assert counted.call_count == calls
-            counted.reset_mock()
-            reference = depth_first_mu_by_certificate
-            with mock.patch.object(bounds, "_mu_by_certificate", reference):
-                bounds._ladder_bounds(fp, metric, alphas)
-            assert counted.call_count == depth_first_calls
+        with mock.patch.object(bounds.markov, "_reliability_sensitivities", counted):
+            ladder = bounds._ladder_bounds(
+                ladder_probe().WIDE, reliability_at_time(10.0), alphas
+            )
+        rows = [len(call.args[0]) for call in counted.call_args_list]
+        assert len(rows) == 1 + 17
+        assert rows[0] == 4 * len(alphas)
+        assert rows[1] == turns == ladder.searched.sum()
+        assert rows[1:] == sorted(rows[1:], reverse=True)
+
+    @pytest.mark.parametrize(
+        "fp", [demo_params(), demo_params(coverage=0.5)], ids=["rising", "falling"]
+    )
+    def test_monotone_maximum_is_not_bisected(self, fp):
+        # R(10)'s maximum rises across every mu cut at c = 0.9 and falls at
+        # c = 0.5: it takes an end, and the one call for the ends is all
+        counted = mock.Mock(wraps=bounds.markov._reliability_sensitivities)
+        with mock.patch.object(bounds.markov, "_reliability_sensitivities", counted):
+            ladder = bounds.bounds_at_levels(fp, reliability_at_time(10.0), ALPHAS_11)
+        assert counted.call_count == 1
+        assert all(res.open_axes == () for res in ladder)
 
     def test_non_finite_value_in_a_later_round_names_its_box(self):
-        # only the alpha = 0.2 and 0.5 cuts open, so round 1 holds their
-        # halves; its last row is in the alpha = 0.5 box
-        fp, metric = demo_params(), reliability_at_time(2.0)
+        # R(1) turns inside every level's mu cut, so the first bisection
+        # round holds one row per level; its last is in the alpha = 1 box
+        fp, metric = INTERIOR_RELIABILITY_MAXIMUM
         alphas = np.array([0.0, 0.2, 0.5, 1.0])
         sensitivities = bounds.markov._reliability_sensitivities
         calls = []
@@ -1354,14 +1293,51 @@ class TestMuRounds:
                 values[-1] = np.nan
             return values, partials
 
-        widths = mu_widths(fp, alphas)[1:3]
-        with (
-            mock.patch.object(bounds, "_mu_signs", open_mu_on(*widths)),
-            mock.patch.object(bounds.markov, "_reliability_sensitivities", broken),
-        ):
-            message = r"not finite on the box .*mu in \[3\.5, 5\.5\]"
+        with mock.patch.object(bounds.markov, "_reliability_sensitivities", broken):
+            message = r"not finite on the box .*mu in \[10, 100\]"
             with pytest.raises(SolverError, match=message):
                 bounds._ladder_bounds(fp, metric, alphas)
-        # round 0: both points at four levels; round 1: the two halves of
-        # each point's two open cuts; three samples each
-        assert calls == [24, 24]
+        # the ends of both points' cuts at four levels, then one midpoint
+        # per level
+        assert calls == [16, 4]
+
+    def test_flat_midpoint_below_mu_hi_steps_up(self):
+        # R is 0 and flat up to mu ~ 4.9, as where it underflows, then
+        # peaks at 0.5 at mu = 5.6 and falls to 0.34 at mu hi = 6. The
+        # first midpoint, 4.5, is flat but below R at mu hi, so the
+        # bisection steps up to the peak instead of closing there
+        mus = []
+
+        def underflowed(rows, t):
+            mu = rows[:, 2]
+            mus.append(mu.copy())
+            values = np.maximum(0.5 - (mu - 5.6) ** 2, 0.0)
+            return values, np.where(values > 0.0, -2.0 * (mu - 5.6), 0.0)
+
+        metric = reliability_at_time(1.0)
+        with mock.patch.object(bounds.markov, "_reliability_sensitivities", underflowed):
+            res = characteristic_bounds(demo_params(), metric, 0.0)
+        assert mus[1].tolist() == [4.5]
+        assert res.open_axes == ("mu",)
+        assert res.bounds.hi == pytest.approx(0.5, rel=1e-12)
+        assert res.argmax["mu"] == pytest.approx(5.6, rel=1e-6)
+        assert (res.bounds.lo, res.argmin["mu"]) == (0.0, 3.0)
+
+    def test_underflow_at_mu_lo_keeps_the_maximum_at_mu_hi(self):
+        # ladder 176 of tools/ladder_probe.py at alpha = 0: lambda lo 14.104,
+        # c = 1, t = 971.38 and mu in [47.49, 40218.6]. At mu lo R underflows
+        # to exactly 0 and so does dR/dmu, though R rises to 0.99217 at mu hi
+        rng = np.random.default_rng(7)
+        draw_ladder = ladder_probe().draw_ladder
+        for _ in range(177):
+            fp, t = draw_ladder(rng)
+        res = characteristic_bounds(fp, reliability_at_time(t), 0.0)
+        mu = res.box["mu"]
+        assert (mu.lo, mu.hi) == pytest.approx((47.49, 40218.6), rel=1e-4)
+        top = bounds._rate_vectors(fp, np.array([list(res.argmax.values())] * 2))
+        top[:, 2] = mu.lo, mu.hi
+        values, partials = bounds.markov._reliability_sensitivities(top, t)
+        assert (values[0], partials[0]) == (0.0, 0.0)
+        assert res.argmax["mu"] == mu.hi
+        assert res.bounds.hi == values[1] == pytest.approx(0.99217, abs=1e-5)
+        assert res.bounds.lo == 0.0

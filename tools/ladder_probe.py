@@ -4,9 +4,10 @@ of random 11-level R(t) ladders and of a wide model's curves.
     PYTHONPATH=src python tools/ladder_probe.py
 
 Draws 300 ladders from numpy.random.default_rng(7) (draw_ladder) and
-prints how many open a mu cut, the median, p90 and maximum sensitivity
-calls and wall times of those, and the median time of the ladders that
-stay closed. Then prints the time and call count of the wide model's
+prints how many put a maximum at R's turn inside its mu cut, which takes
+the turn bisection, the median, p90 and maximum sensitivity calls and
+wall times of those, and the median time of the ladders whose bounds all
+lie at the ends of their cuts. Then prints the time and call count of the wide model's
 R(10) curve at 11, 201 and 1001 levels. Calls are counted by wrapping
 markov._reliability_sensitivities from outside; a time is the best of
 three runs, in process.
@@ -104,20 +105,20 @@ def _counted(run) -> tuple[int, float]:
 
 def main() -> None:
     rng = np.random.default_rng(7)
-    opened, closed = [], []
+    turned, ends = [], []
     for _ in range(LADDERS):
         fp, t = draw_ladder(rng)
         metric = reliability_at_time(t)
         searched = bounds._ladder_bounds(fp, metric, ALPHAS).searched.any()
         result = _counted(lambda: bounds._ladder_bounds(fp, metric, ALPHAS))
-        (opened if searched else closed).append(result)
-    calls, seconds = np.array(opened).T
-    print(f"{len(opened)} of {LADDERS} ladders open a mu cut")
+        (turned if searched else ends).append(result)
+    calls, seconds = np.array(turned).T
+    print(f"{len(turned)} of {LADDERS} ladders put a maximum at the turn")
     for name, values, unit in (("calls", calls, ""), ("time", seconds * 1e3, " ms")):
         p50, p90, top = np.percentile(values, [50, 90, 100])
         print(f"  {name}: median {p50:.4g}{unit}, p90 {p90:.4g}{unit}, max {top:.4g}{unit}")
-    closed_ms = 1e3 * np.median([s for _, s in closed])
-    print(f"closed ladders: median time {closed_ms:.4g} ms")
+    ends_ms = 1e3 * np.median([s for _, s in ends])
+    print(f"ladders at the ends: median time {ends_ms:.4g} ms")
     metric = reliability_at_time(10.0)
     for levels in (11, 201, 1001):
         alphas = np.linspace(0.0, 1.0, levels)
