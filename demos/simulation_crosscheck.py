@@ -5,10 +5,12 @@ from the full configuration until they fall into a failure state. The
 availability sampler draws independent cycles of the repairable chain
 from the full configuration back to it, until the cycles cover the
 horizon, and divides their total up time by their total length. Each
-path is drawn as its visit counts to the states, with one gamma draw
-for its time in each state, which has the same law as replaying it jump
-by jump. Both should straddle the analytic answers within a few
-standard errors.
+path is drawn as its visit counts to the states, which have the same
+law as replaying it jump by jump, and is held in each state for the
+conditional mean of its time there, N visits over the exit rate
+(discrete-time conversion, Fox & Glynn 1986). Its time keeps the
+chain's mean but not its law, and varies less. Both should straddle the
+analytic answers within a few standard errors.
 """
 
 from fuzzrel import (

@@ -12,13 +12,19 @@ state it left, so the chain is a tree rooted at UP3, and a path's visit
 count to each state follows from the jump probabilities: a geometric
 count of visits to UP2, binomial splits of the excursions from it and,
 in the availability chain, a negative binomial count of visits to
-EXHAUSTED. The time spent in a state over N visits is a sum of N iid
-Exp(q) holding times, which is Gamma(N) / q, so a path takes one gamma
-draw per state. The samples have exactly the law of the replayed chain,
-and the cost of a sample does not grow with the number of jumps it
-stands for. A model whose counts would overflow int64, with a stop
-probability per visit below 2**-56, raises ValidationError naming that
-probability.
+EXHAUSTED. The cost of a sample does not grow with the number of jumps
+it stands for.
+
+No holding time is drawn either. Given its visit counts N_i, a path's
+time in state i is a sum of N_i iid Exp(q_i) holding times, and a sample
+takes its conditional mean, N_i / q_i. This is discrete-time conversion
+(Fox & Glynn, "Discrete-time conversion for simulating semi-Markov
+processes", Oper. Res. Lett. 5, 1986). The visit counts and absorbing
+states keep the law of the replayed chain, and the times keep its mean
+but not its law: by the law of total variance their variance can only
+fall, so the estimates stay unbiased and their standard errors shrink.
+A model whose counts would overflow int64, with a stop probability per
+visit below 2**-56, raises ValidationError naming that probability.
 
 Samples are drawn in chunks, and both estimators keep only running
 sums over them, so memory does not grow with `replications` or
@@ -45,13 +51,21 @@ _CHUNK = 65536
 _FIRST_CYCLE_CHUNK = 1024
 
 
+def _is_whole(x) -> bool:
+    """Whether x is an integer or a finite float without a fraction, so
+    that NaN and infinity fail the check rather than int()."""
+    return isinstance(x, (int, np.integer)) or (math.isfinite(x) and int(x) == x)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation settings.
 
     replications is the number of first passages the MTTF sampler draws.
-    horizon is the simulated time the availability sampler covers: it
-    keeps the first regeneration cycles whose total length reaches it.
+    horizon is the time the availability sampler covers: it keeps the
+    first regeneration cycles whose total length reaches it, where a
+    cycle's length is the conditional mean of its time given its visit
+    counts, not a sampled holding time.
     """
 
     params: SystemParams
@@ -60,7 +74,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.replications) != self.replications or self.replications < 1:
+        if not _is_whole(self.replications) or self.replications < 1:
             raise ValidationError(
                 f"replications must be a positive integer, got {self.replications}"
             )
@@ -68,7 +82,7 @@ class SimConfig:
         object.__setattr__(self, "horizon", float(self.horizon))
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise ValidationError(f"horizon must be > 0, got {self.horizon}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not _is_whole(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -118,13 +132,6 @@ def _check_counts(p: float, what: str) -> float:
     return p
 
 
-def _time_in(visits, exit_rates, rng: np.random.Generator):
-    """Total time in the states of the given exit rates, one row of
-    visit counts per state: N iid Exp(q) holding times sum to
-    Gamma(N) / q."""
-    return (1.0 / exit_rates) @ rng.standard_gamma(visits)
-
-
 def _first_passages(chain, n: int, rng: np.random.Generator):
     """n first passages of the reliability chain from UP3 into the down
     states: their times and final states.
@@ -155,8 +162,8 @@ def _first_passages(chain, n: int, rng: np.random.Generator):
     # the last exit: through UP1, into UNSAFE2 or through UP3
     exit_ = rng.choice(3, reach.size, p=exits / stop)
     visits = [n2 - 1 - loops + (exit_ == 2), n2, loops + (exit_ == 0)]
-    times = rng.standard_exponential(n) / q[up3]
-    times[reach] += _time_in(np.stack(visits, dtype=float), q[list(UP_STATES)], rng)
+    times = np.full(n, 1.0 / q[up3])
+    times[reach] += (1.0 / q[list(UP_STATES)]) @ np.stack(visits, dtype=float)
     finals = np.full(n, int(State.UNSAFE1))
     finals[reach] = np.array([State.EXHAUSTED, State.UNSAFE2, State.UNSAFE1])[exit_]
     return times, finals
@@ -187,12 +194,11 @@ def _cycles(chain, n: int, rng: np.random.Generator):
     g = rng.geometric(a, reach.size)
     k1 = rng.binomial(g - 1, b / (b + e))
     n_ex = rng.poisson(rng.standard_gamma(k1) * (f / d))
-    up = rng.standard_exponential(n) / q[up3]
-    down = rng.standard_exponential(n) / q[State.UNSAFE1] * ~reached
-    up[reach] += _time_in(np.stack([g, k1 + n_ex], dtype=float), q[[up2, up1]], rng)
-    down[reach] += _time_in(
-        np.stack([n_ex, g - 1 - k1], dtype=float), q[[State.EXHAUSTED, State.UNSAFE2]], rng
-    )
+    hold = 1.0 / q
+    up = np.full(n, hold[up3])
+    down = ~reached * hold[State.UNSAFE1]
+    up[reach] += hold[up2] * g + hold[up1] * (k1 + n_ex)
+    down[reach] += hold[State.EXHAUSTED] * n_ex + hold[State.UNSAFE2] * (g - 1 - k1)
     return up + down, up
 
 

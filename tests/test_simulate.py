@@ -49,6 +49,12 @@ def full_array_estimate(u, c):
     return mean, math.sqrt(sq / (n * (n - 1))) / (math.fsum(c) / n)
 
 
+def ulps(x, k=8):
+    """k units in the last place of x: the rounding a sum of constant
+    samples or a dense solve leaves."""
+    return k * np.spacing(abs(x))
+
+
 def peak_bytes(fn, cfg):
     tracemalloc.start()
     try:
@@ -70,6 +76,14 @@ class TestConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError):
             SimConfig(params=params(), seed=-1)
+
+    @pytest.mark.parametrize("field", ["replications", "seed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_counts(self, field, value):
+        # int() of these raises ValueError or OverflowError, not the
+        # typed error that names the field
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            SimConfig(params=params(), **{field: value})
 
 
 class TestFirstPassage:
@@ -111,12 +125,14 @@ class TestFirstPassage:
 
     def test_stream_is_pinned(self):
         # the sampled first passages themselves, not just their law: a
-        # change of draw order would move every MTTF estimate per seed
+        # change of draw order would move every MTTF estimate per seed.
+        # The absorbing-state counts pin the count draws on their own
         cfg = SimConfig(params=params(), replications=70_000, seed=9)
-        times, _ = joined(_first_passage_samples(cfg))
-        assert math.fsum(times) == 441076.26685037685
-        assert times[0] == 4.6450670911102465
-        assert times[-1] == 21.718749350354415
+        times, finals = joined(_first_passage_samples(cfg))
+        assert math.fsum(times) == 440724.2701863354
+        assert times[0] == 3.8437649307214525
+        assert times[-1] == 20.48494983277592
+        assert np.bincount(finals).tolist() == [0, 0, 0, 13491, 45276, 11233]
 
     def test_full_coverage_absorbs_only_by_exhaustion(self):
         cfg = SimConfig(params=params(c=1.0), replications=5_000, seed=3)
@@ -159,8 +175,11 @@ class TestFirstPassage:
         cfg = SimConfig(params=p, replications=20_000, seed=13)
         times, finals = joined(_first_passage_samples(cfg))
         assert set(np.unique(finals)) == {int(State.UNSAFE1)}
-        # single exponential stage at rate 2*lam + theta
-        assert abs(times.mean() - 1.0 / 2.5) <= 3.0 * times.std() / np.sqrt(len(times))
+        # one holding time at rate 2*lam + theta, held for its mean
+        assert np.all(times == 1.0 / 2.5)
+        est = simulate_mttf(cfg)
+        assert est.std_error <= np.spacing(est.mean)
+        assert abs(est.mean - mttf(p)) <= ulps(mttf(p))
 
 
 class TestAvailability:
@@ -185,10 +204,16 @@ class TestAvailability:
         assert simulate_availability(cfg) == simulate_availability(cfg)
 
     def test_zero_coverage_two_state_value(self):
+        # every cycle holds once in UP3, at rate 2*lam + theta, and once
+        # in UNSAFE1, at rate beta, each for its mean
         p = params(lam=0.6, theta=0.2, mu=4.0, c=0.0, beta=2.0)
         cfg = SimConfig(params=p, horizon=200_000.0, seed=31)
+        lengths, up = joined(_regeneration_cycles(cfg))
+        assert np.all(up == 1.0 / 1.4)
+        assert np.all(lengths == 1.0 / 1.4 + 1.0 / 2.0)
         est = simulate_availability(cfg)
-        assert abs(est.mean - 2.0 / 3.4) <= est.margin()
+        assert est.std_error <= np.spacing(est.mean)
+        assert abs(est.mean - 2.0 / 3.4) <= ulps(2.0 / 3.4)
 
     def test_rejects_zero_repair(self):
         with pytest.raises(ValidationError):
@@ -267,25 +292,42 @@ class TestRunningSums:
         assert large <= 1.25 * small
 
 
+SYSTEMS = pytest.mark.parametrize(
+    "p",
+    [SystemParams(0.65, 0.25, 4.5, 0.9, 2.25), SystemParams(0.65, 0.25, 4.5, 0.5, 0.5)],
+    ids=["modal", "low-coverage-slow-reboot"],
+)
+
+
 class TestAvailabilityErrorBar:
     """The ratio estimator's standard error is calibrated: over fixed
     seeds, z = (estimate - analytic) / SE has mean near 0 and SD near 1."""
 
     SEEDS = range(200)
 
-    @pytest.mark.parametrize(
-        "p",
-        [SystemParams(0.65, 0.25, 4.5, 0.9, 2.25), SystemParams(0.65, 0.25, 4.5, 0.5, 0.5)],
-        ids=["modal", "low-coverage-slow-reboot"],
-    )
+    @staticmethod
+    def assert_standard(z):
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+        assert abs(np.mean(z)) <= 0.25
+
+    @SYSTEMS
     def test_z_scores_are_standard(self, p):
         want = steady_availability(p)
         z = []
         for seed in self.SEEDS:
             est = simulate_availability(SimConfig(params=p, horizon=2_000.0, seed=seed))
             z.append((est.mean - want) / est.std_error)
-        assert 0.85 <= np.std(z, ddof=1) <= 1.15
-        assert abs(np.mean(z)) <= 0.25
+        self.assert_standard(z)
+
+    @SYSTEMS
+    def test_mttf_z_scores_are_standard(self, p):
+        # MTTF is the ratio estimator with every C = 1
+        want = mttf(p)
+        z = []
+        for seed in self.SEEDS:
+            est = simulate_mttf(SimConfig(params=p, replications=2_000, seed=seed))
+            z.append((est.mean - want) / est.std_error)
+        self.assert_standard(z)
 
 
 def up_block_moments(p):
@@ -298,6 +340,22 @@ def up_block_moments(p):
     return n[0].sum(), 2.0 * (n @ n)[0].sum(), n[0] @ q[up, down]
 
 
+def visit_time_moments(p):
+    """E[T], E[T^2] and E[Var(T | N)] of the first passage from UP3 held
+    for its conditional mean, T = sum N_i / q_i over the visit counts
+    N_i to the up states, from the embedded jump chain's up block P by
+    dense linear algebra: with F = (I - P)^-1, E[N_i] = F_0i and
+    E[N_i N_j] = F_0i F_ij + F_0j F_ji - delta_ij F_0i. N_i iid Exp(q_i)
+    holding times would add variance N_i / q_i^2."""
+    rates = build_generator(p, ChainMode.RELIABILITY).rates[:3, :3]
+    q = -np.diag(rates)
+    jump = rates / q[:, None] + np.eye(3)
+    f = np.linalg.inv(np.eye(3) - jump)
+    pair = f[0][:, None] * f
+    hold = 1.0 / q
+    return f[0] @ hold, hold @ (pair + pair.T - np.diag(f[0])) @ hold, f[0] @ hold**2
+
+
 def stationary_by_solve(p):
     """Stationary law of the availability chain from pi Q = 0, sum 1."""
     a = build_generator(p, ChainMode.AVAILABILITY).rates.T.copy()
@@ -305,13 +363,18 @@ def stationary_by_solve(p):
     return np.linalg.solve(a, np.eye(len(State))[-1])
 
 
-def z(sample, want):
-    return (sample.mean() - want) / (sample.std(ddof=1) / math.sqrt(sample.size))
+def near(sample, want):
+    """The sample mean lies within 4 standard errors of want, and a
+    constant sample's within rounding of it."""
+    se = sample.std(ddof=1) / math.sqrt(sample.size)
+    return abs(sample.mean() - want) <= 4.0 * se + ulps(want)
 
 
 class TestSampledLaw:
-    """The samples' law against dense linear algebra on the generator,
-    not against the analytic closed forms: |z| <= 4 at fixed seeds."""
+    """The samples against dense linear algebra on the generator, not
+    against the analytic closed forms, within 4 standard errors at fixed
+    seeds: the law of the visit counts and absorbing states, and the
+    chain's mean times."""
 
     MODELS = {
         "c=0": params(c=0.0),
@@ -327,11 +390,13 @@ class TestSampledLaw:
         "p", list(MODELS.values()) + [params(mu=0.0)], ids=list(MODELS) + ["mu=0"]
     )
     def test_first_passage_moments_and_absorption(self, p):
-        m1, m2, absorbed = up_block_moments(p)
+        m1, _, absorbed = up_block_moments(p)
+        _, m2, _ = visit_time_moments(p)
         cfg = SimConfig(params=p, replications=200_000, seed=61)
         times, finals = joined(_first_passage_samples(cfg))
-        assert abs(z(times, m1)) <= 4.0
-        assert abs(z(times**2, m2)) <= 4.0
+        assert near(times, m1)
+        # the second moment of sum N_i / q_i checks the counts' joint law
+        assert near(times**2, m2)
         for s, want in zip(DOWN_STATES, absorbed):
             # a state absorbing always or never must do so in every sample
             sd = math.sqrt(max(want * (1.0 - want), 0.0) / finals.size)
@@ -345,5 +410,20 @@ class TestSampledLaw:
             p, ChainMode.AVAILABILITY).rates[State.UP3, State.UP3]
         cfg = SimConfig(params=p, horizon=100_000.0, seed=67)
         lengths, up = joined(_regeneration_cycles(cfg))
-        assert abs(z(lengths, 1.0 / cycles_per_time)) <= 4.0
-        assert abs(z(up, pi[:3].sum() / cycles_per_time)) <= 4.0
+        assert near(lengths, 1.0 / cycles_per_time)
+        assert near(up, pi[:3].sum() / cycles_per_time)
+
+    # at c = 0 every passage is one holding time, held for its mean
+    COVERED = {name: p for name, p in MODELS.items() if name != "c=0"}
+
+    @pytest.mark.parametrize("p", COVERED.values(), ids=COVERED)
+    def test_conditioning_cannot_raise_the_variance(self, p):
+        # law of total variance: Var T = Var E[T | N] + E[Var(T | N)],
+        # so the passages held for their conditional means spread less
+        # than the chain's, whose variance is m2 - m1^2
+        m1, m2, _ = up_block_moments(p)
+        _, held_m2, holding_var = visit_time_moments(p)
+        assert m2 - held_m2 == pytest.approx(holding_var, rel=1e-8)
+        cfg = SimConfig(params=p, replications=200_000, seed=61)
+        times, _ = joined(_first_passage_samples(cfg))
+        assert times.var(ddof=1) < m2 - m1**2
