@@ -48,7 +48,6 @@ from .bounds import (
     Metric,
     PARAMETER_NAMES,
     bounds_at_levels,
-    brute_force_bounds,
     characteristic_bounds,
     evaluate_metric,
     membership_curve,
@@ -104,7 +103,6 @@ __all__ = [
     "bounds_at_levels",
     "build_generator",
     "build_table",
-    "brute_force_bounds",
     "calibrate_coverage",
     "characteristic_bounds",
     "evaluate_metric",

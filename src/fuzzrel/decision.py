@@ -81,9 +81,6 @@ class AlphaCutTable:
             )
         return self.cuts[parameter]
 
-    def cut_series(self, parameter: str) -> tuple[Interval, ...]:
-        return self._column(parameter).intervals
-
     def to_curve(self) -> MembershipCurve:
         return self.bounds
 

@@ -191,50 +191,18 @@ def _generators(rates: np.ndarray, mode: ChainMode) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Infinitesimal generator of one chain variant.
+    """Infinitesimal generator of one chain variant, as build_generator
+    assembles it from a validated SystemParams; a record built by hand is
+    not checked.
 
     rates[i, j] is the transition rate from state i to state j for
     i != j; diagonal entries close each row to zero. initial is the
-    time-zero distribution, all mass on UP3.
+    time-zero distribution, all mass on UP3. Both arrays are read-only.
     """
 
     mode: ChainMode
     rates: np.ndarray
     initial: np.ndarray
-
-    def __post_init__(self):
-        rates = np.array(self.rates, dtype=float)
-        initial = np.array(self.initial, dtype=float)
-        if rates.shape != (N_STATES, N_STATES):
-            raise ValidationError(f"generator must be 6x6, got {rates.shape}")
-        if initial.shape != (N_STATES,):
-            raise ValidationError(f"initial must have 6 entries, got {initial.shape}")
-        off = rates.copy()
-        np.fill_diagonal(off, 0.0)
-        if off.min() < 0.0:
-            raise ValidationError("off-diagonal generator entries must be >= 0")
-        # rounding in a row sum grows with the rates it adds up
-        tol = 1e-9 * max(1.0, np.abs(rates).max())
-        if np.abs(rates.sum(axis=1)).max() > tol:
-            raise ValidationError("generator rows must sum to zero")
-        if self.mode is ChainMode.RELIABILITY:
-            for s in DOWN_STATES:
-                if np.any(rates[s] != 0.0):
-                    raise ValidationError(
-                        f"reliability mode requires absorbing down state {s.name}"
-                    )
-        else:
-            outflow = off.sum(axis=1)
-            if np.any(outflow <= 0.0):
-                dead = State(int(np.argmin(outflow))).name
-                raise ValidationError(
-                    f"availability mode must have no absorbing state, {dead} has "
-                    f"no outgoing rate"
-                )
-        rates.setflags(write=False)
-        initial.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "initial", initial)
 
 
 def _rates(
@@ -275,10 +243,12 @@ def _initial() -> np.ndarray:
 def build_generator(
     params: SystemParams, mode: ChainMode = ChainMode.RELIABILITY
 ) -> GeneratorMatrix:
-    """Assemble and validate the generator for one chain variant."""
-    return GeneratorMatrix(
-        mode=mode, rates=_generators(_rates(params, mode), mode), initial=_initial()
-    )
+    """Assemble the generator of one chain variant from validated rates;
+    availability also needs repair (_rates). Its arrays are read-only."""
+    rates, initial = _generators(_rates(params, mode), mode), _initial()
+    rates.setflags(write=False)
+    initial.setflags(write=False)
+    return GeneratorMatrix(mode=mode, rates=rates, initial=initial)
 
 
 @dataclass(frozen=True)
@@ -300,18 +270,11 @@ class StateProbabilities:
 
 @dataclass(frozen=True)
 class LaplaceStateVector:
-    """Laplace transforms of the state probabilities at one s > 0."""
+    """Laplace transforms of the state probabilities at one s > 0, as
+    laplace_state_probs solves them; ptilde is read-only."""
 
     s: float
     ptilde: np.ndarray
-
-    def __post_init__(self):
-        ptilde = np.array(self.ptilde, dtype=float)
-        if ptilde.shape != (N_STATES,):
-            raise ValidationError(f"ptilde must have 6 entries, got {ptilde.shape}")
-        ptilde.setflags(write=False)
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "ptilde", ptilde)
 
     @property
     def total(self) -> float:
@@ -339,6 +302,7 @@ def laplace_state_probs(params: SystemParams, s: float) -> LaplaceStateVector:
         raise SolverError(
             f"probability conservation violated at s={s}: residual {residual:.3e}"
         )
+    ptilde.setflags(write=False)
     return LaplaceStateVector(s=s, ptilde=ptilde)
 
 

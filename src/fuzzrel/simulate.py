@@ -89,15 +89,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Point estimate with its standard error."""
+    """Point estimate with its standard error, as the simulators return it."""
 
     mean: float
     std_error: float
     replications: int
-
-    def __post_init__(self):
-        if self.std_error < 0:
-            raise ValidationError("std_error must be >= 0")
 
     def margin(self, n_sigma: float = 3.0) -> float:
         return n_sigma * self.std_error

@@ -21,7 +21,6 @@ from fuzzrel import (
     MembershipCurve,
     SimConfig,
     SystemParams,
-    brute_force_bounds,
     build_table,
     calibrate_coverage,
     characteristic_bounds,
@@ -37,6 +36,7 @@ from fuzzrel import (
     steady_availability,
 )
 
+from grid_reference import brute_force_bounds
 from test_bounds import ALPHAS_11, REFERENCE_MTBF_BOUNDS, demo_params
 
 

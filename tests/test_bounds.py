@@ -23,7 +23,6 @@ from fuzzrel import (
     SolverError,
     SystemParams,
     ValidationError,
-    brute_force_bounds,
     characteristic_bounds,
     evaluate_metric,
     membership_curve,
@@ -33,6 +32,7 @@ from fuzzrel import (
 from fuzzrel import bounds
 from fuzzrel.fuzzy import NESTING_TOL
 
+from grid_reference import _cut_by_standby, brute_force_bounds
 from test_markov import STIFF_RELIABILITY
 
 # Frozen regression targets for the standard demo parameter set
@@ -118,7 +118,7 @@ def assert_polytope_bounds(fp, alpha):
     where theta <= lambda, and are taken at such points."""
     for metric in (MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)):
         res = characteristic_bounds(fp, metric, alpha)
-        assert bounds._cut_by_standby(res.box)
+        assert _cut_by_standby(res.box)
         # availability's grid has four axes, the others' three
         per_axis = 13 if metric.uses_reboot_rate else 41
         grid = brute_force_bounds(fp, metric, alpha, per_axis)
@@ -654,7 +654,7 @@ class TestCertificate:
         built = mock.Mock(wraps=SystemParams)
         with (
             mock.patch.object(bounds.markov, "_reliability_sensitivities", counted),
-            mock.patch.object(bounds, "_box_values", refuse),
+            mock.patch.object(bounds.markov, "_reliability_values", refuse),
             mock.patch.object(bounds, "SystemParams", built),
         ):
             results = bounds.bounds_at_levels(demo_params(), metric, ALPHAS_11)
