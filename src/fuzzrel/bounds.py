@@ -350,6 +350,25 @@ def _not_finite(metric: Metric, cuts: np.ndarray) -> SolverError:
     )
 
 
+def _values(
+    metric: Metric, rows: np.ndarray, cuts: np.ndarray, levels: np.ndarray
+) -> np.ndarray:
+    """The metric at rows (m, 5) in one values-kernel call, row i in the
+    box of level levels[i] of cuts (axis, level, 2). A value that is not
+    finite raises SolverError naming its box."""
+    with np.errstate(all="ignore"):
+        if metric.kind == "reliability":
+            values = markov._reliability_values(rows, metric.t)
+        elif metric.uses_reboot_rate:
+            values = markov._availability_values(rows)
+        else:
+            values = markov._mttf_values(rows)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise _not_finite(metric, cuts[:, levels[np.flatnonzero(~finite)[0]]])
+    return values
+
+
 def _mu_by_slope(
     metric: Metric, at: np.ndarray, mu_ends: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -367,11 +386,9 @@ def _mu_by_slope(
     """
     n = at.shape[1]
     if metric.uses_reboot_rate:
-        values_of = markov._availability_values
-        slope_of = markov._availability_mu_slope
+        slope = markov._availability_mu_slope(at[1])
     else:
-        values_of, slope_of = markov._mttf_values, markov._mttf_mu_slope
-    slope = slope_of(at[1])
+        slope = markov._mttf_mu_slope(at[1])
     at_lo, at_hi = _polyval(slope[:, None], mu_ends)
     turns = np.flatnonzero((at_lo > 0.0) & (at_hi < 0.0))
     # candidates: each point at mu lo and mu hi, then the maximum's point
@@ -381,12 +398,8 @@ def _mu_by_slope(
     rows = np.concatenate([ends.reshape(4 * n, 5), at[1, turns]])
     if len(turns):
         rows[4 * n :, 2] = _turn(slope[:, turns], *mu_ends[:, turns])
-    with np.errstate(all="ignore"):
-        values = values_of(rows)
-    finite = np.isfinite(values)
-    if not finite.all():
-        levels = np.concatenate([np.tile(np.arange(n), 4), turns])
-        raise _not_finite(metric, cuts[:, levels[~finite][0]])
+    levels = np.concatenate([np.tile(np.arange(n), 4), turns])
+    values = _values(metric, rows, cuts, levels)
 
     # the better end of each cut, mu lo on a tie, then any better turn
     at_ends = values[: 4 * n].reshape(2, 2, n)
@@ -498,36 +511,49 @@ def _mu_by_turn(
     return best, inside
 
 
+def _pinned(
+    fp: FuzzySystemParams, metric: Metric, cuts: np.ndarray, coverage: float
+) -> np.ndarray:
+    """Rate rows (2, level, 5) of the minimum's point, then the maximum's,
+    in the boxes with cuts (axis, level, 2), at a coverage, with mu at the
+    lower end of its cut.
+
+    lambda and theta sit at proven ends, and beta too for availability
+    (see the module docstring). The maximum takes lambda = max(lambda lo,
+    theta lo), theta lo and beta hi; the minimum lambda hi, theta =
+    min(theta hi, lambda hi) and beta lo. Where theta <= lambda does not
+    cut the box these are box corners. The coverage moves neither point.
+    """
+    # ends[end, axis, level], end 0 the cut's lower end
+    ends = cuts.transpose(2, 0, 1)
+    (lam_lo, theta_lo), (lam_hi, theta_hi) = ends[:, :2]
+    at = np.empty((2, cuts.shape[1], 5))
+    at[0, :, 0], at[0, :, 1] = lam_hi, np.minimum(theta_hi, lam_hi)
+    at[1, :, 0], at[1, :, 1] = np.maximum(lam_lo, theta_lo), theta_lo
+    at[:, :, 2] = ends[0, 2]
+    at[:, :, 3] = coverage
+    if metric.uses_reboot_rate:
+        at[:, :, 4] = ends[:, 3]
+    else:
+        at[:, :, 4] = _modal_midpoint(fp.reboot_rate)
+    return at
+
+
 def _search(
     fp: FuzzySystemParams, metric: Metric, cuts: np.ndarray, coverage: float
 ) -> _Ladder:
     """Bounds of a metric in the validated boxes with cuts (axis, level,
     2), from _boxes, at a coverage, for every level at once.
 
-    lambda and theta sit at proven ends, and beta too for availability
-    (see the module docstring). The maximum takes lambda = max(lambda lo,
-    theta lo), theta lo and beta hi; the minimum lambda hi, theta =
-    min(theta hi, lambda hi) and beta lo. Where theta <= lambda does not
-    cut the box these are box corners. Only mu is left, at an end of its
-    cut or at the metric's one turn: MTBF and availability find it in
-    closed form (_mu_by_slope), R(t) from the sign of dR/dmu
+    lambda, theta and beta are pinned (_pinned). Only mu is left, at an
+    end of its cut or at the metric's one turn: MTBF and availability
+    find it in closed form (_mu_by_slope), R(t) from the sign of dR/dmu
     (_mu_by_turn). A value that is not finite raises SolverError naming
     its box.
     """
-    # ends[end, axis, level], end 0 the cut's lower end
-    ends = cuts.transpose(2, 0, 1)
-    (lam_lo, theta_lo), (lam_hi, theta_hi) = ends[:, :2]
-    # rows of the minimum's point, then of the maximum's; mu is searched
-    at = np.empty((2, cuts.shape[1], 5))
-    at[0, :, 0], at[0, :, 1] = lam_hi, np.minimum(theta_hi, lam_hi)
-    at[1, :, 0], at[1, :, 1] = np.maximum(lam_lo, theta_lo), theta_lo
-    at[:, :, 3] = coverage
-    if metric.uses_reboot_rate:
-        at[:, :, 4] = ends[:, 3]
-    else:
-        at[:, :, 4] = _modal_midpoint(fp.reboot_rate)
+    at = _pinned(fp, metric, cuts, coverage)
     search = _mu_by_turn if metric.kind == "reliability" else _mu_by_slope
-    values, searched = search(metric, at, ends[:, 2], cuts)
+    values, searched = search(metric, at, cuts[2].T, cuts)
     points = at[..., [0, 1, 2, 4][: len(cuts)]]
     return _Ladder(cuts, values, points, searched)
 

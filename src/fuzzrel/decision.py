@@ -3,12 +3,15 @@
 Builds the alpha-cut table that pairs parameter cuts with characteristic
 bounds, answers inverse queries (which confidence level delivers a
 target interval, which parameter range is needed at a given level), and
-calibrates the crisp coverage probability against anchor bounds.
+calibrates the crisp coverage probability against anchor bounds. The
+calibration fits the lower bound, which is the values kernel at the
+minimum's point at the two ends of the mu cut: bit for bit the bound
+search's minimum for MTBF and availability, and within
+bounds._ZERO_CHANGE of R for R(t). The search runs once, at the root.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +25,9 @@ from .bounds import (
     _curve,
     _ladder_bounds,
     _metric_axes,
+    _pinned,
     _search,
+    _values,
 )
 from .errors import (
     CalibrationError,
@@ -199,22 +204,40 @@ def calibrate_coverage(
     so the anchor's lower endpoint pins coverage down to a root-finding
     problem on [0, 1]. The upper-bound residual at the solution is
     reported as a consistency diagnostic rather than being fit. The
-    anchor box is cut and validated once; coverage enters only the
-    search.
+    anchor box is cut and validated once.
+
+    The lower bound is taken at the minimum's point, whose lambda, theta
+    and beta no coverage moves (bounds._pinned), at both ends of the mu
+    cut, where the minimum lies: one values-kernel call on those two rows
+    per root-finding step, with only their c column rewritten. That
+    equals the bound search's minimum bit for bit for MTBF and
+    availability, and to within bounds._ZERO_CHANGE of R for R(t), whose
+    search takes mu hi only where R there is lower by more than that. The
+    bound search runs once, at the root, for both residuals.
     """
     cuts = _boxes(fp, metric, np.array([float(anchor_alpha)]))
+    # the minimum's point at mu lo and mu hi, at c = 0 and then c = 1
+    rows = np.repeat(_pinned(fp, metric, cuts, 0.0)[0], 4, axis=0)
+    rows[:, 2] = np.tile(cuts[2, 0], 2)
+    rows[2:, 3] = 1.0
+    levels = np.zeros(4, dtype=int)
 
-    # the bracket check, brentq and the residual meet some coverages twice
-    @functools.cache
-    def bounds_at(c: float) -> np.ndarray:
-        return _search(fp, metric, cuts, c).bounds[:, 0]
-
-    def lower_gap(c: float) -> float:
-        return float(bounds_at(c)[0]) - anchor_bounds.lo
+    def lower_bounds(rows: np.ndarray) -> np.ndarray:
+        """The lower bound at each pair of rows, the lower of its two ends."""
+        return _values(metric, rows, cuts, levels).reshape(-1, 2).min(axis=1)
 
     scale = max(abs(anchor_bounds.lo), abs(anchor_bounds.hi))
-    gap0 = lower_gap(0.0)
-    gap1 = lower_gap(1.0)
+    gap0, gap1 = (lower_bounds(rows) - anchor_bounds.lo).tolist()
+    # brentq starts at the bracket's ends, whose gaps are known
+    known = {0.0: gap0, 1.0: gap1}
+    pair = rows[:2]
+
+    def lower_gap(c: float) -> float:
+        if c in known:
+            return known[c]
+        pair[:, 3] = c
+        return float(lower_bounds(pair)[0]) - anchor_bounds.lo
+
     if abs(gap1) <= _BOUNDARY_ROOT_TOL * scale:
         coverage = 1.0
     elif abs(gap0) <= _BOUNDARY_ROOT_TOL * scale:
@@ -232,7 +255,8 @@ def calibrate_coverage(
         )
 
     anchor = [anchor_bounds.lo, anchor_bounds.hi]
-    lower_residual, upper_residual = (bounds_at(coverage) - anchor).tolist()
+    found = _search(fp, metric, cuts, coverage).bounds[:, 0]
+    lower_residual, upper_residual = (found - anchor).tolist()
     if abs(lower_residual) > _CALIBRATION_TOL * scale:
         raise CalibrationError(
             f"calibration stalled, lower-bound residual {lower_residual:.3e} "

@@ -204,28 +204,30 @@ def _ratio_estimate(chunks) -> SimEstimate:
     mean C (zero for a single pair).
 
     Only running sums are kept. The second moment is centred on the
-    first chunk's ratio A0 (Chan, Golub & LeVeque, Am. Stat. 1983): with
-    e = U - A0 C and d = A - A0,
+    first pair (U0, C0) (Chan, Golub & LeVeque, Am. Stat. 1983): with
+    e = U - U0 (C / C0), exactly 0 for a pair equal to the first, and
+    d = sum e / sum C, A = U0 / C0 + d and
     sum (U - A C)^2 = sum e^2 - 2 d sum e C + d^2 sum C^2.
+    So a constant sample has standard error 0 and mean U0 / C0 exactly.
     The raw form sum U^2 - 2 A sum U C + A^2 sum C^2 would cancel badly
     when U is close to A C, as it is for availability near 1.
     """
     n = 0
-    sum_u = sum_c = sum_ee = sum_ec = sum_cc = 0.0
+    sum_c = sum_e = sum_ee = sum_ec = sum_cc = 0.0
     for u, c in chunks:
         if n == 0:
-            a0 = float(u.sum() / c.sum())
-        e = u - a0 * c
+            u0, c0 = u[0], c[0]
+        e = u - u0 * (c / c0)
         n += u.size
-        sum_u += float(u.sum())
         sum_c += float(c.sum())
+        sum_e += float(e.sum())
         sum_ee += float(np.sum(e * e))
         sum_ec += float(np.sum(e * c))
         sum_cc += float(np.sum(c * c))
-    mean = sum_u / sum_c
+    d = sum_e / sum_c
+    mean = float(u0 / c0) + d
     if n == 1:
         return SimEstimate(mean=mean, std_error=0.0, replications=1)
-    d = mean - a0
     sq = max(sum_ee - 2.0 * d * sum_ec + d * d * sum_cc, 0.0)
     std_error = math.sqrt(sq / (n * (n - 1))) / (sum_c / n)
     return SimEstimate(mean=mean, std_error=std_error, replications=n)

@@ -22,7 +22,8 @@ from fuzzrel import (
     reliability_at_time,
     required_parameter_range,
 )
-from fuzzrel import decision
+from fuzzrel import bounds, decision
+from fuzzrel.decision import CalibrationResult
 
 from test_bounds import (
     ALPHAS_11,
@@ -30,6 +31,7 @@ from test_bounds import (
     coupled_params,
     crisp_params,
     demo_params,
+    ladder_probe,
 )
 
 
@@ -238,14 +240,64 @@ class TestCalibrateCoverage:
         ],
         ids=["reference", "coupled"],
     )
-    def test_one_bound_search_per_distinct_coverage(self, fp, anchor):
-        # the bracket check evaluates c = 0 and 1, which brentq evaluates
-        # again, and the residual step meets brentq's root once more
+    def test_one_bound_search_at_the_root(self, fp, anchor):
+        # brentq steps on the lower bound's two rows alone; the search
+        # runs once, for both residuals
         if anchor is None:
             anchor = characteristic_bounds(fp.with_coverage(0.9), MTBF, 1.0).bounds
         searched = mock.Mock(wraps=decision._search)
         with mock.patch.object(decision, "_search", searched):
             result = calibrate_coverage(fp, MTBF, 1.0, anchor)
-        coverages = [call.args[3] for call in searched.call_args_list]
-        assert len(coverages) == len(set(coverages))
-        assert {0.0, 1.0, result.coverage} <= set(coverages)
+        assert [call.args[3] for call in searched.call_args_list] == [result.coverage]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("true_coverage", [0.3, 0.9])
+    @pytest.mark.parametrize("model", ["demo", "coupled", "wide"])
+    @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY], ids=["mtbf", "availability"])
+    def test_bit_equal_to_brentq_on_the_search(self, metric, model, true_coverage, alpha):
+        fp = {
+            "demo": demo_params,
+            "coupled": coupled_params,
+            "wide": lambda: ladder_probe().WIDE,
+        }[model]().with_coverage(0.5)
+        anchor = characteristic_bounds(fp.with_coverage(true_coverage), metric, alpha).bounds
+        result = calibrate_coverage(fp, metric, alpha, anchor)
+        assert result == searched_calibration(fp, metric, alpha, anchor)
+        assert result.coverage == pytest.approx(true_coverage, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("true_coverage", [0.3, 0.9])
+    @pytest.mark.parametrize("t", [2.0, 10.0])
+    @pytest.mark.parametrize("params", [demo_params, coupled_params], ids=["demo", "coupled"])
+    def test_reliability_calibrates(self, params, t, true_coverage, alpha):
+        fp, metric = params().with_coverage(0.5), reliability_at_time(t)
+        anchor = characteristic_bounds(fp.with_coverage(true_coverage), metric, alpha).bounds
+        result = calibrate_coverage(fp, metric, alpha, anchor)
+        assert result.coverage == pytest.approx(true_coverage, abs=1e-9)
+        assert abs(result.lower_residual) <= 1e-12 * anchor.hi
+
+
+def searched_calibration(fp, metric, alpha, anchor):
+    """calibrate_coverage's steps with one full bound search each: brentq
+    on the search's minimum, the reference that the lower bound's two rows
+    must match bit for bit."""
+    import scipy.optimize
+
+    cuts = bounds._boxes(fp, metric, np.array([float(alpha)]))
+
+    def found(c):
+        return bounds._search(fp, metric, cuts, c).bounds[:, 0]
+
+    def lower_gap(c):
+        return float(found(c)[0]) - anchor.lo
+
+    scale = max(abs(anchor.lo), abs(anchor.hi))
+    gap0, gap1 = lower_gap(0.0), lower_gap(1.0)
+    if abs(gap1) <= decision._BOUNDARY_ROOT_TOL * scale:
+        coverage = 1.0
+    elif abs(gap0) <= decision._BOUNDARY_ROOT_TOL * scale:
+        coverage = 0.0
+    else:
+        coverage = float(scipy.optimize.brentq(lower_gap, 0.0, 1.0, xtol=1e-12, maxiter=200))
+    lower, upper = (found(coverage) - [anchor.lo, anchor.hi]).tolist()
+    return CalibrationResult(coverage, lower, upper)

@@ -181,6 +181,12 @@ class TestFirstPassage:
         assert est.std_error <= np.spacing(est.mean)
         assert abs(est.mean - mttf(p)) <= ulps(mttf(p))
 
+    def test_constant_sample_has_zero_error(self):
+        # every passage is one hold in UP3, so every sample is 1 / 2.5
+        p = params(lam=1.0, theta=0.5, mu=2.0, c=0.0, beta=1.0)
+        est = simulate_mttf(SimConfig(params=p, replications=1000, seed=13))
+        assert est == SimEstimate(mean=1.0 / 2.5, std_error=0.0, replications=1000)
+
 
 class TestAvailability:
     def test_matches_analytic_value(self):
@@ -214,6 +220,17 @@ class TestAvailability:
         est = simulate_availability(cfg)
         assert est.std_error <= np.spacing(est.mean)
         assert abs(est.mean - 2.0 / 3.4) <= ulps(2.0 / 3.4)
+
+    def test_constant_sample_has_zero_error(self):
+        # every cycle is the same (length, up) pair, so the estimate is
+        # its ratio
+        p = params(lam=0.6, theta=0.2, mu=2.0, c=0.0, beta=2.0)
+        cfg = SimConfig(params=p, horizon=1e3, seed=13)
+        lengths, up = joined(_regeneration_cycles(cfg))
+        est = simulate_availability(cfg)
+        assert est.std_error == 0.0
+        assert est.mean == up[0] / lengths[0]
+        assert est.replications == lengths.size > 1
 
     def test_rejects_zero_repair(self):
         with pytest.raises(ValidationError):
