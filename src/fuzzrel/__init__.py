@@ -49,7 +49,6 @@ from .bounds import (
     PARAMETER_NAMES,
     bounds_at_levels,
     characteristic_bounds,
-    evaluate_metric,
     membership_curve,
     reliability_at_time,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "build_table",
     "calibrate_coverage",
     "characteristic_bounds",
-    "evaluate_metric",
     "failure_density_laplace",
     "invert_query",
     "laplace_state_probs",

@@ -44,10 +44,7 @@ For MTBF and availability the numerator of the mu derivative is a
 polynomial in mu (markov._mttf_mu_slope, markov._availability_mu_slope)
 whose coefficients change sign at most once, from + at the low powers to
 - at the high ones; by Descartes' rule of signs each metric turns at most
-once in mu, from rising to falling. The minimum then lies at an end of
-the mu cut, and the maximum at an end or at that turn, which a bisection
-on the slope polynomial brackets to adjacent floats. No sampling is left
-to trust, and the values kernel runs once per ladder.
+once in mu, from rising to falling.
 
 R(t) is taken to turn at most once in mu too, from rising to falling,
 but that is not proven: it is evidenced by a derandomized property over
@@ -55,17 +52,26 @@ wide rates, coverages and mission times
 (test_bounds.TestReliabilityTurn), along which dR/dmu never changes sign
 twice, nor from - to +. Two routes to a proof are open: the derivative
 in mu of the cooperative system for f and g above, and sign regularity
-(Karlin, Total Positivity, 1968). R(t) then takes MTBF's route: one
-sensitivity call gives R and dR/dmu at both ends of every cut, each
-bound takes the better end, and where the maximum's point does not fall
-at mu lo but falls at mu hi a bisection on the sign of dR/dmu finds the
-turn, one call per round. Both searches are deterministic.
+(Karlin, Total Positivity, 1968).
+
+So for every metric the minimum lies at an end of the mu cut, and the
+maximum at an end or at the turn, and one search finds them
+(_mu_search). One call gives the metric at both ends of every cut, and
+the sign of the maximum's slope there: the values kernel and the slope
+polynomial for MTBF and availability, a sensitivity call and dR/dmu for
+R(t). Each bound takes the better end. Where the maximum's slope is not
+negative at mu lo and negative at mu hi, one bisection (_bisect), moved
+by the slope's sign at each midpoint, brackets the turn: to adjacent
+floats for the polynomials and, for R(t), with one sensitivity call per
+round until R is flat across a bracket. One values-kernel call evaluates
+the turns. No sampling is left to trust,
+and the search is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -145,15 +151,6 @@ def reliability_at_time(t: float) -> Metric:
     return Metric("reliability", float(t))
 
 
-def evaluate_metric(params: SystemParams, metric: Metric) -> float:
-    """Crisp value of a characteristic at one rate vector."""
-    if metric.kind == "mtbf":
-        return markov.mttf(params)
-    if metric.kind == "availability":
-        return markov.steady_availability(params)
-    return markov.reliability_at(params, metric.t)
-
-
 @dataclass(frozen=True)
 class FuzzySystemParams:
     """Fuzzy rates of the system; coverage stays crisp.
@@ -228,7 +225,11 @@ class FuzzySystemParams:
         )
 
     def with_coverage(self, coverage: float) -> "FuzzySystemParams":
-        return replace(self, coverage=coverage)
+        """The same rates at another coverage. The cut table depends on
+        the rates alone, so the copy shares it."""
+        copy = replace(self, coverage=coverage)
+        vars(copy)["_cut_table"] = self._cut_table
+        return copy
 
 
 @dataclass(frozen=True)
@@ -330,19 +331,6 @@ def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return value
 
 
-def _turn(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Where each polynomial of coeffs (k, N), positive at lo and negative
-    at hi, changes sign: one bisection over all N at once, run until every
-    bracket closes to adjacent floats, returning its low end."""
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if not ((lo < mid) & (mid < hi)).any():
-            return lo
-        rising = _polyval(coeffs, mid) > 0.0
-        lo = np.where(rising, mid, lo)
-        hi = np.where(rising, hi, mid)
-
-
 def _not_finite(metric: Metric, cuts: np.ndarray) -> SolverError:
     """The error of a value that is not finite on the box with cuts (axis, 2)."""
     return SolverError(
@@ -367,52 +355,6 @@ def _values(
     if not finite.all():
         raise _not_finite(metric, cuts[:, levels[np.flatnonzero(~finite)[0]]])
     return values
-
-
-def _mu_by_slope(
-    metric: Metric, at: np.ndarray, mu_ends: np.ndarray, cuts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """MTBF or availability at each point of at (2, N, 5), the minimum's
-    then the maximum's at each level, with its mu column set where the
-    metric is lowest, or highest, along the level's mu cut (mu_ends, lo
-    then hi), and whether each maximum lies inside the cut.
-
-    Each metric turns at most once in mu, from rising to falling
-    (markov._mttf_mu_slope, markov._availability_mu_slope). So the minimum
-    lies at an end of the mu cut, and the maximum at an end or, where the
-    slope is positive at mu lo and negative at mu hi, at the turn, which
-    _turn brackets. One values-kernel call evaluates every candidate; ties
-    keep mu lo.
-    """
-    n = at.shape[1]
-    if metric.uses_reboot_rate:
-        slope = markov._availability_mu_slope(at[1])
-    else:
-        slope = markov._mttf_mu_slope(at[1])
-    at_lo, at_hi = _polyval(slope[:, None], mu_ends)
-    turns = np.flatnonzero((at_lo > 0.0) & (at_hi < 0.0))
-    # candidates: each point at mu lo and mu hi, then the maximum's point
-    # at each turn
-    ends = np.repeat(at[:, None], 2, axis=1)
-    ends[..., 2] = mu_ends[None]
-    rows = np.concatenate([ends.reshape(4 * n, 5), at[1, turns]])
-    if len(turns):
-        rows[4 * n :, 2] = _turn(slope[:, turns], *mu_ends[:, turns])
-    levels = np.concatenate([np.tile(np.arange(n), 4), turns])
-    values = _values(metric, rows, cuts, levels)
-
-    # the better end of each cut, mu lo on a tie, then any better turn
-    at_ends = values[: 4 * n].reshape(2, 2, n)
-    signs = np.array([[-1.0], [1.0]])
-    upper = signs * at_ends[:, 1] > signs * at_ends[:, 0]
-    best = np.where(upper, at_ends[:, 1], at_ends[:, 0])
-    at[..., 2] = np.where(upper, mu_ends[1], mu_ends[0])
-    inside = np.zeros(n, dtype=bool)
-    if len(turns):
-        inside[turns] = values[4 * n :] > best[1, turns]
-        best[1, inside] = values[4 * n :][inside[turns]]
-        at[1, inside, 2] = rows[4 * n :, 2][inside[turns]]
-    return best, inside
 
 
 def _sensitivities(
@@ -445,69 +387,119 @@ def _mu_sign(values, partials, width, r_hi) -> np.ndarray:
     return np.where(moves, np.sign(partials), 1.0 * (r_hi - values > change))
 
 
-def _mu_turn(metric: Metric, at: np.ndarray, r_hi, lo, hi, cuts, levels) -> tuple:
-    """The highest R(t) met by a bisection for the turn of each point of
-    at (m, 5) along its mu cut [lo, hi], where R falls at hi and takes
-    r_hi, and the mu that takes it; the points lie in the boxes of levels.
+def _slope_moves(coeffs: np.ndarray, mid: np.ndarray, *bracket) -> tuple:
+    """Where the slope polynomials with coefficients coeffs (k, ...) rise
+    at mid, and where they do not: a bisection moves up where they are
+    positive and down elsewhere, at an exact 0 too."""
+    rising = _polyval(coeffs, mid) > 0.0
+    return rising, ~rising
 
-    One sensitivity call per round serves every bracket still open. Each
-    moves to the half the sign of dR/dmu at its midpoint selects
-    (_mu_sign), and closes where R is flat there or where the midpoint no
-    longer splits it.
+
+def _reliability_moves(
+    metric: Metric, at: np.ndarray, r_hi: np.ndarray, cuts: np.ndarray, levels: np.ndarray,
+    mid: np.ndarray, split: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+) -> tuple:
+    """Where R(t) rises at mid, and where it falls, for the points at (m,
+    5), which lie in the boxes of levels of cuts and take R r_hi at mu hi:
+    the sign of dR/dmu (_mu_sign) where mid splits its bracket [lo, hi], in
+    one sensitivity call. Where R is flat, or mid does not split, both."""
+    rows = at[split]
+    rows[:, 2] = mid[split]
+    values, partials = _sensitivities(metric, rows, cuts, levels[split])
+    slope = np.zeros(len(mid))
+    slope[split] = _mu_sign(values, partials, (hi - lo)[split], r_hi[split])
+    return slope >= 0.0, slope <= 0.0
+
+
+def _bisect(moves, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where each slope, rising at lo and falling at hi, turns: one
+    bisection over every bracket at once, returning each one's low end.
+
+    moves(mid, split, lo, hi) gives two masks: where the slope rises at
+    each midpoint, so that its bracket moves up to [mid, hi], and where it
+    falls, so that it moves down to [lo, mid]. They are needed only where
+    split, where the midpoint splits its bracket. A bracket that moves
+    both ways, where the slope is flat, closes at its midpoint. The loop
+    ends when no midpoint splits its bracket, so a bracket that moves one
+    way each round runs to adjacent floats.
     """
-    best, mu = np.full(len(at), -np.inf), lo.copy()
-    rows, row = at.copy(), np.arange(len(at))
     while True:
         mid = lo + 0.5 * (hi - lo)
         split = (lo < mid) & (mid < hi)
-        row, lo, hi, mid = row[split], lo[split], hi[split], mid[split]
-        if not len(row):
-            return best, mu
-        rows[row, 2] = mid
-        values, partials = _sensitivities(metric, rows[row], cuts, levels[row])
-        better = values > best[row]
-        best[row[better]], mu[row[better]] = values[better], mid[better]
-        sign = _mu_sign(values, partials, hi - lo, r_hi[row])
-        lo, hi = np.where(sign > 0.0, mid, lo), np.where(sign > 0.0, hi, mid)
-        row, lo, hi = row[sign != 0.0], lo[sign != 0.0], hi[sign != 0.0]
+        if not split.any():
+            return lo
+        up, down = moves(mid, split, lo, hi)
+        lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
 
 
-def _mu_by_turn(
+def _mu_search(
     metric: Metric, at: np.ndarray, mu_ends: np.ndarray, cuts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) at each point of at (2, N, 5), the minimum's then the
-    maximum's at each level, with its mu column set where R is lowest, or
-    highest, along the level's mu cut (mu_ends, lo then hi), and whether
-    each maximum lies at the turn.
+    """The metric at each point of at (2, N, 5), the minimum's then the
+    maximum's at each level, with its mu column set where the metric is
+    lowest, or highest, along the level's mu cut (mu_ends, lo then hi),
+    and whether each maximum lies at the turn.
 
-    R(t) turns at most once in mu, from rising to falling (see the module
-    docstring), so as for MTBF the minimum lies at an end of the mu cut
-    and the maximum at an end or at the turn. One sensitivity call gives R
-    and dR/dmu at both ends of both points at every level. Each bound
-    takes the better end, mu lo unless R at mu hi is better by more than
-    _ZERO_CHANGE of R, so that a flat R keeps mu lo whatever its rounding.
-    Where the maximum's point does not fall at mu lo (_mu_sign) but falls
-    at mu hi, _mu_turn bisects for the turn.
+    Every metric turns at most once in mu, from rising to falling (see the
+    module docstring). So the minimum lies at an end of the mu cut, and
+    the maximum at an end or, where its slope rises at mu lo and falls at
+    mu hi, at the turn, which _bisect finds. The metric enters at one
+    point, which gives the values at both ends of both points' cuts, where
+    the maximum's slope rises there, the tolerance of a tie and the moves
+    of the bisection:
+
+    - MTBF and availability: one values-kernel call, and the slope
+      polynomial (markov._mttf_mu_slope, markov._availability_mu_slope),
+      rising where positive; its brackets run to adjacent floats;
+    - R(t): one sensitivity call, and the sign of dR/dmu (_mu_sign),
+      rising where not negative; one more call per round of the
+      bisection, whose brackets close where R is flat.
+
+    Each bound takes the better end, mu lo unless mu hi is better by more
+    than the tolerance: 0, or for R(t) _ZERO_CHANGE of R, so that a flat R
+    keeps mu lo whatever its rounding. One values-kernel call evaluates
+    the turns, and a turn that beats its maximum's end replaces it.
     """
     n = at.shape[1]
     ends = np.repeat(at[None], 2, axis=0)
     ends[..., 2] = mu_ends[:, None]
     levels = np.tile(np.arange(n), 4)
-    values, partials = _sensitivities(metric, ends.reshape(4 * n, 5), cuts, levels)
-    at_lo, at_hi = values = values.reshape(2, 2, n)
-    upper = np.array([[-1.0], [1.0]]) * (at_hi - at_lo) > _ZERO_CHANGE * np.abs(at_lo)
+    rows = ends.reshape(4 * n, 5)
+    if metric.kind == "reliability":
+        values, partials = _sensitivities(metric, rows, cuts, levels)
+        values, partials = values.reshape(2, 2, n), partials.reshape(2, 2, n)
+        width, r_hi = mu_ends[1] - mu_ends[0], values[1, 1]
+        rising = _mu_sign(values[:, 1], partials[:, 1], width, r_hi) >= 0.0
+        tie = _ZERO_CHANGE * np.abs(values[0])
+
+        def moves(turns):
+            return partial(_reliability_moves, metric, at[1, turns], r_hi[turns], cuts, turns)
+
+    else:
+        values = _values(metric, rows, cuts, levels).reshape(2, 2, n)
+        if metric.uses_reboot_rate:
+            coeffs = markov._availability_mu_slope(at[1])
+        else:
+            coeffs = markov._mttf_mu_slope(at[1])
+        rising = _polyval(coeffs[:, None], mu_ends) > 0.0
+        tie = 0.0
+
+        def moves(turns):
+            return partial(_slope_moves, coeffs[:, turns])
+
+    at_lo, at_hi = values
+    upper = np.array([[-1.0], [1.0]]) * (at_hi - at_lo) > tie
     best = np.where(upper, at_hi, at_lo)
     at[..., 2] = np.where(upper, mu_ends[1], mu_ends[0])
-    width = mu_ends[1] - mu_ends[0]
-    slope = _mu_sign(values[:, 1], partials.reshape(2, 2, n)[:, 1], width, at_hi[1])
-    turns = np.flatnonzero((slope[0] >= 0.0) & (slope[1] < 0.0))
-    value, mu = _mu_turn(
-        metric, at[1, turns], at_hi[1, turns], *mu_ends[:, turns], cuts, turns
-    )
+    turns = np.flatnonzero(rising[0] & ~rising[1])
     inside = np.zeros(n, dtype=bool)
-    inside[turns] = value > best[1, turns]
-    best[1, inside] = value[inside[turns]]
-    at[1, inside, 2] = mu[inside[turns]]
+    if len(turns):
+        top = at[1, turns]
+        top[:, 2] = _bisect(moves(turns), *mu_ends[:, turns])
+        value = _values(metric, top, cuts, turns)
+        inside[turns] = value > best[1, turns]
+        best[1, inside] = value[inside[turns]]
+        at[1, inside, 2] = top[inside[turns], 2]
     return best, inside
 
 
@@ -546,14 +538,13 @@ def _search(
     2), from _boxes, at a coverage, for every level at once.
 
     lambda, theta and beta are pinned (_pinned). Only mu is left, at an
-    end of its cut or at the metric's one turn: MTBF and availability
-    find it in closed form (_mu_by_slope), R(t) from the sign of dR/dmu
-    (_mu_by_turn). A value that is not finite raises SolverError naming
-    its box.
+    end of its cut or at the metric's one turn, which one search finds
+    for every metric (_mu_search): the sign of the slope polynomial
+    steers it for MTBF and availability, the sign of dR/dmu for R(t). A
+    value that is not finite raises SolverError naming its box.
     """
     at = _pinned(fp, metric, cuts, coverage)
-    search = _mu_by_turn if metric.kind == "reliability" else _mu_by_slope
-    values, searched = search(metric, at, cuts[2].T, cuts)
+    values, searched = _mu_search(metric, at, cuts[2].T, cuts)
     points = at[..., [0, 1, 2, 4][: len(cuts)]]
     return _Ladder(cuts, values, points, searched)
 
@@ -590,9 +581,9 @@ def characteristic_bounds(
     """Lower and upper bounds of a characteristic over one alpha-cut box:
     the one-level case of _ladder_bounds. The box is validated at its one
     worst corner (_boxes); lambda, theta and beta sit at proven ends, and mu
-    at an end of its cut or at the metric's turn, found in closed form for
-    MTBF and availability and by a bisection on the sign of dR/dmu for
-    R(t). The result is deterministic.
+    at an end of its cut or at the metric's turn, found by a bisection on
+    the sign of the metric's mu slope (_mu_search). The result is
+    deterministic.
     """
     alphas = np.array([float(alpha)])
     return _results(metric, alphas, _ladder_bounds(fp, metric, alphas))[0]

@@ -200,11 +200,16 @@ def calibrate_coverage(
 ) -> CalibrationResult:
     """Find the crisp coverage that reproduces anchor bounds.
 
-    The characteristic's lower bound grows with coverage for this model,
-    so the anchor's lower endpoint pins coverage down to a root-finding
-    problem on [0, 1]. The upper-bound residual at the solution is
-    reported as a consistency diagnostic rather than being fit. The
-    anchor box is cut and validated once.
+    The anchor's lower endpoint pins coverage down to a root-finding
+    problem on [0, 1], bracketed by the lower bound's gaps at c = 0 and
+    c = 1. The lower bound of MTBF and R(t) has only been seen rising in
+    coverage; that of availability can rise and then fall, as on a model
+    where it goes 5.464e-4, 5.614e-4 and 5.605e-4 at c = 0, 0.05 and 1.
+    An anchor between two such roots leaves gaps of one sign at both ends
+    and raises CalibrationError, though either root fits it. The
+    upper-bound residual at the solution is reported as a consistency
+    diagnostic rather than being fit. The anchor box is cut and
+    validated once.
 
     The lower bound is taken at the minimum's point, whose lambda, theta
     and beta no coverage moves (bounds._pinned), at both ends of the mu

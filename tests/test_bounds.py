@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -24,10 +25,11 @@ from fuzzrel import (
     SystemParams,
     ValidationError,
     characteristic_bounds,
-    evaluate_metric,
     membership_curve,
     mttf,
+    reliability_at,
     reliability_at_time,
+    steady_availability,
 )
 from fuzzrel import bounds
 from fuzzrel.fuzzy import NESTING_TOL
@@ -208,6 +210,16 @@ class TestFuzzyParamsValidation:
                 standby_failure_rate=FuzzyNumber.crisp(theta),
             )
 
+    def test_coverage_copy_shares_the_cut_table(self):
+        fp = demo_params()
+        table = fp._cut_table
+        with mock.patch.object(bounds, "_cut_table", side_effect=AssertionError):
+            copy = fp.with_coverage(0.5)
+            assert copy._cut_table is table
+            cuts = copy.cuts(ALPHAS_11)
+        assert copy.coverage == 0.5 and copy == demo_params(coverage=0.5)
+        assert np.array_equal(cuts, demo_params(coverage=0.5).cuts(ALPHAS_11))
+
     def test_modal_reduction(self):
         p = demo_params().modal_params()
         assert p.failure_rate == pytest.approx(0.65)
@@ -238,7 +250,13 @@ class TestCharacteristicBounds:
 
     def test_bounds_reproduced_by_kernel_at_argpoints(self):
         fp = demo_params()
+        kernels = {
+            "mtbf": mttf,
+            "availability": steady_availability,
+            "reliability": lambda params: reliability_at(params, 2.0),
+        }
         for metric in (MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)):
+            kernel = kernels[metric.kind]
             res = characteristic_bounds(fp, metric, 0.3)
             beta_mid = fp.reboot_rate.modal_interval.midpoint
             at_min = SystemParams(
@@ -255,10 +273,10 @@ class TestCharacteristicBounds:
                 fp.coverage,
                 res.argmax.get("beta", beta_mid),
             )
-            assert evaluate_metric(at_min, metric) == pytest.approx(
+            assert kernel(at_min) == pytest.approx(
                 res.bounds.lo, abs=1e-10
             )
-            assert evaluate_metric(at_max, metric) == pytest.approx(
+            assert kernel(at_max) == pytest.approx(
                 res.bounds.hi, abs=1e-10
             )
 
@@ -605,7 +623,7 @@ class TestCertificate:
         assert res.bounds.lo == pytest.approx(lo, rel=1e-12)
         assert res.bounds.hi == pytest.approx(hi, rel=1e-12)
 
-    # R(t) at three mission times; only R(t) bisects for its turn in mu
+    # R(t) at three mission times, whose bisection steps on dR/dmu
     @pytest.mark.parametrize(
         "metric", [reliability_at_time(t) for t in (0.5, 2.0, 10.0)]
     )
@@ -615,15 +633,19 @@ class TestCertificate:
     )
     def test_two_open_axes_subdivided(self, fp, metric):
         # lambda and theta are pinned by proof, so only mu is searched. The
-        # turn bisection, forced over the maximum's whole mu cut whatever
-        # the signs at its ends, finds no higher R than the ladder's
-        # maximum, and comes within 1e-12 of it
+        # shared turn bisection on R's sign, forced over the maximum's whole
+        # mu cut whatever the signs at its ends, finds no higher R than the
+        # ladder's maximum, and comes within 1e-12 of it
         ladder = bounds._ladder_bounds(fp, metric, np.zeros(1))
         top = bounds._rate_vectors(fp, ladder.points[1])
         lo, hi = ladder.cuts[2, :, 0], ladder.cuts[2, :, 1]
         top[:, 2] = hi
         r_hi = bounds.markov._reliability_values(top, metric.t)
-        value, mu = bounds._mu_turn(metric, top, r_hi, lo, hi, ladder.cuts, np.zeros(1, int))
+        moves = partial(
+            bounds._reliability_moves, metric, top, r_hi, ladder.cuts, np.zeros(1, int)
+        )
+        top[:, 2] = mu = bounds._bisect(moves, lo, hi)
+        value = bounds.markov._reliability_values(top, metric.t)
         assert lo[0] <= mu[0] <= hi[0]
         assert value[0] <= ladder.bounds[1, 0]
         assert value[0] == pytest.approx(ladder.bounds[1, 0], rel=1e-12, abs=0.0)
@@ -923,7 +945,7 @@ def turn_models(draw):
 
 class TestReliabilityTurn:
     """R(t) turns at most once in mu, from rising to falling, which the mu
-    search (bounds._mu_by_turn) trusts. No proof is known; until one lands,
+    search (bounds._mu_search) trusts. No proof is known; until one lands,
     this property carries the claim. Two routes to a proof are open: the
     derivative in mu of the cooperative system for f and g that
     TestProofs.test_reliability_falls_in_lambda_and_theta checks, and sign
@@ -1080,6 +1102,19 @@ class TestClosedForm:
         assert counted.call_count == 1
         assert built.call_count == 1
         assert [r.alpha for r in results] == list(ALPHAS_11)
+
+    def test_turned_ladder_adds_one_values_call_at_the_turns(self):
+        # at c = 0.5 availability's maximum turns inside the mu cut at the
+        # lowest levels: one call for the ends of every level, one for the
+        # turns
+        counted = mock.Mock(wraps=bounds.markov._availability_values)
+        with mock.patch.object(bounds.markov, "_availability_values", counted):
+            ladder = bounds._ladder_bounds(
+                demo_params(coverage=0.5), STEADY_AVAILABILITY, np.array(ALPHAS_11)
+            )
+        rows = [len(call.args[0]) for call in counted.call_args_list]
+        assert rows == [4 * len(ALPHAS_11), ladder.searched.sum()]
+        assert ladder.searched.any()
 
     def test_non_finite_value_is_a_solver_error(self):
         nan = mock.Mock(side_effect=lambda rows: np.full(len(rows), np.nan))
@@ -1315,7 +1350,12 @@ class TestMuRounds:
             return values, np.where(values > 0.0, -2.0 * (mu - 5.6), 0.0)
 
         metric = reliability_at_time(1.0)
-        with mock.patch.object(bounds.markov, "_reliability_sensitivities", underflowed):
+        with (
+            mock.patch.object(bounds.markov, "_reliability_sensitivities", underflowed),
+            mock.patch.object(
+                bounds.markov, "_reliability_values", lambda rows, t: underflowed(rows, t)[0]
+            ),
+        ):
             res = characteristic_bounds(demo_params(), metric, 0.0)
         assert mus[1].tolist() == [4.5]
         assert res.open_axes == ("mu",)
@@ -1341,3 +1381,59 @@ class TestMuRounds:
         assert res.argmax["mu"] == mu.hi
         assert res.bounds.hi == values[1] == pytest.approx(0.99217, abs=1e-5)
         assert res.bounds.lo == 0.0
+
+
+class TestBisect:
+    """bounds._bisect, the one turn bisection of every metric's mu search:
+    it moves each bracket up or down by the slope at its midpoint, closes
+    a bracket at its midpoint where it moves both ways, and stops when no
+    midpoint splits its bracket."""
+
+    # wide, unit, tiny-to-huge, already adjacent, and negative brackets
+    LO = np.array([0.0, 1.0, 1e-300, 3.0, -2.0])
+    HI = np.array([1.0, 2.0, 1e300, 3.0 + 2.0**-51, 5.0])
+
+    def test_one_way_moves_close_brackets_to_adjacent_floats(self):
+        roots = np.array([0.3, 1.75, 1e-5, 3.0 + 2.0**-51, -1.0 / 3.0])
+        splits = []
+
+        def moves(mid, split, lo, hi):
+            splits.append(split.copy())
+            up = mid < roots
+            return up, ~up
+
+        lo = bounds._bisect(moves, self.LO, self.HI)
+        # each root stays above lo and at most hi, so the bracket it ends
+        # in is lo and the float after it
+        assert (lo < roots).all()
+        assert (np.nextafter(lo, np.inf) >= roots).all()
+        # the adjacent bracket never splits
+        assert not any(split[3] for split in splits)
+
+    def test_both_way_move_closes_a_bracket_at_its_midpoint(self):
+        splits = []
+
+        def moves(mid, split, lo, hi):
+            splits.append(split.copy())
+            up = mid < 0.3
+            return up | [True, False], ~up | [True, False]
+
+        lo = bounds._bisect(moves, np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+        assert lo[0] == 1.5
+        assert 0.0 < 0.3 - lo[1] <= np.spacing(lo[1])
+        assert splits[0].all()
+        assert len(splits) > 2 and not any(split[0] for split in splits[1:])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_returned_points_lie_in_their_starting_brackets(self, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = np.sort(10.0 ** rng.uniform(-300, 300, (2, 64)), axis=0)
+        lo[:8], hi[:8] = -hi[:8], -lo[:8]
+
+        def moves(mid, split, lo, hi):
+            # up, down or both, at random
+            way = rng.choice(3, len(mid), p=[0.45, 0.45, 0.1])
+            return way != 1, way != 0
+
+        mu = bounds._bisect(moves, lo, hi)
+        assert ((lo <= mu) & (mu <= hi)).all()

@@ -9,6 +9,7 @@ from fuzzrel import (
     CalibrationError,
     DecisionQuery,
     FuzzyNumber,
+    FuzzySystemParams,
     Interval,
     MTBF,
     NoContainmentError,
@@ -275,6 +276,56 @@ class TestCalibrateCoverage:
         result = calibrate_coverage(fp, metric, alpha, anchor)
         assert result.coverage == pytest.approx(true_coverage, abs=1e-9)
         assert abs(result.lower_residual) <= 1e-12 * anchor.hi
+
+
+    # ROADMAP item 1's two calibration defects, pinned until its fix lands
+    @pytest.mark.xfail(
+        strict=True, raises=CalibrationError, reason="two roots: both end gaps are negative"
+    )
+    def test_availability_anchor_between_two_roots(self):
+        # the lower bound rises from c = 0 to a peak near c = 0.05, then
+        # falls: 5.464e-4, 5.614e-4 and 5.605e-4 at c = 0, 0.05 and 1. The
+        # anchor from c = 0.3 lies above both ends, so today the bracket
+        # check raises, with gaps -1.419e-05 and -1.124e-07
+        fp = TWO_ROOT_AVAILABILITY_MODEL
+        anchor = characteristic_bounds(
+            fp.with_coverage(0.3), STEADY_AVAILABILITY, 1.0
+        ).bounds
+        result = calibrate_coverage(fp, STEADY_AVAILABILITY, 1.0, anchor)
+        assert result.coverage == pytest.approx(0.3, abs=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True, raises=CalibrationError, reason="brentq's xtol is absolute in c"
+    )
+    def test_mtbf_anchor_near_full_coverage(self):
+        # MTBF moves by about mu^2 / (2 lambda^2) relative per unit of c
+        # near c = 1, so a 1e-12 step in c misses the 1e-7 residual rule:
+        # today it stalls with a lower-bound residual of -4.318e+01
+        fp = demo_params(
+            coverage=0.5,
+            failure_rate=FuzzyNumber.trapezoidal(0.9, 1.0, 1.1, 1.2),
+            standby_failure_rate=FuzzyNumber.trapezoidal(0.4, 0.5, 0.6, 0.7),
+            repair_rate=FuzzyNumber.trapezoidal(9e3, 1e4, 1.1e4, 1.2e4),
+        )
+        true_coverage = 1.0 - 1e-8
+        anchor = characteristic_bounds(fp.with_coverage(true_coverage), MTBF, 1.0).bounds
+        result = calibrate_coverage(fp, MTBF, 1.0, anchor)
+        assert result.coverage == pytest.approx(true_coverage, abs=1e-12)
+        assert abs(result.lower_residual) <= 1e-7 * anchor.hi
+
+
+def _near(x, lo, hi):
+    """trap(lo x, x, x, hi x)."""
+    return FuzzyNumber.trapezoidal(lo * x, x, x, hi * x)
+
+
+TWO_ROOT_AVAILABILITY_MODEL = FuzzySystemParams(
+    _near(93.688, 0.99, 1.01),
+    _near(89.918, 0.99, 1.0),
+    _near(0.052529, 0.99, 1.01),
+    _near(0.15161, 0.99, 1.01),
+    coverage=0.5,
+)
 
 
 def searched_calibration(fp, metric, alpha, anchor):

@@ -1,16 +1,19 @@
-"""Probe the cost of R(t)'s mu search: sensitivity calls and wall time
-of random 11-level R(t) ladders and of a wide model's curves.
+"""Probe the cost of the bounds' mu search: kernel calls and wall time
+of random 11-level ladders of every metric and of a wide model's curves.
 
     PYTHONPATH=src python tools/ladder_probe.py
 
-Draws 300 ladders from numpy.random.default_rng(7) (draw_ladder) and
-prints how many put a maximum at R's turn inside its mu cut, which takes
-the turn bisection, the median, p90 and maximum sensitivity calls and
-wall times of those, and the median time of the ladders whose bounds all
-lie at the ends of their cuts. Then prints the time and call count of the wide model's
-R(10) curve at 11, 201 and 1001 levels. Calls are counted by wrapping
-markov._reliability_sensitivities from outside; a time is the best of
-three runs, in process.
+Draws 300 models from numpy.random.default_rng(7) (draw_ladder) and, for
+R(t) at each model's mission time, MTBF and steady availability, prints
+how many ladders put a maximum at the metric's turn inside its mu cut,
+which takes the turn bisection, the median, p90 and maximum kernel calls
+and wall times of those, and the median time and calls of the ladders
+whose bounds all lie at the ends of their cuts. Then prints the time and
+calls of the wide model's R(10), MTBF and availability curves at 11, 201
+and 1001 levels. Calls are counted by wrapping the sensitivity kernel
+(markov._reliability_sensitivities) and the values kernels
+(markov._mttf_values, _availability_values, _reliability_values) from
+outside; a time is the best of three runs, in process.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import time
 import numpy as np
 
 from fuzzrel import (
+    MTBF,
+    STEADY_AVAILABILITY,
     FuzzyNumber,
     FuzzySystemParams,
     bounds,
@@ -80,50 +85,85 @@ def draw_ladder(rng: np.random.Generator) -> tuple[FuzzySystemParams, float]:
     return fp, mttf(fp.modal_params()) * 10 ** rng.uniform(-1.0, 0.5)
 
 
-def _counted(run) -> tuple[int, float]:
-    """Sensitivity calls of one run of run(), and its best time of three."""
-    sensitivities = markov._reliability_sensitivities
-    calls = 0
+# the kernels whose calls are counted, by kind
+KERNELS = {
+    "sensitivity": ("_reliability_sensitivities",),
+    "values": ("_mttf_values", "_availability_values", "_reliability_values"),
+}
 
-    def counting(rates, t):
-        nonlocal calls
-        calls += 1
-        return sensitivities(rates, t)
 
-    markov._reliability_sensitivities = counting
+def _counted(run) -> tuple[int, int, float]:
+    """Sensitivity and values-kernel calls of one run of run(), and its
+    best time of three."""
+    calls = dict.fromkeys(KERNELS, 0)
+    kernels = {}
+    for kind, names in KERNELS.items():
+        for name in names:
+            kernel = kernels[name] = getattr(markov, name)
+
+            def counting(*args, kernel=kernel, kind=kind):
+                calls[kind] += 1
+                return kernel(*args)
+
+            setattr(markov, name, counting)
     try:
         run()
     finally:
-        markov._reliability_sensitivities = sensitivities
+        for name, kernel in kernels.items():
+            setattr(markov, name, kernel)
     best = np.inf
     for _ in range(3):
         start = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - start)
-    return calls, best
+    return calls["sensitivity"], calls["values"], best
+
+
+def _spread(values: np.ndarray) -> str:
+    p50, p90, top = np.percentile(values, [50, 90, 100])
+    return f"median {p50:.4g}, p90 {p90:.4g}, max {top:.4g}"
 
 
 def main() -> None:
     rng = np.random.default_rng(7)
-    turned, ends = [], []
-    for _ in range(LADDERS):
-        fp, t = draw_ladder(rng)
-        metric = reliability_at_time(t)
-        searched = bounds._ladder_bounds(fp, metric, ALPHAS).searched.any()
-        result = _counted(lambda: bounds._ladder_bounds(fp, metric, ALPHAS))
-        (turned if searched else ends).append(result)
-    calls, seconds = np.array(turned).T
-    print(f"{len(turned)} of {LADDERS} ladders put a maximum at the turn")
-    for name, values, unit in (("calls", calls, ""), ("time", seconds * 1e3, " ms")):
-        p50, p90, top = np.percentile(values, [50, 90, 100])
-        print(f"  {name}: median {p50:.4g}{unit}, p90 {p90:.4g}{unit}, max {top:.4g}{unit}")
-    ends_ms = 1e3 * np.median([s for _, s in ends])
-    print(f"ladders at the ends: median time {ends_ms:.4g} ms")
-    metric = reliability_at_time(10.0)
-    for levels in (11, 201, 1001):
-        alphas = np.linspace(0.0, 1.0, levels)
-        calls, seconds = _counted(lambda: membership_curve(WIDE, metric, alphas))
-        print(f"wide R(10) curve, {levels} levels: {calls} calls, {1e3 * seconds:.4g} ms")
+    models = [draw_ladder(rng) for _ in range(LADDERS)]
+    metrics = {
+        "R(t)": reliability_at_time,
+        "MTBF": lambda t: MTBF,
+        "availability": lambda t: STEADY_AVAILABILITY,
+    }
+    for name, metric_at in metrics.items():
+        turned, ends = [], []
+        for fp, t in models:
+            metric = metric_at(t)
+            searched = bounds._ladder_bounds(fp, metric, ALPHAS).searched.any()
+            result = _counted(lambda: bounds._ladder_bounds(fp, metric, ALPHAS))
+            (turned if searched else ends).append(result)
+        print(f"{name}: {len(turned)} of {LADDERS} ladders put a maximum at the turn")
+        if turned:
+            sensitivity, values, seconds = np.array(turned).T
+            print(f"  sensitivity calls: {_spread(sensitivity)}")
+            print(f"  values calls: {_spread(values)}")
+            print(f"  time (ms): {_spread(seconds * 1e3)}")
+        sensitivity, values, seconds = np.array(ends).T
+        print(
+            f"  at the ends: median time {1e3 * np.median(seconds):.4g} ms, "
+            f"{np.median(sensitivity):g} sensitivity and {np.median(values):g} values calls"
+        )
+    for name, metric in (
+        ("R(10)", reliability_at_time(10.0)),
+        ("MTBF", MTBF),
+        ("availability", STEADY_AVAILABILITY),
+    ):
+        for levels in (11, 201, 1001):
+            alphas = np.linspace(0.0, 1.0, levels)
+            sensitivity, values, seconds = _counted(
+                lambda: membership_curve(WIDE, metric, alphas)
+            )
+            print(
+                f"wide {name} curve, {levels} levels: {sensitivity} sensitivity and "
+                f"{values} values calls, {1e3 * seconds:.4g} ms"
+            )
 
 
 if __name__ == "__main__":
