@@ -29,11 +29,10 @@ def main():
     table = build_table(fp, MTBF, alphas)
 
     print("alpha  lambda cut        theta cut         mu cut            mtbf bounds")
-    for row in table.rows:
-        lam, theta, mu = (row.cuts[name] for name in ("lambda", "theta", "mu"))
-        b = row.bounds
+    columns = (table.cuts[name].intervals for name in ("lambda", "theta", "mu"))
+    for alpha, lam, theta, mu, b in zip(table.alphas, *columns, table.bounds.intervals):
         print(
-            f"{row.alpha:4.1f}   [{lam.lo:.2f}, {lam.hi:.2f}]      "
+            f"{alpha:4.1f}   [{lam.lo:.2f}, {lam.hi:.2f}]      "
             f"[{theta.lo:.2f}, {theta.hi:.2f}]      "
             f"[{mu.lo:.2f}, {mu.hi:.2f}]      "
             f"[{b.lo:.4f}, {b.hi:.4f}]"

@@ -8,7 +8,6 @@ coverage would explain an observed lifetime spread.
 
 from fuzzrel import (
     MTBF,
-    DecisionQuery,
     FuzzyNumber,
     FuzzySystemParams,
     Interval,
@@ -32,11 +31,11 @@ def demo_params(coverage=0.9):
 def main():
     alphas = tuple(i / 10 for i in range(11))
     table = build_table(demo_params(), MTBF, alphas)
-    curve = table.to_curve()
+    curve = table.bounds
 
     # query 1: smallest confidence level whose bounds fit the window
     for target in (Interval(4.9, 6.8), Interval(4.5, 7.3), Interval(3.5, 9.0)):
-        alpha = invert_query(curve, DecisionQuery(MTBF, target))
+        alpha = invert_query(curve, target)
         print(
             f"mean lifetime within [{target.lo:.2f}, {target.hi:.2f}] "
             f"from alpha = {alpha:.2f} upward"

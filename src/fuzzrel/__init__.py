@@ -2,7 +2,7 @@
 
 Crisp layer: a six-state Markov chain of two active-parallel units plus
 one warm standby under imperfect failure coverage, giving MTTF, steady
-availability, transient reliability and Laplace-domain identities.
+availability and transient reliability.
 
 Fuzzy layer: rates given as fuzzy numbers propagate through the crisp
 characteristics by interval optimization over alpha-cut boxes, producing
@@ -25,15 +25,12 @@ from .fuzzy import FuzzyNumber, Interval, MembershipCurve
 from .markov import (
     ChainMode,
     GeneratorMatrix,
-    LaplaceStateVector,
     State,
     StateProbabilities,
     SystemParams,
     UP_STATES,
     DOWN_STATES,
     build_generator,
-    failure_density_laplace,
-    laplace_state_probs,
     mttf,
     reliability_at,
     state_probabilities,
@@ -55,8 +52,6 @@ from .bounds import (
 from .decision import (
     AlphaCutTable,
     CalibrationResult,
-    DecisionQuery,
-    TableRow,
     build_table,
     calibrate_coverage,
     invert_query,
@@ -74,14 +69,12 @@ __all__ = [
     "ChainMode",
     "ConfigError",
     "DOWN_STATES",
-    "DecisionQuery",
     "FuzzrelError",
     "FuzzyNumber",
     "FuzzySystemParams",
     "GeneratorMatrix",
     "Interval",
     "KernelEvaluationError",
-    "LaplaceStateVector",
     "MTBF",
     "MembershipCurve",
     "Metric",
@@ -95,7 +88,6 @@ __all__ = [
     "State",
     "StateProbabilities",
     "SystemParams",
-    "TableRow",
     "UP_STATES",
     "UnknownParameterError",
     "ValidationError",
@@ -104,9 +96,7 @@ __all__ = [
     "build_table",
     "calibrate_coverage",
     "characteristic_bounds",
-    "failure_density_laplace",
     "invert_query",
-    "laplace_state_probs",
     "membership_curve",
     "mttf",
     "reliability_at",

@@ -28,7 +28,6 @@ from .bounds import (
 )
 from .decision import (
     AlphaCutTable,
-    DecisionQuery,
     build_table,
     calibrate_coverage,
     invert_query,
@@ -292,8 +291,7 @@ def cmd_curve(args) -> int:
 def cmd_invert(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
     curve = membership_curve(cfg.fuzzy_params, cfg.metric, _levels(args, cfg))
-    query = DecisionQuery(metric=cfg.metric, target=Interval(args.lower, args.upper))
-    alpha = invert_query(curve, query)
+    alpha = invert_query(curve, Interval(args.lower, args.upper))
     cut = curve.interval_at(alpha)
     print(f"alpha = {alpha:.2f}")
     print(f"cut   = [{cut.lo:.4f}, {cut.hi:.4f}]")

@@ -39,15 +39,6 @@ from .fuzzy import Interval, MembershipCurve, _escapes
 
 
 @dataclass(frozen=True)
-class TableRow:
-    """One alpha level: parameter cuts plus characteristic bounds."""
-
-    alpha: float
-    cuts: dict[str, Interval]
-    bounds: Interval
-
-
-@dataclass(frozen=True)
 class AlphaCutTable:
     """Alpha-indexed table of parameter cuts and characteristic bounds,
     held as columns: the bounds' curve and one curve of cuts per
@@ -71,23 +62,12 @@ class AlphaCutTable:
     def alphas(self) -> np.ndarray:
         return self.bounds.alphas
 
-    @property
-    def rows(self) -> tuple[TableRow, ...]:
-        columns = {name: column.intervals for name, column in self.cuts.items()}
-        return tuple(
-            TableRow(alpha, {name: ivs[i] for name, ivs in columns.items()}, bounds)
-            for i, (alpha, bounds) in enumerate(self.bounds.rows)
-        )
-
     def _column(self, parameter: str) -> MembershipCurve:
         if parameter not in self.cuts:
             raise UnknownParameterError(
                 f"unknown parameter {parameter!r}, table has {self.parameters}"
             )
         return self.cuts[parameter]
-
-    def to_curve(self) -> MembershipCurve:
-        return self.bounds
 
 
 def build_table(
@@ -104,19 +84,11 @@ def build_table(
     return AlphaCutTable(metric=metric, bounds=bounds, cuts=cuts)
 
 
-@dataclass(frozen=True)
-class DecisionQuery:
-    """Target interval a decision maker wants the characteristic inside."""
-
-    metric: Metric
-    target: Interval
-
-
 # the top row may pass the target by this fraction of their magnitude
 _CONTAINMENT_TOL = 1e-13
 
 
-def invert_query(curve: MembershipCurve, query: DecisionQuery) -> float:
+def invert_query(curve: MembershipCurve, target: Interval) -> float:
     """Smallest alpha whose characteristic interval fits the target.
 
     The bounds shrink as alpha grows, so containment is monotone: once an
@@ -125,7 +97,6 @@ def invert_query(curve: MembershipCurve, query: DecisionQuery) -> float:
     each branch; it answers "how much confidence must I give up before
     the guaranteed range fits my target".
     """
-    target = query.target
     alphas, lows, highs = curve.alphas, curve.lower, curve.upper
 
     if _escapes(lows[-1], highs[-1], target.lo, target.hi, _CONTAINMENT_TOL):
@@ -134,35 +105,27 @@ def invert_query(curve: MembershipCurve, query: DecisionQuery) -> float:
             f"[{lows[-1]:.6g}, {highs[-1]:.6g}] is not inside the target "
             f"[{target.lo:.6g}, {target.hi:.6g}]"
         )
+    # the upper branch is the lower one negated, which is exact in floats:
+    # highs nonincreasing to at most target.hi, as -highs rising to -target.hi
+    return max(
+        _first_level(alphas, lows, target.lo),
+        _first_level(alphas, -highs, -target.hi),
+    )
 
-    # lower branch: lows nondecreasing, need lows[alpha] >= target.lo
-    if lows[0] >= target.lo:
-        alpha_lo = float(alphas[0])
-    else:
-        j = int(np.searchsorted(lows, target.lo, side="left"))
-        if j >= len(lows):
-            # containment held only through the _CONTAINMENT_TOL slack
-            alpha_lo = float(alphas[-1])
-        elif lows[j] == target.lo:
-            alpha_lo = float(alphas[j])
-        else:
-            frac = (target.lo - lows[j - 1]) / (lows[j] - lows[j - 1])
-            alpha_lo = float(alphas[j - 1] + frac * (alphas[j] - alphas[j - 1]))
 
-    # upper branch: highs nonincreasing, need highs[alpha] <= target.hi
-    if highs[0] <= target.hi:
-        alpha_hi = float(alphas[0])
-    else:
-        j = int(np.searchsorted(-highs, -target.hi, side="left"))
-        if j >= len(highs):
-            alpha_hi = float(alphas[-1])
-        elif highs[j] == target.hi:
-            alpha_hi = float(alphas[j])
-        else:
-            frac = (highs[j - 1] - target.hi) / (highs[j - 1] - highs[j])
-            alpha_hi = float(alphas[j - 1] + frac * (alphas[j] - alphas[j - 1]))
-
-    return max(alpha_lo, alpha_hi)
+def _first_level(alphas: np.ndarray, ends: np.ndarray, bound: float) -> float:
+    """First alpha at which the nondecreasing ends reach bound, linear in
+    alpha between two levels."""
+    if ends[0] >= bound:
+        return float(alphas[0])
+    j = int(np.searchsorted(ends, bound, side="left"))
+    if j >= len(ends):
+        # containment held only through the _CONTAINMENT_TOL slack
+        return float(alphas[-1])
+    if ends[j] == bound:
+        return float(alphas[j])
+    frac = (bound - ends[j - 1]) / (ends[j] - ends[j - 1])
+    return float(alphas[j - 1] + frac * (alphas[j] - alphas[j - 1]))
 
 
 def required_parameter_range(

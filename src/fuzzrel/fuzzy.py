@@ -212,8 +212,9 @@ class FuzzyNumber:
         return len(self.values) == 1
 
     def membership(self, x: float) -> float:
-        """Membership grade at x, 0 outside the support."""
+        """Membership grade at a finite x, 0 outside the support."""
         x = float(x)
+        _require_finite("query point", x)
         if self.is_crisp:
             return 1.0 if x == self.values[0] else 0.0
         if x < self.values[0] or x > self.values[-1]:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 
 
 class State(IntEnum):
@@ -266,56 +266,6 @@ class StateProbabilities:
         p.setflags(write=False)
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "p", p)
-
-
-@dataclass(frozen=True)
-class LaplaceStateVector:
-    """Laplace transforms of the state probabilities at one s > 0, as
-    laplace_state_probs solves them; ptilde is read-only."""
-
-    s: float
-    ptilde: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.ptilde.sum())
-
-
-def laplace_state_probs(params: SystemParams, s: float) -> LaplaceStateVector:
-    """Solve the transformed balance equations of the reliability chain.
-
-    The transient system dP/dt = Q^T P with all mass initially on UP3
-    becomes (s I - Q^T) ptilde = P(0) under the Laplace transform. Total
-    probability is conserved, so s * sum(ptilde) = 1 for every s > 0.
-    """
-    s = float(s)
-    if not np.isfinite(s) or s <= 0.0:
-        raise ValidationError(f"transform variable s must be > 0, got {s}")
-    rates = _generators(_rates(params), ChainMode.RELIABILITY)
-    lhs = s * np.eye(N_STATES) - rates.T
-    try:
-        ptilde = np.linalg.solve(lhs, _initial())
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Laplace system singular at s={s}") from exc
-    residual = abs(s * ptilde.sum() - 1.0)
-    if residual > 1e-8:
-        raise SolverError(
-            f"probability conservation violated at s={s}: residual {residual:.3e}"
-        )
-    ptilde.setflags(write=False)
-    return LaplaceStateVector(s=s, ptilde=ptilde)
-
-
-def failure_density_laplace(params: SystemParams, s: float) -> float:
-    """Laplace transform of the time-to-failure density at s > 0.
-
-    Equal to s times the transformed probability of sitting in any down
-    state; tends to 1 as s drops to 0 because failure is certain, and its
-    negative slope at 0 is the MTTF.
-    """
-    vec = laplace_state_probs(params, s)
-    down = vec.ptilde[list(DOWN_STATES)].sum()
-    return float(s * down)
 
 
 # -- kernels ------------------------------------------------------------------

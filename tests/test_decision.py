@@ -7,7 +7,6 @@ import pytest
 
 from fuzzrel import (
     CalibrationError,
-    DecisionQuery,
     FuzzyNumber,
     FuzzySystemParams,
     Interval,
@@ -23,8 +22,9 @@ from fuzzrel import (
     reliability_at_time,
     required_parameter_range,
 )
-from fuzzrel import bounds, decision
-from fuzzrel.decision import CalibrationResult
+from fuzzrel import MembershipCurve, bounds, decision
+from fuzzrel.decision import _CONTAINMENT_TOL, CalibrationResult
+from fuzzrel.fuzzy import _escapes
 
 from test_bounds import (
     ALPHAS_11,
@@ -60,7 +60,20 @@ def demo_table():
 
 @pytest.fixture(scope="module")
 def demo_curve(demo_table):
-    return demo_table.to_curve()
+    return demo_table.bounds
+
+
+def nested_curve(rng):
+    """A curve of 2 to 21 exactly nested rows on alphas from 0 to 1, whose
+    branches stall on flat segments at about 3 steps in 10."""
+    n = int(rng.integers(2, 22))
+    steps = np.cumsum(rng.uniform(0.1, 1.0, n))
+    alphas = (steps - steps[0]) / (steps[-1] - steps[0])
+    rise, fall = rng.exponential(1.0, (2, n - 1)) * (rng.random((2, n - 1)) < 0.7)
+    lower = rng.uniform(-10.0, 10.0) + np.concatenate([[0.0], np.cumsum(rise)])
+    top = lower[-1] + rng.exponential(1.0) * (rng.random() < 0.8)
+    upper = top + np.concatenate([np.cumsum(fall[::-1])[::-1], [0.0]])
+    return MembershipCurve(alphas, lower, upper)
 
 
 class TestBuildTable:
@@ -70,25 +83,27 @@ class TestBuildTable:
     def test_cut_columns_equal_alpha_cut(self, metric):
         fp = demo_params()
         table = build_table(fp, metric, ALPHAS_11)
-        for row in table.rows:
-            for name in table.parameters:
-                assert row.cuts[name] == fp.fuzzy_by_name(name).alpha_cut(row.alpha)
+        for name in table.parameters:
+            for a, cut in table.cuts[name].rows:
+                assert cut == fp.fuzzy_by_name(name).alpha_cut(a)
 
     def test_parameter_columns_are_the_cuts(self, demo_table):
-        for row in demo_table.rows:
-            a = row.alpha
-            assert row.cuts["lambda"].lo == pytest.approx(0.5 + 0.1 * a, abs=1e-12)
-            assert row.cuts["lambda"].hi == pytest.approx(0.8 - 0.1 * a, abs=1e-12)
-            assert row.cuts["theta"].lo == pytest.approx(0.1 + 0.1 * a, abs=1e-12)
-            assert row.cuts["theta"].hi == pytest.approx(0.4 - 0.1 * a, abs=1e-12)
-            assert row.cuts["mu"].lo == pytest.approx(3.0 + a, abs=1e-12)
-            assert row.cuts["mu"].hi == pytest.approx(6.0 - a, abs=1e-12)
+        cuts = demo_table.cuts
+        for a, lam, theta, mu in zip(
+            demo_table.alphas, *(cuts[name].intervals for name in ("lambda", "theta", "mu"))
+        ):
+            assert lam.lo == pytest.approx(0.5 + 0.1 * a, abs=1e-12)
+            assert lam.hi == pytest.approx(0.8 - 0.1 * a, abs=1e-12)
+            assert theta.lo == pytest.approx(0.1 + 0.1 * a, abs=1e-12)
+            assert theta.hi == pytest.approx(0.4 - 0.1 * a, abs=1e-12)
+            assert mu.lo == pytest.approx(3.0 + a, abs=1e-12)
+            assert mu.hi == pytest.approx(6.0 - a, abs=1e-12)
 
     def test_bounds_column_matches_reference(self, demo_table):
-        for row in demo_table.rows:
-            lo, hi = REFERENCE_MTBF_BOUNDS[round(row.alpha, 1)]
-            assert row.bounds.lo == pytest.approx(lo, abs=5e-3)
-            assert row.bounds.hi == pytest.approx(hi, abs=5e-3)
+        for a, b in demo_table.bounds.rows:
+            lo, hi = REFERENCE_MTBF_BOUNDS[round(a, 1)]
+            assert b.lo == pytest.approx(lo, abs=5e-3)
+            assert b.hi == pytest.approx(hi, abs=5e-3)
 
     def test_mtbf_table_has_three_parameters(self, demo_table):
         assert demo_table.parameters == ("lambda", "theta", "mu")
@@ -96,71 +111,94 @@ class TestBuildTable:
     def test_availability_table_adds_reboot_column(self):
         table = build_table(demo_params(), STEADY_AVAILABILITY, (0.0, 0.5, 1.0))
         assert table.parameters == ("lambda", "theta", "mu", "beta")
-        assert table.rows[0].cuts["beta"].lo == pytest.approx(1.5)
+        assert table.cuts["beta"].support.lo == pytest.approx(1.5)
 
     def test_crisp_rows_identical(self):
         table = build_table(crisp_params(), MTBF, (0.0, 0.5, 1.0))
-        first = table.rows[0]
-        for row in table.rows:
-            assert row.bounds == first.bounds
-            assert row.cuts == first.cuts
+        for column in (table.bounds, *table.cuts.values()):
+            first = column.intervals[0]
+            for iv in column.intervals:
+                assert iv == first
 
     def test_every_column_nested(self, demo_table):
-        for prev, row in zip(demo_table.rows, demo_table.rows[1:]):
-            assert prev.bounds.encloses(row.bounds)
-            for name in demo_table.parameters:
-                assert prev.cuts[name].encloses(row.cuts[name])
+        for column in (demo_table.bounds, *demo_table.cuts.values()):
+            for prev, iv in zip(column.intervals, column.intervals[1:]):
+                assert prev.encloses(iv)
 
 
 class TestInvertQuery:
     def test_management_target(self, demo_curve):
-        alpha = invert_query(
-            demo_curve, DecisionQuery(MTBF, Interval(4.939, 6.716))
-        )
+        alpha = invert_query(demo_curve, Interval(4.939, 6.716))
         assert alpha == pytest.approx(0.90, abs=0.02)
 
     def test_support_target_needs_no_confidence_tradeoff(self, demo_curve):
-        alpha = invert_query(demo_curve, DecisionQuery(MTBF, demo_curve.support))
+        alpha = invert_query(demo_curve, demo_curve.support)
         assert alpha == 0.0
 
     def test_top_row_target(self, demo_curve):
-        alpha = invert_query(
-            demo_curve, DecisionQuery(MTBF, demo_curve.intervals[-1])
-        )
+        alpha = invert_query(demo_curve, demo_curve.intervals[-1])
         assert alpha == 1.0
 
     def test_stored_rows_round_trip(self, demo_curve):
         for a, iv in demo_curve.rows:
-            assert invert_query(demo_curve, DecisionQuery(MTBF, iv)) == pytest.approx(
-                a, abs=1e-9
-            )
+            assert invert_query(demo_curve, iv) == pytest.approx(a, abs=1e-9)
 
     def test_wide_target_costs_nothing(self, demo_curve):
-        alpha = invert_query(demo_curve, DecisionQuery(MTBF, Interval(0.0, 100.0)))
+        alpha = invert_query(demo_curve, Interval(0.0, 100.0))
         assert alpha == 0.0
 
     def test_unreachable_target(self, demo_curve):
         with pytest.raises(NoContainmentError):
-            invert_query(demo_curve, DecisionQuery(MTBF, Interval(5.2, 6.0)))
+            invert_query(demo_curve, Interval(5.2, 6.0))
 
     def test_containment_slack_scales_with_the_curve(self):
         # every rate times 1e10 puts the MTBF near 5e-10, where an absolute
         # slack of 1e-12 hid a 0.1% miss at each end
         fp = scaled_demo_params(1e10, 0.9)
-        curve = build_table(fp, MTBF, (0.0, 0.5, 1.0)).to_curve()
+        curve = build_table(fp, MTBF, (0.0, 0.5, 1.0)).bounds
         top = curve.intervals[-1]
         target = Interval(1.001 * top.lo, 0.999 * top.hi)
         with pytest.raises(NoContainmentError):
-            invert_query(curve, DecisionQuery(MTBF, target))
+            invert_query(curve, target)
 
     def test_one_sided_threshold(self, demo_curve):
         # loose upper bound: the answer is set by the lower branch alone
         top = demo_curve.intervals[-1]
         target = Interval(demo_curve.interval_at(0.6).lo, 100.0)
-        alpha = invert_query(demo_curve, DecisionQuery(MTBF, target))
+        alpha = invert_query(demo_curve, target)
         assert alpha == pytest.approx(0.6, abs=1e-9)
         assert demo_curve.interval_at(alpha).lo >= target.lo - 1e-9
         assert top.hi <= target.hi
+
+    def test_threshold_on_nested_curves_with_flat_segments(self):
+        # each end of the target is a stored end, a point between the
+        # support and the top row, or one float past the top row
+        rng = np.random.default_rng(2027)
+        for _ in range(1000):
+            curve = nested_curve(rng)
+            lows, highs = curve.lower, curve.upper
+            los = (
+                lows[rng.integers(len(lows))],
+                rng.uniform(lows[0] - 1.0, lows[-1]),
+                np.nextafter(lows[-1], np.inf),
+            )
+            his = (
+                highs[rng.integers(len(highs))],
+                rng.uniform(highs[-1], highs[0] + 1.0),
+                np.nextafter(highs[-1], -np.inf),
+            )
+            for lo in los:
+                for hi in his:
+                    if lo > hi:
+                        continue
+                    target = Interval(lo, hi)
+                    alpha = invert_query(curve, target)
+                    for a, iv in curve.rows:
+                        assert a >= alpha or not target.encloses(iv), (curve, target, alpha)
+                    iv = curve.interval_at(alpha)
+                    assert not _escapes(
+                        iv.lo, iv.hi, target.lo, target.hi, _CONTAINMENT_TOL
+                    ), (curve, target, alpha)
 
 
 class TestRequiredParameterRange:
@@ -170,11 +208,11 @@ class TestRequiredParameterRange:
         assert rng.hi == pytest.approx(5.1, abs=1e-12)
 
     def test_stored_rows_reproduced(self, demo_table):
-        for row in demo_table.rows:
-            for name in demo_table.parameters:
-                rng = required_parameter_range(demo_table, row.alpha, name)
-                assert rng.lo == pytest.approx(row.cuts[name].lo, abs=1e-12)
-                assert rng.hi == pytest.approx(row.cuts[name].hi, abs=1e-12)
+        for name in demo_table.parameters:
+            for a, cut in demo_table.cuts[name].rows:
+                rng = required_parameter_range(demo_table, a, name)
+                assert rng.lo == pytest.approx(cut.lo, abs=1e-12)
+                assert rng.hi == pytest.approx(cut.hi, abs=1e-12)
 
     def test_interpolates_between_rows(self, demo_table):
         rng = required_parameter_range(demo_table, 0.85, "lambda")

@@ -55,6 +55,9 @@ class TestInterval:
             curve.membership_at(value)
         with pytest.raises(ValidationError, match=query):
             curve.membership_at(np.array([0.5, value]))
+        for fz in (FuzzyNumber.trapezoidal(1.0, 2.0, 3.0, 4.0), FuzzyNumber.crisp(2.0)):
+            with pytest.raises(ValidationError, match=query):
+                fz.membership(value)
 
 
 class TestConstructors:
