@@ -29,7 +29,8 @@ stationary law follows from detailed balance, and the MTTF from first-step
 analysis of the up block, both as closed forms made only of sums,
 products and quotients of nonnegative terms. The numerators of their
 derivatives in mu are polynomials in mu, whose coefficients the bounds
-search reads to find where each metric turns. R(t) takes one
+search reads to find where each metric turns, and in c each metric is a
+ratio of quadratics, which calibration solves in closed form. R(t) takes one
 eigendecomposition of the symmetrized up block per row, which serves
 every mission time and the partial in mu, with the slowest decay rate
 taken from det(-B), a sum of nonnegative terms that the MTTF shares.
@@ -610,6 +611,61 @@ def _availability_mu_slope(rates: np.ndarray) -> np.ndarray:
             4.0 * beta * cc * cc * lam2 * lam * a,
         ]
     )
+
+
+# -- forms in c ---------------------------------------------------------------
+#
+# MTTF and availability are each a ratio of two quadratics in c, which
+# calibration solves for c in closed form. Each function returns, at rate
+# rows (..., 5), the coefficients (2, 3, ...) of the numerator and then
+# the denominator in the basis (1 - c)^2, c (1 - c), c^2; the c column of
+# the rows is not read. Every coefficient is a sum of nonnegative terms,
+# so each keeps full relative precision, and so does either quadratic at
+# any c in [0, 1], near c = 0 and c = 1 alike.
+
+
+def _mttf_c_form(rates: np.ndarray) -> np.ndarray:
+    """MTTF = P / (a E) in _mttf_values' terms, a = 2 lambda + theta:
+
+        P = (mu + lambda)(mu + 2 lambda)                   (1 - c)^2
+          + (2 mu^2 + 4 lambda mu + 4 lambda^2 + a (mu + lambda))  c (1 - c)
+          + (mu^2 + lambda mu + 2 lambda^2 + a (mu + 3 lambda))    c^2
+
+        a E = a ((K + 2 lambda^2) (1 - c)^2 + (K + 4 lambda^2) c (1 - c)
+                 + 2 lambda^2 c^2),   K = mu (mu + 3 lambda).
+    """
+    lam, theta, mu = np.rollaxis(rates, -1)[:3]
+    a = 2.0 * lam + theta
+    lam2 = lam * lam
+    k = mu * (mu + 3.0 * lam)
+    return np.array(
+        [
+            [
+                (mu + lam) * (mu + 2.0 * lam),
+                2.0 * mu * mu + 4.0 * lam * mu + 4.0 * lam2 + a * (mu + lam),
+                mu * mu + lam * mu + 2.0 * lam2 + a * (mu + 3.0 * lam),
+            ],
+            [a * (k + 2.0 * lam2), a * (k + 4.0 * lam2), 2.0 * a * lam2],
+        ]
+    )
+
+
+def _availability_c_form(rates: np.ndarray) -> np.ndarray:
+    """A = U / (U + V) with _availability_mu_slope's U and V, a = 2 lambda
+    + theta:
+
+        U = beta (mu^3 (1 - c)^2 + (2 mu^3 + a mu^2) c (1 - c)
+                  + (mu^3 + a mu^2 + 2 a lambda mu) c^2)
+        V = a (mu^3 (1 - c)^2 + (mu^3 + 2 lambda mu^2) c (1 - c)
+               + 2 lambda^2 beta c^2).
+    """
+    lam, theta, mu, _, beta = np.rollaxis(rates, -1)
+    a = 2.0 * lam + theta
+    mu2 = mu * mu
+    mu3 = mu2 * mu
+    up = beta * np.array([mu3, 2.0 * mu3 + a * mu2, mu3 + a * mu2 + 2.0 * a * lam * mu])
+    down = a * np.array([mu3, mu3 + 2.0 * lam * mu2, 2.0 * lam * lam * beta])
+    return np.array([up, up + down])
 
 
 # -- sensitivity --------------------------------------------------------------

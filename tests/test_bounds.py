@@ -529,10 +529,11 @@ def coupled_params():
     )
 
 
-def ladder_probe():
-    """tools/ladder_probe.py, whose draw_ladder draws seeded R(t) models."""
-    path = Path(__file__).parents[1] / "tools" / "ladder_probe.py"
-    spec = importlib.util.spec_from_file_location("ladder_probe", path)
+def tool(name):
+    """The module tools/<name>.py: ladder_probe's draw_ladder draws seeded
+    R(t) models, calibrate_probe's draw_model calibration fuzz models."""
+    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -707,9 +708,13 @@ class TestCertificate:
 
     def test_import_leaves_optimizer_unloaded(self):
         assert not loaded_after("scipy.optimize")
-        # nor does the bounds search; only calibrate_coverage imports
-        # scipy.optimize, for brentq
-        assert not loaded_after("scipy.optimize", OPEN_AVAILABILITY_BOX)
+        # nor do the bounds search and calibration, for any metric
+        calibrations = OPEN_AVAILABILITY_BOX + """
+for metric in (fuzzrel.MTBF, fuzzrel.STEADY_AVAILABILITY, fuzzrel.reliability_at_time(10.0)):
+    anchor = fuzzrel.characteristic_bounds(fp.with_coverage(0.9), metric, 1.0).bounds
+    fuzzrel.calibrate_coverage(fp, metric, 1.0, anchor)
+"""
+        assert not loaded_after("scipy.optimize", calibrations)
 
     def test_import_leaves_linalg_unloaded(self):
         assert not loaded_after("scipy.linalg", package="fuzzrel.cli")
@@ -923,6 +928,57 @@ class TestProofs:
         assert sp.expand(b.diff(theta) * r + sp.Matrix([f, 0, 0])) == zero
         for coefficient in (*coupling.values(), *inputs.values()):
             assert bernstein_sign(sp, coefficient, symbols, c) == 1
+
+    @pytest.mark.parametrize(
+        "kind, form",
+        [("mtbf", "_mttf_c_form"), ("availability", "_availability_c_form")],
+    )
+    def test_coverage_forms_are_the_kernels(self, symbolic, kind, form):
+        # calibration solves these quadratics in c; every coefficient is a
+        # sum of nonnegative terms, and their ratio is the kernel's value
+        sp, symbols, c, rates, forms = symbolic
+        coefficients = getattr(bounds.markov, form)(rates)
+        for k in coefficients.flat:
+            assert bernstein_sign(sp, k, symbols, c) == 1
+        num, den = (
+            sum(
+                sp.nsimplify(sp.expand(k[0]), rational=True) * basis
+                for k, basis in zip(quadratic, ((1 - c) ** 2, c * (1 - c), c**2))
+            )
+            for quadratic in coefficients
+        )
+        kernel_num, kernel_den = forms[kind]
+        assert sp.cancel(num / den - kernel_num / kernel_den) == 0
+
+    def test_mttf_rises_strictly_in_coverage(self, symbolic):
+        # MTTF = num / den with num, den > 0, num' > 0 and den' <= 0 in c,
+        # so MTTF rises in c: calibration's MTBF roots need no evidence
+        sp, symbols, c, _, forms = symbolic
+        lam = symbols[0]
+        num, den = forms["mtbf"]
+        assert bernstein_sign(sp, num, symbols, c) == 1
+        assert bernstein_sign(sp, den, symbols, c) == 1
+        assert bernstein_sign(sp, sp.diff(den, c), symbols, c) == -1
+        # strictly: num' >= 2 lambda^2 > 0
+        assert bernstein_sign(sp, sp.diff(num, c) - 2 * lam**2, symbols, c) == 1
+
+    def test_availability_turns_at_most_once_in_coverage(self, symbolic):
+        # The numerator g of dA/dc is a quadratic in c with g(0) >= 0. Where
+        # beta <= 2 mu every coefficient is >= 0, so A rises on [0, 1];
+        # where beta >= 2 mu the leading one is <= 0, so g is concave and
+        # changes sign at most once, from + to -. Either way A turns at
+        # most once in c, from rising to falling.
+        sp, symbols, c, _, forms = symbolic
+        lam, theta, mu, beta = symbols
+        g = sp.Poly(sp.expand(self.numerator(sp, forms["availability"], c)), c)
+        assert g.degree() == 2
+        g2, _, g0 = g.all_coeffs()
+        assert bernstein_sign(sp, g0, symbols, c) == 1
+        w = sp.Symbol("w", nonnegative=True)
+        assert bernstein_sign(
+            sp, g.as_expr().subs(mu, (beta + w) / 2), (lam, theta, w, beta), c
+        ) == 1
+        assert bernstein_sign(sp, g2.subs(beta, 2 * mu + w), (lam, theta, mu, w), c) == -1
 
 
 @st.composite
@@ -1293,7 +1349,7 @@ class TestMuRounds:
         counted = mock.Mock(wraps=bounds.markov._reliability_sensitivities)
         with mock.patch.object(bounds.markov, "_reliability_sensitivities", counted):
             ladder = bounds._ladder_bounds(
-                ladder_probe().WIDE, reliability_at_time(10.0), alphas
+                tool("ladder_probe").WIDE, reliability_at_time(10.0), alphas
             )
         rows = [len(call.args[0]) for call in counted.call_args_list]
         assert len(rows) == 1 + 17
@@ -1368,7 +1424,7 @@ class TestMuRounds:
         # c = 1, t = 971.38 and mu in [47.49, 40218.6]. At mu lo R underflows
         # to exactly 0 and so does dR/dmu, though R rises to 0.99217 at mu hi
         rng = np.random.default_rng(7)
-        draw_ladder = ladder_probe().draw_ladder
+        draw_ladder = tool("ladder_probe").draw_ladder
         for _ in range(177):
             fp, t = draw_ladder(rng)
         res = characteristic_bounds(fp, reliability_at_time(t), 0.0)

@@ -32,7 +32,7 @@ from test_bounds import (
     coupled_params,
     crisp_params,
     demo_params,
-    ladder_probe,
+    tool,
 )
 
 
@@ -280,7 +280,7 @@ class TestCalibrateCoverage:
         ids=["reference", "coupled"],
     )
     def test_one_bound_search_at_the_root(self, fp, anchor):
-        # brentq steps on the lower bound's two rows alone; the search
+        # the roots come from the lower bound's two rows alone; the search
         # runs once, for both residuals
         if anchor is None:
             anchor = characteristic_bounds(fp.with_coverage(0.9), MTBF, 1.0).bounds
@@ -293,16 +293,20 @@ class TestCalibrateCoverage:
     @pytest.mark.parametrize("true_coverage", [0.3, 0.9])
     @pytest.mark.parametrize("model", ["demo", "coupled", "wide"])
     @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY], ids=["mtbf", "availability"])
-    def test_bit_equal_to_brentq_on_the_search(self, metric, model, true_coverage, alpha):
+    def test_agrees_with_brentq_on_the_search(self, metric, model, true_coverage, alpha):
         fp = {
             "demo": demo_params,
             "coupled": coupled_params,
-            "wide": lambda: ladder_probe().WIDE,
+            "wide": lambda: tool("ladder_probe").WIDE,
         }[model]().with_coverage(0.5)
         anchor = characteristic_bounds(fp.with_coverage(true_coverage), metric, alpha).bounds
         result = calibrate_coverage(fp, metric, alpha, anchor)
-        assert result == searched_calibration(fp, metric, alpha, anchor)
+        searched = searched_calibration(fp, metric, alpha, anchor)
+        tol = decision._CALIBRATION_TOL * max(abs(anchor.lo), abs(anchor.hi))
+        assert result.coverage == pytest.approx(searched.coverage, abs=1e-9)
         assert result.coverage == pytest.approx(true_coverage, abs=1e-9)
+        assert abs(result.lower_residual - searched.lower_residual) <= tol
+        assert abs(result.upper_residual - searched.upper_residual) <= tol
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     @pytest.mark.parametrize("true_coverage", [0.3, 0.9])
@@ -316,15 +320,13 @@ class TestCalibrateCoverage:
         assert abs(result.lower_residual) <= 1e-12 * anchor.hi
 
 
-    # ROADMAP item 1's two calibration defects, pinned until its fix lands
-    @pytest.mark.xfail(
-        strict=True, raises=CalibrationError, reason="two roots: both end gaps are negative"
-    )
     def test_availability_anchor_between_two_roots(self):
         # the lower bound rises from c = 0 to a peak near c = 0.05, then
         # falls: 5.464e-4, 5.614e-4 and 5.605e-4 at c = 0, 0.05 and 1. The
-        # anchor from c = 0.3 lies above both ends, so today the bracket
-        # check raises, with gaps -1.419e-05 and -1.124e-07
+        # anchor from c = 0.3 lies above both ends, with gaps -1.419e-05
+        # and -1.124e-07, so it has a root on each side of the peak. The
+        # box at alpha = 1 is a point, so both roots' residuals tie, and
+        # the tie goes to the larger root
         fp = TWO_ROOT_AVAILABILITY_MODEL
         anchor = characteristic_bounds(
             fp.with_coverage(0.3), STEADY_AVAILABILITY, 1.0
@@ -332,13 +334,10 @@ class TestCalibrateCoverage:
         result = calibrate_coverage(fp, STEADY_AVAILABILITY, 1.0, anchor)
         assert result.coverage == pytest.approx(0.3, abs=1e-9)
 
-    @pytest.mark.xfail(
-        strict=True, raises=CalibrationError, reason="brentq's xtol is absolute in c"
-    )
     def test_mtbf_anchor_near_full_coverage(self):
         # MTBF moves by about mu^2 / (2 lambda^2) relative per unit of c
-        # near c = 1, so a 1e-12 step in c misses the 1e-7 residual rule:
-        # today it stalls with a lower-bound residual of -4.318e+01
+        # near c = 1, so a root found only to 1e-12 absolute in c would
+        # miss the 1e-7 residual rule by far
         fp = demo_params(
             coverage=0.5,
             failure_rate=FuzzyNumber.trapezoidal(0.9, 1.0, 1.1, 1.2),
@@ -350,6 +349,56 @@ class TestCalibrateCoverage:
         result = calibrate_coverage(fp, MTBF, 1.0, anchor)
         assert result.coverage == pytest.approx(true_coverage, abs=1e-12)
         assert abs(result.lower_residual) <= 1e-7 * anchor.hi
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_round_trips_near_full_coverage_are_exact(self, alpha):
+        # at mu = 1e6 lambda and 1 - c below about 1e-9, one float step of
+        # c moves MTBF by more than the 1e-7 rule, so only the model's own
+        # coverage meets it: the roots keep 1 - c to full relative
+        # precision, and return that coverage exactly
+        for coverage in 1.0 - 10.0 ** np.linspace(-12.0, -6.0, 25):
+            anchor = characteristic_bounds(
+                FAST_REPAIR_MODEL.with_coverage(coverage), MTBF, alpha
+            ).bounds
+            result = calibrate_coverage(FAST_REPAIR_MODEL, MTBF, alpha, anchor)
+            assert result.coverage == coverage
+
+    def test_ill_conditioned_anchor_names_the_conditioning(self):
+        # an anchor halfway between two adjacent coverages' lower bounds
+        # meets no float coverage to 1e-7
+        fp, coverage = FAST_REPAIR_MODEL, 1.0 - 1e-10
+        below, above = (
+            characteristic_bounds(fp.with_coverage(c), MTBF, 1.0).bounds
+            for c in (coverage, np.nextafter(coverage, 1.0))
+        )
+        anchor = Interval(0.5 * (below.lo + above.lo), above.hi)
+        with pytest.raises(CalibrationError, match="ill-conditioned"):
+            calibrate_coverage(fp, MTBF, 1.0, anchor)
+
+
+class TestCalibrationFuzz:
+    # tools/calibrate_probe.py's fuzz: lambda lo on 1e-6..1e9, mu and beta
+    # lo from 1e-6 to 1e6 times it, coverage 0, 1, U(0, 1) or within
+    # 1e-12..1e-2 of 1, derandomized at seed 11
+    MODELS = 200
+
+    def test_round_trips_meet_the_residual_rule(self):
+        draw_model = tool("calibrate_probe").draw_model
+        rng = np.random.default_rng(11)
+        for _ in range(self.MODELS):
+            fp, t = draw_model(rng)
+            start = fp.with_coverage(0.5)
+            for metric in (MTBF, STEADY_AVAILABILITY, reliability_at_time(t)):
+                for alpha in (0.0, 0.5, 1.0):
+                    anchor = characteristic_bounds(fp, metric, alpha).bounds
+                    result = calibrate_coverage(start, metric, alpha, anchor)
+                    case = (fp, metric, alpha, result)
+                    tol = decision._CALIBRATION_TOL * max(abs(anchor.lo), abs(anchor.hi))
+                    assert abs(result.lower_residual) <= tol, case
+                    if metric is MTBF:
+                        # MTTF rises strictly in c, so its one root is the
+                        # model's own coverage
+                        assert result.coverage == pytest.approx(fp.coverage, abs=1e-9), case
 
 
 def _near(x, lo, hi):
@@ -365,11 +414,18 @@ TWO_ROOT_AVAILABILITY_MODEL = FuzzySystemParams(
     coverage=0.5,
 )
 
+FAST_REPAIR_MODEL = demo_params(
+    coverage=0.5,
+    failure_rate=FuzzyNumber.trapezoidal(0.9, 1.0, 1.1, 1.2),
+    standby_failure_rate=FuzzyNumber.trapezoidal(0.4, 0.5, 0.6, 0.7),
+    repair_rate=FuzzyNumber.trapezoidal(9e5, 1e6, 1.1e6, 1.2e6),
+)
+
 
 def searched_calibration(fp, metric, alpha, anchor):
-    """calibrate_coverage's steps with one full bound search each: brentq
-    on the search's minimum, the reference that the lower bound's two rows
-    must match bit for bit."""
+    """A reference calibration that runs one full bound search per step:
+    brentq on the search's minimum, which calibrate_coverage's closed
+    forms must agree with to the residual rule."""
     import scipy.optimize
 
     cuts = bounds._boxes(fp, metric, np.array([float(alpha)]))
