@@ -66,6 +66,11 @@ floats for the polynomials and, for R(t), with one sensitivity call per
 round until R is flat across a bracket. One values-kernel call evaluates
 the turns. No sampling is left to trust,
 and the search is deterministic.
+
+Every kernel call of the search, and of calibration (decision), passes
+one guard (_checked): the first row whose value is not finite raises
+KernelEvaluationError naming that row's point, as the box's corner
+check names its corner (_kernel_error).
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ from .fuzzy import (
     _CutTable,
     _escapes,
     _ladder,
+    _midpoint,
 )
 from . import markov
 from .markov import SystemParams
@@ -259,8 +265,7 @@ class _Ladder(NamedTuple):
 
 
 def _modal_midpoint(fz: FuzzyNumber) -> float:
-    lo, hi = fz._mode
-    return 0.5 * (lo + hi)
+    return _midpoint(*fz._mode)
 
 
 def _metric_axes(metric: Metric) -> tuple[str, ...]:
@@ -289,8 +294,11 @@ def _box(metric: Metric, cuts: np.ndarray) -> dict[str, Interval]:
     return dict(zip(_metric_axes(metric), map(Interval, *cuts.T.tolist())))
 
 
-def _describe_box(box: dict[str, Interval]) -> str:
-    return ", ".join(f"{n} in [{iv.lo:.17g}, {iv.hi:.17g}]" for n, iv in box.items())
+def _kernel_error(metric: Metric, row: np.ndarray, cause) -> KernelEvaluationError:
+    """The error of a metric that failed at a rate row (5,), naming the
+    row's point on the metric's axes."""
+    point = _point(_metric_axes(metric), row[[0, 1, 2, 4]])
+    return KernelEvaluationError(f"{metric.describe()} failed at {point}: {cause}", point=point)
 
 
 def _boxes(fp: FuzzySystemParams, metric: Metric, alphas: np.ndarray) -> np.ndarray:
@@ -305,20 +313,17 @@ def _boxes(fp: FuzzySystemParams, metric: Metric, alphas: np.ndarray) -> np.ndar
     corner raises KernelEvaluationError naming it, and every point inside
     the boxes is evaluated unchecked.
     """
-    names = _metric_axes(metric)
-    cuts = fp.cuts(alphas)[: len(names)]
+    cuts = fp.cuts(alphas)[: len(_metric_axes(metric))]
     lowest = alphas.argmin()
     corner = cuts[None, :, lowest, 0].copy()
     corner[0, 0] = cuts[0, lowest, 1]
+    row = _rate_vectors(fp, corner)[0]
     modes = markov.ChainMode
     mode = modes.AVAILABILITY if metric.uses_reboot_rate else modes.RELIABILITY
     try:
-        markov._rates(SystemParams(*_rate_vectors(fp, corner)[0]), mode)
+        markov._rates(SystemParams(*row), mode)
     except ValidationError as exc:
-        point = _point(names, corner[0])
-        raise KernelEvaluationError(
-            f"{metric.describe()} failed at {point}: {exc}", point=point
-        ) from exc
+        raise _kernel_error(metric, row, exc) from exc
     return cuts
 
 
@@ -331,50 +336,34 @@ def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return value
 
 
-def _not_finite(metric: Metric, cuts: np.ndarray) -> SolverError:
-    """The error of a value that is not finite on the box with cuts (axis, 2)."""
-    return SolverError(
-        f"{metric.describe()} is not finite on the box {_describe_box(_box(metric, cuts))}"
-    )
-
-
-def _values(
-    metric: Metric, rows: np.ndarray, cuts: np.ndarray, levels: np.ndarray
-) -> np.ndarray:
-    """The metric at rows (m, 5) in one values-kernel call, row i in the
-    box of level levels[i] of cuts (axis, level, 2). A value that is not
-    finite raises SolverError naming its box."""
-    with np.errstate(all="ignore"):
-        if metric.kind == "reliability":
-            values = markov._reliability_values(rows, metric.t)
-        elif metric.uses_reboot_rate:
-            values = markov._availability_values(rows)
-        else:
-            values = markov._mttf_values(rows)
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise _not_finite(metric, cuts[:, levels[np.flatnonzero(~finite)[0]]])
-    return values
-
-
-def _sensitivities(
-    metric: Metric, rows: np.ndarray, cuts: np.ndarray, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) and dR/dmu at rows (m, 5) in one sensitivity call, row i in
-    the box of level levels[i] of cuts (axis, level, 2). A call that fails
-    or gives a value that is not finite raises SolverError naming a box."""
+def _checked(metric: Metric, kernel, rows: np.ndarray, *args):
+    """kernel(rows, *args), one kernel call at rows (m, 5) that gives the
+    metric, or the metric and its partial, as arrays (m,). A LinAlgError,
+    which names no row, raises SolverError; the first row where an array
+    is not finite raises KernelEvaluationError naming its point
+    (_kernel_error)."""
     try:
         with np.errstate(all="ignore"):
-            values, partials = markov._reliability_sensitivities(rows, metric.t)
+            found = kernel(rows, *args)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"{metric.describe()} sensitivities failed on the box "
-            f"{_describe_box(_box(metric, cuts[:, levels[0]]))}: {exc}"
-        ) from exc
-    finite = np.isfinite(values) & np.isfinite(partials)
+        raise SolverError(f"{metric.describe()} failed: {exc}") from exc
+    finite = np.isfinite(np.atleast_2d(found)).all(axis=0)
     if not finite.all():
-        raise _not_finite(metric, cuts[:, levels[np.flatnonzero(~finite)[0]]])
-    return values, partials
+        raise _kernel_error(metric, rows[finite.argmin()], "a value is not finite")
+    return found
+
+
+def _values(metric: Metric, rows: np.ndarray) -> np.ndarray:
+    """The metric at rows (m, 5) in one values-kernel call (_checked)."""
+    if metric.kind == "reliability":
+        return _checked(metric, markov._reliability_values, rows, metric.t)
+    kernel = markov._availability_values if metric.uses_reboot_rate else markov._mttf_values
+    return _checked(metric, kernel, rows)
+
+
+def _sensitivities(metric: Metric, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R(t) and dR/dmu at rows (m, 5) in one sensitivity call (_checked)."""
+    return _checked(metric, markov._reliability_sensitivities, rows, metric.t)
 
 
 def _mu_sign(values, partials, width, r_hi) -> np.ndarray:
@@ -396,16 +385,16 @@ def _slope_moves(coeffs: np.ndarray, mid: np.ndarray, *bracket) -> tuple:
 
 
 def _reliability_moves(
-    metric: Metric, at: np.ndarray, r_hi: np.ndarray, cuts: np.ndarray, levels: np.ndarray,
+    metric: Metric, at: np.ndarray, r_hi: np.ndarray,
     mid: np.ndarray, split: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 ) -> tuple:
     """Where R(t) rises at mid, and where it falls, for the points at (m,
-    5), which lie in the boxes of levels of cuts and take R r_hi at mu hi:
-    the sign of dR/dmu (_mu_sign) where mid splits its bracket [lo, hi], in
-    one sensitivity call. Where R is flat, or mid does not split, both."""
+    5), which take R r_hi at mu hi: the sign of dR/dmu (_mu_sign) where
+    mid splits its bracket [lo, hi], in one sensitivity call. Where R is
+    flat, or mid does not split, both."""
     rows = at[split]
     rows[:, 2] = mid[split]
-    values, partials = _sensitivities(metric, rows, cuts, levels[split])
+    values, partials = _sensitivities(metric, rows)
     slope = np.zeros(len(mid))
     slope[split] = _mu_sign(values, partials, (hi - lo)[split], r_hi[split])
     return slope >= 0.0, slope <= 0.0
@@ -433,7 +422,7 @@ def _bisect(moves, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _mu_search(
-    metric: Metric, at: np.ndarray, mu_ends: np.ndarray, cuts: np.ndarray
+    metric: Metric, at: np.ndarray, mu_ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The metric at each point of at (2, N, 5), the minimum's then the
     maximum's at each level, with its mu column set where the metric is
@@ -463,20 +452,19 @@ def _mu_search(
     n = at.shape[1]
     ends = np.repeat(at[None], 2, axis=0)
     ends[..., 2] = mu_ends[:, None]
-    levels = np.tile(np.arange(n), 4)
     rows = ends.reshape(4 * n, 5)
     if metric.kind == "reliability":
-        values, partials = _sensitivities(metric, rows, cuts, levels)
+        values, partials = _sensitivities(metric, rows)
         values, partials = values.reshape(2, 2, n), partials.reshape(2, 2, n)
         width, r_hi = mu_ends[1] - mu_ends[0], values[1, 1]
         rising = _mu_sign(values[:, 1], partials[:, 1], width, r_hi) >= 0.0
         tie = _ZERO_CHANGE * np.abs(values[0])
 
         def moves(turns):
-            return partial(_reliability_moves, metric, at[1, turns], r_hi[turns], cuts, turns)
+            return partial(_reliability_moves, metric, at[1, turns], r_hi[turns])
 
     else:
-        values = _values(metric, rows, cuts, levels).reshape(2, 2, n)
+        values = _values(metric, rows).reshape(2, 2, n)
         if metric.uses_reboot_rate:
             coeffs = markov._availability_mu_slope(at[1])
         else:
@@ -496,7 +484,7 @@ def _mu_search(
     if len(turns):
         top = at[1, turns]
         top[:, 2] = _bisect(moves(turns), *mu_ends[:, turns])
-        value = _values(metric, top, cuts, turns)
+        value = _values(metric, top)
         inside[turns] = value > best[1, turns]
         best[1, inside] = value[inside[turns]]
         at[1, inside, 2] = top[inside[turns], 2]
@@ -541,10 +529,11 @@ def _search(
     end of its cut or at the metric's one turn, which one search finds
     for every metric (_mu_search): the sign of the slope polynomial
     steers it for MTBF and availability, the sign of dR/dmu for R(t). A
-    value that is not finite raises SolverError naming its box.
+    value that is not finite raises KernelEvaluationError naming its
+    point (_checked).
     """
     at = _pinned(fp, metric, cuts, coverage)
-    values, searched = _mu_search(metric, at, cuts[2].T, cuts)
+    values, searched = _mu_search(metric, at, cuts[2].T)
     points = at[..., [0, 1, 2, 4][: len(cuts)]]
     return _Ladder(cuts, values, points, searched)
 

@@ -252,8 +252,9 @@ def cmd_metrics(args) -> int:
     lines.append("reliability:")
     times = np.array([0.0, 0.5, 1.0, 2.0, 5.0]) * value
     # one eigendecomposition serves all five times
-    rel = markov._reliability_values(markov._rates(params), times)
+    rel = markov._reliability_values(markov._rates(params), times).tolist()
     for t, r in zip(times, rel):
+        r = markov._finite(r, "reliability", params)
         lines.append(f"  t={_fmt(t, full)}  R={_fmt(r, full)}")
     print("\n".join(lines))
     return EXIT_OK

@@ -13,7 +13,9 @@ in closed form, with 1 - c to full relative precision; where an anchor
 has two, the one whose upper residual is smaller is returned. R(t) takes
 the Illinois method on the two values. The search runs once, at the
 root, or once at each of two. An anchor that no float coverage meets to
-tolerance raises an error that names the conditioning.
+tolerance raises an error that names the conditioning, and a kernel
+value that is not finite raises KernelEvaluationError naming the rate
+point that gave it (bounds._checked).
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .bounds import (
     _boxes,
     _complete_ladder,
     _curve,
+    _kernel_error,
     _ladder_bounds,
     _metric_axes,
-    _not_finite,
     _pinned,
     _search,
     _values,
@@ -223,7 +225,8 @@ def calibrate_coverage(
     (2 lambda^2), so once mu exceeds about 4e4 lambda one float step of c
     moves the lower bound by more than the tolerance, and an anchor from
     outside may meet no float coverage. A round trip from a model's own
-    coverage always meets it.
+    coverage always meets it. A value or form in c that is not finite
+    raises KernelEvaluationError naming the rate point of its row.
     """
     cuts = _boxes(fp, metric, np.array([float(anchor_alpha)]))
     # the minimum's point at mu lo and mu hi
@@ -232,9 +235,9 @@ def calibrate_coverage(
     z = anchor_bounds.lo
     scale = max(abs(z), abs(anchor_bounds.hi))
     if metric.kind == "reliability":
-        coverages = [_reliability_root(metric, rows, cuts, z, scale)]
+        coverages = [_reliability_root(metric, rows, z, scale)]
     else:
-        coverages = _quadratic_roots(metric, rows, cuts, z, scale)
+        coverages = _quadratic_roots(metric, rows, z, scale)
 
     anchor = [z, anchor_bounds.hi]
     results = [
@@ -246,7 +249,7 @@ def calibrate_coverage(
     best = min(abs(r[2]) for r in results) + _BOUNDARY_ROOT_TOL * scale
     coverage, lower_residual, upper_residual = max(r for r in results if abs(r[2]) <= best)
     if abs(lower_residual) > _CALIBRATION_TOL * scale:
-        raise _ill_conditioned(metric, rows, cuts, coverage, lower_residual, scale)
+        raise _ill_conditioned(metric, rows, coverage, lower_residual, scale)
     return CalibrationResult(
         coverage=coverage,
         lower_residual=lower_residual,
@@ -262,7 +265,7 @@ def _no_root(z: float, gap0: float, gap1: float) -> CalibrationError:
 
 
 def _quadratic_roots(
-    metric: Metric, rows: np.ndarray, cuts: np.ndarray, z: float, scale: float
+    metric: Metric, rows: np.ndarray, z: float, scale: float
 ) -> list[float]:
     """The coverages at which the lower bound of MTBF or availability, the
     lower value of rows (2, 5), meets z, in closed form.
@@ -282,7 +285,9 @@ def _quadratic_roots(
     for row in rows:
         num, den = form(row).tolist()
         if not (all(map(math.isfinite, num)) and all(0.0 < d < math.inf for d in den)):
-            raise _not_finite(metric, cuts[:, 0])
+            raise _kernel_error(
+                metric, row, "its form in c is not finite, or its denominator not positive"
+            )
         f0, f1, f2 = (n - z * d for n, d in zip(num, den))
         # the row's gap to z at c = 0 and at c = 1
         gap0, gap1 = f0 / den[0], f2 / den[2]
@@ -324,18 +329,16 @@ def _unit_roots(f0: float, f1: float, f2: float) -> list[float]:
 
 
 def _reliability_root(
-    metric: Metric, rows: np.ndarray, cuts: np.ndarray, z: float, scale: float
+    metric: Metric, rows: np.ndarray, z: float, scale: float
 ) -> float:
     """The coverage at which R(t)'s lower bound, the lower value of rows
     (2, 5), meets z: an end of [0, 1] where its gap is within
     _BOUNDARY_ROOT_TOL of z, c = 1 first, or else the root between ends
     whose gaps differ in sign, by the Illinois method."""
-    levels = np.zeros(4, dtype=int)
 
     def lower_gaps(rows: np.ndarray) -> np.ndarray:
         """The lower bound's gap to z at each pair of rows."""
-        values = _values(metric, rows, cuts, levels[: len(rows)])
-        return values.reshape(-1, 2).min(axis=1) - z
+        return _values(metric, rows).reshape(-1, 2).min(axis=1) - z
 
     ends = np.repeat(rows[None], 2, axis=0)
     ends[:, :, 3] = [[0.0], [1.0]]
@@ -388,8 +391,7 @@ def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def _ill_conditioned(
-    metric: Metric, rows: np.ndarray, cuts: np.ndarray, coverage: float,
-    lower_residual: float, scale: float,
+    metric: Metric, rows: np.ndarray, coverage: float, lower_residual: float, scale: float
 ) -> CalibrationError:
     """The error of a root whose lower residual misses _CALIBRATION_TOL:
     the lower bound's move over one float step of c either side, from
@@ -398,7 +400,7 @@ def _ill_conditioned(
     steps[:, :, 3] = [
         [np.nextafter(coverage, 0.0)], [coverage], [np.nextafter(coverage, 1.0)]
     ]
-    lower = _values(metric, steps.reshape(6, 5), cuts, np.zeros(6, dtype=int))
+    lower = _values(metric, steps.reshape(6, 5))
     step = np.abs(np.diff(lower.reshape(3, 2).min(axis=1))).max()
     return CalibrationError(
         f"calibration is ill-conditioned: near c = {coverage!r} one float step of c "

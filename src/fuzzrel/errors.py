@@ -28,8 +28,9 @@ class SolverError(FuzzrelError, RuntimeError):
 class KernelEvaluationError(SolverError):
     """The crisp characteristic could not be evaluated at a point.
 
-    Carries the offending parameter point so callers can see which corner
-    or search iterate broke the evaluation.
+    Carries the offending parameter point so callers can see where the
+    evaluation broke: a box's corner, a row of the bounds search or of
+    calibration, or the rates of a crisp metric.
     """
 
     def __init__(self, message: str, point: dict | None = None):

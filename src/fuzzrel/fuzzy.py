@@ -34,6 +34,11 @@ def _require_finite(name: str, *values: float) -> None:
         raise ValidationError(f"{name} must be finite, got {bad!r}")
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """(lo + hi) / 2, which cannot overflow: halving each end is exact."""
+    return 0.5 * lo + 0.5 * hi
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] on the real line."""
@@ -56,7 +61,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return _midpoint(self.lo, self.hi)
 
     @property
     def is_point(self) -> bool:

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import KernelEvaluationError, ValidationError
 
 
 class State(IntEnum):
@@ -306,10 +306,20 @@ def _mttf_values(rates: np.ndarray) -> np.ndarray:
     return (d + a * c * n) / _up_determinant(a, lam, mu, c)
 
 
+def _finite(value, name: str, params: SystemParams) -> float:
+    """value, a crisp metric at params, as a float if finite; else
+    KernelEvaluationError naming the rates."""
+    value = float(value)
+    if not math.isfinite(value):
+        point = vars(params)
+        raise KernelEvaluationError(f"{name} is not finite at {point}: got {value!r}", point)
+    return value
+
+
 def mttf(params: SystemParams) -> float:
     """Mean time to first system failure starting from UP3, the expected
     absorption time of the reliability chain (_mttf_values)."""
-    return float(_mttf_values(_rates(params)))
+    return _finite(_mttf_values(_rates(params)), "MTTF", params)
 
 
 def _transient(q: np.ndarray, t: float) -> np.ndarray:
@@ -483,7 +493,7 @@ def state_probabilities(
 
 def reliability_at(params: SystemParams, t: float) -> float:
     """Probability the system has not failed by time t."""
-    return float(_reliability_values(_rates(params), _time(t)))
+    return _finite(_reliability_values(_rates(params), _time(t)), "reliability", params)
 
 
 def _stationary(rates: np.ndarray) -> np.ndarray:
@@ -543,7 +553,8 @@ def stationary_distribution(params: SystemParams) -> np.ndarray:
 
 def steady_availability(params: SystemParams) -> float:
     """Long-run fraction of time the system is operational."""
-    return float(_availability_values(_rates(params, ChainMode.AVAILABILITY)))
+    a = _availability_values(_rates(params, ChainMode.AVAILABILITY))
+    return _finite(a, "steady availability", params)
 
 
 # -- slopes in mu -------------------------------------------------------------
@@ -713,7 +724,8 @@ def _reliability_sensitivities(
     pairs = x[:, :, None], x[:, None, :]
     hi, lo = np.maximum(*pairs), np.minimum(*pairs)
     gamma = np.exp(hi) * _exp1(lo - hi)
-    values = np.einsum("nk,nk,nk->n", eig.u, np.exp(x), eig.v)
+    # summed as _reliability_values sums R, so the two agree bit for bit
+    values = (np.exp(x) * (eig.u * eig.v)).sum(axis=-1)
     g = np.einsum("nik,nij,njl->nkl", eig.vecs, m, eig.vecs)
     # g's diagonal holds dw/dmu; the slow mode's comes from the identity
     # _up_eigen takes w3 from, dw3/w3 = dDelta/Delta - dw1/w1 - dw2/w2

@@ -24,6 +24,7 @@ from fuzzrel import (
     SolverError,
     SystemParams,
     ValidationError,
+    calibrate_coverage,
     characteristic_bounds,
     membership_curve,
     mttf,
@@ -320,7 +321,11 @@ class TestCharacteristicBounds:
         assert characteristic_bounds(fp, MTBF, 0.0).bounds.lo > 0.0
         with pytest.raises(KernelEvaluationError, match="repair_rate > 0") as err:
             characteristic_bounds(fp, STEADY_AVAILABILITY, 0.0)
-        assert err.value.point["mu"] == 0.0
+        assert err.value.point == {"lambda": 0.8, "theta": 0.1, "mu": 0.0, "beta": 1.5}
+        assert str(err.value) == (
+            f"steady availability failed at {err.value.point}: availability analysis "
+            "requires repair_rate > 0, the chain is not irreducible otherwise"
+        )
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_reliability_at_time_zero_is_exactly_one(self, alpha):
@@ -642,31 +647,12 @@ class TestCertificate:
         lo, hi = ladder.cuts[2, :, 0], ladder.cuts[2, :, 1]
         top[:, 2] = hi
         r_hi = bounds.markov._reliability_values(top, metric.t)
-        moves = partial(
-            bounds._reliability_moves, metric, top, r_hi, ladder.cuts, np.zeros(1, int)
-        )
+        moves = partial(bounds._reliability_moves, metric, top, r_hi)
         top[:, 2] = mu = bounds._bisect(moves, lo, hi)
         value = bounds.markov._reliability_values(top, metric.t)
         assert lo[0] <= mu[0] <= hi[0]
         assert value[0] <= ladder.bounds[1, 0]
         assert value[0] == pytest.approx(ladder.bounds[1, 0], rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize(
-        "failure",
-        [
-            dict(side_effect=np.linalg.LinAlgError("singular matrix")),
-            dict(return_value=(np.full(6, np.nan), np.zeros(6))),
-        ],
-        ids=["singular", "not-finite"],
-    )
-    def test_failed_certificate_is_a_solver_error(self, failure):
-        # raised by the call for the ends of the mu cuts, naming its box,
-        # before any bisection
-        broken = mock.Mock(**failure)
-        with mock.patch.object(bounds.markov, "_reliability_sensitivities", broken):
-            with pytest.raises(SolverError, match=r"mu in \[3, 6\]"):
-                characteristic_bounds(demo_params(), reliability_at_time(2.0), 0.0)
-        assert broken.call_count == 1
 
     def test_one_sensitivity_call_per_level_and_no_values_call(self):
         # one call gives R and dR/dmu at both ends of every level's mu cut,
@@ -1172,13 +1158,6 @@ class TestClosedForm:
         assert rows == [4 * len(ALPHAS_11), ladder.searched.sum()]
         assert ladder.searched.any()
 
-    def test_non_finite_value_is_a_solver_error(self):
-        nan = mock.Mock(side_effect=lambda rows: np.full(len(rows), np.nan))
-        with mock.patch.object(bounds.markov, "_mttf_values", nan):
-            message = r"MTBF is not finite on the box .*mu in \[3, 6\]"
-            with pytest.raises(SolverError, match=message):
-                bounds.bounds_at_levels(demo_params(), MTBF, ALPHAS_11)
-
     @pytest.mark.parametrize("metric", [MTBF, STEADY_AVAILABILITY])
     def test_zero_coverage_is_constant_in_mu(self, metric):
         # A = beta / (beta + a) and MTTF = 1 / a, with a = 2 lambda + theta
@@ -1369,29 +1348,6 @@ class TestMuRounds:
         assert counted.call_count == 1
         assert all(res.open_axes == () for res in ladder)
 
-    def test_non_finite_value_in_a_later_round_names_its_box(self):
-        # R(1) turns inside every level's mu cut, so the first bisection
-        # round holds one row per level; its last is in the alpha = 1 box
-        fp, metric = INTERIOR_RELIABILITY_MAXIMUM
-        alphas = np.array([0.0, 0.2, 0.5, 1.0])
-        sensitivities = bounds.markov._reliability_sensitivities
-        calls = []
-
-        def broken(rows, t):
-            calls.append(len(rows))
-            values, partials = sensitivities(rows, t)
-            if len(calls) == 2:
-                values[-1] = np.nan
-            return values, partials
-
-        with mock.patch.object(bounds.markov, "_reliability_sensitivities", broken):
-            message = r"not finite on the box .*mu in \[10, 100\]"
-            with pytest.raises(SolverError, match=message):
-                bounds._ladder_bounds(fp, metric, alphas)
-        # the ends of both points' cuts at four levels, then one midpoint
-        # per level
-        assert calls == [16, 4]
-
     def test_flat_midpoint_below_mu_hi_steps_up(self):
         # R is 0 and flat up to mu ~ 4.9, as where it underflows, then
         # peaks at 0.5 at mu = 5.6 and falls to 0.34 at mu hi = 6. The
@@ -1493,3 +1449,106 @@ class TestBisect:
 
         mu = bounds._bisect(moves, lo, hi)
         assert ((lo <= mu) & (mu <= hi)).all()
+
+
+def _nan_value(found):
+    (found[0] if isinstance(found, tuple) else found)[-1] = np.nan
+
+
+def _nan_partial(found):
+    found[1][-1] = np.nan
+
+
+def _nan_numerator(form):
+    form[0, 0] = np.nan
+
+
+def _zero_denominator(form):
+    form[1, 2] = 0.0
+
+
+def _ladder(fp, alphas):
+    return lambda metric: lambda: bounds._ladder_bounds(fp, metric, np.array(alphas))
+
+
+def _calibration(metric):
+    anchor = characteristic_bounds(demo_params(), metric, 1.0).bounds
+    return lambda: calibrate_coverage(demo_params(coverage=0.5), metric, 1.0, anchor)
+
+
+# every place a kernel value enters the search or calibration: (metric,
+# kernel, the call that fails, how it fails at its last row, and the
+# work, made before the kernel is patched)
+KERNEL_FAILURES = {
+    "ends": (MTBF, "_mttf_values", 1, _nan_value, _ladder(demo_params(), ALPHAS_11)),
+    "R(t) ends": (
+        reliability_at_time(2.0), "_reliability_sensitivities", 1, _nan_value,
+        _ladder(demo_params(), [0.0]),
+    ),
+    # R(1) turns inside every level's mu cut, so the first bisection
+    # round holds one row per level
+    "later round": (
+        INTERIOR_RELIABILITY_MAXIMUM[1], "_reliability_sensitivities", 2, _nan_partial,
+        _ladder(INTERIOR_RELIABILITY_MAXIMUM[0], [0.0, 0.2, 0.5, 1.0]),
+    ),
+    # at c = 0.5 availability's maximum turns inside the mu cut
+    "turns": (
+        STEADY_AVAILABILITY, "_availability_values", 2, _nan_value,
+        _ladder(demo_params(coverage=0.5), ALPHAS_11),
+    ),
+    "calibration ends": (
+        reliability_at_time(10.0), "_reliability_values", 1, _nan_value, _calibration
+    ),
+    "calibration step": (
+        reliability_at_time(10.0), "_reliability_values", 3, _nan_value, _calibration
+    ),
+    "MTBF form": (MTBF, "_mttf_c_form", 2, _nan_numerator, _calibration),
+    "availability form": (
+        STEADY_AVAILABILITY, "_availability_c_form", 1, _zero_denominator, _calibration
+    ),
+}
+
+
+class TestKernelFailures:
+    """A kernel value that is not finite, anywhere in the search or in
+    calibration, raises KernelEvaluationError naming the rate point of
+    the row that gave it; a kernel that raises LinAlgError names no row,
+    and raises SolverError."""
+
+    @pytest.mark.parametrize("case", KERNEL_FAILURES.values(), ids=KERNEL_FAILURES)
+    def test_non_finite_value_names_its_point(self, case):
+        metric, name, failing, fail, work = case
+        run = work(metric)
+        kernel = getattr(bounds.markov, name)
+        calls = []
+
+        def broken(rows, *args):
+            calls.append(rows)
+            found = kernel(rows, *args)
+            if len(calls) == failing:
+                fail(found)
+            return found
+
+        with mock.patch.object(bounds.markov, name, broken):
+            with pytest.raises(KernelEvaluationError) as err:
+                run()
+        assert len(calls) == failing
+        row = np.atleast_2d(calls[-1])[-1]
+        axes = ("lambda", "theta", "mu", "beta")[: 4 if metric.uses_reboot_rate else 3]
+        point = dict(zip(axes, row[[0, 1, 2, 4]].tolist()))
+        assert err.value.point == point
+        assert str(err.value).startswith(f"{metric.describe()} failed at {point}: ")
+
+    @pytest.mark.parametrize(
+        "metric, name",
+        [(MTBF, "_mttf_values"), (reliability_at_time(2.0), "_reliability_sensitivities")],
+        ids=["values", "sensitivities"],
+    )
+    def test_linear_algebra_failure_is_a_solver_error(self, metric, name):
+        broken = mock.Mock(side_effect=np.linalg.LinAlgError("singular matrix"))
+        with mock.patch.object(bounds.markov, name, broken):
+            with pytest.raises(SolverError) as err:
+                characteristic_bounds(demo_params(), metric, 0.0)
+        assert not isinstance(err.value, KernelEvaluationError)
+        assert str(err.value) == f"{metric.describe()} failed: singular matrix"
+        assert broken.call_count == 1

@@ -82,6 +82,40 @@ class TestMetrics:
         assert "2.0000" in out
         assert "n/a" in out
 
+    def test_non_finite_value_is_a_solver_error(self, config_path, capsys):
+        # lambda 1e200 against mu 1e-200 overflows the up masses: MTTF is NaN
+        cfg = config_path(
+            {"lambda": 1e200, "theta": 0.0, "mu": 1e-200, "beta": 1.0, "c": 0.5}
+        )
+        with np.errstate(all="ignore"):
+            assert main(["metrics", cfg]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: MTTF is not finite at {'failure_rate': 1e+200")
+
+    def test_non_finite_reliability_is_a_solver_error(self, config_path, capsys, monkeypatch):
+        from fuzzrel import markov
+
+        monkeypatch.setattr(
+            markov, "_reliability_values", lambda rates, times: np.full(len(times), np.nan)
+        )
+        cfg = config_path(
+            {"lambda": 1.0, "theta": 0.0, "mu": 2.0, "beta": 2.0, "c": 1.0}
+        )
+        assert main(["metrics", cfg]) == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("error: reliability is not finite at")
+
+    def test_huge_crisp_reboot_rate(self, config_path, capsys):
+        # the modal midpoint of beta = 1e308 does not overflow, and beta
+        # enters only availability
+        reports = []
+        for beta in (2.0, 1e308):
+            cfg = config_path({**DEMO_CONFIG, "beta": beta}, f"beta-{beta}.json")
+            assert main(["metrics", cfg, "--full-precision"]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            reports.append([line for line in lines if not line.startswith("availability")])
+        assert reports[0] == reports[1]
+
     def test_full_coverage_fast_repair_mttf(self, config_path, capsys):
         cfg = config_path(
             {"lambda": FAST_REPAIR.failure_rate,
@@ -207,6 +241,18 @@ class TestCurve:
         for z, grade in mrows:
             assert z == pytest.approx(4.5, abs=5e-5)
             assert grade == 1.0
+
+    def test_mtbf_curve_ignores_a_huge_reboot_rate(self, config_path, tmp_path):
+        # beta does not enter MTBF, and its modal midpoint at 1e308 does
+        # not overflow
+        outputs = []
+        for beta in (2.0, 1e308):
+            cfg = config_path({**DEMO_CONFIG, "beta": beta}, f"beta-{beta}.json")
+            out = tmp_path / f"curve-{beta}.csv"
+            assert main(["curve", cfg, "--out", str(out), "--full-precision"]) == EXIT_OK
+            member = tmp_path / f"curve-{beta}_membership.csv"
+            outputs.append((out.read_bytes(), member.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_full_coverage_fast_repair_curve(self, config_path, tmp_path):
         cfg = config_path(

@@ -27,6 +27,15 @@ class TestInterval:
         assert iv.contains(1.0) and iv.contains(3.0)
         assert not iv.contains(3.0001)
 
+    def test_midpoint_cannot_overflow(self):
+        assert Interval(1e308, 1.7e308).midpoint == pytest.approx(1.35e308, rel=1e-15)
+        # halving each end is exact, so wherever the sum does not overflow
+        # the midpoint is its half bit for bit
+        rng = np.random.default_rng(5)
+        ends = rng.choice([-1.0, 1.0], (2, 2000)) * 10.0 ** rng.uniform(-300, 300, (2, 2000))
+        for lo, hi in np.sort(ends, axis=0).T.tolist():
+            assert Interval(lo, hi).midpoint == 0.5 * (lo + hi)
+
     def test_encloses(self):
         assert Interval(0.0, 4.0).encloses(Interval(1.0, 3.0))
         assert not Interval(1.0, 3.0).encloses(Interval(0.0, 4.0))

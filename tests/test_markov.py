@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzrel import (
     ChainMode,
     DOWN_STATES,
+    KernelEvaluationError,
     State,
     SystemParams,
     UP_STATES,
@@ -564,6 +565,25 @@ def test_kernels_build_no_validated_generator(monkeypatch):
     reliability_at(p, 3.0)
 
 
+# lambda 1e200 against mu 1e-200 overflows the up masses, and every
+# metric is NaN there; so is MTTF at lambda 1e-170 without repair
+@pytest.mark.parametrize(
+    "metric, params",
+    [
+        (mttf, SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
+        (mttf, SystemParams(1e-170, 0.0, 0.0, 0.5, 1.0)),
+        (steady_availability, SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
+        (lambda p: reliability_at(p, 1.0), SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
+    ],
+    ids=["mttf", "mttf-no-repair", "availability", "reliability"],
+)
+def test_non_finite_crisp_metric_names_its_rates(metric, params):
+    with np.errstate(all="ignore"), pytest.raises(KernelEvaluationError) as err:
+        metric(params)
+    assert err.value.point == vars(params)
+    assert f"is not finite at {vars(params)}" in str(err.value)
+
+
 @pytest.mark.parametrize("kind", ["mttf", "availability", "reliability"])
 def test_batched_kernels_match_single_rows(kind):
     from fuzzrel import markov
@@ -887,6 +907,23 @@ class TestSensitivities:
         point = np.array([[1.252573406797911, 0.5557640952454194, mu, 1.0, 1.0]])
         _, partials = markov._reliability_sensitivities(point, 8.752545884375384e16)
         assert partials[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    def test_values_equal_the_values_kernel(self, t):
+        # the bounds search compares R at a turn, from the values kernel,
+        # with R at the ends, from this one: both sum R alike, so they
+        # agree bit for bit; one row in ten has mu = 0
+        from fuzzrel import markov
+
+        rng = np.random.default_rng(29)
+        n = 2000
+        lam = 10.0 ** rng.uniform(-3, 3, n)
+        mu = np.where(np.arange(n) % 10 == 0, 0.0, 10.0 ** rng.uniform(-3, 3, n))
+        rows = np.column_stack(
+            [lam, rng.uniform(0, 1, n) * lam, mu, rng.uniform(0, 1, n), np.ones(n)]
+        )
+        values, _ = markov._reliability_sensitivities(rows, t)
+        np.testing.assert_array_equal(values, markov._reliability_values(rows, t))
 
     @pytest.mark.parametrize(
         "point",
