@@ -414,7 +414,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a value that is not finite raises a typed error below, so numpy's
+        # floating-point warnings on the way there would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

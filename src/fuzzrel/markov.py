@@ -131,63 +131,41 @@ class SystemParams:
             raise ValidationError(f"reboot_rate must be > 0, got {self.reboot_rate}")
 
 
-# Every transition rate is a weighted sum of eight features of a rate
-# vector (lambda, theta, mu, c, beta), so a generator is one product of
-# the features with a constant basis.
-_LAM, _THETA, _MU, _BETA, _C_LAM, _C_THETA, _U_LAM, _U_THETA = range(8)
-# rate-vector columns of the first four features, which are rates as given:
-# lambda, theta, mu and beta
-_RATE_FEATURES = np.array([0, 1, 2, 4])
-
-# (source, target, feature weights); U is the uncovered share 1 - c
-_TRANSITIONS = [
-    (State.UP3, State.UP2, {_C_LAM: 2.0, _C_THETA: 1.0}),
-    (State.UP3, State.UNSAFE1, {_U_LAM: 2.0, _U_THETA: 1.0}),
-    (State.UP2, State.UP3, {_MU: 1.0}),
-    (State.UP2, State.UP1, {_C_LAM: 2.0}),
-    (State.UP2, State.UNSAFE2, {_U_LAM: 2.0}),
-    (State.UP1, State.UP2, {_MU: 1.0}),
-    (State.UP1, State.EXHAUSTED, {_LAM: 1.0}),
-]
-# availability mode adds the recovery paths
-_RECOVERY = [
-    (State.UNSAFE1, State.UP3, {_BETA: 1.0}),
-    (State.UNSAFE2, State.UP2, {_BETA: 1.0}),
-    (State.EXHAUSTED, State.UP1, {_MU: 1.0}),
-]
-
-
-def _basis(transitions) -> np.ndarray:
-    basis = np.zeros((8, N_STATES, N_STATES))
-    for s, t, weights in transitions:
-        for k, w in weights.items():
-            basis[k, s, t] += w
-            basis[k, s, s] -= w
-    return basis.reshape(8, N_STATES * N_STATES)
-
-
-_BASES = {
-    ChainMode.RELIABILITY: _basis(_TRANSITIONS),
-    ChainMode.AVAILABILITY: _basis(_TRANSITIONS + _RECOVERY),
-}
-
-
 def _generators(rates: np.ndarray, mode: ChainMode) -> np.ndarray:
-    """Generators of one chain variant for raw rate vectors.
+    """Generators of one chain variant at rate rows.
 
     rates has shape (..., 5), columns lambda, theta, mu, c, beta, and the
-    result has shape (..., 6, 6) with rows closed to zero. Nothing is
-    checked: the rates come from a validated SystemParams or from inside
-    a box validated at its worst corner. For a fixed c the result is
-    linear in lambda, theta, mu and beta.
+    result has shape (..., 6, 6). With a = 2 lambda + theta, each entry is
+    written from the rate columns as the kernels write them: c a and
+    2 c lambda up the chain, (1 - c) a and 2 (1 - c) lambda into the
+    unsafe states, mu for repair and lambda into EXHAUSTED; availability
+    mode adds the recovery paths, beta out of each unsafe state and mu
+    out of EXHAUSTED. Each diagonal entry is minus its row's exit rate in
+    closed form, a, mu + 2 lambda and mu + lambda up (S's diagonal in
+    _up_eigen), so the rows close to zero to rounding. No dtype is
+    forced, so a row of sympy symbols gives the symbolic generator.
+    Nothing is checked: the rates come from a validated SystemParams or
+    from inside a box validated at its worst corner. For a fixed c the
+    result is linear in lambda, theta, mu and beta.
     """
-    rates = np.asarray(rates, dtype=float)
-    c = rates[..., 3:4]
-    pair = rates[..., :2]
-    features = np.concatenate(
-        [rates.take(_RATE_FEATURES, axis=-1), c * pair, (1.0 - c) * pair], axis=-1
+    lam, theta, mu, c, beta = np.rollaxis(rates, -1)
+    a = 2.0 * lam + theta
+    # a zero shaped and typed as the columns (lambda is finite)
+    o = 0.0 * lam
+    if mode is ChainMode.AVAILABILITY:
+        down = [[o, o, mu, -mu, o, o], [beta, o, o, o, -beta, o], [o, beta, o, o, o, -beta]]
+    else:
+        down = [[o] * N_STATES] * len(DOWN_STATES)
+    q = np.array(
+        [
+            # to UP3, UP2, UP1, EXHAUSTED, UNSAFE1, UNSAFE2
+            [-a, c * a, o, o, (1.0 - c) * a, o],
+            [mu, -(mu + 2.0 * lam), 2.0 * c * lam, o, o, 2.0 * (1.0 - c) * lam],
+            [o, mu, -(mu + lam), lam, o, o],
+            *down,
+        ]
     )
-    return (features @ _BASES[mode]).reshape(rates.shape[:-1] + (N_STATES, N_STATES))
+    return np.moveaxis(q, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -197,8 +175,9 @@ class GeneratorMatrix:
     not checked.
 
     rates[i, j] is the transition rate from state i to state j for
-    i != j; diagonal entries close each row to zero. initial is the
-    time-zero distribution, all mass on UP3. Both arrays are read-only.
+    i != j; each diagonal entry is minus its row's exit rate, so the rows
+    close to zero to rounding. initial is the time-zero distribution, all
+    mass on UP3. Both arrays are read-only.
     """
 
     mode: ChainMode
@@ -222,10 +201,10 @@ def _rates(
 
 def _check_distributions(p: np.ndarray) -> None:
     """Every row of p (..., 6) lies in [0, 1] and sums to 1, to rounding;
-    the first row that does not raises ValidationError."""
+    the first row that does not, NaN included, raises ValidationError."""
     p = p.reshape(-1, N_STATES)
     total = p.sum(axis=1)
-    outside = ((p < -1e-12) | (p > 1.0 + 1e-12)).any(axis=1)
+    outside = ~((p >= -1e-12) & (p <= 1.0 + 1e-12)).all(axis=1)
     bad = np.flatnonzero(outside | (abs(total - 1.0) > 1e-10))
     if len(bad):
         raise ValidationError(
@@ -244,8 +223,9 @@ def _initial() -> np.ndarray:
 def build_generator(
     params: SystemParams, mode: ChainMode = ChainMode.RELIABILITY
 ) -> GeneratorMatrix:
-    """Assemble the generator of one chain variant from validated rates;
-    availability also needs repair (_rates). Its arrays are read-only."""
+    """The generator of one chain variant at validated rates, written
+    entry by entry from the rate columns (_generators); availability also
+    needs repair (_rates). Its arrays are read-only."""
     rates, initial = _generators(_rates(params, mode), mode), _initial()
     rates.setflags(write=False)
     initial.setflags(write=False)
@@ -306,14 +286,27 @@ def _mttf_values(rates: np.ndarray) -> np.ndarray:
     return (d + a * c * n) / _up_determinant(a, lam, mu, c)
 
 
+def _not_finite(name: str, value, params: SystemParams) -> KernelEvaluationError:
+    """The error for a crisp result, value, that is not finite at params."""
+    point = vars(params)
+    return KernelEvaluationError(f"{name} is not finite at {point}: got {value!r}", point)
+
+
 def _finite(value, name: str, params: SystemParams) -> float:
     """value, a crisp metric at params, as a float if finite; else
     KernelEvaluationError naming the rates."""
     value = float(value)
     if not math.isfinite(value):
-        point = vars(params)
-        raise KernelEvaluationError(f"{name} is not finite at {point}: got {value!r}", point)
+        raise _not_finite(name, value, params)
     return value
+
+
+def _finite_law(p: np.ndarray, name: str, params: SystemParams) -> np.ndarray:
+    """p, a state law at params, if every mass is finite; else
+    KernelEvaluationError naming the rates."""
+    if not np.isfinite(p).all():
+        raise _not_finite(name, p.tolist(), params)
+    return p
 
 
 def mttf(params: SystemParams) -> float:
@@ -482,13 +475,16 @@ def state_probabilities(
     """Transient distribution of the chosen chain variant at time t.
 
     Reliability mode takes it from the symmetrized up block, availability
-    mode from P(t) = expm(Q^T t) P(0).
+    mode from P(t) = expm(Q^T t) P(0). A law that is not finite raises
+    KernelEvaluationError naming the rates.
     """
     t = _time(t)
     rates = _rates(params, mode)
     if mode is ChainMode.RELIABILITY:
-        return StateProbabilities(t=t, p=_reliability_distribution(rates, t))
-    return StateProbabilities(t=t, p=_transient(_generators(rates, mode), t))
+        p = _reliability_distribution(rates, t)
+    else:
+        p = _transient(_generators(rates, mode), t)
+    return StateProbabilities(t=t, p=_finite_law(p, "transient distribution", params))
 
 
 def reliability_at(params: SystemParams, t: float) -> float:
@@ -545,10 +541,11 @@ def stationary_distribution(params: SystemParams) -> np.ndarray:
     """Stationary distribution of the availability chain.
 
     Degenerate coverage values (c = 0 or c = 1) leave part of the state
-    space unreachable from UP3; those states get exactly zero.
+    space unreachable from UP3; those states get exactly zero. A law that
+    is not finite raises KernelEvaluationError naming the rates.
     """
     x = _stationary(_rates(params, ChainMode.AVAILABILITY))
-    return x / x.sum()
+    return _finite_law(x / x.sum(), "stationary distribution", params)
 
 
 def steady_availability(params: SystemParams) -> float:

@@ -44,6 +44,7 @@ from .markov import (
     State,
     SystemParams,
     UP_STATES,
+    _not_finite,
     build_generator,
 )
 
@@ -105,11 +106,15 @@ def _jump_chain(params: SystemParams, mode: ChainMode):
     Every entry is a ratio of nonnegative rates. The samplers build each
     stop and exit probability from them as sums of products, never as
     1 - p, so none cancels at stiff rates. States without exits have a
-    zero row.
+    zero row. Rates that overflow leave an exit rate not finite, and its
+    row of P with it, which raises KernelEvaluationError naming the rates;
+    a finite q bounds every rate of its row, so P is then finite too.
     """
-    rates = build_generator(params, mode).rates
-    off = rates - np.diag(np.diag(rates))
+    off = np.array(build_generator(params, mode).rates)
+    np.fill_diagonal(off, 0.0)
     q = off.sum(axis=1)
+    if not np.isfinite(q).all():
+        raise _not_finite("the jump chain", {"exit rates": q.tolist()}, params)
     return q, off / np.where(q > 0.0, q, 1.0)[:, None]
 
 

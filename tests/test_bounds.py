@@ -794,7 +794,7 @@ def bernstein_sign(sp, expr, symbols, c):
 
 class TestProofs:
     """The facts the closed-form bounds rest on, proven with sympy from the
-    values kernels themselves, run on arrays of symbols."""
+    values kernels and the generator themselves, run on arrays of symbols."""
 
     @pytest.fixture(scope="class")
     def symbolic(self):
@@ -873,26 +873,12 @@ class TestProofs:
         # so f, g >= 0. dR/dp is the integral of e_UP3^T expm(B (t - s))
         # (dB/dp) r(s) over [0, t], expm(B u) >= 0, and (dB/dp) r <= 0 for
         # p = lambda, theta: R(t) falls in both, at every t.
-        sp, symbols, c, _, _ = symbolic
-        lam, theta, mu, beta = symbols
+        sp, symbols, c, rates, _ = symbolic
+        lam, theta, mu, _ = symbols
         markov = bounds.markov
-        features = {
-            markov._LAM: lam,
-            markov._THETA: theta,
-            markov._MU: mu,
-            markov._BETA: beta,
-            markov._C_LAM: c * lam,
-            markov._C_THETA: c * theta,
-            markov._U_LAM: (1 - c) * lam,
-            markov._U_THETA: (1 - c) * theta,
-        }
         n_up = len(markov.UP_STATES)
-        b = sp.zeros(n_up, n_up)
-        for source, target, weights in markov._TRANSITIONS:
-            rate = sum(sp.nsimplify(w) * features[k] for k, w in weights.items())
-            b[source, source] -= rate
-            if target in markov.UP_STATES:
-                b[source, target] += rate
+        q = markov._generators(rates, markov.ChainMode.RELIABILITY)[0, :n_up, :n_up]
+        b = sp.Matrix(q).applyfunc(lambda rate: sp.nsimplify(rate, rational=True))
         r3, r2, r1 = sp.symbols("r3 r2 r1")
         r = sp.Matrix([r3, r2, r1])
         f, g = r3 - c * r2, r2 - c * r1

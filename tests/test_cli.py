@@ -2,10 +2,12 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from fuzzrel import SystemParams
 from fuzzrel.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -83,15 +85,18 @@ class TestMetrics:
         assert "n/a" in out
 
     def test_non_finite_value_is_a_solver_error(self, config_path, capsys):
-        # lambda 1e200 against mu 1e-200 overflows the up masses: MTTF is NaN
-        cfg = config_path(
-            {"lambda": 1e200, "theta": 0.0, "mu": 1e-200, "beta": 1.0, "c": 0.5}
-        )
-        with np.errstate(all="ignore"):
+        # lambda 1e200 against mu 1e-200 overflows the up masses: MTTF is
+        # NaN, and numpy's floating-point warnings on the way stay silent
+        model = {"lambda": 1e200, "theta": 0.0, "mu": 1e-200, "beta": 1.0, "c": 0.5}
+        cfg = config_path(model)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["metrics", cfg]) == EXIT_SOLVER
+        assert caught == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: MTTF is not finite at {'failure_rate': 1e+200")
+        point = SystemParams(*(model[k] for k in ("lambda", "theta", "mu", "c", "beta")))
+        assert captured.err == f"error: MTTF is not finite at {vars(point)}: got nan\n"
 
     def test_non_finite_reliability_is_a_solver_error(self, config_path, capsys, monkeypatch):
         from fuzzrel import markov
@@ -348,6 +353,21 @@ class TestSimulate:
     def test_reliability_metric_rejected(self, config_path):
         cfg = config_path({**DEMO_CONFIG, "metric": "reliability", "t": 1.0})
         assert main(["simulate", cfg]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("metric", ["mtbf", "availability"])
+    def test_overflowing_rates_are_a_solver_error(self, config_path, capsys, metric):
+        # 2 lambda + theta overflows, so the exit rate out of UP3 is inf
+        cfg = config_path(
+            {"lambda": 1e308, "theta": 1e308, "mu": 1.0, "beta": 1.0, "c": 0.5}
+        )
+        assert main(["simulate", cfg, "--metric", metric]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: the jump chain is not finite at {'failure_rate': 1e+308"
+        )
 
 
 class TestCalibrate:

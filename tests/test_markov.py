@@ -11,6 +11,7 @@ from fuzzrel import (
     DOWN_STATES,
     KernelEvaluationError,
     State,
+    StateProbabilities,
     SystemParams,
     UP_STATES,
     ValidationError,
@@ -228,12 +229,36 @@ class TestParamsValidation:
         assert mttf(params(lam=1.0, theta=0.0, mu=0.0, c=1.0)) == pytest.approx(2.0)
 
 
+def log_uniform_params(n, seed):
+    """n models drawn as the wide-rates benchmark draws them: lambda, mu
+    and beta log-uniform over 1e-6..1e9, theta = U lambda and c = U, then
+    the same draws at c = 0 and c = 1."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(n):
+        lam, mu, beta = 10.0 ** rng.uniform(-6.0, 9.0, size=3)
+        drawn.append((lam, rng.uniform() * lam, mu, rng.uniform(), beta))
+    return [
+        SystemParams(lam, theta, mu, c, beta)
+        for lam, theta, mu, drawn_c, beta in drawn
+        for c in (drawn_c, 0.0, 1.0)
+    ]
+
+
+def assert_matches_reference(p, mode):
+    """Off the diagonal, the rates of reference_generator bit for bit; on
+    it, minus the exit rate to within 4 ulps."""
+    rates, reference = build_generator(p, mode).rates, reference_generator(p, mode)
+    off = ~np.eye(len(State), dtype=bool)
+    np.testing.assert_array_equal(rates[off], reference[off])
+    np.testing.assert_array_max_ulp(np.diag(rates), np.diag(reference), maxulp=4)
+
+
 class TestGenerator:
     @pytest.mark.parametrize("mode", list(ChainMode))
     def test_matches_reference_assembly(self, mode):
-        p = params()
-        gen = build_generator(p, mode)
-        np.testing.assert_allclose(gen.rates, reference_generator(p, mode), atol=0)
+        for p in [params(), *log_uniform_params(200, seed=30)]:
+            assert_matches_reference(p, mode)
 
     @pytest.mark.parametrize("mode", list(ChainMode))
     def test_rows_sum_to_zero(self, mode):
@@ -266,8 +291,7 @@ class TestGenerator:
 
     @pytest.mark.parametrize("mode", list(ChainMode))
     def test_stiff_rates_assemble_exactly(self, mode):
-        gen = build_generator(STIFF, mode)
-        np.testing.assert_allclose(gen.rates, reference_generator(STIFF, mode), atol=0)
+        assert_matches_reference(STIFF, mode)
 
     def test_matrices_are_read_only(self):
         gen = build_generator(params())
@@ -455,6 +479,10 @@ class TestTransient:
         with pytest.raises(ValidationError):
             reliability_at(params(), -0.1)
 
+    def test_record_rejects_nan_masses(self):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            StateProbabilities(0.0, [np.nan] * 6)
+
     def test_long_run_reliability_vanishes(self):
         assert reliability_at(params(), 2000.0) < 1e-9
 
@@ -566,7 +594,8 @@ def test_kernels_build_no_validated_generator(monkeypatch):
 
 
 # lambda 1e200 against mu 1e-200 overflows the up masses, and every
-# metric is NaN there; so is MTTF at lambda 1e-170 without repair
+# metric and state law is NaN there; so is MTTF at lambda 1e-170 without
+# repair, and the reliability chain's transient law at lambda = mu = 1e-170
 @pytest.mark.parametrize(
     "metric, params",
     [
@@ -574,8 +603,24 @@ def test_kernels_build_no_validated_generator(monkeypatch):
         (mttf, SystemParams(1e-170, 0.0, 0.0, 0.5, 1.0)),
         (steady_availability, SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
         (lambda p: reliability_at(p, 1.0), SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
+        (stationary_distribution, SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
+        (lambda p: state_probabilities(p, 1.0), SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
+        (
+            lambda p: state_probabilities(p, 1.0, ChainMode.AVAILABILITY),
+            SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0),
+        ),
+        (lambda p: state_probabilities(p, 1.0), SystemParams(1e-170, 0.0, 1e-170, 0.5, 1.0)),
     ],
-    ids=["mttf", "mttf-no-repair", "availability", "reliability"],
+    ids=[
+        "mttf",
+        "mttf-no-repair",
+        "availability",
+        "reliability",
+        "stationary-law",
+        "transient-law-reliability",
+        "transient-law-availability",
+        "transient-law-tiny-rates",
+    ],
 )
 def test_non_finite_crisp_metric_names_its_rates(metric, params):
     with np.errstate(all="ignore"), pytest.raises(KernelEvaluationError) as err:

@@ -10,6 +10,7 @@ import pytest
 from fuzzrel import (
     DOWN_STATES,
     ChainMode,
+    KernelEvaluationError,
     SimConfig,
     SimEstimate,
     State,
@@ -84,6 +85,17 @@ class TestConfigValidation:
         # typed error that names the field
         with pytest.raises(ValidationError, match=f"{field} must be"):
             SimConfig(params=params(), **{field: value})
+
+    @pytest.mark.parametrize("sampler", [simulate_mttf, simulate_availability])
+    def test_overflowing_rates_name_their_point(self, sampler):
+        # 2 lambda + theta overflows, so the exit rate out of UP3 is inf
+        p = params(lam=1e308, theta=1e308, mu=1.0, c=0.5, beta=1.0)
+        with (
+            np.errstate(all="ignore"),
+            pytest.raises(KernelEvaluationError, match="^the jump chain is not finite at") as err,
+        ):
+            sampler(SimConfig(params=p, replications=100, horizon=10.0))
+        assert err.value.point == vars(p)
 
 
 class TestFirstPassage:

@@ -8,7 +8,10 @@ R(10) and R(0.5) on the benchmark's reference and coupled models and on
 tools/ladder_probe.py's wide model, `curve` and `alphacut` at default
 precision and with --full-precision (`calibrate` has no such option),
 then `metrics --full-precision` on the 400 models of the benchmark's
-wide-rates workload at seed 5. The models come from perfbench/workloads.py.
+wide-rates workload at seed 5, and `simulate` for MTBF and availability
+on the crosscheck workload's three systems at seed 1 and on the reference
+and coupled models' modal systems with --reps 50000. The models come from
+perfbench/workloads.py.
 `calibrate` starts from coverage 0.5 and is anchored at the alpha = 1
 bounds of the model's own coverage, taken from perfbench/oracle.py so
 that the anchor does not depend on the code under test.
@@ -19,6 +22,12 @@ its console: the exit code, stdout and stderr, with the scratch
 directory's path replaced. Warnings are ignored, since their text holds
 source line numbers. Comparing the output of two checkouts (`diff`)
 lists the outputs that differ.
+
+Last come four lines for the library's generator and transient law:
+build_generator and state_probabilities at t = 1/lambda, in both chain
+modes, over the same 400 wide-rates models, each line hashing every
+model's result array (`tobytes()`) or, where the call raises, the error's
+type and message.
 """
 
 from __future__ import annotations
@@ -33,7 +42,16 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from fuzzrel import PARAMETER_NAMES, cli
+import numpy as np
+
+from fuzzrel import (
+    PARAMETER_NAMES,
+    ChainMode,
+    SystemParams,
+    build_generator,
+    cli,
+    state_probabilities,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -42,6 +60,8 @@ import oracle  # noqa: E402
 import workloads  # noqa: E402
 
 WIDE_RATES_SEED = 5
+CROSSCHECK_SEED = 1
+MODAL_SIM_REPS = "50000"
 START_COVERAGE = 0.5
 ANCHOR_ALPHA = 1.0
 # name: the metric's kind and mission time
@@ -86,6 +106,27 @@ def _print(name: str, outputs: dict[str, bytes]) -> None:
         print(f"{hashlib.sha256(data).hexdigest()}  {name}/{file}")
 
 
+def _print_library(models: list[SystemParams]) -> None:
+    """One line each for build_generator and state_probabilities at
+    t = 1/lambda, per chain mode, over models."""
+    calls = {
+        "build_generator": lambda p, mode: build_generator(p, mode).rates,
+        "state_probabilities": lambda p, mode: state_probabilities(
+            p, 1.0 / p.failure_rate, mode
+        ).p,
+    }
+    for name, call in calls.items():
+        for mode in ChainMode:
+            digest = hashlib.sha256()
+            for p in models:
+                try:
+                    data = call(p, mode).tobytes()
+                except Exception as exc:  # noqa: BLE001 - the error is the output
+                    data = f"{type(exc).__name__}: {exc}".encode()
+                digest.update(data)
+            print(f"{digest.hexdigest()}  wide-rates/{name}/{mode.value}")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -114,8 +155,22 @@ def main() -> None:
                 argv = ["calibrate", str(start), *metric_args, "--anchor-alpha",
                         repr(ANCHOR_ALPHA), "--lower", repr(lo), "--upper", repr(hi)]
                 _print(f"{name}/calibrate", _run(argv, outdir))
-        for i, op in enumerate(workloads.wide_rates(WIDE_RATES_SEED, models).ops):
+        wide_rates = workloads.wide_rates(WIDE_RATES_SEED, models).ops
+        for i, op in enumerate(wide_rates):
             _print(f"wide-rates/model-{i}/metrics-full", _run(list(op.argv), outdir))
+        for i, op in enumerate(workloads.crosscheck(CROSSCHECK_SEED, models).ops):
+            _print(f"crosscheck/op-{i}/{op.kind}", _run(list(op.argv), outdir))
+        for model_name in ("reference", "coupled"):
+            for kind in ("mtbf", "availability"):
+                argv = ["simulate", str(models / f"{model_name}.json"), "--metric", kind,
+                        "--reps", MODAL_SIM_REPS]
+                _print(f"{model_name}/{kind}/simulate", _run(argv, outdir))
+        rates = [json.loads(Path(op.argv[1]).read_text()) for op in wide_rates]
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _print_library(
+                [SystemParams(r["lambda"], r["theta"], r["mu"], r["c"], r["beta"]) for r in rates]
+            )
 
 
 if __name__ == "__main__":
