@@ -10,13 +10,10 @@ import numpy as np
 
 from fuzzrel import (
     ChainMode,
-    State,
     SystemParams,
-    UP_STATES,
     build_generator,
     mttf,
     reliability_at,
-    state_probabilities,
     stationary_distribution,
     steady_availability,
 )
@@ -42,12 +39,6 @@ def main():
     print("\nreliability curve:")
     for t in (0.0, 0.5 * value, value, 2.0 * value, 5.0 * value):
         print(f"  R({t:7.3f}) = {reliability_at(p, t):.6f}")
-
-    # transient state occupancy shortly after a cold start
-    probs = state_probabilities(p, 0.5, ChainMode.AVAILABILITY)
-    up_mass = float(sum(probs.p[s] for s in UP_STATES))
-    print(f"\nP(all three units healthy at t=0.5) = {probs.p[State.UP3]:.6f}")
-    print(f"P(system up at t=0.5)               = {up_mass:.6f}")
 
     pi = stationary_distribution(p)
     print("\nstationary distribution (availability mode):")

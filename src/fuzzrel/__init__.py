@@ -26,14 +26,12 @@ from .markov import (
     ChainMode,
     GeneratorMatrix,
     State,
-    StateProbabilities,
     SystemParams,
     UP_STATES,
     DOWN_STATES,
     build_generator,
     mttf,
     reliability_at,
-    state_probabilities,
     stationary_distribution,
     steady_availability,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "SimEstimate",
     "SolverError",
     "State",
-    "StateProbabilities",
     "SystemParams",
     "UP_STATES",
     "UnknownParameterError",
@@ -104,7 +101,6 @@ __all__ = [
     "required_parameter_range",
     "simulate_availability",
     "simulate_mttf",
-    "state_probabilities",
     "stationary_distribution",
     "steady_availability",
 ]

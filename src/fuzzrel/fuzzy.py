@@ -347,30 +347,9 @@ class MembershipCurve:
                 f"[{lower[k + 1]}, {upper[k + 1]}] vs [{lower[k]}, {upper[k]}]"
             )
 
-    def _key(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(self.alphas.tolist()), tuple(self.lower.tolist()), tuple(self.upper.tolist())
-
-    # curves compare and hash by value, as tuples of their rows would
-    def __eq__(self, other):
-        return isinstance(other, MembershipCurve) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[float, Interval]]) -> "MembershipCurve":
-        rows = list(rows)
-        return cls(
-            [a for a, _ in rows], [iv.lo for _, iv in rows], [iv.hi for _, iv in rows]
-        )
-
     @property
     def intervals(self) -> tuple[Interval, ...]:
         return tuple(map(Interval, self.lower.tolist(), self.upper.tolist()))
-
-    @property
-    def rows(self) -> tuple[tuple[float, Interval], ...]:
-        return tuple(zip(self.alphas.tolist(), self.intervals))
 
     @property
     def support(self) -> Interval:

@@ -35,9 +35,9 @@ eigendecomposition of the symmetrized up block per row, which serves
 every mission time and the partial in mu, with the slowest decay rate
 taken from det(-B), a sum of nonnegative terms that the MTTF shares.
 R(t) falls in lambda and theta, so the bounds search needs no partial
-in those. Transients of the availability chain, and the rare reliability
-rows without repair, use a matrix exponential. The kernels take rate
-rows (..., 5) and reduce on the last axis, so the public functions pass
+in those. The rare rows without repair take R(t) and that partial from
+a matrix exponential of the up block. The kernels take rate rows
+(..., 5) and reduce on the last axis, so the public functions pass
 the one row (5,) of a validated SystemParams, on which the same kernel
 body runs on numpy scalars (np.rollaxis(rates, -1) unpacks into
 scalars for one row and into columns for a stack), while the bounds
@@ -199,21 +199,6 @@ def _rates(
     return np.array(list(vars(params).values()))
 
 
-def _check_distributions(p: np.ndarray) -> None:
-    """Every row of p (..., 6) lies in [0, 1] and sums to 1, to rounding;
-    the first row that does not, NaN included, raises ValidationError."""
-    p = p.reshape(-1, N_STATES)
-    total = p.sum(axis=1)
-    outside = ~((p >= -1e-12) & (p <= 1.0 + 1e-12)).all(axis=1)
-    bad = np.flatnonzero(outside | (abs(total - 1.0) > 1e-10))
-    if len(bad):
-        raise ValidationError(
-            "probabilities must lie in [0, 1]"
-            if outside[bad[0]]
-            else f"probabilities sum to {total[bad[0]]}, expected 1"
-        )
-
-
 def _initial() -> np.ndarray:
     p0 = np.zeros(N_STATES)
     p0[State.UP3] = 1.0
@@ -230,23 +215,6 @@ def build_generator(
     rates.setflags(write=False)
     initial.setflags(write=False)
     return GeneratorMatrix(mode=mode, rates=rates, initial=initial)
-
-
-@dataclass(frozen=True)
-class StateProbabilities:
-    """Transient distribution over the six states at one time point."""
-
-    t: float
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        if p.shape != (N_STATES,):
-            raise ValidationError(f"p must have 6 entries, got {p.shape}")
-        _check_distributions(p)
-        p.setflags(write=False)
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "p", p)
 
 
 # -- kernels ------------------------------------------------------------------
@@ -313,17 +281,6 @@ def mttf(params: SystemParams) -> float:
     """Mean time to first system failure starting from UP3, the expected
     absorption time of the reliability chain (_mttf_values)."""
     return _finite(_mttf_values(_rates(params)), "MTTF", params)
-
-
-def _transient(q: np.ndarray, t: float) -> np.ndarray:
-    """P(t) = expm(Q^T t) P(0) from all mass on UP3 at each generator,
-    clipped at zero; StateProbabilities checks each row it reaches."""
-    # imported here: scipy.linalg is the slowest import of the package,
-    # and only the expm paths use it
-    import scipy.linalg
-
-    p = scipy.linalg.expm(np.swapaxes(q, -1, -2) * t)[..., State.UP3]
-    return np.maximum(p, 0.0)
 
 
 # Down states absorb in the reliability chain, so its up masses evolve by
@@ -403,22 +360,28 @@ _UP_BLOCK_MU_DIRECTION = _generators(
 )[_UP, _UP]
 
 
-def _up_block_expm(rates: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) and its partial by mu from expm of the up block, for rows
-    without a symmetrizer.
+def _up_block_expm(rates: np.ndarray, t: float, partial: bool = False):
+    """R(t) from expm of the up block B t, for rows without a symmetrizer;
+    with partial, the pair of R(t) and its partial by mu.
 
-    expm([[A, E], [0, A]]) holds the Frechet derivative of expm at A in
-    direction E as its top-right block, with A = B^T t and E = dB^T/dmu t.
+    expm([[B, E], [0, B]] t) holds the Frechet derivative of expm at B t
+    in direction E t as its top-right block, with E = dB/dmu. R comes from
+    expm(B t) alone: scaling and squaring works from the norm of the
+    matrix, and the augmented one's, which holds E t, is larger.
     """
+    # imported here: scipy.linalg is the slowest import of the package,
+    # and only these rows use it
     import scipy.linalg
 
     n_up = len(UP_STATES)
-    a = np.swapaxes(_generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP], -1, -2)
+    b = _generators(rates, ChainMode.RELIABILITY)[:, _UP, _UP] * t
+    r = scipy.linalg.expm(b)[:, 0].sum(axis=-1)
+    if not partial:
+        return r
     big = np.zeros((len(rates), 2 * n_up, 2 * n_up))
-    big[:, :n_up, :n_up] = big[:, n_up:, n_up:] = a * t
-    big[:, :n_up, n_up:] = _UP_BLOCK_MU_DIRECTION.T * t
-    e = scipy.linalg.expm(big)
-    return e[:, :n_up, 0].sum(axis=1), e[:, :n_up, n_up].sum(axis=1)
+    big[:, :n_up, :n_up] = big[:, n_up:, n_up:] = b
+    big[:, :n_up, n_up:] = _UP_BLOCK_MU_DIRECTION * t
+    return r, scipy.linalg.expm(big)[:, 0, n_up:].sum(axis=-1)
 
 
 def _reliability_values(rates: np.ndarray, times) -> np.ndarray:
@@ -435,31 +398,10 @@ def _reliability_values(rates: np.ndarray, times) -> np.ndarray:
     r = (decay * (eig.u * eig.v)[..., None, :]).sum(axis=-1)
     if not eig.ok.all():
         for j, t in enumerate(times):
-            r[~eig.ok, j] = _up_block_expm(rates[~eig.ok], t)[0]
+            r[~eig.ok, j] = _up_block_expm(rates[~eig.ok], t)
     r = np.minimum(np.maximum(r, 0.0), 1.0)
     r[..., times == 0.0] = 1.0
     return r.reshape(rates.shape[:-1] + shape)
-
-
-def _reliability_distribution(rates: np.ndarray, t: float) -> np.ndarray:
-    """P(t) of the reliability chain at each rate row, (..., 6).
-
-    The up masses come from the eigenbasis. Each down state's mass is the
-    flow into it, sum_j Q[j, down] times the integral of P_up,j over
-    [0, t], whose eigen-integrals are t (exp(w t) - 1) / (w t); so the six
-    masses add up to 1 by construction. Rows without a symmetrizer use
-    expm of the whole generator.
-    """
-    q = _generators(rates, ChainMode.RELIABILITY)
-    eig = _up_eigen(rates)
-    x = eig.w * t
-    up = np.einsum("...k,...jk,...j->...j", eig.u * np.exp(x), eig.vecs, eig.d)
-    spent = np.einsum("...k,...jk,...j->...j", eig.u * t * _exp1(x), eig.vecs, eig.d)
-    flows = np.einsum("...j,...jm->...m", spent, q[..., _UP, _DOWN])
-    p = np.concatenate([np.maximum(up, 0.0), flows], axis=-1)
-    if not eig.ok.all():
-        p[~eig.ok] = _transient(q[~eig.ok], t)
-    return p
 
 
 def _time(t: float) -> float:
@@ -467,24 +409,6 @@ def _time(t: float) -> float:
     if not np.isfinite(t) or t < 0.0:
         raise ValidationError(f"time must be >= 0, got {t}")
     return t
-
-
-def state_probabilities(
-    params: SystemParams, t: float, mode: ChainMode = ChainMode.RELIABILITY
-) -> StateProbabilities:
-    """Transient distribution of the chosen chain variant at time t.
-
-    Reliability mode takes it from the symmetrized up block, availability
-    mode from P(t) = expm(Q^T t) P(0). A law that is not finite raises
-    KernelEvaluationError naming the rates.
-    """
-    t = _time(t)
-    rates = _rates(params, mode)
-    if mode is ChainMode.RELIABILITY:
-        p = _reliability_distribution(rates, t)
-    else:
-        p = _transient(_generators(rates, mode), t)
-    return StateProbabilities(t=t, p=_finite_law(p, "transient distribution", params))
 
 
 def reliability_at(params: SystemParams, t: float) -> float:
@@ -733,7 +657,8 @@ def _reliability_sensitivities(
     )
     partials = t * np.einsum("nk,nkl,nkl,nl->n", eig.u, gamma, g, eig.v)
     if not eig.ok.all():
-        values[~eig.ok], partials[~eig.ok] = _up_block_expm(rates[~eig.ok], t)
+        rows = ~eig.ok
+        values[rows], partials[rows] = _up_block_expm(rates[rows], t, partial=True)
     values = np.minimum(np.maximum(values, 0.0), 1.0)
     if t == 0.0:
         values[:] = 1.0

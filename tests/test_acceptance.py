@@ -94,7 +94,7 @@ def test_criterion_2_calibrated_reference_bounds(capsys):
     )
     curve = membership_curve(fp.with_coverage(result.coverage), MTBF, ALPHAS_11)
     worst = 0.0
-    for alpha, iv in curve.rows:
+    for alpha, iv in zip(curve.alphas, curve.intervals):
         lo, hi = REFERENCE_MTBF_BOUNDS[round(alpha, 1)]
         worst = max(worst, abs(iv.lo - lo), abs(iv.hi - hi))
         _check(
@@ -298,7 +298,7 @@ def test_criterion_7_fuzzy_invariants(capsys):
                 f"trapezoid {i}: cut at {a1} escapes cut at {a0}",
             )
         try:
-            MembershipCurve.from_rows(zip(ladder, cuts))
+            MembershipCurve(ladder, [c.lo for c in cuts], [c.hi for c in cuts])
         except Exception as exc:  # pragma: no cover - failure detail
             failures.append(f"trapezoid {i}: curve rows rejected: {exc}")
 
@@ -312,17 +312,9 @@ def test_criterion_7_fuzzy_invariants(capsys):
     fv = FuzzyNumber.triangular(0.1, 0.25, 0.4)
     fy = FuzzyNumber.triangular(3.0, 4.5, 6.0)
     levels = tuple(np.linspace(0.0, 1.0, 26))
-    recon = MembershipCurve.from_rows(
-        [
-            (
-                a,
-                Interval(
-                    kernel(fx.alpha_cut(a).lo, fv.alpha_cut(a).lo, fy.alpha_cut(a).hi),
-                    kernel(fx.alpha_cut(a).hi, fv.alpha_cut(a).hi, fy.alpha_cut(a).lo),
-                ),
-            )
-            for a in levels
-        ]
+    cx, cv, cy = (f.alpha_cuts(levels).T for f in (fx, fv, fy))
+    recon = MembershipCurve(
+        levels, kernel(cx[0], cv[0], cy[1]), kernel(cx[1], cv[1], cy[0])
     )
 
     xs, vs, ys = (_axis_samples(f, levels) for f in (fx, fv, fy))
@@ -357,17 +349,9 @@ def test_criterion_7_fuzzy_invariants(capsys):
 
     # membership curve assembled from the brute-force grid alone: at each
     # level, the image range over witnesses whose grade reaches the level
-    empirical = MembershipCurve.from_rows(
-        [
-            (
-                a,
-                Interval(
-                    float(images[grades >= a - 1e-9].min()),
-                    float(images[grades >= a - 1e-9].max()),
-                ),
-            )
-            for a in levels
-        ]
+    reached = [images[grades >= a - 1e-9] for a in levels]
+    empirical = MembershipCurve(
+        levels, [x.min() for x in reached], [x.max() for x in reached]
     )
     probe = np.linspace(recon.support.lo - 0.5, recon.support.hi + 0.5, 2001)
     gaps = [

@@ -404,14 +404,15 @@ class TestBruteForce:
 class TestMembershipCurveOp:
     def test_reproduces_reference_table(self):
         curve = membership_curve(demo_params(), MTBF, ALPHAS_11)
-        for alpha, iv in curve.rows:
+        for alpha, iv in zip(curve.alphas, curve.intervals):
             lo, hi = REFERENCE_MTBF_BOUNDS[round(alpha, 1)]
             assert iv.lo == pytest.approx(lo, abs=5e-3)
             assert iv.hi == pytest.approx(hi, abs=5e-3)
 
     def test_rows_are_nested(self):
         curve = membership_curve(demo_params(), MTBF, ALPHAS_11)
-        for (a0, iv0), (a1, iv1) in zip(curve.rows, curve.rows[1:]):
+        intervals = curve.intervals
+        for iv0, iv1 in zip(intervals, intervals[1:]):
             assert iv0.encloses(iv1)
 
     def test_crisp_inputs_give_identical_point_rows(self):
@@ -705,8 +706,8 @@ for metric in (fuzzrel.MTBF, fuzzrel.STEADY_AVAILABILITY, fuzzrel.reliability_at
     def test_import_leaves_linalg_unloaded(self):
         assert not loaded_after("scipy.linalg", package="fuzzrel.cli")
         assert not loaded_after("scipy.linalg", OPEN_AVAILABILITY_BOX)
-        # R(t) values, sensitivities and a curve run on eigh alone; only the
-        # availability transient and rows without repair use expm
+        # R(t) values, sensitivities and a curve run on eigh alone; only
+        # rows without repair use expm
         params = "fuzzrel.SystemParams(0.6, 0.2, 4.0, 0.9, 2.0)"
         reliability = f"""
 from fuzzrel import markov
@@ -725,9 +726,9 @@ fuzzrel.membership_curve(
 )
 """
         assert not loaded_after("scipy.linalg", reliability)
-        mode = "fuzzrel.ChainMode.AVAILABILITY"
-        availability = f"fuzzrel.state_probabilities({params}, 1.0, {mode})"
-        assert loaded_after("scipy.linalg", availability)
+        no_repair = "fuzzrel.SystemParams(0.6, 0.2, 0.0, 0.9, 2.0)"
+        without_repair = f"fuzzrel.reliability_at({no_repair}, 1.0)"
+        assert loaded_after("scipy.linalg", without_repair)
 
 
 def _box(lo, spread):

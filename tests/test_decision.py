@@ -84,7 +84,7 @@ class TestBuildTable:
         fp = demo_params()
         table = build_table(fp, metric, ALPHAS_11)
         for name in table.parameters:
-            for a, cut in table.cuts[name].rows:
+            for a, cut in zip(table.cuts[name].alphas, table.cuts[name].intervals):
                 assert cut == fp.fuzzy_by_name(name).alpha_cut(a)
 
     def test_parameter_columns_are_the_cuts(self, demo_table):
@@ -100,7 +100,7 @@ class TestBuildTable:
             assert mu.hi == pytest.approx(6.0 - a, abs=1e-12)
 
     def test_bounds_column_matches_reference(self, demo_table):
-        for a, b in demo_table.bounds.rows:
+        for a, b in zip(demo_table.bounds.alphas, demo_table.bounds.intervals):
             lo, hi = REFERENCE_MTBF_BOUNDS[round(a, 1)]
             assert b.lo == pytest.approx(lo, abs=5e-3)
             assert b.hi == pytest.approx(hi, abs=5e-3)
@@ -140,7 +140,7 @@ class TestInvertQuery:
         assert alpha == 1.0
 
     def test_stored_rows_round_trip(self, demo_curve):
-        for a, iv in demo_curve.rows:
+        for a, iv in zip(demo_curve.alphas, demo_curve.intervals):
             assert invert_query(demo_curve, iv) == pytest.approx(a, abs=1e-9)
 
     def test_wide_target_costs_nothing(self, demo_curve):
@@ -193,7 +193,7 @@ class TestInvertQuery:
                         continue
                     target = Interval(lo, hi)
                     alpha = invert_query(curve, target)
-                    for a, iv in curve.rows:
+                    for a, iv in zip(curve.alphas, curve.intervals):
                         assert a >= alpha or not target.encloses(iv), (curve, target, alpha)
                     iv = curve.interval_at(alpha)
                     assert not _escapes(
@@ -209,7 +209,7 @@ class TestRequiredParameterRange:
 
     def test_stored_rows_reproduced(self, demo_table):
         for name in demo_table.parameters:
-            for a, cut in demo_table.cuts[name].rows:
+            for a, cut in zip(demo_table.cuts[name].alphas, demo_table.cuts[name].intervals):
                 rng = required_parameter_range(demo_table, a, name)
                 assert rng.lo == pytest.approx(cut.lo, abs=1e-12)
                 assert rng.hi == pytest.approx(cut.hi, abs=1e-12)

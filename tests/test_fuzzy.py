@@ -320,21 +320,12 @@ def scalar_membership(curve, z):
 class TestMembershipCurve:
     def build(self, fz, n=11):
         alphas = [i / (n - 1) for i in range(n)]
-        return MembershipCurve.from_rows([(a, fz.alpha_cut(a)) for a in alphas])
-
-    def test_curves_compare_and_hash_by_value(self):
-        fz = FuzzyNumber.triangular(1.0, 2.0, 4.0)
-        curve = self.build(fz)
-        same = MembershipCurve(list(curve.alphas), list(curve.lower), list(curve.upper))
-        assert same == curve and hash(same) == hash(curve)
-        assert self.build(fz, n=5) != curve
-        assert self.build(FuzzyNumber.triangular(1.0, 2.0, 5.0)) != curve
+        cuts = fz.alpha_cuts(alphas)
+        return MembershipCurve(alphas, cuts[:, 0], cuts[:, 1])
 
     def test_rejects_non_nested_rows(self):
         with pytest.raises(ValidationError):
-            MembershipCurve.from_rows(
-                [(0.0, Interval(0.0, 1.0)), (1.0, Interval(-0.5, 0.5))]
-            )
+            MembershipCurve((0.0, 1.0), (0.0, -0.5), (1.0, 0.5))
 
     def test_nesting_tolerance_scales_with_the_rows(self):
         # an absolute 1e-9 accepted an alpha = 1 row wholly outside the
@@ -348,9 +339,7 @@ class TestMembershipCurve:
 
     def test_rejects_disordered_alphas(self):
         with pytest.raises(ValidationError):
-            MembershipCurve.from_rows(
-                [(0.5, Interval(0.0, 1.0)), (0.2, Interval(0.2, 0.8))]
-            )
+            MembershipCurve((0.5, 0.2), (0.0, 0.2), (1.0, 0.8))
 
     def test_membership_zero_outside_support(self):
         curve = self.build(FuzzyNumber.trapezoidal(1.0, 2.0, 3.0, 4.0))
@@ -366,7 +355,7 @@ class TestMembershipCurve:
     def test_round_trip_at_stored_rows(self):
         fz = FuzzyNumber.trapezoidal(1.0, 2.5, 3.0, 4.5)
         curve = self.build(fz, n=11)
-        for a, iv in curve.rows:
+        for a, iv in zip(curve.alphas, curve.intervals):
             if a == 0.0:
                 continue
             assert curve.membership_at(iv.lo) == pytest.approx(a, abs=1e-9)
@@ -415,7 +404,7 @@ class TestMembershipCurve:
     @given(fz=trapezoids())
     def test_rows_from_cuts_always_valid(self, fz):
         curve = self.build(fz, n=21)
-        assert len(curve.rows) == 21
+        assert len(curve.intervals) == 21
 
 
 class TestSupMinReconstruction:
@@ -440,14 +429,12 @@ class TestSupMinReconstruction:
         fy = FuzzyNumber.trapezoidal(3.0, 4.0, 5.0, 6.0)
 
         alphas = tuple(i / 10 for i in range(11))
-        rows = []
-        for a in alphas:
-            cx, cv, cy = fx.alpha_cut(a), fv.alpha_cut(a), fy.alpha_cut(a)
-            rows.append(
-                (a, Interval(self.kernel(cx.lo, cv.lo, cy.hi),
-                             self.kernel(cx.hi, cv.hi, cy.lo)))
-            )
-        curve = MembershipCurve.from_rows(rows)
+        cx, cv, cy = (fz.alpha_cuts(alphas).T for fz in (fx, fv, fy))
+        curve = MembershipCurve(
+            alphas,
+            self.kernel(cx[0], cv[0], cy[1]),
+            self.kernel(cx[1], cv[1], cy[0]),
+        )
 
         # quantile-aligned samples: cut endpoints at the tabulated levels
         def axis_samples(fz):

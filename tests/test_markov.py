@@ -11,14 +11,12 @@ from fuzzrel import (
     DOWN_STATES,
     KernelEvaluationError,
     State,
-    StateProbabilities,
     SystemParams,
     UP_STATES,
     ValidationError,
     build_generator,
     mttf,
     reliability_at,
-    state_probabilities,
     stationary_distribution,
     steady_availability,
 )
@@ -134,14 +132,12 @@ FAST_REPAIR_RELIABILITY = [
 
 # R(t) at and near mu = 0, (lambda, theta, mu, c, beta), t and R(t),
 # computed once as the row sums of a 60-digit mpmath.expm of the exact up
-# block times t (80 digits agree). The kernel misses both by far more than
-# its precision elsewhere: the mu = 0 path (_up_block_expm) by 3.8e-12 and
-# the eigendecomposition (_up_eigen) by 1.8e-10, relative.
+# block times t (80 digits agree). The eigendecomposition (_up_eigen)
+# misses the second by 1.8e-10 relative, far more than its precision
+# elsewhere.
 NEAR_ZERO_REPAIR_RELIABILITY = [
     pytest.param(
-        (31.62, 0.0, 0.0, 1e-13, 1.0), 0.5, 1.8518614120542764864344e-14,
-        marks=pytest.mark.xfail(strict=True, reason="_up_block_expm is 3.8e-12 off"),
-        id="mu=0",
+        (31.62, 0.0, 0.0, 1e-13, 1.0), 0.5, 1.8518614120542764864344e-14, id="mu=0"
     ),
     pytest.param(
         (1.0, 0.0, 1e-12, 0.9, 1.0), 0.0675, 0.98646898599865515278390,
@@ -457,14 +453,6 @@ class TestTransient:
         rel = [reliability_at(p, t) for t in ts]
         assert all(a >= b - 1e-12 for a, b in zip(rel, rel[1:]))
 
-    def test_distribution_is_proper_at_any_time(self):
-        p = params()
-        for mode in ChainMode:
-            for t in (0.0, 0.3, 3.0, 30.0, 300.0):
-                probs = state_probabilities(p, t, mode)
-                assert probs.p.min() >= 0.0
-                assert abs(probs.p.sum() - 1.0) < 1e-10
-
     def test_nonincreasing_near_rate_time_200(self):
         # rate * t from 180 to 220, rate being the chain's fastest exit,
         # mu + 2 lambda out of UP2
@@ -478,10 +466,6 @@ class TestTransient:
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
             reliability_at(params(), -0.1)
-
-    def test_record_rejects_nan_masses(self):
-        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
-            StateProbabilities(0.0, [np.nan] * 6)
 
     def test_long_run_reliability_vanishes(self):
         assert reliability_at(params(), 2000.0) < 1e-9
@@ -594,8 +578,8 @@ def test_kernels_build_no_validated_generator(monkeypatch):
 
 
 # lambda 1e200 against mu 1e-200 overflows the up masses, and every
-# metric and state law is NaN there; so is MTTF at lambda 1e-170 without
-# repair, and the reliability chain's transient law at lambda = mu = 1e-170
+# metric and the stationary law are NaN there; so is MTTF at lambda
+# 1e-170 without repair
 @pytest.mark.parametrize(
     "metric, params",
     [
@@ -604,12 +588,6 @@ def test_kernels_build_no_validated_generator(monkeypatch):
         (steady_availability, SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
         (lambda p: reliability_at(p, 1.0), SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
         (stationary_distribution, SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
-        (lambda p: state_probabilities(p, 1.0), SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0)),
-        (
-            lambda p: state_probabilities(p, 1.0, ChainMode.AVAILABILITY),
-            SystemParams(1e200, 0.0, 1e-200, 0.5, 1.0),
-        ),
-        (lambda p: state_probabilities(p, 1.0), SystemParams(1e-170, 0.0, 1e-170, 0.5, 1.0)),
     ],
     ids=[
         "mttf",
@@ -617,9 +595,6 @@ def test_kernels_build_no_validated_generator(monkeypatch):
         "availability",
         "reliability",
         "stationary-law",
-        "transient-law-reliability",
-        "transient-law-availability",
-        "transient-law-tiny-rates",
     ],
 )
 def test_non_finite_crisp_metric_names_its_rates(metric, params):
@@ -832,29 +807,6 @@ class TestReliabilityKernel:
         r = [reliability_at(FAST_REPAIR, t) for t in times]
         np.testing.assert_allclose(r, expected, rtol=1e-12)
 
-    @pytest.mark.parametrize(
-        "mode, mu",
-        [(ChainMode.RELIABILITY, 4.0), (ChainMode.RELIABILITY, 0.0),
-         (ChainMode.AVAILABILITY, 4.0)],
-    )
-    def test_distribution_matches_generator_expm(self, mode, mu):
-        p = params(mu=mu)
-        for t in (0.0, 0.3, 3.0, 30.0):
-            q = reference_generator(p, mode)
-            expected = scipy.linalg.expm(q.T * t)[:, State.UP3]
-            probs = state_probabilities(p, t, mode).p
-            np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=1e-14)
-            assert abs(probs.sum() - 1.0) < 1e-14
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(models(), st.sampled_from(REPORT_TIMES))
-    def test_distribution_of_wide_rates_is_proper(self, p, factor):
-        t = factor * mttf(p)
-        probs = state_probabilities(p, t).p
-        assert probs[list(UP_STATES)].sum() == pytest.approx(
-            reliability_at(p, t), abs=1e-13
-        )
-
 
 def mu_partial(kind, rates):
     """dMTTF/dmu or dA/dmu from markov's slope numerators, with the
@@ -969,6 +921,23 @@ class TestSensitivities:
         )
         values, _ = markov._reliability_sensitivities(rows, t)
         np.testing.assert_array_equal(values, markov._reliability_values(rows, t))
+
+    @pytest.mark.parametrize("t", [1e-6, 1.0, 1e9])
+    def test_values_equal_the_values_kernel_without_repair(self, t):
+        # mu = 0 rows take R from expm(B t) in both kernels, whether stacked
+        # or one at a time; only the partial comes from the augmented block
+        from fuzzrel import markov
+
+        rng = np.random.default_rng(31)
+        n = 150
+        lam = 10.0 ** rng.uniform(-3, 2, n) / t
+        rows = np.column_stack(
+            [lam, rng.uniform(0, 1, n) * lam, np.zeros(n), rng.uniform(0, 1, n), np.ones(n)]
+        )
+        values, _ = markov._reliability_sensitivities(rows, t)
+        np.testing.assert_array_equal(values, markov._reliability_values(rows, t))
+        singles = [reliability_at(SystemParams(*row), t) for row in rows]
+        np.testing.assert_array_equal(values, singles)
 
     @pytest.mark.parametrize(
         "point",

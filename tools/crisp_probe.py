@@ -4,10 +4,9 @@ the modal reference system, and whole `metrics` reports.
     PYTHONPATH=src python tools/crisp_probe.py
 
 Prints the per-call time of mttf, steady_availability, reliability_at,
-state_probabilities in both chain modes, build_generator and one
-in-process `fuzzrel metrics` call on the reference model's modal rates
-(lambda 0.65, theta 0.25, mu 4.5, beta 2.25, c = 0.9), each the best of
-seven timed batches. Then writes 400 crisp models with rates log-uniform
+build_generator and one in-process `fuzzrel metrics` call on the
+reference model's modal rates (lambda 0.65, theta 0.25, mu 4.5,
+beta 2.25, c = 0.9), each the best of seven timed batches. Then writes 400 crisp models with rates log-uniform
 over 1e-6..1e9, theta = U(0, 1) lambda and c = U(0, 1), drawn from
 numpy.random.default_rng(5), to a temporary directory, and prints the
 per-call time of an in-process `metrics --full-precision` pass over all
@@ -26,12 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from fuzzrel import (
-    ChainMode,
     SystemParams,
     build_generator,
     mttf,
     reliability_at,
-    state_probabilities,
     steady_availability,
 )
 from fuzzrel.cli import main
@@ -82,7 +79,6 @@ def wide_models(where: Path) -> list[str]:
 
 def main_probe() -> None:
     t = mttf(MODAL)
-    availability = ChainMode.AVAILABILITY
     with tempfile.TemporaryDirectory() as tmp:
         reference = Path(tmp) / "reference.json"
         reference.write_text(json.dumps(REFERENCE), encoding="utf-8")
@@ -90,9 +86,6 @@ def main_probe() -> None:
             ("mttf", lambda: mttf(MODAL), 2000),
             ("steady_availability", lambda: steady_availability(MODAL), 2000),
             ("reliability_at", lambda: reliability_at(MODAL, t), 1000),
-            ("state_probabilities, reliability", lambda: state_probabilities(MODAL, t), 1000),
-            ("state_probabilities, availability",
-             lambda: state_probabilities(MODAL, t, availability), 200),
             ("build_generator", lambda: build_generator(MODAL), 1000),
             ("metrics call", lambda: quiet_main(["metrics", str(reference)]), 200),
         ]

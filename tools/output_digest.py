@@ -23,11 +23,11 @@ directory's path replaced. Warnings are ignored, since their text holds
 source line numbers. Comparing the output of two checkouts (`diff`)
 lists the outputs that differ.
 
-Last come four lines for the library's generator and transient law:
-build_generator and state_probabilities at t = 1/lambda, in both chain
-modes, over the same 400 wide-rates models, each line hashing every
-model's result array (`tobytes()`) or, where the call raises, the error's
-type and message.
+Last come three lines for the library, over the same 400 wide-rates
+models: build_generator in each chain mode, and reliability_at at
+t = 1/lambda with mu set to 0, the rows that take R(t) from a matrix
+exponential. Each line hashes every model's result (`tobytes()`) or,
+where the call raises, the error's type and message.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from fuzzrel import (
     SystemParams,
     build_generator,
     cli,
-    state_probabilities,
+    reliability_at,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,25 +106,31 @@ def _print(name: str, outputs: dict[str, bytes]) -> None:
         print(f"{hashlib.sha256(data).hexdigest()}  {name}/{file}")
 
 
+def _print_calls(name: str, call, models: list[SystemParams]) -> None:
+    """One line hashing call's result, or its error, at each of models."""
+    digest = hashlib.sha256()
+    for p in models:
+        try:
+            data = np.asarray(call(p)).tobytes()
+        except Exception as exc:  # noqa: BLE001 - the error is the output
+            data = f"{type(exc).__name__}: {exc}".encode()
+        digest.update(data)
+    print(f"{digest.hexdigest()}  wide-rates/{name}")
+
+
 def _print_library(models: list[SystemParams]) -> None:
-    """One line each for build_generator and state_probabilities at
-    t = 1/lambda, per chain mode, over models."""
-    calls = {
-        "build_generator": lambda p, mode: build_generator(p, mode).rates,
-        "state_probabilities": lambda p, mode: state_probabilities(
-            p, 1.0 / p.failure_rate, mode
-        ).p,
-    }
-    for name, call in calls.items():
-        for mode in ChainMode:
-            digest = hashlib.sha256()
-            for p in models:
-                try:
-                    data = call(p, mode).tobytes()
-                except Exception as exc:  # noqa: BLE001 - the error is the output
-                    data = f"{type(exc).__name__}: {exc}".encode()
-                digest.update(data)
-            print(f"{digest.hexdigest()}  wide-rates/{name}/{mode.value}")
+    """One line per chain mode for build_generator, and one for
+    reliability_at at t = 1/lambda with mu set to 0, over models."""
+    for mode in ChainMode:
+        _print_calls(
+            f"build_generator/{mode.value}", lambda p: build_generator(p, mode).rates, models
+        )
+    without_repair = [SystemParams(**{**vars(p), "repair_rate": 0.0}) for p in models]
+    _print_calls(
+        "reliability_at/no-repair",
+        lambda p: reliability_at(p, 1.0 / p.failure_rate),
+        without_repair,
+    )
 
 
 def main() -> None:
