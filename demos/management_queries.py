@@ -1,9 +1,10 @@
-"""Answer planning questions with the alpha-cut table instead of reading it.
+"""Answer planning questions from the model instead of reading a table.
 
 Three queries a reliability owner actually asks. First, how confident can
 we be that the mean lifetime lands inside a contract window. Second, what
 repair capacity does a confidence level demand. Third, which fault
-coverage would explain an observed lifetime spread.
+coverage would explain an observed lifetime spread. The first two are
+answered exactly, at any alpha, not read off the rows of a ladder.
 """
 
 from fuzzrel import (
@@ -11,8 +12,8 @@ from fuzzrel import (
     FuzzyNumber,
     FuzzySystemParams,
     Interval,
-    build_table,
     calibrate_coverage,
+    characteristic_bounds,
     invert_query,
     required_parameter_range,
 )
@@ -29,21 +30,22 @@ def demo_params(coverage=0.9):
 
 
 def main():
-    alphas = tuple(i / 10 for i in range(11))
-    table = build_table(demo_params(), MTBF, alphas)
-    curve = table.bounds
+    fp = demo_params()
 
-    # query 1: smallest confidence level whose bounds fit the window
+    # query 1: smallest confidence level whose bounds fit the window, and
+    # the guaranteed range at that level
     for target in (Interval(4.9, 6.8), Interval(4.5, 7.3), Interval(3.5, 9.0)):
-        alpha = invert_query(curve, target)
+        alpha = invert_query(fp, MTBF, target)
+        cut = characteristic_bounds(fp, MTBF, alpha).bounds
         print(
             f"mean lifetime within [{target.lo:.2f}, {target.hi:.2f}] "
-            f"from alpha = {alpha:.2f} upward"
+            f"from alpha = {alpha:.4f} upward, where it lies in "
+            f"[{cut.lo:.4f}, {cut.hi:.4f}]"
         )
 
     # query 2: the repair rate interval a confidence level presumes
     for level in (0.5, 0.9):
-        rng = required_parameter_range(table, level, "mu")
+        rng = required_parameter_range(fp, level, "mu")
         print(
             f"\nalpha = {level:.1f} presumes a repair rate inside "
             f"[{rng.lo:.2f}, {rng.hi:.2f}]"

@@ -85,6 +85,7 @@ from .errors import (
     KernelEvaluationError,
     NestingError,
     SolverError,
+    UnknownParameterError,
     ValidationError,
 )
 from .fuzzy import (
@@ -208,7 +209,9 @@ class FuzzySystemParams:
         try:
             return getattr(self, self._BY_NAME[name])
         except KeyError:
-            raise ValidationError(f"unknown parameter name {name!r}") from None
+            raise UnknownParameterError(
+                f"unknown parameter name {name!r}, the model has {PARAMETER_NAMES}"
+            ) from None
 
     @cached_property
     def _cut_table(self) -> _CutTable:
@@ -410,7 +413,8 @@ def _bisect(moves, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     split, where the midpoint splits its bracket. A bracket that moves
     both ways, where the slope is flat, closes at its midpoint. The loop
     ends when no midpoint splits its bracket, so a bracket that moves one
-    way each round runs to adjacent floats.
+    way each round runs to adjacent floats. decision.invert_query runs it
+    on alpha, moving up where the interval does not fit the target.
     """
     while True:
         mid = lo + 0.5 * (hi - lo)

@@ -24,6 +24,7 @@ from .bounds import (
     PARAM_LAMBDA,
     PARAM_MU,
     PARAM_THETA,
+    characteristic_bounds,
     membership_curve,
 )
 from .decision import (
@@ -225,8 +226,11 @@ def _levels(args, cfg: ModelConfig) -> tuple[float, ...]:
 
 
 def _csv(header: list[str], columns: list[np.ndarray], full: bool) -> list[str]:
+    """CSV lines: the header, then each row from one % template, whose
+    fields _fmt would give."""
+    template = ",".join(["%.17g" if full else "%.4f"] * len(columns))
     rows = zip(*(column.tolist() for column in columns))
-    return [",".join(header)] + [",".join(_fmt(x, full) for x in row) for row in rows]
+    return [",".join(header)] + [template % row for row in rows]
 
 
 def _table_csv(table: AlphaCutTable, full: bool) -> list[str]:
@@ -278,12 +282,9 @@ def cmd_curve(args) -> int:
     support = curve.support
     zs = np.linspace(support.lo, support.hi, 201)
     grades = curve.membership_at(zs)
-    member = ["z,membership"]
-    for z, grade in zip(zs.tolist(), grades.tolist()):
-        member.append(f"{_fmt(z, full)},{_fmt(grade, full)}")
     stem, ext = os.path.splitext(args.out)
     member_path = f"{stem}_membership{ext}"
-    _write_lines(member_path, member)
+    _write_lines(member_path, _csv(["z", "membership"], [zs, grades], full))
     print(f"wrote {args.out}")
     print(f"wrote {member_path}")
     return EXIT_OK
@@ -291,10 +292,10 @@ def cmd_curve(args) -> int:
 
 def cmd_invert(args) -> int:
     cfg = load_model_config(args.config, override_metric=args.metric, override_t=args.t)
-    curve = membership_curve(cfg.fuzzy_params, cfg.metric, _levels(args, cfg))
-    alpha = invert_query(curve, Interval(args.lower, args.upper))
-    cut = curve.interval_at(alpha)
-    print(f"alpha = {alpha:.2f}")
+    fp, metric = cfg.fuzzy_params, cfg.metric
+    alpha = invert_query(fp, metric, Interval(args.lower, args.upper))
+    cut = characteristic_bounds(fp, metric, alpha).bounds
+    print(f"alpha = {alpha:.4f}")
     print(f"cut   = [{cut.lo:.4f}, {cut.hi:.4f}]")
     return EXIT_OK
 
@@ -315,7 +316,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate supports the metrics 'mtbf' and 'availability'")
     lines = [
         "quantity,mean,std_error,replications",
-        f"{name},{est.mean:.6f},{est.std_error:.6f},{est.replications}",
+        f"{name},{_fmt(est.mean, True)},{_fmt(est.std_error, True)},{est.replications}",
     ]
     _write_lines(args.out, lines)
     if args.out is not None:
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = add("invert", cmd_invert, "alpha level that fits a target interval",
-            "--metric", "--t", "--levels")
+            "--metric", "--t")
     p.add_argument("--lower", type=float, required=True, help="target lower bound")
     p.add_argument("--upper", type=float, required=True, help="target upper bound")
 

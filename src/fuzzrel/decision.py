@@ -1,12 +1,16 @@
 """Decision-support views over fuzzy characteristic bounds.
 
 Builds the alpha-cut table that pairs parameter cuts with characteristic
-bounds, answers inverse queries (which confidence level delivers a
-target interval, which parameter range is needed at a given level), and
-calibrates the crisp coverage probability against anchor bounds. The
-calibration fits the lower bound, the lower of the metric's values at
-the minimum's point at the two ends of the mu cut: bit for bit the bound
-search's minimum for MTBF and availability, and within
+bounds and answers the management queries from the model, not from a
+table. The confidence level that delivers a target interval is the
+smallest alpha whose exact interval fits it, found by bisection on alpha
+to adjacent floats; the parameter range that a level presumes is the
+rate's exact alpha-cut.
+
+It also calibrates the crisp coverage probability against anchor bounds.
+The calibration fits the lower bound, the lower of the metric's values
+at the minimum's point at the two ends of the mu cut: bit for bit the
+bound search's minimum for MTBF and availability, and within
 bounds._ZERO_CHANGE of R for R(t). For MTBF and availability each value
 is a ratio of quadratics in c, so the coverages that meet an anchor come
 in closed form, with 1 - c to full relative precision; where an anchor
@@ -30,6 +34,7 @@ from . import markov
 from .bounds import (
     FuzzySystemParams,
     Metric,
+    _bisect,
     _boxes,
     _complete_ladder,
     _curve,
@@ -43,7 +48,6 @@ from .bounds import (
 from .errors import (
     CalibrationError,
     NoContainmentError,
-    UnknownParameterError,
     ValidationError,
 )
 from .fuzzy import Interval, MembershipCurve, _escapes
@@ -66,19 +70,8 @@ class AlphaCutTable:
                 raise ValidationError(f"column {name} has other alpha levels than the bounds")
 
     @property
-    def parameters(self) -> tuple[str, ...]:
-        return tuple(self.cuts)
-
-    @property
     def alphas(self) -> np.ndarray:
         return self.bounds.alphas
-
-    def _column(self, parameter: str) -> MembershipCurve:
-        if parameter not in self.cuts:
-            raise UnknownParameterError(
-                f"unknown parameter {parameter!r}, table has {self.parameters}"
-            )
-        return self.cuts[parameter]
 
 
 def build_table(
@@ -95,59 +88,45 @@ def build_table(
     return AlphaCutTable(metric=metric, bounds=bounds, cuts=cuts)
 
 
-# the top row may pass the target by this fraction of their magnitude
+# the interval at the returned alpha may pass the target by this fraction
+# of their magnitude
 _CONTAINMENT_TOL = 1e-13
 
 
-def invert_query(curve: MembershipCurve, target: Interval) -> float:
-    """Smallest alpha whose characteristic interval fits the target.
+def invert_query(fp: FuzzySystemParams, metric: Metric, target: Interval) -> float:
+    """Smallest alpha in [0, 1] whose exact interval of the metric lies
+    inside the target, within _CONTAINMENT_TOL of their magnitude.
 
     The bounds shrink as alpha grows, so containment is monotone: once an
     alpha level fits inside the target, every higher level does too. The
-    returned level is the threshold, found by linear interpolation on
-    each branch; it answers "how much confidence must I give up before
-    the guaranteed range fits my target".
+    answer is 0 where the alpha = 0 interval fits. Otherwise one bisection
+    on alpha (bounds._bisect), a bounds search (_ladder_bounds) at each
+    midpoint, runs to adjacent floats, the lower one not fitting, and the
+    upper one is returned. It answers "how much confidence must I give up
+    before the guaranteed range fits my target".
     """
-    alphas, lows, highs = curve.alphas, curve.lower, curve.upper
-
-    if _escapes(lows[-1], highs[-1], target.lo, target.hi, _CONTAINMENT_TOL):
+    (low, top_low), (high, top_high) = _ladder_bounds(fp, metric, np.array([0.0, 1.0])).bounds
+    if _escapes(top_low, top_high, target.lo, target.hi, _CONTAINMENT_TOL):
         raise NoContainmentError(
-            f"even the alpha={alphas[-1]:g} interval "
-            f"[{lows[-1]:.6g}, {highs[-1]:.6g}] is not inside the target "
-            f"[{target.lo:.6g}, {target.hi:.6g}]"
+            f"even the alpha=1 interval [{top_low:.6g}, {top_high:.6g}] is not inside "
+            f"the target [{target.lo:.6g}, {target.hi:.6g}]"
         )
-    # the upper branch is the lower one negated, which is exact in floats:
-    # highs nonincreasing to at most target.hi, as -highs rising to -target.hi
-    return max(
-        _first_level(alphas, lows, target.lo),
-        _first_level(alphas, -highs, -target.hi),
-    )
+    if not _escapes(low, high, target.lo, target.hi, _CONTAINMENT_TOL):
+        return 0.0
+
+    def moves(mid, split, lo, hi):
+        lows, highs = _ladder_bounds(fp, metric, mid).bounds
+        fits = ~_escapes(lows, highs, target.lo, target.hi, _CONTAINMENT_TOL)
+        return ~fits, fits
+
+    return float(np.nextafter(_bisect(moves, np.zeros(1), np.ones(1))[0], 1.0))
 
 
-def _first_level(alphas: np.ndarray, ends: np.ndarray, bound: float) -> float:
-    """First alpha at which the nondecreasing ends reach bound, linear in
-    alpha between two levels."""
-    if ends[0] >= bound:
-        return float(alphas[0])
-    j = int(np.searchsorted(ends, bound, side="left"))
-    if j >= len(ends):
-        # containment held only through the _CONTAINMENT_TOL slack
-        return float(alphas[-1])
-    if ends[j] == bound:
-        return float(alphas[j])
-    frac = (bound - ends[j - 1]) / (ends[j] - ends[j - 1])
-    return float(alphas[j - 1] + frac * (alphas[j] - alphas[j - 1]))
-
-
-def required_parameter_range(
-    table: AlphaCutTable, alpha: float, parameter: str
-) -> Interval:
-    """Parameter interval that must hold to claim a given alpha level.
-
-    Interpolates the stored cut column linearly in alpha, so querying a
-    tabulated level returns that row's cut unchanged.
-    """
-    return table._column(parameter).interval_at(alpha)
+def required_parameter_range(fp: FuzzySystemParams, alpha: float, parameter: str) -> Interval:
+    """Interval of a rate that must hold to claim a given alpha level: the
+    rate's exact alpha-cut. An unknown name raises UnknownParameterError
+    (FuzzySystemParams.fuzzy_by_name)."""
+    return fp.fuzzy_by_name(parameter).alpha_cut(alpha)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ class ValidationError(FuzzrelError, ValueError):
 
 
 class UnknownParameterError(ValidationError):
-    """A parameter name does not exist in the table or model."""
+    """A parameter name does not exist in the model."""
 
 
 class SolverError(FuzzrelError, RuntimeError):

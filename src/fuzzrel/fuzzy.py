@@ -355,19 +355,6 @@ class MembershipCurve:
     def support(self) -> Interval:
         return Interval(self.lower[0], self.upper[0])
 
-    def interval_at(self, alpha: float) -> Interval:
-        """Interval at an alpha level, interpolated between stored rows."""
-        alpha = float(alpha)
-        if not self.alphas[0] <= alpha <= self.alphas[-1]:
-            raise ValidationError(
-                f"alpha {alpha} outside tabulated range "
-                f"[{self.alphas[0]}, {self.alphas[-1]}]"
-            )
-        return Interval(
-            float(np.interp(alpha, self.alphas, self.lower)),
-            float(np.interp(alpha, self.alphas, self.upper)),
-        )
-
     def membership_at(self, z):
         """Membership grade of z under the curve's piecewise-linear shape.
 

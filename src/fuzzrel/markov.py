@@ -299,20 +299,19 @@ def mttf(params: SystemParams) -> float:
 class _UpEigen(NamedTuple):
     """The symmetrized up block at rate rows (..., 5).
 
-    s is S (..., 3, 3), w and vecs the eigenvalues (..., 3) and
-    eigenvectors (..., 3, 3) of S, and d the symmetrizer (..., 3),
-    (1, sqrt(c a / mu), sqrt(c a / mu) sqrt(2 c lambda / mu)). u = V^T
-    D^-1 e_UP3 and v = V^T D 1, so that R(t) = sum_k u_k exp(w_k t) v_k.
-    c = 0 makes d_1 = d_2 = 0 and S diagonal, and needs nothing else. ok
-    marks the rows whose d is finite, 0-d for one row; mu = 0, or an up
-    mass overflowing, leaves B without a symmetrizer, and those rows go to
+    s is S (..., 3, 3), and w and vecs the eigenvalues (..., 3) and
+    eigenvectors (..., 3, 3) of S. With d the symmetrizer, (1, sqrt(c a /
+    mu), sqrt(c a / mu) sqrt(2 c lambda / mu)), u = V^T D^-1 e_UP3 and v =
+    V^T D 1, so that R(t) = sum_k u_k exp(w_k t) v_k. c = 0 makes d_1 =
+    d_2 = 0 and S diagonal, and needs nothing else. ok marks the rows
+    whose d is finite, 0-d for one row; mu = 0, or an up mass
+    overflowing, leaves B without a symmetrizer, and those rows go to
     _up_block_expm.
     """
 
     s: np.ndarray
     w: np.ndarray
     vecs: np.ndarray
-    d: np.ndarray
     u: np.ndarray
     v: np.ndarray
     ok: np.ndarray
@@ -344,7 +343,7 @@ def _up_eigen(rates: np.ndarray) -> _UpEigen:
     w, vecs = np.linalg.eigh(s)
     w[..., 2] = -_up_determinant(a, lam, mu, c) / (w[..., 0] * w[..., 1])
     u, v = vecs[..., 0, :], (vecs * d[..., :, None]).sum(axis=-2)
-    return _UpEigen(s, w, vecs, d, u, v, ok)
+    return _UpEigen(s, w, vecs, u, v, ok)
 
 
 def _exp1(x: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from fuzzrel import (
     MembershipCurve,
     SimConfig,
     SystemParams,
-    build_table,
     calibrate_coverage,
     characteristic_bounds,
     invert_query,
@@ -374,19 +373,18 @@ def test_criterion_7_fuzzy_invariants(capsys):
 
 
 def test_criterion_8_decision_queries(capsys):
-    """Inverse queries on the reference table."""
+    """Inverse queries on the reference model."""
     failures = []
-    table = build_table(demo_params(), MTBF, ALPHAS_11)
-    curve = table.bounds
+    fp = demo_params()
 
-    alpha = invert_query(curve, Interval(4.939, 6.716))
+    alpha = invert_query(fp, MTBF, Interval(4.939, 6.716))
     _check(
         failures,
         abs(alpha - 0.90) <= 0.02,
         f"inverse query returned {alpha}, expected 0.90 +- 0.02",
     )
 
-    rng = required_parameter_range(table, 0.9, "mu")
+    rng = required_parameter_range(fp, 0.9, "mu")
     _check(
         failures,
         abs(rng.lo - 3.9) <= 1e-12 and abs(rng.hi - 5.1) <= 1e-12,

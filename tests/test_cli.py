@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzrel import SystemParams
+from fuzzrel import SystemParams, mttf
 from fuzzrel.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -301,6 +301,17 @@ class TestInvert:
         assert code == EXIT_OK
         assert "alpha = 0.00" in capsys.readouterr().out
 
+    def test_answer_does_not_depend_on_the_ladder(self, config_path, capsys):
+        # the model's alphas do not enter: a 2-level ladder gives what the
+        # 11-level one does, the exact answer
+        outputs = []
+        for name, alphas in (("eleven", None), ("two", [0.0, 1.0])):
+            cfg = config_path({**DEMO_CONFIG, "alphas": alphas}, f"{name}.json")
+            assert main(["invert", cfg, "--lower", "4.5", "--upper", "7.4"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines() == ["alpha = 0.5398", "cut   = [4.5000, 7.3953]"]
+
     def test_unreachable_target_is_solver_failure(self, config_path, capsys):
         cfg = config_path(DEMO_CONFIG)
         code = main(["invert", cfg, "--lower", "5.2", "--upper", "6.0"])
@@ -340,6 +351,18 @@ class TestSimulate:
         assert line[0] == "availability"
         mean, se = float(line[1]), float(line[2])
         assert abs(mean - 0.932305) <= 3.0 * se + 1e-4
+
+    def test_tiny_mttf_keeps_its_digits(self, config_path, capsys):
+        # the MTTF is about 1.8e-7, which six fixed decimals printed as
+        # 0.000000 with a standard error of 0.000000
+        model = {"lambda": 1e7, "theta": 0.0, "mu": 1.0, "beta": 2.0, "c": 0.9}
+        cfg = config_path(model)
+        assert main(["simulate", cfg]) == EXIT_OK
+        line = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        mean, se = float(line[1]), float(line[2])
+        expected = mttf(SystemParams(1e7, 0.0, 1.0, 0.9, 2.0))
+        assert se > 0.0
+        assert abs(mean - expected) <= 3.0 * se
 
     def test_reps_and_seed_overrides_deterministic(self, config_path, tmp_path):
         cfg = config_path({**DEMO_CONFIG, "metric": "mtbf"})
@@ -434,9 +457,7 @@ class TestCoupledModel:
         assert main(["alphacut", cfg, "--out", str(out), "--levels", "2"]) == EXIT_OK
         _, rows = read_csv(out)
         assert rows[0][8] == pytest.approx(11.2861, abs=5e-5)
-        code = main(
-            ["invert", cfg, "--lower", "5.1852", "--upper", "11.2862", "--levels", "2"]
-        )
+        code = main(["invert", cfg, "--lower", "5.1852", "--upper", "11.2862"])
         assert code == EXIT_OK
         assert "alpha = 0.00" in capsys.readouterr().out
 
@@ -561,11 +582,12 @@ class TestExitCodes:
             ["calibrate", "--anchor-alpha", "1", "--lower", "5", "--upper", "6",
              "--full-precision"],
             ["invert", "--lower", "5", "--upper", "6", "--full-precision"],
+            ["invert", "--lower", "5", "--upper", "6", "--levels", "3"],
             ["simulate", "--full-precision"],
             ["metrics", "--metric", "availability"],
         ],
         ids=["calibrate-levels", "calibrate-precision", "invert-precision",
-             "simulate-precision", "metrics-metric"],
+             "invert-levels", "simulate-precision", "metrics-metric"],
     )
     def test_options_without_effect_are_rejected(self, config_path, capsys, argv):
         cfg = config_path(DEMO_CONFIG)

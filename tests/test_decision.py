@@ -22,7 +22,7 @@ from fuzzrel import (
     reliability_at_time,
     required_parameter_range,
 )
-from fuzzrel import MembershipCurve, bounds, decision
+from fuzzrel import bounds, decision
 from fuzzrel.decision import _CONTAINMENT_TOL, CalibrationResult
 from fuzzrel.fuzzy import _escapes
 
@@ -63,19 +63,6 @@ def demo_curve(demo_table):
     return demo_table.bounds
 
 
-def nested_curve(rng):
-    """A curve of 2 to 21 exactly nested rows on alphas from 0 to 1, whose
-    branches stall on flat segments at about 3 steps in 10."""
-    n = int(rng.integers(2, 22))
-    steps = np.cumsum(rng.uniform(0.1, 1.0, n))
-    alphas = (steps - steps[0]) / (steps[-1] - steps[0])
-    rise, fall = rng.exponential(1.0, (2, n - 1)) * (rng.random((2, n - 1)) < 0.7)
-    lower = rng.uniform(-10.0, 10.0) + np.concatenate([[0.0], np.cumsum(rise)])
-    top = lower[-1] + rng.exponential(1.0) * (rng.random() < 0.8)
-    upper = top + np.concatenate([np.cumsum(fall[::-1])[::-1], [0.0]])
-    return MembershipCurve(alphas, lower, upper)
-
-
 class TestBuildTable:
     @pytest.mark.parametrize(
         "metric", [MTBF, STEADY_AVAILABILITY, reliability_at_time(2.0)]
@@ -83,7 +70,7 @@ class TestBuildTable:
     def test_cut_columns_equal_alpha_cut(self, metric):
         fp = demo_params()
         table = build_table(fp, metric, ALPHAS_11)
-        for name in table.parameters:
+        for name in table.cuts:
             for a, cut in zip(table.cuts[name].alphas, table.cuts[name].intervals):
                 assert cut == fp.fuzzy_by_name(name).alpha_cut(a)
 
@@ -106,11 +93,11 @@ class TestBuildTable:
             assert b.hi == pytest.approx(hi, abs=5e-3)
 
     def test_mtbf_table_has_three_parameters(self, demo_table):
-        assert demo_table.parameters == ("lambda", "theta", "mu")
+        assert tuple(demo_table.cuts) == ("lambda", "theta", "mu")
 
     def test_availability_table_adds_reboot_column(self):
         table = build_table(demo_params(), STEADY_AVAILABILITY, (0.0, 0.5, 1.0))
-        assert table.parameters == ("lambda", "theta", "mu", "beta")
+        assert tuple(table.cuts) == ("lambda", "theta", "mu", "beta")
         assert table.cuts["beta"].support.lo == pytest.approx(1.5)
 
     def test_crisp_rows_identical(self):
@@ -126,108 +113,148 @@ class TestBuildTable:
                 assert prev.encloses(iv)
 
 
+def fits(fp, metric, alpha, target):
+    """Whether the exact interval at alpha lies inside the target, within
+    the containment slack."""
+    iv = characteristic_bounds(fp, metric, alpha).bounds
+    return not _escapes(iv.lo, iv.hi, target.lo, target.hi, _CONTAINMENT_TOL)
+
+
 class TestInvertQuery:
-    def test_management_target(self, demo_curve):
-        alpha = invert_query(demo_curve, Interval(4.939, 6.716))
+    def test_management_target(self):
+        alpha = invert_query(demo_params(), MTBF, Interval(4.939, 6.716))
         assert alpha == pytest.approx(0.90, abs=0.02)
+        assert alpha == pytest.approx(0.899993, abs=5e-7)
+
+    def test_target_between_ladder_rows(self):
+        # linear interpolation between the 0.5 and 0.6 rows gave 0.539580,
+        # whose exact interval [4.499732, 7.395768] left the target's
+        # lower end by 2.7e-4
+        fp, target = demo_params(), Interval(4.5, 7.4)
+        alpha = invert_query(fp, MTBF, target)
+        assert alpha == pytest.approx(0.539808, abs=5e-7)
+        assert fits(fp, MTBF, alpha, target)
+        assert not fits(fp, MTBF, np.nextafter(alpha, 0.0), target)
 
     def test_support_target_needs_no_confidence_tradeoff(self, demo_curve):
-        alpha = invert_query(demo_curve, demo_curve.support)
+        alpha = invert_query(demo_params(), MTBF, demo_curve.support)
         assert alpha == 0.0
 
     def test_top_row_target(self, demo_curve):
-        alpha = invert_query(demo_curve, demo_curve.intervals[-1])
-        assert alpha == 1.0
+        # the containment slack lets a level a few 1e-13 below 1 fit
+        alpha = invert_query(demo_params(), MTBF, demo_curve.intervals[-1])
+        assert alpha == pytest.approx(1.0, abs=1e-11)
 
     def test_stored_rows_round_trip(self, demo_curve):
         for a, iv in zip(demo_curve.alphas, demo_curve.intervals):
-            assert invert_query(demo_curve, iv) == pytest.approx(a, abs=1e-9)
+            assert invert_query(demo_params(), MTBF, iv) == pytest.approx(a, abs=1e-9)
 
-    def test_wide_target_costs_nothing(self, demo_curve):
-        alpha = invert_query(demo_curve, Interval(0.0, 100.0))
+    def test_wide_target_costs_nothing(self):
+        alpha = invert_query(demo_params(), MTBF, Interval(0.0, 100.0))
         assert alpha == 0.0
 
-    def test_unreachable_target(self, demo_curve):
-        with pytest.raises(NoContainmentError):
-            invert_query(demo_curve, Interval(5.2, 6.0))
+    def test_unreachable_target(self):
+        with pytest.raises(NoContainmentError, match="alpha=1 interval"):
+            invert_query(demo_params(), MTBF, Interval(5.2, 6.0))
 
     def test_containment_slack_scales_with_the_curve(self):
         # every rate times 1e10 puts the MTBF near 5e-10, where an absolute
         # slack of 1e-12 hid a 0.1% miss at each end
         fp = scaled_demo_params(1e10, 0.9)
-        curve = build_table(fp, MTBF, (0.0, 0.5, 1.0)).bounds
-        top = curve.intervals[-1]
+        top = characteristic_bounds(fp, MTBF, 1.0).bounds
         target = Interval(1.001 * top.lo, 0.999 * top.hi)
         with pytest.raises(NoContainmentError):
-            invert_query(curve, target)
+            invert_query(fp, MTBF, target)
 
-    def test_one_sided_threshold(self, demo_curve):
+    def test_one_sided_threshold(self):
         # loose upper bound: the answer is set by the lower branch alone
-        top = demo_curve.intervals[-1]
-        target = Interval(demo_curve.interval_at(0.6).lo, 100.0)
-        alpha = invert_query(demo_curve, target)
+        fp = demo_params()
+        target = Interval(characteristic_bounds(fp, MTBF, 0.6).bounds.lo, 100.0)
+        alpha = invert_query(fp, MTBF, target)
         assert alpha == pytest.approx(0.6, abs=1e-9)
-        assert demo_curve.interval_at(alpha).lo >= target.lo - 1e-9
-        assert top.hi <= target.hi
+        assert characteristic_bounds(fp, MTBF, alpha).bounds.lo >= target.lo - 1e-9
 
-    def test_threshold_on_nested_curves_with_flat_segments(self):
-        # each end of the target is a stored end, a point between the
-        # support and the top row, or one float past the top row
-        rng = np.random.default_rng(2027)
-        for _ in range(1000):
-            curve = nested_curve(rng)
-            lows, highs = curve.lower, curve.upper
-            los = (
-                lows[rng.integers(len(lows))],
-                rng.uniform(lows[0] - 1.0, lows[-1]),
-                np.nextafter(lows[-1], np.inf),
+    @pytest.mark.parametrize(
+        "metric", [MTBF, STEADY_AVAILABILITY, reliability_at_time(10.0)],
+        ids=["mtbf", "availability", "R(10)"],
+    )
+    @pytest.mark.parametrize("model", ["reference", "wide", "stepped"])
+    def test_returned_alpha_is_the_exact_threshold(self, model, metric):
+        # each end of the target is the exact end at a drawn level, a
+        # point between the support's and the top interval's ends, one
+        # float outside the top interval's, or the support's; the level
+        # one float below the answer must not fit. The stepped model's
+        # bounds are flat in theta, which is crisp, and jump at 0.5, where
+        # mu's rising branch has a plateau
+        fp = {
+            "reference": demo_params,
+            "wide": lambda: tool("ladder_probe").WIDE,
+            "stepped": lambda: demo_params(
+                standby_failure_rate=FuzzyNumber.crisp(0.2),
+                repair_rate=FuzzyNumber.from_breakpoints(
+                    [(3.0, 0.0), (4.0, 0.5), (4.5, 0.5), (5.0, 1.0), (6.0, 0.0)]
+                ),
+            ),
+        }[model]()
+        (low, top_low), (high, top_high) = bounds._ladder_bounds(
+            fp, metric, np.array([0.0, 1.0])
+        ).bounds
+        rng = np.random.default_rng(33)
+        odds = [0.4, 0.4, 0.1, 0.1]
+        for _ in range(10):
+            drawn = characteristic_bounds(fp, metric, rng.uniform()).bounds
+            lo = rng.choice(
+                [drawn.lo, rng.uniform(low, top_low), np.nextafter(top_low, -np.inf), low], p=odds
             )
-            his = (
-                highs[rng.integers(len(highs))],
-                rng.uniform(highs[-1], highs[0] + 1.0),
-                np.nextafter(highs[-1], -np.inf),
+            hi = rng.choice(
+                [drawn.hi, rng.uniform(top_high, high), np.nextafter(top_high, np.inf), high],
+                p=odds,
             )
-            for lo in los:
-                for hi in his:
-                    if lo > hi:
-                        continue
-                    target = Interval(lo, hi)
-                    alpha = invert_query(curve, target)
-                    for a, iv in zip(curve.alphas, curve.intervals):
-                        assert a >= alpha or not target.encloses(iv), (curve, target, alpha)
-                    iv = curve.interval_at(alpha)
-                    assert not _escapes(
-                        iv.lo, iv.hi, target.lo, target.hi, _CONTAINMENT_TOL
-                    ), (curve, target, alpha)
+            target = Interval(lo, hi)
+            alpha = invert_query(fp, metric, target)
+            assert 0.0 <= alpha <= 1.0
+            assert fits(fp, metric, alpha, target), (target, alpha)
+            if alpha > 0.0:
+                assert not fits(fp, metric, np.nextafter(alpha, 0.0), target), (target, alpha)
 
 
 class TestRequiredParameterRange:
-    def test_repair_rate_at_high_confidence(self, demo_table):
-        rng = required_parameter_range(demo_table, 0.9, "mu")
+    def test_repair_rate_at_high_confidence(self):
+        rng = required_parameter_range(demo_params(), 0.9, "mu")
         assert rng.lo == pytest.approx(3.9, abs=1e-12)
         assert rng.hi == pytest.approx(5.1, abs=1e-12)
 
     def test_stored_rows_reproduced(self, demo_table):
-        for name in demo_table.parameters:
+        for name in demo_table.cuts:
             for a, cut in zip(demo_table.cuts[name].alphas, demo_table.cuts[name].intervals):
-                rng = required_parameter_range(demo_table, a, name)
-                assert rng.lo == pytest.approx(cut.lo, abs=1e-12)
-                assert rng.hi == pytest.approx(cut.hi, abs=1e-12)
+                assert required_parameter_range(demo_params(), a, name) == cut
 
-    def test_interpolates_between_rows(self, demo_table):
-        rng = required_parameter_range(demo_table, 0.85, "lambda")
+    def test_linear_branch_between_rows(self):
+        rng = required_parameter_range(demo_params(), 0.85, "lambda")
         assert rng.lo == pytest.approx(0.585, abs=1e-12)
         assert rng.hi == pytest.approx(0.715, abs=1e-12)
 
-    def test_unknown_parameter(self, demo_table):
-        with pytest.raises(UnknownParameterError):
-            required_parameter_range(demo_table, 0.5, "gamma")
-        with pytest.raises(UnknownParameterError):
-            required_parameter_range(demo_table, 0.5, "beta")  # mtbf table
+    def test_kink_between_rows_is_exact(self):
+        # mu's rising branch bends at 0.55, between the 0.5 and 0.6 rows of
+        # an 11-level table, where a line between those rows' cuts misses
+        mu = FuzzyNumber.from_breakpoints([(3.0, 0.0), (4.0, 0.55), (5.0, 1.0), (6.0, 0.0)])
+        fp = demo_params(repair_rate=mu)
+        column = build_table(fp, MTBF, ALPHAS_11).cuts["mu"]
+        for alpha in (0.55, 0.57):
+            rng = required_parameter_range(fp, alpha, "mu")
+            assert rng == mu.alpha_cut(alpha)
+            assert abs(rng.lo - np.interp(alpha, column.alphas, column.lower)) > 5e-3
+        assert required_parameter_range(fp, 0.55, "mu").lo == 4.0
 
-    def test_alpha_outside_table(self, demo_table):
+    def test_unknown_parameter(self):
+        for name in ("gamma", "c", "repair_rate"):
+            with pytest.raises(UnknownParameterError, match=repr(name)):
+                required_parameter_range(demo_params(), 0.5, name)
+        assert issubclass(UnknownParameterError, ValidationError)
+
+    def test_alpha_outside_table(self):
         with pytest.raises(ValidationError):
-            required_parameter_range(demo_table, 1.5, "mu")
+            required_parameter_range(demo_params(), 1.5, "mu")
 
 
 class TestCalibrateCoverage:

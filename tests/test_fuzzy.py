@@ -367,13 +367,6 @@ class TestMembershipCurve:
         # halfway between the 0.4 and 0.5 rows on the lower branch
         assert curve.membership_at(0.45) == pytest.approx(0.45, abs=1e-12)
 
-    def test_interval_at_interpolates(self):
-        fz = FuzzyNumber.trapezoidal(1.0, 2.0, 3.0, 4.0)
-        curve = self.build(fz, n=11)
-        iv = curve.interval_at(0.25)
-        assert iv.lo == pytest.approx(1.25, abs=1e-12)
-        assert iv.hi == pytest.approx(3.75, abs=1e-12)
-
     def test_crisp_curve_is_a_spike(self):
         curve = self.build(FuzzyNumber.crisp(2.0))
         assert curve.membership_at(2.0) == 1.0
